@@ -7,16 +7,17 @@
 //!
 //! - **delta**: the service as shipped — warm-started delta replans,
 //!   every event timed, p50/p99 over the whole run;
-//! - **full**: a mirror service pinned to [`ReplanMode::Full`], timed
-//!   on a sampled subset of the same event stream (each sample is
-//!   brought current untimed first, so the timed replan covers exactly
-//!   one event's worth of churn).
+//! - **full**: a mirror service with a drift limit of `0.0`, so every
+//!   replan after churn rebuilds from scratch, timed on a sampled subset
+//!   of the same event stream (each sample is brought current untimed
+//!   first, so the timed replan covers exactly one event's worth of
+//!   churn).
 //!
 //! `speedup = full mean / delta mean` is the headline the perf gate
 //! holds ≥ 5×.
 
 use crate::workload::paper_graph;
-use copmecs_core::{OffloadService, ReplanMode};
+use copmecs_core::OffloadService;
 use mec_graph::Graph;
 use mec_model::SystemParams;
 use mec_obs::TraceSink;
@@ -170,8 +171,7 @@ pub fn run(spec: &ChurnSpec, sink: Option<Arc<dyn TraceSink>>) -> ChurnReport {
     if let Some(sink) = sink {
         delta = delta.with_trace_sink(sink);
     }
-    let mut full = OffloadService::new(SystemParams::default(), spec.shards)
-        .with_replan_mode(ReplanMode::Full);
+    let mut full = OffloadService::new(SystemParams::default(), spec.shards).with_drift_limit(0.0);
 
     // bulk load (untimed): the steady-state crowd both services track
     let mut present: Vec<String> = (0..spec.users).map(|u| format!("u{u}")).collect();

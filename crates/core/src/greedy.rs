@@ -24,6 +24,17 @@
 //! each round (the literal reading of Algorithm 2); [`GreedyMode::Lazy`]
 //! drains a lazily-updated max-heap and rescans when it runs dry — far
 //! fewer evaluations, same kind of local optimum.
+//!
+//! A [`Ledger`] carries each user's objective terms from one run to the
+//! next, so a warm start folds them instead of walking every part. The
+//! lazy rescan prices exactly only the users with a part on the server:
+//! under the shared-capacity policies every out-move of an all-local
+//! user obeys one crowd-wide linear bound ([`OutBound`]), which rules
+//! almost all of them out without pricing — usually a whole user at
+//! once, through the bound's value remembered from the last walk of
+//! their parts ([`OutCache`]). The bound skips only candidates whose
+//! gain cannot exceed `EPS`, so the heap — and with it every applied
+//! move — is the same as under an exact rescan.
 
 use crate::parts::PartSystem;
 use mec_graph::Side;
@@ -57,6 +68,16 @@ pub struct GreedyOutcome {
 
 const EPS: f64 = 1e-9;
 
+/// How far below `EPS`, relative to `max(1, E + T)`, the out-move bound
+/// must place a candidate before the rescan skips it. Rounding in
+/// either pricing is ~1e-15 relative, so the margin only ever costs a
+/// few needless exact evaluations.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// Heap capacity a ledger keeps between runs; a cold run's first rescan
+/// can grow it to the size of the crowd.
+const HEAP_KEEP: usize = 1 << 12;
+
 /// What a move relocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Target {
@@ -79,8 +100,196 @@ enum Move {
     Swap(usize),
 }
 
-/// Incrementally-maintained objective state.
-struct ObjectiveState {
+/// The parts a relocation moves, named without materialising them.
+#[derive(Debug, Clone, Copy)]
+enum Batch {
+    /// One part.
+    One(usize),
+    /// Both halves of a split component.
+    Two(usize, usize),
+    /// Every part of the user currently on the given side.
+    User(usize, Side),
+}
+
+impl Batch {
+    /// Calls `f` on each part, in ascending order.
+    fn for_each(self, ps: &PartSystem, mut f: impl FnMut(usize)) {
+        match self {
+            Batch::One(i) => f(i),
+            Batch::Two(a, b) => {
+                f(a);
+                f(b);
+            }
+            Batch::User(u, from) => {
+                for &i in ps.parts_of_user(u) {
+                    if ps.side(i) == from {
+                        f(i);
+                    }
+                }
+            }
+        }
+    }
+
+    fn contains(self, ps: &PartSystem, p: usize) -> bool {
+        match self {
+            Batch::One(i) => p == i,
+            Batch::Two(a, b) => p == a || p == b,
+            Batch::User(u, from) => ps.parts()[p].user == u && ps.side(p) == from,
+        }
+    }
+
+    /// Total work, summed in part order.
+    fn work(self, ps: &PartSystem) -> f64 {
+        let work = |i: usize| ps.parts()[i].work;
+        match self {
+            Batch::One(i) => std::iter::once(work(i)).sum(),
+            Batch::Two(a, b) => [work(a), work(b)].into_iter().sum(),
+            Batch::User(u, from) => ps
+                .parts_of_user(u)
+                .iter()
+                .filter(|&&i| ps.side(i) == from)
+                .map(|&i| work(i))
+                .sum(),
+        }
+    }
+}
+
+/// One user's objective terms under the current part sides.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct UserTerms {
+    /// Work executed on the device, pinned functions included.
+    pub(crate) local: f64,
+    /// Work executed on the server.
+    pub(crate) remote: f64,
+    /// Data crossing the cut, control overhead included.
+    pub(crate) tx: f64,
+}
+
+impl UserTerms {
+    /// Derives user `u`'s terms from their parts. A user's parts and
+    /// components are contiguous and ascending, so these are the same
+    /// additions, in the same order, as one walk over the whole part
+    /// system — folding derived terms is bit-identical to that walk.
+    pub(crate) fn of(ps: &PartSystem, u: usize, control_overhead: f64) -> Self {
+        let (local, remote) = ps.work_split_of_user(u);
+        UserTerms {
+            local,
+            remote,
+            tx: ps.tx_volume_of_user(u, control_overhead),
+        }
+    }
+}
+
+/// What a rescan knows about one user without walking their parts: how
+/// many are on the server and, while that is none, a bound on every
+/// out-move's gain remembered from the last walk.
+///
+/// With `D = A − (k+1)/C` (see [`OutBound`]), each out-move gains
+/// `g(D) = w·D − τ·B` before the surcharge, so between walks
+/// `g(D) ≤ best + work_max·|D − at|` for every move, where `best` is the
+/// largest `g(at)`. Any relocation of the user's parts clears the bound.
+#[derive(Debug, Clone, Copy)]
+struct OutCache {
+    /// Parts on the server.
+    remote_parts: u32,
+    /// Largest `w·D − τ·B` over the out-moves at `D = at`.
+    best: f64,
+    /// Largest and smallest work an out-move ships.
+    work_max: f64,
+    work_min: f64,
+    /// The `D` the bound was taken at; NaN when there is none.
+    at: f64,
+}
+
+impl OutCache {
+    /// Counts user `u`'s remote parts; the bound starts unknown.
+    fn of(ps: &PartSystem, u: usize) -> Self {
+        let remote_parts = ps
+            .parts_of_user(u)
+            .iter()
+            .filter(|&&i| ps.side(i) == Side::Remote)
+            .count();
+        OutCache {
+            remote_parts: u32::try_from(remote_parts).expect("part count fits u32"),
+            ..OutCache::UNKNOWN
+        }
+    }
+
+    const UNKNOWN: OutCache = OutCache {
+        remote_parts: 0,
+        best: f64::NEG_INFINITY,
+        work_max: 0.0,
+        work_min: f64::INFINITY,
+        at: f64::NAN,
+    };
+}
+
+/// The greedy's bookkeeping kept between runs over one part system:
+/// every user's [`UserTerms`] and [`OutCache`] for the sides the last
+/// run left, plus the buffers a run works in. Slot `u` is part-system
+/// user `u`; callers keep the two aligned through
+/// [`remove_user`](Self::remove_user) and [`add_user`](Self::add_user).
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    terms: Vec<UserTerms>,
+    outs: Vec<OutCache>,
+    /// Remote work per user, kept current during a run (to track the
+    /// offloader count).
+    rw_user: Vec<f64>,
+    /// Users a run relocated parts of: unsorted and repeating while it
+    /// runs, ascending and distinct after.
+    moved: Vec<usize>,
+    /// Candidates whose gain exceeds `EPS`.
+    heap: BinaryHeap<(Gain, Move)>,
+}
+
+impl Ledger {
+    /// A ledger with every user of `ps` derived.
+    pub(crate) fn new(ps: &PartSystem, params: &SystemParams) -> Self {
+        let users = 0..ps.user_count();
+        Ledger {
+            terms: users
+                .clone()
+                .map(|u| UserTerms::of(ps, u, params.control_overhead))
+                .collect(),
+            outs: users.map(|u| OutCache::of(ps, u)).collect(),
+            ..Ledger::default()
+        }
+    }
+
+    /// Re-derives user `u` from their parts.
+    fn derive(&mut self, ps: &PartSystem, u: usize, control_overhead: f64) {
+        self.terms[u] = UserTerms::of(ps, u, control_overhead);
+        self.outs[u] = OutCache::of(ps, u);
+    }
+
+    /// Per-user terms, in part-system user order.
+    pub(crate) fn terms(&self) -> &[UserTerms] {
+        &self.terms
+    }
+
+    /// Users whose sides the last run changed, ascending.
+    pub(crate) fn moved(&self) -> &[usize] {
+        &self.moved
+    }
+
+    /// Drops slot `u`, shifting later users down.
+    pub(crate) fn remove_user(&mut self, u: usize) {
+        self.terms.remove(u);
+        self.outs.remove(u);
+    }
+
+    /// Opens a slot for a user appended to the part system. The slot
+    /// must be named dirty to the next run, which derives it.
+    pub(crate) fn add_user(&mut self) {
+        self.terms.push(UserTerms::default());
+        self.outs.push(OutCache::UNKNOWN);
+    }
+}
+
+/// Incrementally-maintained objective state of one run, kept in step
+/// with the run's [`Ledger`].
+struct ObjectiveState<'a> {
     params: SystemParams,
     /// Total local work (including pinned), all users.
     lw: f64,
@@ -88,63 +297,54 @@ struct ObjectiveState {
     rw: f64,
     /// Total transmission volume incl. control overhead, all users.
     tv: f64,
-    /// Remote work per user (to track the offloader count).
-    rw_user: Vec<f64>,
     /// Users with positive remote work.
     offloaders: usize,
+    ledger: &'a mut Ledger,
 }
 
-impl ObjectiveState {
-    fn new(ps: &PartSystem, params: &SystemParams) -> Self {
-        // Single passes over the part and component arrays instead of
-        // per-user scans: `work_split_of_user` / `tx_volume_of_user`
-        // filter the whole system per user, which is O(users²) at the
-        // crowd sizes the streaming service tracks. The per-user
-        // accumulators below add the same terms in the same order
-        // (each user's records are contiguous and ascending), so the
-        // folded totals are bit-identical to the per-user scans.
-        let users = ps.user_count();
-        let oh = params.control_overhead;
-        let mut l_user = vec![0.0; users];
-        let mut rw_user = vec![0.0; users];
-        let mut tv_user = vec![0.0; users];
-        for (u, l) in l_user.iter_mut().enumerate() {
-            *l = ps.pinned_work(u);
-        }
-        for p in ps.parts() {
-            match p.side {
-                Side::Local => l_user[p.user] += p.work,
-                Side::Remote => rw_user[p.user] += p.work,
-            }
-        }
-        for c in ps.components() {
-            if let Some(p2) = c.part2 {
-                if ps.side(c.part1) != ps.side(p2) {
-                    tv_user[c.user] += c.cross_weight + c.cross_count as f64 * oh;
-                }
-            }
-        }
-        for p in ps.parts() {
-            if p.side == Side::Remote {
-                tv_user[p.user] += p.pinned_cut + p.pinned_crossings as f64 * oh;
-            }
-        }
+/// The linear bound every out-move of an all-local user obeys under the
+/// shared-capacity policies. Shipping work `w > EPS` with added
+/// transmission `τ` makes the user the `(k+1)`-th sharer, so
+///
+/// `gain = w·(A − (k+1)/C) − τ·B − RW/C`
+///
+/// with `A` the device's cost per unit of work, `B` the radio's cost
+/// per unit of data, `RW` the remote work and `C` the capacity. Only
+/// `w` and `τ` are per candidate.
+struct OutBound {
+    /// `A − (k+1)/C`.
+    per_work: f64,
+    /// `B`.
+    per_tx: f64,
+    /// `RW/C`: the new sharer's surcharge on everyone already there.
+    surcharge: f64,
+    /// Candidates bounded below this gain cannot exceed `EPS`.
+    skip_below: f64,
+}
+
+impl<'a> ObjectiveState<'a> {
+    /// Folds the ledger's per-user terms, in user order, into the
+    /// totals, and restarts the ledger's per-run buffers.
+    fn fold(ledger: &'a mut Ledger, params: &SystemParams) -> Self {
+        ledger.rw_user.clear();
+        ledger.moved.clear();
         let mut lw = 0.0;
         let mut rw = 0.0;
         let mut tv = 0.0;
-        for u in 0..users {
-            lw += l_user[u];
-            rw += rw_user[u];
-            tv += tv_user[u];
+        for t in &ledger.terms {
+            lw += t.local;
+            rw += t.remote;
+            tv += t.tx;
+            ledger.rw_user.push(t.remote);
         }
-        let offloaders = rw_user.iter().filter(|&&r| r > EPS).count();
+        let offloaders = ledger.rw_user.iter().filter(|&&r| r > EPS).count();
         ObjectiveState {
             params: *params,
             lw,
             rw,
             tv,
-            rw_user,
             offloaders,
+            ledger,
         }
     }
 
@@ -170,6 +370,7 @@ impl ObjectiveState {
                     _ => r,
                 };
                 let k = self
+                    .ledger
                     .rw_user
                     .iter()
                     .enumerate()
@@ -177,7 +378,7 @@ impl ObjectiveState {
                     .count();
                 let mut total = 0.0;
                 let mut pos = 0usize;
-                for (u, &r) in self.rw_user.iter().enumerate() {
+                for (u, &r) in self.ledger.rw_user.iter().enumerate() {
                     let r = value(u, r);
                     if r > EPS {
                         total += r / cap * (k - pos) as f64;
@@ -211,39 +412,55 @@ impl ObjectiveState {
         self.objective_for(self.lw, self.rw, self.tv, self.offloaders, None)
     }
 
+    /// The [`OutBound`] for the current state; `None` under FIFO, where
+    /// a new job's cost depends on its queue position.
+    fn out_bound(&self) -> Option<OutBound> {
+        let p = &self.params;
+        if p.allocation == AllocationPolicy::Fifo {
+            return None;
+        }
+        let cap = p.server_capacity;
+        let per_local = (1.0 + p.local_power) / p.local_capacity;
+        Some(OutBound {
+            per_work: per_local - (self.offloaders + 1) as f64 / cap,
+            per_tx: (1.0 + p.tx_power) / p.bandwidth,
+            surcharge: self.rw / cap,
+            skip_below: EPS - BOUND_MARGIN * self.objective().max(1.0),
+        })
+    }
+
     /// Per-part pinned transmission term.
     fn pin_term(&self, ps: &PartSystem, i: usize) -> f64 {
         let p = &ps.parts()[i];
         p.pinned_cut + p.pinned_crossings as f64 * self.params.control_overhead
     }
 
-    /// Transmission-volume change if every part in `targets` (all
+    /// Transmission-volume change if every part in `batch` (all
     /// currently on the opposite side) moves to `to`.
-    fn batch_tx_delta(&self, ps: &PartSystem, targets: &[usize], to: Side) -> f64 {
+    fn batch_tx_delta(&self, ps: &PartSystem, batch: Batch, to: Side) -> f64 {
         let oh = self.params.control_overhead;
         let mut delta = 0.0;
         // pinned edges cross exactly when the part is remote
-        for &i in targets {
-            match to {
-                Side::Local => delta -= self.pin_term(ps, i),
-                Side::Remote => delta += self.pin_term(ps, i),
-            }
-        }
+        batch.for_each(ps, |i| match to {
+            Side::Local => delta -= self.pin_term(ps, i),
+            Side::Remote => delta += self.pin_term(ps, i),
+        });
         // sibling cross edges: recompute the crossing indicator for
-        // every touched component (each at most once)
-        let mut seen_comp = Vec::with_capacity(targets.len());
-        for &i in targets {
+        // every touched component once (a batch's parts come in
+        // ascending order, so siblings are adjacent)
+        let mut last_comp = usize::MAX;
+        batch.for_each(ps, |i| {
             let c = ps.parts()[i].component;
-            if seen_comp.contains(&c) {
-                continue;
+            if c == last_comp {
+                return;
             }
-            seen_comp.push(c);
+            last_comp = c;
             let comp = &ps.components()[c];
-            let Some(p2) = comp.part2 else { continue };
+            let Some(p2) = comp.part2 else { return };
             let p1 = comp.part1;
             let before = ps.side(p1) != ps.side(p2);
             let side_after = |p: usize| {
-                if targets.contains(&p) {
+                if batch.contains(ps, p) {
                     to
                 } else {
                     ps.side(p)
@@ -254,22 +471,21 @@ impl ObjectiveState {
                 let cross = comp.cross_weight + comp.cross_count as f64 * oh;
                 delta += if after { cross } else { -cross };
             }
-        }
+        });
         delta
     }
 
-    /// Objective change if `targets` (parts of user `u`, all currently
-    /// on the opposite side) relocate to `to`. Negative = improvement.
-    fn batch_delta(&self, ps: &PartSystem, u: usize, targets: &[usize], to: Side) -> f64 {
-        debug_assert!(targets.iter().all(|&i| ps.parts()[i].user == u));
-        debug_assert!(targets.iter().all(|&i| ps.side(i) != to));
-        let w: f64 = targets.iter().map(|&i| ps.parts()[i].work).sum();
+    /// Objective change if `batch` (parts of user `u`, all currently
+    /// on the opposite side) relocates to `to`. Negative = improvement.
+    fn batch_delta(&self, ps: &PartSystem, u: usize, batch: Batch, to: Side) -> f64 {
+        let w = batch.work(ps);
+        let user_rw = self.ledger.rw_user[u];
         let (lw2, rw2, user_rw2) = match to {
-            Side::Local => (self.lw + w, self.rw - w, self.rw_user[u] - w),
-            Side::Remote => (self.lw - w, self.rw + w, self.rw_user[u] + w),
+            Side::Local => (self.lw + w, self.rw - w, user_rw - w),
+            Side::Remote => (self.lw - w, self.rw + w, user_rw + w),
         };
-        let tv2 = self.tv + self.batch_tx_delta(ps, targets, to);
-        let offloaders2 = match (self.rw_user[u] > EPS, user_rw2 > EPS) {
+        let tv2 = self.tv + self.batch_tx_delta(ps, batch, to);
+        let offloaders2 = match (user_rw > EPS, user_rw2 > EPS) {
             (true, false) => self.offloaders - 1,
             (false, true) => self.offloaders + 1,
             _ => self.offloaders,
@@ -277,10 +493,10 @@ impl ObjectiveState {
         self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective()
     }
 
-    /// Commits a batch relocation.
-    fn apply_batch(&mut self, ps: &mut PartSystem, u: usize, targets: &[usize], to: Side) {
-        let w: f64 = targets.iter().map(|&i| ps.parts()[i].work).sum();
-        self.tv += self.batch_tx_delta(ps, targets, to);
+    /// Commits a batch relocation; returns how many parts moved.
+    fn apply_batch(&mut self, ps: &mut PartSystem, u: usize, batch: Batch, to: Side) -> usize {
+        let w = batch.work(ps);
+        self.tv += self.batch_tx_delta(ps, batch, to);
         match to {
             Side::Local => {
                 self.lw += w;
@@ -291,61 +507,80 @@ impl ObjectiveState {
                 self.rw += w;
             }
         }
-        let before = self.rw_user[u];
-        self.rw_user[u] += match to {
+        let user_rw = &mut self.ledger.rw_user[u];
+        let before = *user_rw;
+        *user_rw += match to {
             Side::Local => -w,
             Side::Remote => w,
         };
-        match (before > EPS, self.rw_user[u] > EPS) {
+        match (before > EPS, *user_rw > EPS) {
             (true, false) => self.offloaders -= 1,
             (false, true) => self.offloaders += 1,
             _ => {}
         }
-        for &i in targets {
-            ps.set_side(i, to);
+        let mut n = 0u32;
+        batch.for_each(ps, |_| n += 1);
+        match batch {
+            Batch::One(i) => ps.set_side(i, to),
+            Batch::Two(a, b) => {
+                ps.set_side(a, to);
+                ps.set_side(b, to);
+            }
+            Batch::User(u, from) => {
+                for k in 0..ps.parts_of_user(u).len() {
+                    let i = ps.parts_of_user(u)[k];
+                    if ps.side(i) == from {
+                        ps.set_side(i, to);
+                    }
+                }
+            }
         }
+        let out = &mut self.ledger.outs[u];
+        *out = OutCache {
+            remote_parts: match to {
+                Side::Local => out.remote_parts - n,
+                Side::Remote => out.remote_parts + n,
+            },
+            ..OutCache::UNKNOWN
+        };
+        self.ledger.moved.push(u);
+        n as usize
     }
 
     /// Resolves a relocation move into `(user, parts, destination)`;
     /// `None` when currently invalid (wrong sides, missing sibling,
     /// nothing to do).
-    fn resolve(&self, ps: &PartSystem, mv: Move) -> Option<(usize, Vec<usize>, Side)> {
+    fn resolve(&self, ps: &PartSystem, mv: Move) -> Option<(usize, Batch, Side)> {
         let (target, to) = match mv {
             Move::Home(t) => (t, Side::Local),
             Move::Out(t) => (t, Side::Remote),
             Move::Swap(_) => unreachable!("swaps are priced separately"),
         };
         let from = to.flipped();
-        let (user, parts) = match target {
+        match target {
             Target::Single(i) => {
-                if ps.side(i) != from {
-                    return None;
-                }
-                (ps.parts()[i].user, vec![i])
+                (ps.side(i) == from).then(|| (ps.parts()[i].user, Batch::One(i), to))
             }
             Target::Pair(c) => {
                 let comp = &ps.components()[c];
                 let p2 = comp.part2?;
                 let p1 = comp.part1;
-                if ps.side(p1) != from || ps.side(p2) != from {
-                    return None;
-                }
-                (comp.user, vec![p1, p2])
+                (ps.side(p1) == from && ps.side(p2) == from).then_some((
+                    comp.user,
+                    Batch::Two(p1, p2),
+                    to,
+                ))
             }
             Target::User(u) => {
-                let parts: Vec<usize> = ps
+                let movable = ps
                     .parts_of_user(u)
                     .iter()
-                    .copied()
-                    .filter(|&i| ps.side(i) == from)
-                    .collect();
-                if parts.len() < 2 {
-                    return None; // single moves cover this
-                }
-                (u, parts)
+                    .filter(|&&i| ps.side(i) == from)
+                    .count();
+                // fewer than two: single moves cover this
+                (movable >= 2).then_some((u, Batch::User(u, from), to))
             }
-        };
-        Some((user, parts, to))
+        }
     }
 
     /// Gain (= −Δobjective) of a candidate, `None` when invalid.
@@ -353,8 +588,8 @@ impl ObjectiveState {
         match mv {
             Move::Swap(c) => self.swap_delta(ps, c).map(|(_, _, d)| -d),
             _ => {
-                let (u, parts, to) = self.resolve(ps, mv)?;
-                Some(-self.batch_delta(ps, u, &parts, to))
+                let (u, batch, to) = self.resolve(ps, mv)?;
+                Some(-self.batch_delta(ps, u, batch, to))
             }
         }
     }
@@ -366,15 +601,12 @@ impl ObjectiveState {
                 let (to_remote, to_local, _) =
                     self.swap_delta(ps, c).expect("swap validated before apply");
                 let u = ps.parts()[to_remote].user;
-                self.apply_batch(ps, u, &[to_local], Side::Local);
-                self.apply_batch(ps, u, &[to_remote], Side::Remote);
-                2
+                self.apply_batch(ps, u, Batch::One(to_local), Side::Local)
+                    + self.apply_batch(ps, u, Batch::One(to_remote), Side::Remote)
             }
             _ => {
-                let (u, parts, to) = self.resolve(ps, mv).expect("move validated before apply");
-                let n = parts.len();
-                self.apply_batch(ps, u, &parts, to);
-                n
+                let (u, batch, to) = self.resolve(ps, mv).expect("move validated before apply");
+                self.apply_batch(ps, u, batch, to)
             }
         }
     }
@@ -398,8 +630,9 @@ impl ObjectiveState {
         let tv2 = self.tv + self.pin_term(ps, to_remote) - self.pin_term(ps, to_local);
         let lw2 = self.lw - wl + wr;
         let rw2 = self.rw + wl - wr;
-        let user_rw2 = self.rw_user[u] + wl - wr;
-        let offloaders2 = match (self.rw_user[u] > EPS, user_rw2 > EPS) {
+        let user_rw = self.ledger.rw_user[u];
+        let user_rw2 = user_rw + wl - wr;
+        let offloaders2 = match (user_rw > EPS, user_rw2 > EPS) {
             (true, false) => self.offloaders - 1,
             (false, true) => self.offloaders + 1,
             _ => self.offloaders,
@@ -407,6 +640,24 @@ impl ObjectiveState {
         let delta =
             self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective();
         Some((to_remote, to_local, delta))
+    }
+
+    /// The bound's promise, checked against exact pricing.
+    #[cfg(test)]
+    fn assert_unprofitable(&self, ps: &PartSystem, mv: Move) {
+        if let Some(g) = self.gain_of(ps, mv) {
+            assert!(g <= EPS, "bound skipped {mv:?} with gain {g}");
+        }
+    }
+
+    /// Prices `mv`; pushes it when it improves by more than `EPS`.
+    fn offer(&mut self, ps: &PartSystem, mv: Move, evaluations: &mut usize) {
+        if let Some(g) = self.gain_of(ps, mv) {
+            *evaluations += 1;
+            if g > EPS {
+                self.ledger.heap.push((Gain(g), mv));
+            }
+        }
     }
 }
 
@@ -428,6 +679,7 @@ impl Ord for Gain {
     }
 }
 
+/// Every candidate of the system, for the exhaustive driver.
 fn all_moves(ps: &PartSystem) -> Vec<Move> {
     let singles = (0..ps.parts().len()).map(Target::Single);
     let pairs = (0..ps.components().len()).map(Target::Pair);
@@ -440,36 +692,148 @@ fn all_moves(ps: &PartSystem) -> Vec<Move> {
     moves
 }
 
-/// The candidates that directly involve the given users: their parts,
-/// components (pair moves and orientation swaps), and whole-user
-/// relocations. This is the warm-start seed set — the moves whose
-/// prices changed *structurally* after churn touched those users; the
-/// capacity-coupled re-pricing every other server-resident part sees
-/// is caught by the rescan phase that follows the seeded drain.
-fn moves_of_users(ps: &PartSystem, users: &[usize]) -> Vec<Move> {
-    let mut targets = Vec::new();
-    let mut swaps = Vec::new();
-    for &u in users {
-        if u >= ps.user_count() {
-            continue;
+/// Calls `f` on every candidate that directly involves user `u`: their
+/// parts, components (pair moves and orientation swaps), and the
+/// whole-user relocation, in both directions. Over all users this is
+/// the candidate set of [`all_moves`].
+fn for_each_move_of_user(ps: &PartSystem, u: usize, mut f: impl FnMut(Move)) {
+    let mut last_comp = usize::MAX;
+    for &i in ps.parts_of_user(u) {
+        f(Move::Home(Target::Single(i)));
+        f(Move::Out(Target::Single(i)));
+        let c = ps.parts()[i].component;
+        if c != last_comp {
+            last_comp = c;
+            f(Move::Home(Target::Pair(c)));
+            f(Move::Out(Target::Pair(c)));
+            f(Move::Swap(c));
         }
-        let mut last_comp = usize::MAX;
-        for &i in ps.parts_of_user(u) {
-            targets.push(Target::Single(i));
-            let c = ps.parts()[i].component;
-            if c != last_comp {
-                targets.push(Target::Pair(c));
-                swaps.push(c);
-                last_comp = c;
+    }
+    f(Move::Home(Target::User(u)));
+    f(Move::Out(Target::User(u)));
+}
+
+/// Calls `f(move, work, tx)` on every valid candidate of user `u`, whose
+/// parts are all on the device — only relocations to the server are —
+/// with the work it ships and the transmission volume it adds.
+fn for_each_out_move(
+    ps: &PartSystem,
+    u: usize,
+    control_overhead: f64,
+    mut f: impl FnMut(Move, f64, f64),
+) {
+    let pin = |i: usize| {
+        let p = &ps.parts()[i];
+        p.pinned_cut + p.pinned_crossings as f64 * control_overhead
+    };
+    let parts = ps.parts_of_user(u);
+    let mut last_comp = usize::MAX;
+    let mut all_pins = 0.0;
+    for &i in parts {
+        let c = ps.parts()[i].component;
+        let comp = &ps.components()[c];
+        all_pins += pin(i);
+        // a split half leaving alone starts crossing to its sibling
+        let cross = comp.part2.map_or(0.0, |_| {
+            comp.cross_weight + comp.cross_count as f64 * control_overhead
+        });
+        f(
+            Move::Out(Target::Single(i)),
+            ps.parts()[i].work,
+            pin(i) + cross,
+        );
+        if c != last_comp {
+            last_comp = c;
+            if let Some(p2) = comp.part2 {
+                let p1 = comp.part1;
+                f(
+                    Move::Out(Target::Pair(c)),
+                    Batch::Two(p1, p2).work(ps),
+                    pin(p1) + pin(p2),
+                );
             }
         }
-        targets.push(Target::User(u));
     }
-    let mut moves: Vec<Move> = Vec::with_capacity(2 * targets.len() + swaps.len());
-    moves.extend(targets.iter().map(|&t| Move::Home(t)));
-    moves.extend(targets.iter().map(|&t| Move::Out(t)));
-    moves.extend(swaps.into_iter().map(Move::Swap));
-    moves
+    if parts.len() >= 2 {
+        f(
+            Move::Out(Target::User(u)),
+            Batch::User(u, Side::Local).work(ps),
+            all_pins,
+        );
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test switch: rescans price every candidate exactly — the
+    /// reference the out-move bound is held to.
+    pub(crate) static EXACT_RESCAN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether rescans skip the out-move bound.
+#[cfg(test)]
+fn exact_rescan() -> bool {
+    EXACT_RESCAN.with(std::cell::Cell::get)
+}
+
+#[cfg(not(test))]
+fn exact_rescan() -> bool {
+    false
+}
+
+/// One convergence rescan: fills the heap with every candidate whose
+/// gain exceeds `EPS`. Users with a part on the server are priced
+/// exactly. The out-moves of all-local users are held to the
+/// [`OutBound`] first — as a whole through their [`OutCache`] while it
+/// still rules them out, else move by move, refreshing the cache — and
+/// only those it cannot rule out are priced. Returns `true` when the
+/// bound ruled out the whole all-local class.
+fn rescan(state: &mut ObjectiveState, ps: &PartSystem, evaluations: &mut usize) -> bool {
+    let bound = if exact_rescan() {
+        None
+    } else {
+        state.out_bound()
+    };
+    let oh = state.params.control_overhead;
+    let mut certified = bound.is_some();
+    for u in 0..ps.user_count() {
+        let out = state.ledger.outs[u];
+        let Some(b) = bound.as_ref().filter(|_| out.remote_parts == 0) else {
+            for_each_move_of_user(ps, u, |mv| state.offer(ps, mv, evaluations));
+            continue;
+        };
+        // the bound assumes a move adds a sharer, exactly when the
+        // pricing would
+        let rw_u = state.ledger.rw_user[u];
+        let adds_sharer = |work: f64| rw_u <= EPS && rw_u + work > EPS;
+        let drift = (b.per_work - out.at).abs();
+        if adds_sharer(out.work_min) && out.best + out.work_max * drift - b.surcharge < b.skip_below
+        {
+            #[cfg(test)]
+            for_each_out_move(ps, u, oh, |mv, _, _| state.assert_unprofitable(ps, mv));
+            continue;
+        }
+        let mut fresh = OutCache {
+            remote_parts: 0,
+            at: b.per_work,
+            ..OutCache::UNKNOWN
+        };
+        for_each_out_move(ps, u, oh, |mv, work, tx| {
+            let g = work * b.per_work - tx * b.per_tx;
+            fresh.best = fresh.best.max(g);
+            fresh.work_max = fresh.work_max.max(work);
+            fresh.work_min = fresh.work_min.min(work);
+            if adds_sharer(work) && g - b.surcharge < b.skip_below {
+                #[cfg(test)]
+                state.assert_unprofitable(ps, mv);
+                return;
+            }
+            certified = false;
+            state.offer(ps, mv, evaluations);
+        });
+        state.ledger.outs[u] = fresh;
+    }
+    certified
 }
 
 /// Runs the local search over `ps`, mutating part sides in place.
@@ -477,12 +841,13 @@ fn moves_of_users(ps: &PartSystem, users: &[usize]) -> Vec<Move> {
 /// After convergence, the all-local plan is checked as a final guard:
 /// the returned assignment is never worse than not offloading at all.
 #[cfg(test)]
-pub(crate) fn run_greedy(
+pub(crate) fn run_greedy_cold(
     ps: &mut PartSystem,
     params: &SystemParams,
     mode: GreedyMode,
 ) -> GreedyOutcome {
-    run_greedy_traced(ps, params, mode, &mec_obs::NullSink)
+    let mut ledger = Ledger::new(ps, params);
+    run_greedy(ps, &mut ledger, params, mode, &mec_obs::NullSink, None)
 }
 
 /// Emits one `greedy.step` objective-trajectory point.
@@ -496,45 +861,10 @@ fn emit_step(sink: &dyn TraceSink, moves: usize, objective: f64) {
     );
 }
 
-/// [`run_greedy`] with telemetry: bumps `greedy.evaluated` /
-/// `greedy.accepted` counters, records the per-run `greedy.evaluations`
-/// / `greedy.moves` histograms, and (when the sink is enabled) emits a
-/// `greedy.step` event after every applied move — the objective
-/// trajectory — plus a final `greedy.done` summary. The search itself
-/// is unchanged.
-pub(crate) fn run_greedy_traced(
-    ps: &mut PartSystem,
-    params: &SystemParams,
-    mode: GreedyMode,
-    sink: &dyn TraceSink,
-) -> GreedyOutcome {
-    run_greedy_seeded(ps, params, mode, sink, None)
-}
-
-/// Warm-started greedy for delta replans: `ps` already carries a
-/// previously converged placement plus the churned users' fresh
-/// initial splits. A seeded phase drains only the candidates that
-/// involve `dirty_users` (the structurally re-priced moves), then the
-/// standard rescan phases run to the same convergence criterion as a
-/// from-scratch search — one cheap full rescan confirms no
-/// capacity-coupled candidate still improves, so the result is a local
-/// optimum of the *same* neighbourhood the full path searches.
-pub(crate) fn run_greedy_warm(
-    ps: &mut PartSystem,
-    params: &SystemParams,
-    mode: GreedyMode,
-    sink: &dyn TraceSink,
-    dirty_users: &[usize],
-) -> GreedyOutcome {
-    run_greedy_seeded(ps, params, mode, sink, Some(dirty_users))
-}
-
 /// Lazily drains a max-heap of candidates: pop, re-price, repush when
 /// the gain drifted below the runner-up, apply while improving.
 /// Returns `true` when at least one move was applied.
-#[allow(clippy::too_many_arguments)]
 fn drain_heap(
-    heap: &mut BinaryHeap<(Gain, Move)>,
     state: &mut ObjectiveState,
     ps: &mut PartSystem,
     moves: &mut usize,
@@ -544,7 +874,7 @@ fn drain_heap(
     sink: &dyn TraceSink,
 ) -> bool {
     let mut applied = false;
-    while let Some((_, mv)) = heap.pop() {
+    while let Some((_, mv)) = state.ledger.heap.pop() {
         let Some(gain) = state.gain_of(ps, mv) else {
             continue;
         };
@@ -553,9 +883,9 @@ fn drain_heap(
             continue;
         }
         // stale (gain drifted below the next candidate): repush
-        if let Some(&(next, _)) = heap.peek() {
+        if let Some(&(next, _)) = state.ledger.heap.peek() {
             if gain + EPS < next.0 {
-                heap.push((Gain(gain), mv));
+                state.ledger.heap.push((Gain(gain), mv));
                 continue;
             }
         }
@@ -571,15 +901,41 @@ fn drain_heap(
     applied
 }
 
-fn run_greedy_seeded(
+/// Runs the local search over `ps`, mutating part sides in place, and
+/// brings `ledger` up to date with the result.
+///
+/// `ledger` must hold every user's terms for the current sides, except
+/// the users in `dirty` (ascending), which are derived first. A cold
+/// run (`dirty` is `None`) searches from the sides as they are; a warm
+/// one (`Some`) first settles only the dirty users' own candidates —
+/// the moves churn re-priced structurally — and then runs the standard
+/// rescan phases to the same convergence criterion, so the result is a
+/// local optimum of the same neighbourhood a cold run searches.
+///
+/// After convergence, the all-local plan is checked as a final guard:
+/// the returned assignment is never worse than not offloading at all.
+///
+/// Telemetry: bumps the `greedy.evaluated` / `greedy.accepted`
+/// counters and `greedy.rescan_certified` or `greedy.rescan_exact` once
+/// per rescan, records the per-run `greedy.evaluations` /
+/// `greedy.moves` histograms, and (when the sink is enabled) emits a
+/// `greedy.step` event after every applied move — the objective
+/// trajectory — plus a final `greedy.done` summary.
+pub(crate) fn run_greedy(
     ps: &mut PartSystem,
+    ledger: &mut Ledger,
     params: &SystemParams,
     mode: GreedyMode,
     sink: &dyn TraceSink,
-    dirty_users: Option<&[usize]>,
+    dirty: Option<&[usize]>,
 ) -> GreedyOutcome {
+    debug_assert_eq!(ledger.terms.len(), ps.user_count(), "ledger out of step");
+    let oh = params.control_overhead;
+    for &u in dirty.unwrap_or_default() {
+        ledger.derive(ps, u, oh);
+    }
     let traced = sink.enabled();
-    let mut state = ObjectiveState::new(ps, params);
+    let mut state = ObjectiveState::fold(ledger, params);
     let initial = state.objective();
     let mut moves = 0usize;
     let mut evaluations = 0usize;
@@ -591,19 +947,13 @@ fn run_greedy_seeded(
     // the rescan phase below usually confirms convergence in one pass
     // instead of driving the search. (Exhaustive mode re-scans every
     // candidate per iteration anyway, so seeding buys it nothing.)
-    if let Some(dirty) = dirty_users {
+    if let Some(dirty) = dirty {
         if mode == GreedyMode::Lazy && !dirty.is_empty() {
-            let mut heap: BinaryHeap<(Gain, Move)> = BinaryHeap::new();
-            for mv in moves_of_users(ps, dirty) {
-                if let Some(g) = state.gain_of(ps, mv) {
-                    evaluations += 1;
-                    if g > EPS {
-                        heap.push((Gain(g), mv));
-                    }
-                }
+            state.ledger.heap.clear();
+            for &u in dirty {
+                for_each_move_of_user(ps, u, |mv| state.offer(ps, mv, &mut evaluations));
             }
             drain_heap(
-                &mut heap,
                 &mut state,
                 ps,
                 &mut moves,
@@ -649,20 +999,20 @@ fn run_greedy_seeded(
             // rescan everything once and start a new phase if anything
             // still improves.
             while moves < move_cap {
-                let mut heap: BinaryHeap<(Gain, Move)> = BinaryHeap::new();
-                for mv in all_moves(ps) {
-                    if let Some(g) = state.gain_of(ps, mv) {
-                        evaluations += 1;
-                        if g > EPS {
-                            heap.push((Gain(g), mv));
-                        }
-                    }
-                }
-                if heap.is_empty() {
+                state.ledger.heap.clear();
+                let certified = rescan(&mut state, ps, &mut evaluations);
+                sink.counter_add(
+                    if certified {
+                        "greedy.rescan_certified"
+                    } else {
+                        "greedy.rescan_exact"
+                    },
+                    1,
+                );
+                if state.ledger.heap.is_empty() {
                     break;
                 }
                 let applied_this_phase = drain_heap(
-                    &mut heap,
                     &mut state,
                     ps,
                     &mut moves,
@@ -683,15 +1033,12 @@ fn run_greedy_seeded(
     let all_local = state.objective_for(total_work, 0.0, 0.0, 0, None);
     if all_local + EPS < state.objective() {
         for u in 0..ps.user_count() {
-            let remote: Vec<usize> = ps
+            if ps
                 .parts_of_user(u)
                 .iter()
-                .copied()
-                .filter(|&i| ps.side(i) == Side::Remote)
-                .collect();
-            if !remote.is_empty() {
-                state.apply_batch(ps, u, &remote, Side::Local);
-                moves += remote.len();
+                .any(|&i| ps.side(i) == Side::Remote)
+            {
+                moves += state.apply_batch(ps, u, Batch::User(u, Side::Remote), Side::Local);
             }
         }
     }
@@ -714,6 +1061,16 @@ fn run_greedy_seeded(
             ],
         );
     }
+
+    // bring the ledger up to date: re-derive (not patch) the moved
+    // users, so repeated warm runs cannot drift from a cold fold
+    ledger.moved.sort_unstable();
+    ledger.moved.dedup();
+    for &u in &ledger.moved {
+        ledger.terms[u] = UserTerms::of(ps, u, oh);
+    }
+    ledger.heap.clear();
+    ledger.heap.shrink_to(HEAP_KEEP);
 
     GreedyOutcome {
         moves,
@@ -761,7 +1118,8 @@ mod tests {
         let g = NetgenSpec::new(60, 150).seed(4).generate().unwrap();
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
-        let state = ObjectiveState::new(&ps, &p);
+        let mut ledger = Ledger::new(&ps, &p);
+        let state = ObjectiveState::fold(&mut ledger, &p);
         let scenario = Scenario::new(p).with_user(UserWorkload::new("u", g));
         let eval = scenario.evaluate(&ps.plan()).unwrap();
         assert!(
@@ -771,8 +1129,9 @@ mod tests {
             eval.totals.objective()
         );
         // and after greedy runs
-        run_greedy(&mut ps, &p, GreedyMode::Lazy);
-        let state2 = ObjectiveState::new(&ps, &p);
+        run_greedy_cold(&mut ps, &p, GreedyMode::Lazy);
+        let mut ledger = Ledger::new(&ps, &p);
+        let state2 = ObjectiveState::fold(&mut ledger, &p);
         let eval2 = scenario.evaluate(&ps.plan()).unwrap();
         assert!((state2.objective() - eval2.totals.objective()).abs() < 1e-9);
     }
@@ -782,13 +1141,14 @@ mod tests {
         let g = NetgenSpec::new(40, 100).seed(7).generate().unwrap();
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
-        let mut state = ObjectiveState::new(&ps, &p);
+        let mut ledger = Ledger::new(&ps, &p);
+        let mut state = ObjectiveState::fold(&mut ledger, &p);
         for i in 0..ps.parts().len() {
             let to = ps.side(i).flipped();
             let u = ps.parts()[i].user;
             let before = state.objective();
-            let predicted = state.batch_delta(&ps, u, &[i], to);
-            state.apply_batch(&mut ps, u, &[i], to);
+            let predicted = state.batch_delta(&ps, u, Batch::One(i), to);
+            state.apply_batch(&mut ps, u, Batch::One(i), to);
             let after = state.objective();
             assert!(
                 (after - before - predicted).abs() < 1e-9,
@@ -803,15 +1163,16 @@ mod tests {
         let g = NetgenSpec::new(50, 130).seed(3).generate().unwrap();
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
-        let mut state = ObjectiveState::new(&ps, &p);
+        let mut ledger = Ledger::new(&ps, &p);
+        let mut state = ObjectiveState::fold(&mut ledger, &p);
         for c in 0..ps.components().len() {
             let Some((to_remote, to_local, predicted)) = state.swap_delta(&ps, c) else {
                 continue;
             };
             let before = state.objective();
             let u = ps.parts()[to_remote].user;
-            state.apply_batch(&mut ps, u, &[to_local], Side::Local);
-            state.apply_batch(&mut ps, u, &[to_remote], Side::Remote);
+            state.apply_batch(&mut ps, u, Batch::One(to_local), Side::Local);
+            state.apply_batch(&mut ps, u, Batch::One(to_remote), Side::Remote);
             assert!(
                 (state.objective() - before - predicted).abs() < 1e-9,
                 "component {c}"
@@ -823,7 +1184,7 @@ mod tests {
     fn greedy_never_increases_objective() {
         let g = NetgenSpec::new(80, 250).seed(2).generate().unwrap();
         let mut ps = build_ps(std::slice::from_ref(&g));
-        let out = run_greedy(&mut ps, &params(), GreedyMode::Lazy);
+        let out = run_greedy_cold(&mut ps, &params(), GreedyMode::Lazy);
         assert!(out.final_objective <= out.initial_objective + 1e-9);
     }
 
@@ -833,8 +1194,8 @@ mod tests {
             let g = NetgenSpec::new(70, 200).seed(seed).generate().unwrap();
             let mut ps_a = build_ps(std::slice::from_ref(&g));
             let mut ps_b = ps_a.clone();
-            let a = run_greedy(&mut ps_a, &params(), GreedyMode::Exhaustive);
-            let b = run_greedy(&mut ps_b, &params(), GreedyMode::Lazy);
+            let a = run_greedy_cold(&mut ps_a, &params(), GreedyMode::Exhaustive);
+            let b = run_greedy_cold(&mut ps_b, &params(), GreedyMode::Lazy);
             // different move orders may land in different local optima;
             // they must be close and both below the start
             let denom = a.final_objective.abs().max(1.0);
@@ -854,8 +1215,9 @@ mod tests {
         let g = NetgenSpec::new(50, 140).seed(11).generate().unwrap();
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
-        run_greedy(&mut ps, &p, GreedyMode::Exhaustive);
-        let state = ObjectiveState::new(&ps, &p);
+        run_greedy_cold(&mut ps, &p, GreedyMode::Exhaustive);
+        let mut ledger = Ledger::new(&ps, &p);
+        let state = ObjectiveState::fold(&mut ledger, &p);
         for mv in all_moves(&ps) {
             if let Some(g) = state.gain_of(&ps, mv) {
                 assert!(g <= 1e-6, "{mv:?} still improves after convergence");
@@ -881,7 +1243,7 @@ mod tests {
             })
             .collect();
         let mut ps = build_ps(&graphs);
-        run_greedy(&mut ps, &p, GreedyMode::Lazy);
+        run_greedy_cold(&mut ps, &p, GreedyMode::Lazy);
         let offloaders = (0..ps.user_count())
             .filter(|&u| ps.work_split_of_user(u).1 > 1.0)
             .count();
@@ -907,8 +1269,8 @@ mod tests {
             .collect();
         let mut ps_few = build_ps(&graphs_few);
         let mut ps_many = build_ps(&graphs_many);
-        run_greedy(&mut ps_few, &p, GreedyMode::Lazy);
-        run_greedy(&mut ps_many, &p, GreedyMode::Lazy);
+        run_greedy_cold(&mut ps_few, &p, GreedyMode::Lazy);
+        run_greedy_cold(&mut ps_many, &p, GreedyMode::Lazy);
         let remote_frac = |ps: &PartSystem| {
             let total: f64 = ps.parts().iter().map(|q| q.work).sum();
             let remote: f64 = ps
@@ -933,7 +1295,8 @@ mod tests {
             .map(|i| NetgenSpec::new(40, 100).seed(30 + i).generate().unwrap())
             .collect();
         let mut ps = build_ps(&graphs);
-        let state = ObjectiveState::new(&ps, &p);
+        let mut ledger = Ledger::new(&ps, &p);
+        let state = ObjectiveState::fold(&mut ledger, &p);
         let scenario = Scenario::new(p).with_users(
             graphs
                 .iter()
@@ -956,8 +1319,8 @@ mod tests {
             }
             let u = ps.parts()[i].user;
             let before = state.objective();
-            let predicted = state.batch_delta(&ps, u, &[i], to);
-            state.apply_batch(&mut ps, u, &[i], to);
+            let predicted = state.batch_delta(&ps, u, Batch::One(i), to);
+            state.apply_batch(&mut ps, u, Batch::One(i), to);
             assert!((state.objective() - before - predicted).abs() < 1e-9);
         }
     }
@@ -969,9 +1332,24 @@ mod tests {
             .collect();
         let mut ps = build_ps(&graphs);
         let p = params();
-        run_greedy(&mut ps, &p, GreedyMode::Lazy);
+        let mut ledger = Ledger::new(&ps, &p);
+        run_greedy(
+            &mut ps,
+            &mut ledger,
+            &p,
+            GreedyMode::Lazy,
+            &mec_obs::NullSink,
+            None,
+        );
         let plan_before = ps.plan();
-        let out = super::run_greedy_warm(&mut ps, &p, GreedyMode::Lazy, &mec_obs::NullSink, &[]);
+        let out = run_greedy(
+            &mut ps,
+            &mut ledger,
+            &p,
+            GreedyMode::Lazy,
+            &mec_obs::NullSink,
+            Some(&[]),
+        );
         assert_eq!(out.moves, 0, "a converged placement has no improving move");
         assert_eq!(ps.plan(), plan_before);
     }
@@ -995,8 +1373,17 @@ mod tests {
                 })
                 .collect();
             let mut ps = build_ps(&graphs);
-            run_greedy(&mut ps, &p, GreedyMode::Lazy);
+            let mut ledger = Ledger::new(&ps, &p);
+            run_greedy(
+                &mut ps,
+                &mut ledger,
+                &p,
+                GreedyMode::Lazy,
+                &mec_obs::NullSink,
+                None,
+            );
             ps.remove_user(2);
+            ledger.remove_user(2);
             let newcomer = NetgenSpec::new(50, 140)
                 .seed(seed * 100 + 9)
                 .generate()
@@ -1015,15 +1402,22 @@ mod tests {
                 })
                 .collect();
             ps.add_user(&newcomer, &outcome, &cuts);
+            ledger.add_user();
             let dirty = [ps.user_count() - 1];
-            let warm =
-                super::run_greedy_warm(&mut ps, &p, GreedyMode::Lazy, &mec_obs::NullSink, &dirty);
+            let warm = run_greedy(
+                &mut ps,
+                &mut ledger,
+                &p,
+                GreedyMode::Lazy,
+                &mec_obs::NullSink,
+                Some(&dirty),
+            );
 
             let mut crowd: Vec<_> = graphs;
             crowd.remove(2);
             crowd.push(newcomer);
             let mut fresh = build_ps(&crowd);
-            let full = run_greedy(&mut fresh, &p, GreedyMode::Lazy);
+            let full = run_greedy_cold(&mut fresh, &p, GreedyMode::Lazy);
             let denom = full.final_objective.abs().max(1.0);
             assert!(
                 warm.final_objective <= full.final_objective + 1e-9 * denom,
@@ -1046,7 +1440,7 @@ mod tests {
         let mut p = params();
         p.tx_power = 1000.0;
         let mut ps = build_ps(std::slice::from_ref(&g));
-        let out = run_greedy(&mut ps, &p, GreedyMode::Lazy);
+        let out = run_greedy_cold(&mut ps, &p, GreedyMode::Lazy);
         assert!(ps.parts().iter().all(|q| q.side == Side::Local));
         assert!(out.final_objective <= out.initial_objective);
     }
@@ -1061,7 +1455,7 @@ mod tests {
         b.add_edge(x, y, 0.5).unwrap();
         let g = b.build();
         let mut ps = build_ps(std::slice::from_ref(&g));
-        run_greedy(&mut ps, &params(), GreedyMode::Lazy);
+        run_greedy_cold(&mut ps, &params(), GreedyMode::Lazy);
         assert!(
             ps.parts().iter().all(|q| q.side == Side::Remote),
             "heavy loose work should offload entirely"

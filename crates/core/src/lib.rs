@@ -62,7 +62,7 @@ pub use greedy::{GreedyMode, GreedyOutcome};
 pub use offloader::{OffloadReport, Offloader, OffloaderBuilder, StageTimings};
 pub use parts::{Part, PartSystem};
 pub use service::{OffloadService, ServiceReport};
-pub use session::{OffloadSession, ReplanMode};
+pub use session::OffloadSession;
 pub use strategy::{CutError, CutStrategy, StrategyKind};
 
 use std::error::Error;

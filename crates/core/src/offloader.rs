@@ -2,7 +2,7 @@
 
 use crate::exec::{duration_sample, ExecCtx};
 use crate::frontend::{prepare_users, FrontEnd};
-use crate::greedy::{run_greedy_traced, GreedyMode, GreedyOutcome};
+use crate::greedy::{run_greedy, GreedyMode, GreedyOutcome, Ledger};
 use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
 use crate::PipelineError;
@@ -357,7 +357,16 @@ impl Offloader {
         }
 
         let s = span(sink, "stage.greedy");
-        let greedy = run_greedy_traced(&mut parts, scenario.params(), self.greedy_mode, sink);
+        let params = scenario.params();
+        let mut ledger = Ledger::new(&parts, params);
+        let greedy = run_greedy(
+            &mut parts,
+            &mut ledger,
+            params,
+            self.greedy_mode,
+            sink,
+            None,
+        );
         let greedy_elapsed = s.finish();
         sink.histogram_record("stage.greedy_nanos", duration_sample(greedy_elapsed));
         timings.greedy += greedy_elapsed;

@@ -427,21 +427,29 @@ impl PartSystem {
     }
 
     /// The user's transmission volume (data + per-crossing overhead)
-    /// under the current sides — recomputed from scratch; the greedy
-    /// loop keeps its own incremental copy and cross-checks against
-    /// this in tests.
+    /// under the current sides — recomputed from the user's parts; the
+    /// greedy loop keeps its own incremental copy and cross-checks
+    /// against this in tests.
     pub fn tx_volume_of_user(&self, user: usize, control_overhead: f64) -> f64 {
+        let parts = &self.user_parts[user];
         let mut volume = 0.0;
-        for c in self.components.iter().filter(|c| c.user == user) {
-            let s1 = self.parts[c.part1].side;
-            if let Some(p2) = c.part2 {
-                let s2 = self.parts[p2].side;
-                if s1 != s2 {
-                    volume += c.cross_weight + c.cross_count as f64 * control_overhead;
+        // a user's parts ascend, so each component is one run of them
+        let mut last = usize::MAX;
+        for &i in parts {
+            let c = self.parts[i].component;
+            if c == last {
+                continue;
+            }
+            last = c;
+            let comp = &self.components[c];
+            if let Some(p2) = comp.part2 {
+                if self.parts[comp.part1].side != self.parts[p2].side {
+                    volume += comp.cross_weight + comp.cross_count as f64 * control_overhead;
                 }
             }
         }
-        for p in self.parts.iter().filter(|p| p.user == user) {
+        for &i in parts {
+            let p = &self.parts[i];
             if p.side == Side::Remote {
                 volume += p.pinned_cut + p.pinned_crossings as f64 * control_overhead;
             }
@@ -453,7 +461,8 @@ impl PartSystem {
     pub fn work_split_of_user(&self, user: usize) -> (f64, f64) {
         let mut local = self.pinned_work[user];
         let mut remote = 0.0;
-        for p in self.parts.iter().filter(|p| p.user == user) {
+        for &i in &self.user_parts[user] {
+            let p = &self.parts[i];
             match p.side {
                 Side::Local => local += p.work,
                 Side::Remote => remote += p.work,
@@ -462,22 +471,42 @@ impl PartSystem {
         (local, remote)
     }
 
-    /// Emits the per-user plan implied by the current part sides:
-    /// pinned nodes local, part nodes on their part's side.
-    pub fn plan(&self) -> Vec<Bipartition> {
-        let mut plans: Vec<Bipartition> = self
-            .node_counts
-            .iter()
-            .map(|&n| Bipartition::uniform(n, Side::Local))
-            .collect();
-        for p in &self.parts {
+    /// Writes user `u`'s plan implied by the current part sides into
+    /// `plan` — pinned nodes local, part nodes on their part's side —
+    /// reusing its buffer when it already has the user's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn write_user_plan(&self, u: usize, plan: &mut Bipartition) {
+        let n = self.node_counts[u];
+        if plan.len() == n {
+            for i in 0..n {
+                plan.assign(NodeId::new(i), Side::Local);
+            }
+        } else {
+            *plan = Bipartition::uniform(n, Side::Local);
+        }
+        for &i in &self.user_parts[u] {
+            let p = &self.parts[i];
             if p.side == Side::Remote {
-                for &n in &p.nodes {
-                    plans[p.user].assign(n, Side::Remote);
+                for &node in &p.nodes {
+                    plan.assign(node, Side::Remote);
                 }
             }
         }
-        plans
+    }
+
+    /// Emits the per-user plan implied by the current part sides:
+    /// pinned nodes local, part nodes on their part's side.
+    pub fn plan(&self) -> Vec<Bipartition> {
+        (0..self.user_count())
+            .map(|u| {
+                let mut plan = Bipartition::uniform(0, Side::Local);
+                self.write_user_plan(u, &mut plan);
+                plan
+            })
+            .collect()
     }
 }
 
@@ -768,6 +797,21 @@ mod tests {
             fresh.add_user(&g, &o, &c);
         }
         assert_eq!(observe(&ps), observe(&fresh));
+    }
+
+    #[test]
+    fn write_user_plan_overwrites_a_stale_buffer() {
+        let (_, mut ps) = build_from(&[3, 5, 8]);
+        for i in (0..ps.parts().len()).step_by(3) {
+            let s = ps.side(i).flipped();
+            ps.set_side(i, s);
+        }
+        for (u, want) in ps.plan().iter().enumerate() {
+            // a buffer holding another placement of the same user
+            let mut stale = Bipartition::uniform(want.len(), Side::Remote);
+            ps.write_user_plan(u, &mut stale);
+            assert_eq!(&stale, want);
+        }
     }
 
     #[test]

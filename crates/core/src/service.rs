@@ -1,12 +1,12 @@
 //! Sharded streaming service: one edge site, many sessions.
 //!
-//! A single [`OffloadSession`] replan walks its whole crowd at least
-//! once (pricing is `O(users)` even when the warm-started greedy
-//! applies `O(churn)` moves), so a cell tracking 10⁵–10⁶ users wants
-//! the crowd split. [`OffloadService`] hashes users across `K`
-//! session shards, each with its own [`ExecCtx`]; a churn event dirties
-//! exactly one shard, and [`replan`](OffloadService::replan) re-solves
-//! **only the dirty shards**, reusing each clean shard's cached report.
+//! A single [`OffloadSession`] replan still folds its whole crowd's
+//! per-user terms and bounds every user's out-moves, so a cell tracking
+//! 10⁵–10⁶ users wants the crowd split. [`OffloadService`] hashes users
+//! across `K` session shards, each with its own [`ExecCtx`]; a churn
+//! event dirties exactly one shard, and
+//! [`replan`](OffloadService::replan) re-solves **only the dirty
+//! shards**; every shard's session keeps its own last report.
 //! The edge server's capacity is partitioned evenly across shards
 //! (`server_capacity / K` per shard), which approximates the
 //! full-crowd coupling by letting users contend only within their
@@ -20,7 +20,7 @@
 
 use crate::exec::duration_sample;
 use crate::greedy::GreedyMode;
-use crate::session::{OffloadSession, ReplanMode};
+use crate::session::OffloadSession;
 use crate::strategy::StrategyKind;
 use crate::{OffloadReport, PipelineError};
 use mec_engine::Cluster;
@@ -30,14 +30,12 @@ use mec_model::SystemParams;
 use mec_obs::{span, FieldValue, TraceSink};
 use std::sync::Arc;
 
-/// One session shard plus its replan cache.
+/// One session shard.
 struct Shard {
     session: OffloadSession,
     /// Set by any churn event routed here; cleared when
     /// [`OffloadService::replan`] re-solves the shard.
     dirty: bool,
-    /// The shard's report from the last replan that touched it.
-    cached: Option<OffloadReport>,
 }
 
 /// The crowd-consistent aggregate over all shards.
@@ -51,7 +49,7 @@ pub struct ServiceReport {
     pub energy: f64,
     /// Summed time term.
     pub time: f64,
-    /// Shards re-solved by this replan (the rest served their cache).
+    /// Shards re-solved by this replan (the rest kept their report).
     pub replanned_shards: usize,
     /// Total shard count.
     pub shards: usize,
@@ -76,7 +74,7 @@ pub struct ServiceReport {
 /// let report = service.replan()?;
 /// assert_eq!(report.users, 16);
 /// service.leave("user-3");
-/// // only user-3's shard is dirty: the other shards serve their cache
+/// // only user-3's shard is dirty: the other shards keep their report
 /// let after = service.replan()?;
 /// assert!(after.objective < report.objective);
 /// # Ok(())
@@ -121,7 +119,6 @@ impl OffloadService {
                     greedy_mode,
                 ),
                 dirty: false,
-                cached: None,
             })
             .collect();
         OffloadService {
@@ -157,20 +154,9 @@ impl OffloadService {
         self
     }
 
-    /// Sets every shard session's [`ReplanMode`].
-    pub fn with_replan_mode(mut self, mode: ReplanMode) -> Self {
-        for shard in &mut self.shards {
-            let session = std::mem::replace(
-                &mut shard.session,
-                OffloadSession::new(SystemParams::default()),
-            );
-            shard.session = session.with_replan_mode(mode);
-            shard.cached = None;
-        }
-        self
-    }
-
-    /// Sets every shard session's delta-replan drift bound.
+    /// Sets every shard session's drift bound (see
+    /// [`OffloadSession::with_drift_limit`]); `0.0` makes every replan
+    /// of a churned shard a from-scratch rebuild.
     pub fn with_drift_limit(mut self, limit: f64) -> Self {
         for shard in &mut self.shards {
             let session = std::mem::replace(
@@ -205,7 +191,7 @@ impl OffloadService {
     /// The last report computed for shard `i`, if it has ever been
     /// replanned (`None` for out-of-range `i` too).
     pub fn shard_report(&self, i: usize) -> Option<&OffloadReport> {
-        self.shards.get(i).and_then(|s| s.cached.as_ref())
+        self.shards.get(i).and_then(|s| s.session.report())
     }
 
     /// FNV-1a over the user name — stable across runs, so benchmarks
@@ -362,19 +348,19 @@ impl OffloadService {
         left
     }
 
-    /// Re-plans every **dirty** shard (clean shards serve their cached
+    /// Re-plans every **dirty** shard (clean shards keep their last
     /// report) and aggregates the crowd-consistent totals.
     ///
     /// # Errors
     ///
     /// The first failing shard's error; shards replanned before it
-    /// keep their fresh caches.
+    /// keep their fresh reports.
     pub fn replan(&mut self) -> Result<ServiceReport, PipelineError> {
         let s = span(self.sink.as_ref(), "service.replan");
         let mut replanned = 0usize;
         for shard in &mut self.shards {
-            if shard.dirty || shard.cached.is_none() {
-                shard.cached = Some(shard.session.replan()?);
+            if shard.dirty || shard.session.report().is_none() {
+                shard.session.replan()?;
                 shard.dirty = false;
                 replanned += 1;
             }
@@ -388,11 +374,16 @@ impl OffloadService {
             shards: self.shards.len(),
         };
         for shard in &self.shards {
-            let cached = shard.cached.as_ref().expect("every shard replanned above");
+            let totals = &shard
+                .session
+                .report()
+                .expect("every shard replanned above")
+                .evaluation
+                .totals;
             report.users += shard.session.user_count();
-            report.energy += cached.evaluation.totals.energy;
-            report.time += cached.evaluation.totals.time;
-            report.objective += cached.evaluation.totals.objective();
+            report.energy += totals.energy;
+            report.time += totals.time;
+            report.objective += totals.objective();
         }
         self.sink.counter_add("service.replans", 1);
         if self.sink.enabled() {

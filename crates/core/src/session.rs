@@ -4,46 +4,27 @@
 //! in and out of the cell. The per-user work — compression and
 //! minimum cuts — does not depend on who else is present, only the
 //! greedy placement does. [`OffloadSession`] exploits that twice: each
-//! user's graph is compressed and cut **once** at join time, and under
-//! the default [`ReplanMode::Delta`] the converged part placement
-//! itself persists across replans — a churn event re-seats only the
-//! affected user's parts, and the next
-//! [`replan`](OffloadSession::replan) warm-starts the greedy search
-//! from the previous equilibrium instead of rebuilding the whole part
-//! system and searching from the initial split. When accumulated churn
-//! exceeds a configurable drift bound (or with [`ReplanMode::Full`]),
-//! the session falls back to the from-scratch path, which is
-//! bit-identical to the pre-delta behaviour.
+//! user's graph is compressed and cut **once** at join time, and the
+//! converged part placement and its priced report persist across
+//! replans — a churn event re-seats only the affected user's parts, the
+//! next [`replan`](OffloadSession::replan) warm-starts the greedy
+//! search from the previous equilibrium, and only the churned and moved
+//! users' report entries are re-derived. When accumulated churn exceeds
+//! a configurable drift bound (a bound of `0.0` trips on any churn),
+//! the session rebuilds the placement and the report from scratch.
 
 use crate::exec::{duration_sample, ExecCtx};
 use crate::frontend::{prepare_users, FrontEnd};
-use crate::greedy::{run_greedy_traced, run_greedy_warm, GreedyMode};
+use crate::greedy::{run_greedy, GreedyMode, Ledger};
 use crate::parts::PartSystem;
 use crate::strategy::{CutStrategy, StrategyKind};
 use crate::{OffloadReport, PipelineError, StageTimings};
 use mec_engine::Cluster;
-use mec_graph::Graph;
-use mec_labelprop::{CompressionConfig, Compressor};
-use mec_model::SystemParams;
+use mec_graph::{Bipartition, Graph, Side};
+use mec_labelprop::{CompressionConfig, CompressionStats, Compressor};
+use mec_model::{share_server, CostSummary, Evaluation, SystemParams, UserCost};
 use mec_obs::{span, FieldValue, TraceSink};
 use std::sync::Arc;
-
-/// How [`OffloadSession::replan`] treats the previous placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ReplanMode {
-    /// Warm-start from the previously converged placement: only the
-    /// churned users' candidates are re-settled before a single rescan
-    /// confirms (or restores) equilibrium — `O(churn)` applied moves
-    /// in the steady state. Falls back to [`Full`](Self::Full)
-    /// behaviour when churn since the last replan exceeds the
-    /// session's drift limit (default).
-    #[default]
-    Delta,
-    /// Rebuild the part system and run the greedy search from the
-    /// initial split on every call — bit-identical to sessions before
-    /// delta replanning existed.
-    Full,
-}
 
 /// One user's cached pipeline front-end: the compression outcome,
 /// per-component cuts, and the wall-clock both took, computed at join
@@ -55,16 +36,98 @@ struct PreparedUser {
     frontend: FrontEnd,
 }
 
-/// The placement carried across replans in [`ReplanMode::Delta`].
+/// How a churn event moved the crowd's slots; replayed onto the
+/// persisted report at the next replan.
+#[derive(Debug, Clone, Copy)]
+enum SlotChange {
+    /// The user at this slot left; later slots shifted down.
+    Removed(usize),
+    /// A user was appended.
+    Appended(CompressionStats),
+    /// The user at this slot re-joined with a new workload.
+    Replaced(usize, CompressionStats),
+}
+
+/// The placement and priced report carried across replans.
 ///
-/// Invariant: part-system user slot `i` is `OffloadSession::users[i]`
-/// at all times — joins append or replace in place, leaves remove
-/// order-preservingly — so delta plans and evaluations come out in the
-/// same user order the from-scratch path produces.
-struct DeltaState {
+/// Invariant: part-system and ledger user slot `i` is
+/// `OffloadSession::users[i]` at all times — joins append or replace in
+/// place, leaves remove order-preservingly — so delta plans and
+/// evaluations come out in the same user order a rebuild produces. The
+/// report stays the last replan's until the next one replays `pending`
+/// onto it and re-derives the entries churn or the greedy touched.
+struct Persisted {
     ps: PartSystem,
+    ledger: Ledger,
+    report: OffloadReport,
     /// User slots churned since the last replan (unsorted, may repeat).
     dirty: Vec<usize>,
+    /// Slot changes since the last replan, in order.
+    pending: Vec<SlotChange>,
+    /// Scratch: the users whose report entries a replan re-derives.
+    changed: Vec<usize>,
+    /// Scratch: the users with work on the server.
+    offloaders: Vec<usize>,
+}
+
+impl Persisted {
+    /// Replays the slot changes onto the report, re-derives the plan and
+    /// cost of every churned or moved user from their parts, and
+    /// settles the server shares and totals.
+    fn catch_up(&mut self, params: &SystemParams) {
+        let report = &mut self.report;
+        for change in self.pending.drain(..) {
+            match change {
+                SlotChange::Removed(i) => {
+                    report.plan.remove(i);
+                    report.evaluation.per_user.remove(i);
+                    report.compression.remove(i);
+                }
+                SlotChange::Appended(stats) => {
+                    report.plan.push(Bipartition::uniform(0, Side::Local));
+                    report.evaluation.per_user.push(UserCost::default());
+                    report.compression.push(stats);
+                }
+                SlotChange::Replaced(i, stats) => report.compression[i] = stats,
+            }
+        }
+        self.changed.clear();
+        self.changed.extend_from_slice(&self.dirty);
+        self.changed.extend_from_slice(self.ledger.moved());
+        self.changed.sort_unstable();
+        self.changed.dedup();
+        for &u in &self.changed {
+            self.ps.write_user_plan(u, &mut report.plan[u]);
+            report.evaluation.per_user[u] = priced(params, &self.ledger, u);
+        }
+        self.dirty.clear();
+        self.settle(params);
+    }
+
+    /// Formula (2) and the totals: every user's own terms are current,
+    /// so one fold over the ledger gives the crowd sums and the
+    /// offloaders whose server shares depend on them.
+    fn settle(&mut self, params: &SystemParams) {
+        let mut local = 0.0;
+        let mut tx = 0.0;
+        self.offloaders.clear();
+        for (u, t) in self.ledger.terms().iter().enumerate() {
+            local += t.local;
+            tx += t.tx;
+            if t.remote > 0.0 {
+                self.offloaders.push(u);
+            }
+        }
+        let evaluation = &mut self.report.evaluation;
+        let server = share_server(params, &mut evaluation.per_user, &self.offloaders);
+        evaluation.totals = CostSummary::from_sums(params, local, tx, server);
+    }
+}
+
+/// User `u`'s device and radio costs from their ledger terms.
+fn priced(params: &SystemParams, ledger: &Ledger, u: usize) -> UserCost {
+    let t = ledger.terms()[u];
+    UserCost::unshared(params, t.local, t.remote, t.tx)
 }
 
 /// A long-lived multi-user offloading session.
@@ -82,10 +145,10 @@ struct DeltaState {
 /// let g = Arc::new(NetgenSpec::new(100, 300).seed(1).generate()?);
 /// session.join("alice", Arc::clone(&g))?;
 /// session.join("bob", g)?;
-/// let two = session.replan()?;
+/// let two = session.replan()?.evaluation.totals.objective();
 /// session.leave("alice");
-/// let one = session.replan()?;
-/// assert!(one.evaluation.totals.objective() < two.evaluation.totals.objective());
+/// let one = session.replan()?.evaluation.totals.objective();
+/// assert!(one < two);
 /// # Ok(())
 /// # }
 /// ```
@@ -98,14 +161,15 @@ pub struct OffloadSession {
     /// The session-owned execution context: backend, sink, and (on the
     /// serial backend) the cut arena recycled across every admission.
     ctx: ExecCtx,
-    replan_mode: ReplanMode,
     /// Fraction of the crowd allowed to churn between replans before a
-    /// delta replan discards the warm start and rebuilds from scratch.
+    /// replan discards the warm start and rebuilds from scratch.
     drift_limit: f64,
     /// Churn events (join, rejoin, leave) since the last replan.
     churned: usize,
-    /// The persisted converged placement, once a delta replan has run.
-    delta: Option<DeltaState>,
+    /// Front-end compression and cutting time summed over the crowd.
+    frontend: StageTimings,
+    /// The persisted placement and report, once a replan has run.
+    state: Option<Persisted>,
 }
 
 impl OffloadSession {
@@ -134,28 +198,18 @@ impl OffloadSession {
             greedy_mode,
             users: Vec::new(),
             ctx: ExecCtx::serial(),
-            replan_mode: ReplanMode::default(),
             drift_limit: 0.25,
             churned: 0,
-            delta: None,
+            frontend: StageTimings::default(),
+            state: None,
         }
     }
 
-    /// Chooses how [`replan`](Self::replan) treats the previous
-    /// placement (default: [`ReplanMode::Delta`]). Switching modes
-    /// drops any persisted placement, so the next replan starts from
-    /// scratch either way.
-    pub fn with_replan_mode(mut self, mode: ReplanMode) -> Self {
-        self.replan_mode = mode;
-        self.delta = None;
-        self
-    }
-
-    /// Sets the delta-replan drift bound: once more than
-    /// `limit × crowd` churn events accumulate between replans, the
-    /// warm start is discarded and the placement is rebuilt from
-    /// scratch. `0.0` forces a full rebuild after *any* churn (the
-    /// exact-parity configuration); the default is `0.25`.
+    /// Sets the drift bound: once more than `limit × crowd` churn
+    /// events accumulate between replans, the warm start is discarded
+    /// and the placement is rebuilt from scratch. `0.0` rebuilds after
+    /// *any* churn — every replan then searches from the initial split,
+    /// the from-scratch mode; the default is `0.25`.
     pub fn with_drift_limit(mut self, limit: f64) -> Self {
         self.drift_limit = limit.max(0.0);
         self
@@ -218,6 +272,12 @@ impl OffloadSession {
     /// `true` if a user with this name is present.
     pub fn contains(&self, name: &str) -> bool {
         self.users.iter().any(|u| u.name == name)
+    }
+
+    /// The report of the last [`replan`](Self::replan); `None` before
+    /// the first. Churn since then shows up only at the next replan.
+    pub fn report(&self) -> Option<&OffloadReport> {
+        self.state.as_ref().map(|st| &st.report)
     }
 
     /// Admits a user, running their compression and cuts once. A user
@@ -325,33 +385,41 @@ impl OffloadSession {
     }
 
     /// Inserts or replaces a prepared user (same-name join replaces
-    /// the previous workload), keeping any persisted placement
+    /// the previous workload), keeping the persisted placement
     /// slot-aligned: a rejoin re-seats the slot's parts in place, a
     /// fresh join appends, and either way the slot is marked dirty for
     /// the next warm-started replan.
     fn insert(&mut self, prepared: PreparedUser) {
         self.churned += 1;
+        self.frontend.compression += prepared.frontend.compression;
+        self.frontend.cutting += prepared.frontend.cutting;
+        let stats = prepared.frontend.outcome.stats;
         match self.users.iter().position(|u| u.name == prepared.name) {
             Some(i) => {
-                if let Some(delta) = self.delta.as_mut() {
-                    delta.ps.replace_user(
+                if let Some(st) = self.state.as_mut() {
+                    st.ps.replace_user(
                         i,
                         &prepared.graph,
                         &prepared.frontend.outcome,
                         &prepared.frontend.cuts,
                     );
-                    delta.dirty.push(i);
+                    st.dirty.push(i);
+                    st.pending.push(SlotChange::Replaced(i, stats));
                 }
-                self.users[i] = prepared;
+                let old = std::mem::replace(&mut self.users[i], prepared);
+                self.frontend.compression -= old.frontend.compression;
+                self.frontend.cutting -= old.frontend.cutting;
             }
             None => {
-                if let Some(delta) = self.delta.as_mut() {
-                    delta.ps.add_user(
+                if let Some(st) = self.state.as_mut() {
+                    let i = st.ps.add_user(
                         &prepared.graph,
                         &prepared.frontend.outcome,
                         &prepared.frontend.cuts,
                     );
-                    delta.dirty.push(self.users.len());
+                    st.ledger.add_user();
+                    st.dirty.push(i);
+                    st.pending.push(SlotChange::Appended(stats));
                 }
                 self.users.push(prepared);
             }
@@ -359,13 +427,17 @@ impl OffloadSession {
     }
 
     /// Removes the user at slot `i`, shifting later slots down and
-    /// keeping any persisted placement (and its dirty set) aligned.
+    /// keeping the persisted placement (and its dirty set) aligned.
     fn remove_at(&mut self, i: usize) {
-        self.users.remove(i);
+        let gone = self.users.remove(i);
+        self.frontend.compression -= gone.frontend.compression;
+        self.frontend.cutting -= gone.frontend.cutting;
         self.churned += 1;
-        if let Some(delta) = self.delta.as_mut() {
-            delta.ps.remove_user(i);
-            delta.dirty.retain_mut(|d| {
+        if let Some(st) = self.state.as_mut() {
+            st.ps.remove_user(i);
+            st.ledger.remove_user(i);
+            st.pending.push(SlotChange::Removed(i));
+            st.dirty.retain_mut(|d| {
                 if *d == i {
                     return false;
                 }
@@ -446,7 +518,14 @@ impl OffloadSession {
     }
 
     /// Re-runs the placement for the current crowd using the cached
-    /// per-user compression and cuts, and prices the result.
+    /// per-user compression and cuts, and returns the priced result.
+    ///
+    /// The report persists between calls: a warm replan re-settles the
+    /// churned users, re-derives only their and the greedy's moved
+    /// users' plans and costs, and takes the totals from the ledger of
+    /// per-user terms — its cost scales with churn, not the crowd.
+    /// The first replan, and any after more than `drift_limit × crowd`
+    /// churn events, rebuild placement and report from scratch.
     ///
     /// The report's `timings.compression` / `timings.cutting` are the
     /// *cached* per-user front-end times recorded at join time (summed
@@ -458,126 +537,107 @@ impl OffloadSession {
     /// # Errors
     ///
     /// [`PipelineError::Model`] if the session's system parameters are
-    /// invalid.
-    pub fn replan(&mut self) -> Result<OffloadReport, PipelineError> {
+    /// invalid; the session is then left as it was.
+    pub fn replan(&mut self) -> Result<&OffloadReport, PipelineError> {
         // the replan-end-to-end distribution is the ROADMAP's SLO
         // metric: p99 over session.replan_nanos is what a streaming
         // service would alert on — the scope records it (and flushes)
         // on every exit, error returns included
         let scope = self.ctx.scope("session.replan", "session.replan_nanos");
-        let report = match self.replan_mode {
-            ReplanMode::Full => self.replan_full()?,
-            ReplanMode::Delta => self.replan_delta()?,
-        };
-        let sink = self.ctx.sink();
-        sink.counter_add("session.replans", 1);
+        self.params.validate()?;
+        let drift_cap = (self.drift_limit * self.users.len().max(1) as f64).floor() as usize;
+        if self.state.is_some() && self.churned <= drift_cap {
+            self.replan_delta();
+        } else {
+            self.replan_full();
+        }
+        self.churned = 0;
+        self.ctx.sink().counter_add("session.replans", 1);
         scope.finish();
-        Ok(report)
+        Ok(&self.state.as_ref().expect("replanned above").report)
     }
 
     /// The from-scratch path: rebuild the part system for the whole
-    /// crowd and run the greedy search from the initial split. This is
-    /// exactly the pre-delta replan body, and the delta path's drift
-    /// fallback must stay bit-identical to it.
-    fn replan_full(&self) -> Result<OffloadReport, PipelineError> {
+    /// crowd, run the greedy search from the initial split, and price
+    /// every user.
+    fn replan_full(&mut self) {
         let sink = self.ctx.sink().as_ref();
-        let mut timings = StageTimings::default();
-        let mut parts = PartSystem::new();
-        let mut compression_stats = Vec::with_capacity(self.users.len());
+        sink.counter_add("session.replans_full", 1);
+        let mut ps = PartSystem::new();
         for u in &self.users {
-            timings.compression += u.frontend.compression;
-            timings.cutting += u.frontend.cutting;
-            compression_stats.push(u.frontend.outcome.stats);
-            parts.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
+            ps.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
         }
         let s = span(sink, "stage.greedy");
-        let greedy = run_greedy_traced(&mut parts, &self.params, self.greedy_mode, sink);
-        timings.greedy = s.finish();
-        sink.histogram_record("stage.greedy_nanos", duration_sample(timings.greedy));
-
-        let plan = parts.plan();
-        // price the plan against the live crowd directly — no Scenario
-        // rebuild (cloned names, Arc bumps) in the steady-state path
-        let evaluation = mec_model::evaluate_plan_for(
+        let mut ledger = Ledger::new(&ps, &self.params);
+        let greedy = run_greedy(
+            &mut ps,
+            &mut ledger,
             &self.params,
-            self.users.iter().map(|u| u.graph.as_ref()),
-            &plan,
-        )?;
-        Ok(OffloadReport {
-            plan,
-            evaluation,
-            compression: compression_stats,
+            self.greedy_mode,
+            sink,
+            None,
+        );
+        let greedy_time = s.finish();
+        sink.histogram_record("stage.greedy_nanos", duration_sample(greedy_time));
+
+        let report = OffloadReport {
+            plan: ps.plan(),
+            evaluation: Evaluation {
+                per_user: (0..ps.user_count())
+                    .map(|u| priced(&self.params, &ledger, u))
+                    .collect(),
+                totals: CostSummary::default(),
+            },
+            compression: self
+                .users
+                .iter()
+                .map(|u| u.frontend.outcome.stats)
+                .collect(),
             greedy,
-            timings,
+            timings: StageTimings {
+                greedy: greedy_time,
+                ..self.frontend
+            },
             strategy: self.strategy.name(),
-        })
+        };
+        let mut st = Persisted {
+            ps,
+            ledger,
+            report,
+            dirty: Vec::new(),
+            pending: Vec::new(),
+            changed: Vec::new(),
+            offloaders: Vec::new(),
+        };
+        st.settle(&self.params);
+        self.state = Some(st);
     }
 
-    /// The warm-started path: persist the converged placement across
-    /// calls and re-settle only the churned slots, falling back to a
-    /// from-scratch rebuild on the first call and whenever accumulated
-    /// churn exceeds `drift_limit × crowd`.
-    ///
-    /// Only the *placement* persists; the greedy objective bookkeeping
-    /// is re-derived from it in `O(crowd)` at warm entry, so repeated
-    /// delta replans cannot accumulate floating-point drift relative
-    /// to the from-scratch path.
-    fn replan_delta(&mut self) -> Result<OffloadReport, PipelineError> {
-        let crowd = self.users.len();
-        let drift_cap = (self.drift_limit * crowd.max(1) as f64).floor() as usize;
-        let stale = self.delta.is_none() || self.churned > drift_cap;
-
+    /// The warm-started path: re-settle the churned slots from the
+    /// persisted placement, then bring the report current.
+    fn replan_delta(&mut self) {
         let sink = self.ctx.sink().as_ref();
-        let mut timings = StageTimings::default();
-        let mut compression_stats = Vec::with_capacity(crowd);
-        for u in &self.users {
-            timings.compression += u.frontend.compression;
-            timings.cutting += u.frontend.cutting;
-            compression_stats.push(u.frontend.outcome.stats);
-        }
-
-        let greedy;
-        if stale {
-            sink.counter_add("session.replans_full", 1);
-            let mut parts = PartSystem::new();
-            for u in &self.users {
-                parts.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
-            }
-            let s = span(sink, "stage.greedy");
-            greedy = run_greedy_traced(&mut parts, &self.params, self.greedy_mode, sink);
-            timings.greedy = s.finish();
-            self.delta = Some(DeltaState {
-                ps: parts,
-                dirty: Vec::new(),
-            });
-        } else {
-            sink.counter_add("session.replans_delta", 1);
-            let delta = self.delta.as_mut().expect("delta checked above");
-            let mut dirty = std::mem::take(&mut delta.dirty);
-            dirty.sort_unstable();
-            dirty.dedup();
-            let s = span(sink, "stage.greedy");
-            greedy = run_greedy_warm(&mut delta.ps, &self.params, self.greedy_mode, sink, &dirty);
-            timings.greedy = s.finish();
-        }
-        self.churned = 0;
-        sink.histogram_record("stage.greedy_nanos", duration_sample(timings.greedy));
-
-        let delta = self.delta.as_ref().expect("delta set above");
-        let plan = delta.ps.plan();
-        let evaluation = mec_model::evaluate_plan_for(
+        sink.counter_add("session.replans_delta", 1);
+        let st = self.state.as_mut().expect("delta replans need a placement");
+        st.dirty.sort_unstable();
+        st.dirty.dedup();
+        let s = span(sink, "stage.greedy");
+        let greedy = run_greedy(
+            &mut st.ps,
+            &mut st.ledger,
             &self.params,
-            self.users.iter().map(|u| u.graph.as_ref()),
-            &plan,
-        )?;
-        Ok(OffloadReport {
-            plan,
-            evaluation,
-            compression: compression_stats,
-            greedy,
-            timings,
-            strategy: self.strategy.name(),
-        })
+            self.greedy_mode,
+            sink,
+            Some(&st.dirty),
+        );
+        let greedy_time = s.finish();
+        sink.histogram_record("stage.greedy_nanos", duration_sample(greedy_time));
+        st.catch_up(&self.params);
+        st.report.greedy = greedy;
+        st.report.timings = StageTimings {
+            greedy: greedy_time,
+            ..self.frontend
+        };
     }
 }
 
@@ -631,7 +691,7 @@ mod tests {
     fn rejoin_replaces_the_workload() {
         let mut session = OffloadSession::new(SystemParams::default());
         session.join("a", graph(1)).unwrap();
-        let before = session.replan().unwrap();
+        let before = session.replan().unwrap().plan[0].len();
         // same name, different (larger) app
         session
             .join(
@@ -641,7 +701,7 @@ mod tests {
             .unwrap();
         assert_eq!(session.user_count(), 1);
         let after = session.replan().unwrap();
-        assert_ne!(before.plan[0].len(), after.plan[0].len());
+        assert_ne!(before, after.plan[0].len());
     }
 
     #[test]
@@ -670,19 +730,19 @@ mod tests {
         let mut session = OffloadSession::new(SystemParams::default());
         session.join("a", graph(5)).unwrap();
         session.join("b", graph(6)).unwrap();
-        let report = session.replan().unwrap();
+        let report = session.replan().unwrap().timings;
         assert!(
-            report.timings.compression > std::time::Duration::ZERO,
+            report.compression > std::time::Duration::ZERO,
             "compression time spent at join must surface in the report"
         );
         assert!(
-            report.timings.cutting > std::time::Duration::ZERO,
+            report.cutting > std::time::Duration::ZERO,
             "cutting time spent at join must surface in the report"
         );
         // leaving a user drops their cached front-end time too
         session.leave("a");
         let after = session.replan().unwrap();
-        assert!(after.timings.compression < report.timings.compression);
+        assert!(after.timings.compression < report.compression);
     }
 
     #[test]
@@ -753,33 +813,241 @@ mod tests {
         assert_eq!(batched.leave_many(Vec::<String>::new()), 0);
     }
 
-    #[test]
-    fn full_mode_is_identical_to_delta_results() {
-        let mut delta = OffloadSession::new(SystemParams::default());
-        let mut full =
-            OffloadSession::new(SystemParams::default()).with_replan_mode(ReplanMode::Full);
-        for i in 0..6u64 {
-            delta.join(format!("u{i}"), graph(40 + i)).unwrap();
-            full.join(format!("u{i}"), graph(40 + i)).unwrap();
+    /// A fresh session over `names` with graphs `graph(seed)`, replanned
+    /// once — the from-scratch reference.
+    fn fresh(names: &[(String, u64)]) -> OffloadSession {
+        let mut s = OffloadSession::new(SystemParams::default());
+        for (name, seed) in names {
+            s.join(name.clone(), graph(*seed)).unwrap();
         }
-        // first delta replan has no warm state: bit-identical to full
-        let d = delta.replan().unwrap();
-        let f = full.replan().unwrap();
-        assert_eq!(d.plan, f.plan);
-        assert_eq!(
-            d.evaluation.totals.objective(),
-            f.evaluation.totals.objective()
-        );
-        // a zero drift limit forces the from-scratch fallback after any
-        // churn, so the delta session keeps exact parity with full mode
+        s.replan().unwrap();
+        s
+    }
+
+    #[test]
+    fn zero_drift_limit_rebuilds_like_a_fresh_session() {
+        // a zero drift limit rebuilds after any churn, so every replan
+        // matches a session that never saw the churn, bit for bit
         let mut strict = OffloadSession::new(SystemParams::default()).with_drift_limit(0.0);
-        for i in 0..6u64 {
-            strict.join(format!("u{i}"), graph(40 + i)).unwrap();
+        let mut crowd: Vec<(String, u64)> = (0..6u64).map(|i| (format!("u{i}"), 40 + i)).collect();
+        for (name, seed) in &crowd {
+            strict.join(name.clone(), graph(*seed)).unwrap();
         }
         strict.replan().unwrap();
         strict.leave("u2");
-        full.leave("u2");
-        assert_eq!(strict.replan().unwrap().plan, full.replan().unwrap().plan);
+        crowd.remove(2);
+        strict.join("u9", graph(49)).unwrap();
+        crowd.push(("u9".to_string(), 49));
+        let got = strict.replan().unwrap();
+        let reference = fresh(&crowd);
+        let want = reference.report().expect("replanned once");
+        assert_eq!(got.plan, want.plan);
+        assert_eq!(
+            got.evaluation.totals.objective().to_bits(),
+            want.evaluation.totals.objective().to_bits()
+        );
+        assert_eq!(got.greedy, want.greedy);
+    }
+
+    #[test]
+    fn report_is_the_last_replans_until_the_next() {
+        let mut session = OffloadSession::new(SystemParams::default());
+        assert!(session.report().is_none());
+        session.join("a", graph(1)).unwrap();
+        session.join("b", graph(2)).unwrap();
+        let first = session.replan().unwrap().clone();
+        session.leave("a");
+        session.join("c", graph(3)).unwrap();
+        let held = session.report().expect("replanned once");
+        assert_eq!(held.plan, first.plan);
+        assert_eq!(held.evaluation, first.evaluation);
+        let second = session.replan().unwrap();
+        assert_eq!(second.plan.len(), 2);
+        assert_eq!(second.compression.len(), 2);
+        assert_eq!(second.evaluation.per_user.len(), 2);
+    }
+
+    /// splitmix64: a deterministic churn stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A generated app whose every third function weighs nothing.
+    fn app(seed: u64) -> Arc<Graph> {
+        let g = NetgenSpec::new(30, 80).seed(seed).generate().unwrap();
+        let mut b = mec_graph::GraphBuilder::new();
+        let ids: Vec<_> = g
+            .node_ids()
+            .map(|n| {
+                let w = if n.index() % 3 == 0 {
+                    0.0
+                } else {
+                    g.node_weight(n)
+                };
+                if g.is_offloadable(n) {
+                    b.add_node(w)
+                } else {
+                    b.add_pinned_node(w)
+                }
+            })
+            .collect();
+        for e in g.edges() {
+            b.add_edge(ids[e.source.index()], ids[e.target.index()], e.weight)
+                .unwrap();
+        }
+        Arc::new(b.build())
+    }
+
+    fn assert_close(what: &str, got: f64, want: f64) {
+        assert!(
+            (got - want).abs() <= 1e-9 * got.abs().max(want.abs()),
+            "{what}: persisted {got} vs oracle {want}"
+        );
+    }
+
+    /// Everything a replan's report must agree with, recomputed from
+    /// scratch: the plan of the session's part system, the model's
+    /// pricing of that plan, and fresh front-end folds.
+    fn check_against_oracles(session: &OffloadSession) {
+        let st = session.state.as_ref().expect("replanned");
+        let report = &st.report;
+        assert_eq!(report.plan, st.ps.plan(), "persisted plan drifted");
+        let oracle = mec_model::evaluate_plan_for(
+            &session.params,
+            session.users.iter().map(|u| u.graph.as_ref()),
+            &report.plan,
+        )
+        .unwrap();
+        let (got, want) = (&report.evaluation.totals, &oracle.totals);
+        for (what, a, b) in [
+            ("energy", got.energy, want.energy),
+            ("time", got.time, want.time),
+            ("local energy", got.local_energy, want.local_energy),
+            ("tx energy", got.tx_energy, want.tx_energy),
+            ("local time", got.local_time, want.local_time),
+            ("remote time", got.remote_time, want.remote_time),
+            ("tx time", got.tx_time, want.tx_time),
+        ] {
+            assert_close(what, a, b);
+        }
+        assert_eq!(report.evaluation.per_user.len(), oracle.per_user.len());
+        for (u, (a, b)) in report
+            .evaluation
+            .per_user
+            .iter()
+            .zip(&oracle.per_user)
+            .enumerate()
+        {
+            for (what, x, y) in [
+                ("local work", a.local_work, b.local_work),
+                ("remote work", a.remote_work, b.remote_work),
+                ("tx volume", a.tx_volume, b.tx_volume),
+                ("local time", a.local_time, b.local_time),
+                ("remote time", a.remote_time, b.remote_time),
+                ("wait time", a.wait_time, b.wait_time),
+                ("tx time", a.tx_time, b.tx_time),
+                ("local energy", a.local_energy, b.local_energy),
+                ("tx energy", a.tx_energy, b.tx_energy),
+            ] {
+                assert_close(&format!("user {u} {what}"), x, y);
+            }
+        }
+        let stats: Vec<_> = session
+            .users
+            .iter()
+            .map(|u| u.frontend.outcome.stats)
+            .collect();
+        assert_eq!(report.compression, stats);
+        let compression = session.users.iter().map(|u| u.frontend.compression).sum();
+        let cutting = session.users.iter().map(|u| u.frontend.cutting).sum();
+        assert_eq!(report.timings.compression, compression);
+        assert_eq!(report.timings.cutting, cutting);
+    }
+
+    /// Replans under the exact-rescan reference: every candidate priced.
+    fn replan_exactly(session: &mut OffloadSession) -> OffloadReport {
+        crate::greedy::EXACT_RESCAN.with(|e| e.set(true));
+        let report = session.replan().unwrap().clone();
+        crate::greedy::EXACT_RESCAN.with(|e| e.set(false));
+        report
+    }
+
+    #[test]
+    fn persisted_reports_match_the_oracles_under_random_churn() {
+        use mec_model::AllocationPolicy;
+        use mec_obs::Recorder;
+
+        let mut certified = 0;
+        for allocation in [
+            AllocationPolicy::EqualShare,
+            AllocationPolicy::ProportionalToLoad,
+            AllocationPolicy::Fifo,
+        ] {
+            // A = (1 + p_c) / I_c = 0.2: at I_S = 2 no crowd makes
+            // offloading pay, at 40 the (k+1)/I_S surcharge crosses A
+            // near seven sharers, at 2000 it never does
+            for server_capacity in [2.0, 40.0, 2000.0] {
+                for seed in [5u64, 23] {
+                    let params = SystemParams {
+                        server_capacity,
+                        allocation,
+                        ..SystemParams::default()
+                    };
+                    let sink = Arc::new(Recorder::new());
+                    let mut bounded = OffloadSession::new(params)
+                        .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+                    let mut exact = OffloadSession::new(params);
+                    let mut rng = Rng(seed);
+                    let mut present: Vec<String> = Vec::new();
+                    let mut next = 0u64;
+                    for step in 0..30 {
+                        let roll = rng.below(10);
+                        if present.len() < 3 || roll < 4 {
+                            let name = format!("u{next}");
+                            let g = app(seed * 1000 + next);
+                            next += 1;
+                            bounded.join(name.clone(), Arc::clone(&g)).unwrap();
+                            exact.join(name.clone(), g).unwrap();
+                            present.push(name);
+                        } else if roll < 7 {
+                            let victim = present.remove(rng.below(present.len() as u64) as usize);
+                            assert!(bounded.leave(&victim));
+                            assert!(exact.leave(&victim));
+                        } else {
+                            let who = present[rng.below(present.len() as u64) as usize].clone();
+                            let g = app(seed * 1000 + 500 + rng.below(8));
+                            bounded.join(who.clone(), Arc::clone(&g)).unwrap();
+                            exact.join(who, g).unwrap();
+                        }
+                        if step % 2 == 0 {
+                            continue;
+                        }
+                        let reference = replan_exactly(&mut exact);
+                        let got = bounded.replan().unwrap();
+                        let what = format!("{allocation:?} I_S={server_capacity} seed {seed}");
+                        assert_eq!(got.plan, reference.plan, "{what}: plans diverged");
+                        assert_eq!(got.greedy.moves, reference.greedy.moves, "{what}");
+                        assert_eq!(
+                            got.greedy.final_objective.to_bits(),
+                            reference.greedy.final_objective.to_bits(),
+                            "{what}"
+                        );
+                        assert!(got.greedy.evaluations <= reference.greedy.evaluations);
+                        check_against_oracles(&bounded);
+                    }
+                    certified += sink.counter_value("greedy.rescan_certified");
+                }
+            }
+        }
+        assert!(certified > 0, "the bound never settled a rescan");
     }
 
     #[test]
@@ -787,8 +1055,8 @@ mod tests {
         let mut session = OffloadSession::new(SystemParams::default());
         session.join("a", graph(3)).unwrap();
         session.join("b", graph(4)).unwrap();
-        let x = session.replan().unwrap();
+        let x = session.replan().unwrap().plan.clone();
         let y = session.replan().unwrap();
-        assert_eq!(x.plan, y.plan);
+        assert_eq!(x, y.plan);
     }
 }

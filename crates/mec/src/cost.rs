@@ -38,6 +38,31 @@ pub struct UserCost {
 }
 
 impl UserCost {
+    /// A user's device and radio costs — formulas (1) and (3)–(5) — from
+    /// their local work, remote work and transmission volume. The
+    /// server terms of formula (2) depend on the whole crowd; they start
+    /// at zero and [`share_server`] fills them in.
+    pub fn unshared(
+        params: &SystemParams,
+        local_work: f64,
+        remote_work: f64,
+        tx_volume: f64,
+    ) -> Self {
+        let local_time = local_work / params.local_capacity; // (1)
+        let tx_time = tx_volume / params.bandwidth; // (5)
+        UserCost {
+            local_work,
+            remote_work,
+            tx_volume,
+            local_time,
+            remote_time: 0.0,
+            wait_time: 0.0,
+            tx_time,
+            local_energy: local_time * params.local_power, // (3)
+            tx_energy: tx_time * params.tx_power,          // (4)
+        }
+    }
+
     /// The user's total time: `t_c + t_s (+ wt) + t_t`.
     pub fn time(&self) -> f64 {
         self.local_time + self.remote_time + self.wait_time + self.tx_time
@@ -74,6 +99,76 @@ impl CostSummary {
     pub fn objective(&self) -> f64 {
         self.energy + self.time
     }
+
+    /// The totals of formula (6) from crowd-wide sums: the local work
+    /// `Σ w_local`, the transmission volume `Σ tx` and the server time
+    /// `Σ (t_s + wt)` (as [`share_server`] returns it). Equal, up to
+    /// rounding, to summing every user's [`UserCost`] — without a walk
+    /// over the crowd.
+    pub fn from_sums(
+        params: &SystemParams,
+        local_work: f64,
+        tx_volume: f64,
+        server_time: f64,
+    ) -> Self {
+        let local_time = local_work / params.local_capacity;
+        let tx_time = tx_volume / params.bandwidth;
+        let local_energy = local_time * params.local_power;
+        let tx_energy = tx_time * params.tx_power;
+        CostSummary {
+            energy: local_energy + tx_energy,
+            time: local_time + server_time + tx_time,
+            local_energy,
+            tx_energy,
+            local_time,
+            remote_time: server_time,
+            tx_time,
+        }
+    }
+}
+
+/// Formula (2): sets the server time — and under
+/// [`AllocationPolicy::Fifo`] the waiting time — of every offloader in
+/// `costs`, given as ascending indices, and returns their sum
+/// `Σ (t_s + wt)`. Entries not listed are left alone, so their server
+/// terms must already be zero.
+///
+/// # Panics
+///
+/// Panics if an index is out of bounds.
+pub fn share_server(params: &SystemParams, costs: &mut [UserCost], offloaders: &[usize]) -> f64 {
+    match params.allocation {
+        AllocationPolicy::EqualShare => {
+            let k = offloaders.len().max(1) as f64;
+            let share = params.server_capacity / k;
+            for &i in offloaders {
+                costs[i].remote_time = costs[i].remote_work / share;
+            }
+        }
+        AllocationPolicy::ProportionalToLoad => {
+            let total: f64 = offloaders.iter().map(|&i| costs[i].remote_work).sum();
+            if total > 0.0 {
+                // share_i = I_S * w_i / total  →  t_s = total / I_S
+                let t = total / params.server_capacity;
+                for &i in offloaders {
+                    costs[i].remote_time = t;
+                }
+            }
+        }
+        AllocationPolicy::Fifo => {
+            let mut clock = 0.0;
+            for &i in offloaders {
+                costs[i].wait_time = clock;
+                costs[i].remote_time = costs[i].remote_work / params.server_capacity;
+                clock += costs[i].remote_time;
+            }
+        }
+    }
+    let mut server = 0.0;
+    for &i in offloaders {
+        server += costs[i].remote_time + costs[i].wait_time;
+    }
+    server
 }
 
 /// A full plan evaluation.
@@ -150,10 +245,8 @@ where
     let n_users = graphs.len();
 
     // pass 1: raw work and transmission quantities
-    let mut costs = vec![UserCost::default(); n_users];
-    for ((g, cut), cost) in graphs.zip(plan).zip(&mut costs) {
-        cost.local_work = cut.node_weight_on(g, Side::Local);
-        cost.remote_work = cut.node_weight_on(g, Side::Remote);
+    let mut costs = Vec::with_capacity(n_users);
+    for (g, cut) in graphs.zip(plan) {
         let mut volume = 0.0;
         let mut crossings = 0usize;
         for e in g.edges() {
@@ -162,53 +255,28 @@ where
                 crossings += 1;
             }
         }
-        cost.tx_volume = volume + crossings as f64 * p.control_overhead;
-        cost.local_time = cost.local_work / p.local_capacity;
-        cost.local_energy = cost.local_time * p.local_power; // (3)
-        cost.tx_time = cost.tx_volume / p.bandwidth; // (5)
-        cost.tx_energy = cost.tx_time * p.tx_power; // (4)
+        costs.push(UserCost::unshared(
+            &p,
+            cut.node_weight_on(g, Side::Local),
+            cut.node_weight_on(g, Side::Remote),
+            volume + crossings as f64 * p.control_overhead,
+        ));
     }
 
     // pass 2: server shares and waiting (formula (2))
     let offloaders: Vec<usize> = (0..n_users)
         .filter(|&i| costs[i].remote_work > 0.0)
         .collect();
-    match p.allocation {
-        AllocationPolicy::EqualShare => {
-            let k = offloaders.len().max(1) as f64;
-            let share = p.server_capacity / k;
-            for &i in &offloaders {
-                costs[i].remote_time = costs[i].remote_work / share;
-            }
-        }
-        AllocationPolicy::ProportionalToLoad => {
-            let total: f64 = offloaders.iter().map(|&i| costs[i].remote_work).sum();
-            if total > 0.0 {
-                // share_i = I_S * w_i / total  →  t_s = total / I_S
-                let t = total / p.server_capacity;
-                for &i in &offloaders {
-                    costs[i].remote_time = t;
-                }
-            }
-        }
-        AllocationPolicy::Fifo => {
-            let mut clock = 0.0;
-            for &i in &offloaders {
-                costs[i].wait_time = clock;
-                costs[i].remote_time = costs[i].remote_work / p.server_capacity;
-                clock += costs[i].remote_time;
-            }
-        }
-    }
+    let server_time = share_server(&p, &mut costs, &offloaders);
 
     let mut totals = CostSummary::default();
     for c in &costs {
         totals.local_energy += c.local_energy;
         totals.tx_energy += c.tx_energy;
         totals.local_time += c.local_time;
-        totals.remote_time += c.remote_time + c.wait_time;
         totals.tx_time += c.tx_time;
     }
+    totals.remote_time = server_time;
     totals.energy = totals.local_energy + totals.tx_energy;
     totals.time = totals.local_time + totals.remote_time + totals.tx_time;
     Ok(Evaluation {

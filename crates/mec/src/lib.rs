@@ -49,7 +49,9 @@ mod cost;
 mod params;
 mod scenario;
 
-pub use cost::{evaluate_plan_for, validate_plan_for, CostSummary, Evaluation, UserCost};
+pub use cost::{
+    evaluate_plan_for, share_server, validate_plan_for, CostSummary, Evaluation, UserCost,
+};
 pub use params::{AllocationPolicy, SystemParams};
 pub use scenario::{Scenario, UserWorkload};
 

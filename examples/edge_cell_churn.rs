@@ -27,6 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let report_line = |event: &str, session: &mut OffloadSession| {
+        let users = session.user_count();
         let t0 = Instant::now();
         let report = session.replan().expect("replan succeeds");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -39,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<28} {:>6} {:>12.1} {:>10.1}% {:>12.2}",
             event,
-            session.user_count(),
+            users,
             report.evaluation.totals.objective(),
             frac,
             ms

@@ -69,7 +69,7 @@ pub use mec_spectral as spectral;
 pub mod prelude {
     pub use copmecs_core::{
         force_serial, CutStrategy, ExecBackend, ExecCtx, GreedyMode, OffloadReport, OffloadService,
-        OffloadSession, Offloader, ReplanMode, ServiceReport, StrategyKind,
+        OffloadSession, Offloader, ServiceReport, StrategyKind,
     };
     pub use mec_app::{ApplicationBuilder, FunctionKind, SyntheticAppSpec};
     pub use mec_graph::{Bipartition, Graph, GraphBuilder, NodeId, Side};

@@ -13,17 +13,18 @@
 //! - toggling `LanczosOptions::warm_start` changes wall-time only, not
 //!   cut quality.
 //!
-//! The counting allocator is process-global, so the measuring tests
-//! serialise on a mutex and take the minimum over several attempts —
-//! a concurrent harness thread can only inflate a sample, never
-//! deflate it.
+//! The counting allocator is process-global, so every test here
+//! serialises on a mutex — the ones that only allocate too, since they
+//! would otherwise inflate a concurrent measurement — and the measuring
+//! tests take the minimum over several attempts: a harness thread can
+//! only inflate a sample, never deflate it.
 
 use copmecs::linalg::{lanczos_with, CsrMatrix, LanczosOptions, LanczosScratch};
 use copmecs::prelude::*;
 use copmecs::spectral::{CutScratch, RecursiveBisector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -48,8 +49,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serialises the measuring tests: the counter is process-global.
+/// Serialises the tests: the counter is process-global.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`MEASURE_LOCK`]; a test that panicked while holding it does
+/// not fail the others.
+fn measure_lock() -> MutexGuard<'static, ()> {
+    MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Heap allocations performed while `f` runs (on any thread — callers
 /// hold [`MEASURE_LOCK`] and take minima to stay robust).
@@ -74,7 +81,7 @@ fn laplacian(nodes: usize, edges: usize, seed: u64) -> CsrMatrix {
 
 #[test]
 fn warm_lanczos_rerun_is_allocation_free() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let l = laplacian(200, 600, 17);
     let opts = LanczosOptions::default();
     let mut scratch = LanczosScratch::new();
@@ -95,7 +102,7 @@ fn warm_lanczos_rerun_is_allocation_free() {
 
 #[test]
 fn warm_partition_rerun_allocates_a_fraction_of_the_cold_run() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let g = NetgenSpec::new(300, 900)
         .components(1)
         .seed(23)
@@ -142,24 +149,34 @@ fn disabled_metrics_hot_path_is_allocation_free() {
     use copmecs::obs::TraceSink;
     use std::time::Duration;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    let disabled = MetricsRegistry::disabled();
-    let hist = disabled.histogram("stage.compression_nanos");
-    let ctr = disabled.counter("engine.worker_busy_nanos");
-    let gauge = disabled.gauge("engine.live_workers");
-    let delta = alloc_delta(|| {
-        for i in 0..10_000u64 {
-            NullSink.histogram_record("lanczos.iterations", i);
-            NullSink.counter_add("lanczos.restarts", 1);
-            hist.record(i);
-            hist.record_duration(Duration::from_nanos(i));
-            ctr.add(i);
-            gauge.set(i as i64);
-        }
-        // recording through the disabled registry itself is a no-op too
-        disabled.record_histogram("stage.cutting_nanos", 7);
-        disabled.add_counter("engine.tasks", 1);
-    });
+    let _guard = measure_lock();
+    // the harness can allocate on its own thread while a test starts,
+    // so take the minimum over attempts; each attempt records through a
+    // fresh registry and fresh handles, so an allocation on first use
+    // would show in every one
+    let delta = (0..3)
+        .map(|_| {
+            let disabled = MetricsRegistry::disabled();
+            let hist = disabled.histogram("stage.compression_nanos");
+            let ctr = disabled.counter("engine.worker_busy_nanos");
+            let gauge = disabled.gauge("engine.live_workers");
+            alloc_delta(|| {
+                for i in 0..10_000u64 {
+                    NullSink.histogram_record("lanczos.iterations", i);
+                    NullSink.counter_add("lanczos.restarts", 1);
+                    hist.record(i);
+                    hist.record_duration(Duration::from_nanos(i));
+                    ctr.add(i);
+                    gauge.set(i as i64);
+                }
+                // recording through the disabled registry itself is a
+                // no-op too
+                disabled.record_histogram("stage.cutting_nanos", 7);
+                disabled.add_counter("engine.tasks", 1);
+            })
+        })
+        .min()
+        .unwrap();
     assert_eq!(delta, 0, "disabled metrics path must not touch the heap");
 }
 
@@ -173,7 +190,7 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
     use copmecs_core::Offloader;
     use std::sync::Arc;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let g = NetgenSpec::new(150, 450)
         .seed(31)
         .generate()
@@ -220,7 +237,7 @@ fn null_sink_solve_is_bit_identical_and_allocation_neutral() {
 fn warm_sharded_recording_is_allocation_free() {
     use copmecs::obs::{FieldValue, ShardConfig, ShardedRecorder, TraceSink};
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let rec = ShardedRecorder::with_config(ShardConfig {
         shards: 2,
         capacity: 1 << 15,
@@ -262,7 +279,7 @@ fn warm_sharded_recording_is_allocation_free() {
 /// to per-call scenario rebuilding blows well past it.
 #[test]
 fn steady_state_replan_allocations_stay_pinned() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
+    let _guard = measure_lock();
     let mut session = OffloadSession::new(SystemParams::default());
     for i in 0..6u64 {
         let g = NetgenSpec::new(60, 180)
@@ -276,7 +293,11 @@ fn steady_state_replan_allocations_stay_pinned() {
     // warm-up: interns strings, grows any lazily-sized buffers
     session.replan().unwrap();
     let warm = (0..5)
-        .map(|_| alloc_delta(|| drop(session.replan().unwrap())))
+        .map(|_| {
+            alloc_delta(|| {
+                session.replan().unwrap();
+            })
+        })
         .min()
         .unwrap();
     // calibrated: a 6-user replan measures ~215 allocations (greedy
@@ -290,8 +311,60 @@ fn steady_state_replan_allocations_stay_pinned() {
     );
 }
 
+/// Heap allocations of a warm delta replan right after one departure,
+/// in a session of `users` users.
+fn replan_after_leave_allocations(users: usize) -> u64 {
+    let pool: Vec<_> = (0..8u64)
+        .map(|i| {
+            std::sync::Arc::new(
+                NetgenSpec::new(16, 40)
+                    .seed(300 + i)
+                    .generate()
+                    .expect("generable workload"),
+            )
+        })
+        .collect();
+    let mut session = OffloadSession::new(SystemParams::default());
+    session
+        .join_many((0..users).map(|i| (format!("u{i}"), std::sync::Arc::clone(&pool[i % 8]))))
+        .unwrap();
+    let mut next = 0usize;
+    let mut leave_and_replan = |session: &mut OffloadSession| {
+        assert!(session.leave(&format!("u{next}")));
+        next += 1;
+        alloc_delta(|| {
+            session.replan().unwrap();
+        })
+    };
+    // the first replan builds the placement; two more grow every
+    // reused buffer to its high-water mark
+    session.replan().unwrap();
+    leave_and_replan(&mut session);
+    leave_and_replan(&mut session);
+    (0..3)
+        .map(|_| leave_and_replan(&mut session))
+        .min()
+        .unwrap()
+}
+
+/// A warm delta replan pays for churn, not for the crowd: after one
+/// departure it allocates the same number of times at 500 users as at
+/// 2 000 — no per-user plan, cost or stats rebuild, and no per-candidate
+/// scratch in the greedy rescan.
+#[test]
+fn warm_delta_replan_allocations_do_not_grow_with_the_crowd() {
+    let _guard = measure_lock();
+    let small = replan_after_leave_allocations(500);
+    let large = replan_after_leave_allocations(2_000);
+    assert_eq!(
+        small, large,
+        "replan allocations grew with the crowd: {small} at 500 users, {large} at 2000"
+    );
+}
+
 #[test]
 fn warm_start_toggle_preserves_cut_quality_across_seeds() {
+    let _guard = measure_lock();
     for seed in [5u64, 11, 23, 42] {
         let g = NetgenSpec::new(260, 780)
             .components(1)
