@@ -1,15 +1,15 @@
 //! The unified execution context.
 //!
 //! Before `ExecCtx` existed the pipeline's front door was forked per
-//! capability: `solve` vs `solve_on`, `join` vs `join_many`, a scratch
-//! arena threaded by hand in some paths and re-allocated in others, and
-//! telemetry epilogues (finish the span, record the `*_nanos`
-//! histogram, flush the sink) copy-pasted at every exit — which meant
-//! every `?` early-return was a site where one of those copies could
-//! (and did) go missing. [`ExecCtx`] collapses the fork: one context
-//! carries the backend (serial with a [`CutScratch`] arena, or an
-//! engine [`Cluster`]), the trace sink, and the RNG seed, and every
-//! pipeline stage takes the context instead of picking a path.
+//! capability: a serial and a cluster solve, `join` vs `join_many`, a
+//! scratch arena threaded by hand in some paths and re-allocated in
+//! others, and telemetry epilogues (finish the span, record the
+//! `*_nanos` histogram, flush the sink) copy-pasted at every exit —
+//! which meant every `?` early-return was a site where one of those
+//! copies could (and did) go missing. [`ExecCtx`] collapses the fork:
+//! one context carries the backend (serial with a [`CutScratch`] arena,
+//! or an engine [`Cluster`]), the trace sink, and the RNG seed, and
+//! every pipeline stage takes the context instead of picking a path.
 //!
 //! The telemetry epilogue is RAII: [`ExecCtx::scope`] returns an
 //! [`ExecScope`] guard whose drop handler finishes the span, records

@@ -121,7 +121,7 @@ impl Batch {
                 f(b);
             }
             Batch::User(u, from) => {
-                for &i in ps.parts_of_user(u) {
+                for i in ps.parts_of_user(u) {
                     if ps.side(i) == from {
                         f(i);
                     }
@@ -146,9 +146,8 @@ impl Batch {
             Batch::Two(a, b) => [work(a), work(b)].into_iter().sum(),
             Batch::User(u, from) => ps
                 .parts_of_user(u)
-                .iter()
-                .filter(|&&i| ps.side(i) == from)
-                .map(|&i| work(i))
+                .filter(|&i| ps.side(i) == from)
+                .map(work)
                 .sum(),
         }
     }
@@ -206,8 +205,7 @@ impl OutCache {
     fn of(ps: &PartSystem, u: usize) -> Self {
         let remote_parts = ps
             .parts_of_user(u)
-            .iter()
-            .filter(|&&i| ps.side(i) == Side::Remote)
+            .filter(|&i| ps.side(i) == Side::Remote)
             .count();
         OutCache {
             remote_parts: u32::try_from(remote_parts).expect("part count fits u32"),
@@ -527,8 +525,7 @@ impl<'a> ObjectiveState<'a> {
                 ps.set_side(b, to);
             }
             Batch::User(u, from) => {
-                for k in 0..ps.parts_of_user(u).len() {
-                    let i = ps.parts_of_user(u)[k];
+                for i in ps.parts_of_user(u) {
                     if ps.side(i) == from {
                         ps.set_side(i, to);
                     }
@@ -572,11 +569,7 @@ impl<'a> ObjectiveState<'a> {
                 ))
             }
             Target::User(u) => {
-                let movable = ps
-                    .parts_of_user(u)
-                    .iter()
-                    .filter(|&&i| ps.side(i) == from)
-                    .count();
+                let movable = ps.parts_of_user(u).filter(|&i| ps.side(i) == from).count();
                 // fewer than two: single moves cover this
                 (movable >= 2).then_some((u, Batch::User(u, from), to))
             }
@@ -698,7 +691,7 @@ fn all_moves(ps: &PartSystem) -> Vec<Move> {
 /// the candidate set of [`all_moves`].
 fn for_each_move_of_user(ps: &PartSystem, u: usize, mut f: impl FnMut(Move)) {
     let mut last_comp = usize::MAX;
-    for &i in ps.parts_of_user(u) {
+    for i in ps.parts_of_user(u) {
         f(Move::Home(Target::Single(i)));
         f(Move::Out(Target::Single(i)));
         let c = ps.parts()[i].component;
@@ -729,7 +722,7 @@ fn for_each_out_move(
     let parts = ps.parts_of_user(u);
     let mut last_comp = usize::MAX;
     let mut all_pins = 0.0;
-    for &i in parts {
+    for i in parts.clone() {
         let c = ps.parts()[i].component;
         let comp = &ps.components()[c];
         all_pins += pin(i);
@@ -1033,11 +1026,7 @@ pub(crate) fn run_greedy(
     let all_local = state.objective_for(total_work, 0.0, 0.0, 0, None);
     if all_local + EPS < state.objective() {
         for u in 0..ps.user_count() {
-            if ps
-                .parts_of_user(u)
-                .iter()
-                .any(|&i| ps.side(i) == Side::Remote)
-            {
+            if ps.parts_of_user(u).any(|i| ps.side(i) == Side::Remote) {
                 moves += state.apply_batch(ps, u, Batch::User(u, Side::Remote), Side::Local);
             }
         }

@@ -318,25 +318,6 @@ impl Offloader {
         report
     }
 
-    /// [`solve_with`](Self::solve_with) on a one-off cluster context.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve`](Self::solve).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use solve_with(&mut ExecCtx::cluster(...), scenario) — or configure the \
-                cluster once via OffloaderBuilder::cluster and call solve"
-    )]
-    pub fn solve_on(
-        &self,
-        cluster: &Arc<Cluster>,
-        scenario: &Scenario,
-    ) -> Result<OffloadReport, PipelineError> {
-        let mut ctx = self.exec_ctx().into_cluster(Arc::clone(cluster));
-        self.solve_with(&mut ctx, scenario)
-    }
-
     /// The joint back half of the pipeline: registers every prepared
     /// front-end in user order and runs the greedy stage over the
     /// shared server. Telemetry goes to the execution context's sink.

@@ -9,6 +9,7 @@
 
 use mec_graph::{Bipartition, Graph, NodeId, Side};
 use mec_labelprop::CompressionOutcome;
+use std::ops::Range;
 
 /// One movable part: a set of functions of one user that the cut stage
 /// decided must stay together.
@@ -48,6 +49,10 @@ pub struct ComponentRec {
 
 /// All parts of all users, with the coupling structure needed to price
 /// moves incrementally.
+///
+/// Records are grouped by user in user order: user `u`'s parts are one
+/// contiguous range, and so are their components. Every component has
+/// at least one part, so the part ranges alone locate both.
 #[derive(Debug, Clone, Default)]
 pub struct PartSystem {
     parts: Vec<Part>,
@@ -56,8 +61,136 @@ pub struct PartSystem {
     pinned_work: Vec<f64>,
     /// Per user: node count of the original graph (to emit plans).
     node_counts: Vec<usize>,
-    /// Per user: indices of their parts.
-    user_parts: Vec<Vec<usize>>,
+    /// Per user: one past their last part; their parts start where the
+    /// previous user's end.
+    part_ends: Vec<usize>,
+}
+
+/// Builds one user's parts and components onto the ends of `parts` and
+/// `components`, numbered as if those vectors began at part `p0` and
+/// component `c0` of the whole system; returns the user's pinned work.
+///
+/// Every part starts on [`Side::Remote`], then each split component
+/// puts one half on the device (see [`PartSystem::add_user`]).
+fn build_user(
+    parts: &mut Vec<Part>,
+    components: &mut Vec<ComponentRec>,
+    (user, p0, c0): (usize, usize, usize),
+    graph: &Graph,
+    compression: &CompressionOutcome,
+    quotient_cuts: &[Bipartition],
+) -> f64 {
+    assert_eq!(
+        quotient_cuts.len(),
+        compression.components.len(),
+        "one quotient cut per compressed component"
+    );
+    let first_comp = components.len();
+
+    // map: original node -> part index (offloadable nodes only)
+    const NO_PART: usize = usize::MAX;
+    let mut part_of = vec![NO_PART; graph.node_count()];
+
+    for (comp, qcut) in compression.components.iter().zip(quotient_cuts) {
+        let full = comp.quotient.expand(qcut);
+        // split subgraph-local nodes by side, then map to original ids
+        let mut side_nodes: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
+        for local in comp.subgraph.graph().node_ids() {
+            let bucket = match full.side(local) {
+                Side::Local => 0,
+                Side::Remote => 1,
+            };
+            side_nodes[bucket].push(comp.subgraph.parent_of(local));
+        }
+        let comp_idx = c0 + components.len();
+        let mut part_ids = [None; 2];
+        for (slot, nodes) in side_nodes
+            .into_iter()
+            .filter(|ns| !ns.is_empty())
+            .enumerate()
+        {
+            let work = nodes.iter().map(|&n| graph.node_weight(n)).sum();
+            let part_idx = p0 + parts.len();
+            for &n in &nodes {
+                part_of[n.index()] = part_idx;
+            }
+            parts.push(Part {
+                user,
+                component: comp_idx,
+                nodes,
+                work,
+                pinned_cut: 0.0,
+                pinned_crossings: 0,
+                side: Side::Remote,
+            });
+            part_ids[slot] = Some(part_idx);
+        }
+        components.push(ComponentRec {
+            user,
+            part1: part_ids[0].expect("a component has at least one part"),
+            part2: part_ids[1],
+            cross_weight: 0.0,
+            cross_count: 0,
+        });
+    }
+
+    // classify every edge of the original graph
+    for e in graph.edges() {
+        let pa = part_of[e.source.index()];
+        let pb = part_of[e.target.index()];
+        match (pa, pb) {
+            (NO_PART, NO_PART) => {} // pinned-pinned: always free
+            (NO_PART, p) | (p, NO_PART) => {
+                parts[p - p0].pinned_cut += e.weight;
+                parts[p - p0].pinned_crossings += 1;
+            }
+            (p, q) if p == q => {} // internal to a part
+            (p, q) => {
+                debug_assert_eq!(
+                    parts[p - p0].component,
+                    parts[q - p0].component,
+                    "cross-part edges only exist between siblings"
+                );
+                let c = parts[p - p0].component - c0;
+                components[c].cross_weight += e.weight;
+                components[c].cross_count += 1;
+            }
+        }
+    }
+
+    // initial placement (paper §III-B): the cut splits each
+    // component so that "one part executes locally, and another
+    // part executes remotely". The device side is the half more
+    // tightly coupled to the pinned functions (ties: the lighter
+    // half, then the lower index). Single-part components start
+    // remote — Algorithm 2's greedy brings them home if that pays.
+    for comp in &components[first_comp..] {
+        let Some(p2) = comp.part2 else { continue };
+        let (p1, p2) = (comp.part1 - p0, p2 - p0);
+        let (a, b) = (&parts[p1], &parts[p2]);
+        let local = match a
+            .pinned_cut
+            .partial_cmp(&b.pinned_cut)
+            .expect("weights are finite")
+        {
+            std::cmp::Ordering::Greater => p1,
+            std::cmp::Ordering::Less => p2,
+            std::cmp::Ordering::Equal => {
+                if a.work <= b.work {
+                    p1
+                } else {
+                    p2
+                }
+            }
+        };
+        parts[local].side = Side::Local;
+    }
+
+    compression
+        .pinned
+        .iter()
+        .map(|&n| graph.node_weight(n))
+        .sum()
 }
 
 impl PartSystem {
@@ -71,7 +204,8 @@ impl PartSystem {
     /// (in the same order as `compression.components`).
     ///
     /// Every part starts on [`Side::Remote`], matching Algorithm 2's
-    /// initial `V_2`.
+    /// initial `V_2`; then each split component puts the half more
+    /// tightly coupled to the pinned functions on the device.
     ///
     /// # Panics
     ///
@@ -83,119 +217,35 @@ impl PartSystem {
         compression: &CompressionOutcome,
         quotient_cuts: &[Bipartition],
     ) -> usize {
-        assert_eq!(
-            quotient_cuts.len(),
-            compression.components.len(),
-            "one quotient cut per compressed component"
+        let user = self.user_count();
+        let pinned = build_user(
+            &mut self.parts,
+            &mut self.components,
+            (user, 0, 0),
+            graph,
+            compression,
+            quotient_cuts,
         );
-        let user = self.pinned_work.len();
+        self.pinned_work.push(pinned);
         self.node_counts.push(graph.node_count());
-        self.user_parts.push(Vec::new());
-        self.pinned_work.push(
-            compression
-                .pinned
-                .iter()
-                .map(|&n| graph.node_weight(n))
-                .sum(),
-        );
-
-        // map: original node -> part index (offloadable nodes only)
-        const NO_PART: usize = usize::MAX;
-        let mut part_of = vec![NO_PART; graph.node_count()];
-
-        for (comp, qcut) in compression.components.iter().zip(quotient_cuts) {
-            let full = comp.quotient.expand(qcut);
-            // split subgraph-local nodes by side, then map to original ids
-            let mut side_nodes: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
-            for local in comp.subgraph.graph().node_ids() {
-                let bucket = match full.side(local) {
-                    Side::Local => 0,
-                    Side::Remote => 1,
-                };
-                side_nodes[bucket].push(comp.subgraph.parent_of(local));
-            }
-            let comp_idx = self.components.len();
-            let mut part_ids = Vec::new();
-            for nodes in side_nodes.into_iter().filter(|ns| !ns.is_empty()) {
-                let work = nodes.iter().map(|&n| graph.node_weight(n)).sum();
-                let part_idx = self.parts.len();
-                for &n in &nodes {
-                    part_of[n.index()] = part_idx;
-                }
-                self.parts.push(Part {
-                    user,
-                    component: comp_idx,
-                    nodes,
-                    work,
-                    pinned_cut: 0.0,
-                    pinned_crossings: 0,
-                    side: Side::Remote,
-                });
-                self.user_parts[user].push(part_idx);
-                part_ids.push(part_idx);
-            }
-            debug_assert!(!part_ids.is_empty(), "a component has at least one part");
-            self.components.push(ComponentRec {
-                user,
-                part1: part_ids[0],
-                part2: part_ids.get(1).copied(),
-                cross_weight: 0.0,
-                cross_count: 0,
-            });
-        }
-
-        // classify every edge of the original graph
-        for e in graph.edges() {
-            let pa = part_of[e.source.index()];
-            let pb = part_of[e.target.index()];
-            match (pa, pb) {
-                (NO_PART, NO_PART) => {} // pinned-pinned: always free
-                (NO_PART, p) | (p, NO_PART) => {
-                    self.parts[p].pinned_cut += e.weight;
-                    self.parts[p].pinned_crossings += 1;
-                }
-                (p, q) if p == q => {} // internal to a part
-                (p, q) => {
-                    debug_assert_eq!(
-                        self.parts[p].component, self.parts[q].component,
-                        "cross-part edges only exist between siblings"
-                    );
-                    let c = self.parts[p].component;
-                    self.components[c].cross_weight += e.weight;
-                    self.components[c].cross_count += 1;
-                }
-            }
-        }
-
-        // initial placement (paper §III-B): the cut splits each
-        // component so that "one part executes locally, and another
-        // part executes remotely". The device side is the half more
-        // tightly coupled to the pinned functions (ties: the lighter
-        // half, then the lower index). Single-part components start
-        // remote — Algorithm 2's greedy brings them home if that pays.
-        let first_comp = self.components.len() - quotient_cuts.len();
-        for comp in &self.components[first_comp..] {
-            let Some(p2) = comp.part2 else { continue };
-            let p1 = comp.part1;
-            let (a, b) = (&self.parts[p1], &self.parts[p2]);
-            let local = match a
-                .pinned_cut
-                .partial_cmp(&b.pinned_cut)
-                .expect("weights are finite")
-            {
-                std::cmp::Ordering::Greater => p1,
-                std::cmp::Ordering::Less => p2,
-                std::cmp::Ordering::Equal => {
-                    if a.work <= b.work {
-                        p1
-                    } else {
-                        p2
-                    }
-                }
-            };
-            self.parts[local].side = Side::Local;
-        }
+        self.part_ends.push(self.parts.len());
         user
+    }
+
+    /// The range of user `u`'s component records: empty, at the next
+    /// user's first component, when `u` has no parts.
+    fn components_of_user(&self, u: usize) -> Range<usize> {
+        let parts = self.parts_of_user(u);
+        let lo = self
+            .parts
+            .get(parts.start)
+            .map_or(self.components.len(), |p| p.component);
+        let hi = if parts.is_empty() {
+            lo
+        } else {
+            self.parts[parts.end - 1].component + 1
+        };
+        lo..hi
     }
 
     /// Removes user `u`, preserving the order of all other users: user
@@ -203,53 +253,28 @@ impl PartSystem {
     /// users are untouched, so a converged placement stays converged
     /// wherever the departure did not change prices.
     ///
-    /// Cost is `O(parts + components)` — one index-rebasing pass over
-    /// the records after the drained ranges — with no per-node work,
-    /// which is what makes session-level churn cheap: the expensive
-    /// per-node classification of [`add_user`](Self::add_user) runs
-    /// only for arriving users.
+    /// Cost is `O(parts + components + users)` after `u` — draining the
+    /// user's two record ranges and rebasing the later records' indices
+    /// — with no per-node work, which is what makes session-level churn
+    /// cheap: the per-node classification of
+    /// [`add_user`](Self::add_user) runs only for arriving users.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of bounds.
     pub fn remove_user(&mut self, u: usize) {
         assert!(u < self.user_count(), "user {u} out of bounds");
-        let p_n = self.user_parts[u].len();
-        let (p_lo, c_lo, c_n) = if p_n > 0 {
-            // a user's parts and components are contiguous ranges:
-            // add_user appends them together and removal preserves
-            // grouping, so draining two ranges removes the whole user
-            let p_lo = self.user_parts[u][0];
-            debug_assert!(self.user_parts[u]
-                .iter()
-                .enumerate()
-                .all(|(k, &i)| i == p_lo + k));
-            let c_lo = self.parts[p_lo].component;
-            let c_hi = self.parts[p_lo + p_n - 1].component;
-            (p_lo, c_lo, c_hi - c_lo + 1)
-        } else {
-            // no parts ⇒ no components either; only the slot vectors
-            // shrink, but the later users' indices still need rebasing
-            let p_lo = self.user_parts[u + 1..]
-                .iter()
-                .find_map(|ps| ps.first().copied())
-                .unwrap_or(self.parts.len());
-            let c_lo = self
-                .parts
-                .get(p_lo)
-                .map_or(self.components.len(), |p| p.component);
-            (p_lo, c_lo, 0)
-        };
-        debug_assert!(self.components[c_lo..c_lo + c_n]
-            .iter()
-            .all(|c| c.user == u));
-        self.parts.drain(p_lo..p_lo + p_n);
-        self.components.drain(c_lo..c_lo + c_n);
-        for p in &mut self.parts[p_lo..] {
+        let parts = self.parts_of_user(u);
+        let comps = self.components_of_user(u);
+        let (p_n, c_n) = (parts.len(), comps.len());
+        debug_assert!(self.components[comps.clone()].iter().all(|c| c.user == u));
+        self.parts.drain(parts.clone());
+        self.components.drain(comps.clone());
+        for p in &mut self.parts[parts.start..] {
             p.user -= 1;
             p.component -= c_n;
         }
-        for c in &mut self.components[c_lo..] {
+        for c in &mut self.components[comps.start..] {
             c.user -= 1;
             c.part1 -= p_n;
             if let Some(p2) = &mut c.part2 {
@@ -258,11 +283,9 @@ impl PartSystem {
         }
         self.pinned_work.remove(u);
         self.node_counts.remove(u);
-        self.user_parts.remove(u);
-        for ups in &mut self.user_parts[u..] {
-            for i in ups {
-                *i -= p_n;
-            }
+        self.part_ends.remove(u);
+        for end in &mut self.part_ends[u..] {
+            *end -= p_n;
         }
     }
 
@@ -270,6 +293,11 @@ impl PartSystem {
     /// every other user's records and part sides untouched — the
     /// incremental form of a same-name re-join. The new workload gets
     /// the usual initial placement of [`add_user`](Self::add_user).
+    ///
+    /// The new records are spliced over the old ones; later users'
+    /// records are rebased only when the part or component count
+    /// changed, so re-submitting an app of the same shape touches
+    /// nothing but the user's own records.
     ///
     /// # Panics
     ///
@@ -282,83 +310,42 @@ impl PartSystem {
         compression: &CompressionOutcome,
         quotient_cuts: &[Bipartition],
     ) {
-        self.remove_user(u);
-        self.insert_user_at(u, graph, compression, quotient_cuts);
-    }
-
-    /// Inserts a new user at slot `u` (shifting users `u..` up by one),
-    /// with the same semantics as [`add_user`](Self::add_user).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u > user_count()` or the cuts do not align with the
-    /// compression's component list.
-    pub fn insert_user_at(
-        &mut self,
-        u: usize,
-        graph: &Graph,
-        compression: &CompressionOutcome,
-        quotient_cuts: &[Bipartition],
-    ) {
-        assert!(u <= self.user_count(), "insert slot {u} out of bounds");
-        if u == self.user_count() {
-            self.add_user(graph, compression, quotient_cuts);
-            return;
-        }
-        // Build the newcomer in a scratch system (user index 0, local
-        // part/component indices), then splice the records into place
-        // and rebase both sides of the seam.
-        let mut tmp = PartSystem::new();
-        tmp.add_user(graph, compression, quotient_cuts);
-        let p_lo = self.user_parts[u..]
-            .iter()
-            .find_map(|ps| ps.first().copied())
-            .unwrap_or(self.parts.len());
-        let c_lo = self
-            .parts
-            .get(p_lo)
-            .map_or(self.components.len(), |p| p.component);
-        let p_n = tmp.parts.len();
-        let c_n = tmp.components.len();
-        for p in &mut self.parts[p_lo..] {
-            p.user += 1;
-            p.component += c_n;
-        }
-        for c in &mut self.components[c_lo..] {
-            c.user += 1;
-            c.part1 += p_n;
-            if let Some(p2) = &mut c.part2 {
-                *p2 += p_n;
+        assert!(u < self.user_count(), "user {u} out of bounds");
+        let old_parts = self.parts_of_user(u);
+        let old_comps = self.components_of_user(u);
+        let mut parts = Vec::new();
+        let mut comps = Vec::new();
+        self.pinned_work[u] = build_user(
+            &mut parts,
+            &mut comps,
+            (u, old_parts.start, old_comps.start),
+            graph,
+            compression,
+            quotient_cuts,
+        );
+        self.node_counts[u] = graph.node_count();
+        let dp = parts.len() as isize - old_parts.len() as isize;
+        let dc = comps.len() as isize - old_comps.len() as isize;
+        let parts_end = old_parts.start + parts.len();
+        let comps_end = old_comps.start + comps.len();
+        self.parts.splice(old_parts, parts);
+        self.components.splice(old_comps, comps);
+        if dc != 0 {
+            for p in &mut self.parts[parts_end..] {
+                p.component = p.component.wrapping_add_signed(dc);
             }
         }
-        for ups in &mut self.user_parts[u..] {
-            for i in ups {
-                *i += p_n;
+        if dp != 0 {
+            for c in &mut self.components[comps_end..] {
+                c.part1 = c.part1.wrapping_add_signed(dp);
+                if let Some(p2) = &mut c.part2 {
+                    *p2 = p2.wrapping_add_signed(dp);
+                }
+            }
+            for end in &mut self.part_ends[u..] {
+                *end = end.wrapping_add_signed(dp);
             }
         }
-        for p in &mut tmp.parts {
-            p.user = u;
-            p.component += c_lo;
-        }
-        for c in &mut tmp.components {
-            c.user = u;
-            c.part1 += p_lo;
-            if let Some(p2) = &mut c.part2 {
-                *p2 += p_lo;
-            }
-        }
-        let new_user_parts: Vec<usize> = tmp
-            .user_parts
-            .pop()
-            .expect("scratch system has one user")
-            .into_iter()
-            .map(|i| i + p_lo)
-            .collect();
-        self.parts.splice(p_lo..p_lo, tmp.parts);
-        self.components.splice(c_lo..c_lo, tmp.components);
-        self.pinned_work.insert(u, tmp.pinned_work[0]);
-        self.node_counts.insert(u, tmp.node_counts[0]);
-        self.user_parts.insert(u, new_user_parts);
     }
 
     /// Number of users registered.
@@ -403,13 +390,17 @@ impl PartSystem {
         self.parts[i].side = side;
     }
 
-    /// Indices of all parts belonging to `user`.
+    /// Indices of all parts belonging to `user`: one contiguous range.
     ///
     /// # Panics
     ///
     /// Panics if `user` is out of bounds.
-    pub fn parts_of_user(&self, user: usize) -> &[usize] {
-        &self.user_parts[user]
+    pub fn parts_of_user(&self, user: usize) -> Range<usize> {
+        let start = match user {
+            0 => 0,
+            u => self.part_ends[u - 1],
+        };
+        start..self.part_ends[user]
     }
 
     /// The sibling of part `i`, if its component was split in two.
@@ -431,11 +422,11 @@ impl PartSystem {
     /// greedy loop keeps its own incremental copy and cross-checks
     /// against this in tests.
     pub fn tx_volume_of_user(&self, user: usize, control_overhead: f64) -> f64 {
-        let parts = &self.user_parts[user];
+        let parts = self.parts_of_user(user);
         let mut volume = 0.0;
         // a user's parts ascend, so each component is one run of them
         let mut last = usize::MAX;
-        for &i in parts {
+        for i in parts.clone() {
             let c = self.parts[i].component;
             if c == last {
                 continue;
@@ -448,8 +439,7 @@ impl PartSystem {
                 }
             }
         }
-        for &i in parts {
-            let p = &self.parts[i];
+        for p in &self.parts[parts] {
             if p.side == Side::Remote {
                 volume += p.pinned_cut + p.pinned_crossings as f64 * control_overhead;
             }
@@ -461,8 +451,7 @@ impl PartSystem {
     pub fn work_split_of_user(&self, user: usize) -> (f64, f64) {
         let mut local = self.pinned_work[user];
         let mut remote = 0.0;
-        for &i in &self.user_parts[user] {
-            let p = &self.parts[i];
+        for p in &self.parts[self.parts_of_user(user)] {
             match p.side {
                 Side::Local => local += p.work,
                 Side::Remote => remote += p.work,
@@ -487,8 +476,7 @@ impl PartSystem {
         } else {
             *plan = Bipartition::uniform(n, Side::Local);
         }
-        for &i in &self.user_parts[u] {
-            let p = &self.parts[i];
+        for p in &self.parts[self.parts_of_user(u)] {
             if p.side == Side::Remote {
                 for &node in &p.nodes {
                     plan.assign(node, Side::Remote);
@@ -759,7 +747,7 @@ mod tests {
             }
         }
         let before: Vec<(usize, Vec<Side>)> = (0..3)
-            .map(|u| (u, ps.parts_of_user(u).iter().map(|&i| ps.side(i)).collect()))
+            .map(|u| (u, ps.parts_of_user(u).map(|i| ps.side(i)).collect()))
             .collect();
         ps.remove_user(1);
         for (u, sides) in before {
@@ -767,7 +755,7 @@ mod tests {
                 continue;
             }
             let nu = if u > 1 { u - 1 } else { u };
-            let now: Vec<Side> = ps.parts_of_user(nu).iter().map(|&i| ps.side(i)).collect();
+            let now: Vec<Side> = ps.parts_of_user(nu).map(|i| ps.side(i)).collect();
             assert_eq!(now, sides, "user {u} sides survived the removal");
         }
     }
@@ -784,19 +772,167 @@ mod tests {
         assert_eq!(observe(&ps), observe(&fresh));
     }
 
-    #[test]
-    fn churn_sequence_stays_consistent() {
-        let (_, mut ps) = build_from(&[1, 2, 3, 4, 5]);
-        ps.remove_user(0);
-        let (g, o, c) = user_fixture(9);
-        ps.insert_user_at(2, &g, &o, &c);
-        ps.remove_user(4);
-        let mut fresh = PartSystem::new();
-        for s in [2u64, 3, 9, 4] {
-            let (g, o, c) = user_fixture(s);
-            fresh.add_user(&g, &o, &c);
+    type Fixture = (Graph, CompressionOutcome, Vec<Bipartition>);
+
+    /// A workload of `comps` components, each a pair of heavy
+    /// triangles joined by a light bridge (one quotient edge), every
+    /// other one cut in two when `split` and kept whole otherwise; with
+    /// no components every function is pinned, so the user has no
+    /// parts at all.
+    fn shaped_fixture(comps: usize, split: bool, seed: u64) -> Fixture {
+        let mut b = GraphBuilder::new();
+        let pins: Vec<_> = (0..2)
+            .map(|i| b.add_pinned_node(5.0 + (seed + i) as f64))
+            .collect();
+        b.add_edge(pins[0], pins[1], 1.0 + seed as f64).unwrap();
+        for k in 0..comps as u64 {
+            let n: Vec<_> = (0..6)
+                .map(|i| b.add_node(((seed + 3 * k) * 7 + i) as f64 % 9.0 + 1.0))
+                .collect();
+            for (a, c) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+                b.add_edge(n[a], n[c], 10.0).unwrap();
+            }
+            b.add_edge(n[2], n[3], 1.0 + k as f64).unwrap();
+            b.add_edge(pins[(k % 2) as usize], n[(seed + k) as usize % 6], 2.0)
+                .unwrap();
         }
-        assert_eq!(observe(&ps), observe(&fresh));
+        let g = b.build();
+        let compressor =
+            Compressor::new(CompressionConfig::new().threshold(ThresholdRule::Absolute(5.0)));
+        let outcome = compressor.compress(&g);
+        assert_eq!(outcome.components.len(), comps);
+        let cuts = outcome
+            .components
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                let halves = split && k % 2 == 0;
+                Bipartition::from_fn(c.quotient.graph().node_count(), |i| {
+                    if halves && i > 0 {
+                        Side::Remote
+                    } else {
+                        Side::Local
+                    }
+                })
+            })
+            .collect();
+        (g, outcome, cuts)
+    }
+
+    /// Every index a record holds points back at it: each user's range
+    /// starts where the previous one ended, its parts and components
+    /// name the user, and each component's parts name the component.
+    fn assert_aligned(ps: &PartSystem) {
+        let mut next = 0;
+        for u in 0..ps.user_count() {
+            let range = ps.parts_of_user(u);
+            assert_eq!(range.start, next, "user {u} range is not contiguous");
+            next = range.end;
+            for i in range {
+                let p = &ps.parts()[i];
+                assert_eq!(p.user, u, "part {i}");
+                let c = &ps.components()[p.component];
+                assert_eq!(c.user, u, "component of part {i}");
+                assert!(c.part1 == i || c.part2 == Some(i), "part {i}");
+            }
+        }
+        assert_eq!(next, ps.parts().len(), "ranges must cover every part");
+        let mut last_user = 0;
+        for (k, c) in ps.components().iter().enumerate() {
+            assert!(c.user >= last_user, "components are grouped by user");
+            last_user = c.user;
+            assert_eq!(ps.parts()[c.part1].component, k, "component {k} part1");
+            if let Some(p2) = c.part2 {
+                assert_eq!(ps.parts()[p2].component, k, "component {k} part2");
+                assert!(p2 > c.part1);
+            }
+        }
+    }
+
+    #[test]
+    fn random_churn_keeps_every_slot_aligned() {
+        // shapes: (components, split) — from no parts at all to three
+        // components, whole or cut, so replacements both keep and change
+        // the part and component counts
+        let shapes = [
+            (0, false),
+            (1, false),
+            (1, true),
+            (2, true),
+            (3, false),
+            (3, true),
+        ];
+        let fixtures: Vec<(Fixture, Vec<Side>)> = shapes
+            .iter()
+            .flat_map(|&(comps, split)| (0..4u64).map(move |seed| (comps, split, seed)))
+            .map(|(comps, split, seed)| {
+                let f = shaped_fixture(comps, split, seed);
+                let mut one = PartSystem::new();
+                one.add_user(&f.0, &f.1, &f.2);
+                let sides = one.parts().iter().map(|p| p.side).collect();
+                (f, sides)
+            })
+            .collect();
+        // splitmix64
+        let mut state = 0x5eed_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        // the surviving users: fixture and current part sides
+        let mut model: Vec<(usize, Vec<Side>)> = Vec::new();
+        let mut ps = PartSystem::new();
+        let (mut same_shape, mut new_shape, mut removed) = (0, 0, 0);
+        for step in 0..2400 {
+            let roll = below(10);
+            if model.len() < 4 || (roll < 4 && model.len() < 24) {
+                let f = below(fixtures.len());
+                let ((g, o, c), sides) = &fixtures[f];
+                assert_eq!(ps.add_user(g, o, c), model.len());
+                model.push((f, sides.clone()));
+            } else if roll < 7 {
+                let u = below(model.len());
+                ps.remove_user(u);
+                model.remove(u);
+                removed += 1;
+            } else {
+                let u = below(model.len());
+                let f = below(fixtures.len());
+                let ((g, o, c), sides) = &fixtures[f];
+                let before = (ps.parts().len(), ps.components().len());
+                ps.replace_user(u, g, o, c);
+                if (ps.parts().len(), ps.components().len()) == before {
+                    same_shape += 1;
+                } else {
+                    new_shape += 1;
+                }
+                model[u] = (f, sides.clone());
+            }
+            // move a random part, as a converged placement would
+            if !ps.parts().is_empty() {
+                let i = below(ps.parts().len());
+                let side = ps.side(i).flipped();
+                ps.set_side(i, side);
+                let u = ps.parts()[i].user;
+                let k = i - ps.parts_of_user(u).start;
+                model[u].1[k] = side;
+            }
+            assert_aligned(&ps);
+            let mut fresh = PartSystem::new();
+            for (f, sides) in &model {
+                let ((g, o, c), _) = &fixtures[*f];
+                let u = fresh.add_user(g, o, c);
+                for (i, &side) in fresh.parts_of_user(u).zip(sides) {
+                    fresh.set_side(i, side);
+                }
+            }
+            assert_eq!(ps.user_count(), model.len());
+            assert_eq!(observe(&ps), observe(&fresh), "step {step}");
+        }
+        assert!(same_shape > 100 && new_shape > 100 && removed > 100);
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! The paper solves a static snapshot, but MEC crowds churn: users walk
 //! in and out of the cell. The per-user work — compression and
-//! minimum cuts — does not depend on who else is present, only the
-//! greedy placement does. [`OffloadSession`] exploits that twice: each
-//! user's graph is compressed and cut **once** at join time, and the
-//! converged part placement and its priced report persist across
-//! replans — a churn event re-seats only the affected user's parts, the
-//! next [`replan`](OffloadSession::replan) warm-starts the greedy
-//! search from the previous equilibrium, and only the churned and moved
-//! users' report entries are re-derived. When accumulated churn exceeds
-//! a configurable drift bound (a bound of `0.0` trips on any churn),
-//! the session rebuilds the placement and the report from scratch.
+//! minimum cuts — depends on the user's graph alone; users are coupled
+//! only through the shared server the greedy placement prices.
+//! [`OffloadSession`] exploits that so a churn event costs one user's
+//! work. Each distinct graph is compressed and cut **once**: present
+//! users of the same `Arc<Graph>` share one front-end. A churn event
+//! finds its user through a name index and re-seats only that user's
+//! parts. The converged part placement and its priced report persist
+//! across replans: the next [`replan`](OffloadSession::replan)
+//! warm-starts the greedy search from the previous equilibrium, and
+//! only the churned and moved users' report entries are re-derived.
+//! When accumulated churn exceeds a configurable drift bound (a bound
+//! of `0.0` trips on any churn), the session rebuilds the placement and
+//! the report from scratch.
 
 use crate::exec::{duration_sample, ExecCtx};
 use crate::frontend::{prepare_users, FrontEnd};
@@ -24,16 +27,34 @@ use mec_graph::{Bipartition, Graph, Side};
 use mec_labelprop::{CompressionConfig, CompressionStats, Compressor};
 use mec_model::{share_server, CostSummary, Evaluation, SystemParams, UserCost};
 use mec_obs::{span, FieldValue, TraceSink};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
-/// One user's cached pipeline front-end: the compression outcome,
-/// per-component cuts, and the wall-clock both took, computed at join
-/// time.
+/// One present user: their graph and the front-end (compression
+/// outcome and per-component cuts) every present user of that graph
+/// shares.
 #[derive(Debug, Clone)]
 struct PreparedUser {
-    name: String,
+    /// Arrival number: ascends with the slot.
+    arrival: u64,
     graph: Arc<Graph>,
-    frontend: FrontEnd,
+    frontend: Arc<FrontEnd>,
+    /// Whether this user's admission prepared the front-end, and so
+    /// spent its time; `false` when it reused a present user's.
+    charged: bool,
+}
+
+/// The key of a graph in the front-end map: its address, which no other
+/// graph can take while a present user holds the `Arc`.
+fn graph_key(graph: &Arc<Graph>) -> usize {
+    Arc::as_ptr(graph) as usize
+}
+
+/// The slot of the user with this arrival number.
+fn slot_at(users: &[PreparedUser], arrival: u64) -> usize {
+    users
+        .binary_search_by_key(&arrival, |u| u.arrival)
+        .expect("every indexed user is present")
 }
 
 /// How a churn event moved the crowd's slots; replayed onto the
@@ -157,7 +178,15 @@ pub struct OffloadSession {
     compressor: Compressor,
     strategy: Box<dyn CutStrategy>,
     greedy_mode: GreedyMode,
+    /// Present users in slot order.
     users: Vec<PreparedUser>,
+    /// Name → arrival number of every present user.
+    names: HashMap<String, u64>,
+    /// The arrival number of the next new user.
+    next_arrival: u64,
+    /// Graph address → the front-end its present users share. An entry
+    /// is dropped when its last user leaves or is replaced.
+    frontends: HashMap<usize, Weak<FrontEnd>>,
     /// The session-owned execution context: backend, sink, and (on the
     /// serial backend) the cut arena recycled across every admission.
     ctx: ExecCtx,
@@ -166,7 +195,7 @@ pub struct OffloadSession {
     drift_limit: f64,
     /// Churn events (join, rejoin, leave) since the last replan.
     churned: usize,
-    /// Front-end compression and cutting time summed over the crowd.
+    /// Front-end time the present users' admissions spent.
     frontend: StageTimings,
     /// The persisted placement and report, once a replan has run.
     state: Option<Persisted>,
@@ -197,6 +226,9 @@ impl OffloadSession {
             strategy: strategy.build(),
             greedy_mode,
             users: Vec::new(),
+            names: HashMap::new(),
+            next_arrival: 0,
+            frontends: HashMap::new(),
             ctx: ExecCtx::serial(),
             drift_limit: 0.25,
             churned: 0,
@@ -218,8 +250,9 @@ impl OffloadSession {
     /// Switches the session's execution context onto `cluster`: every
     /// admission ([`join`](Self::join) and
     /// [`join_many`](Self::join_many)) then fans its front-ends out as
-    /// one stage task per user. Results are identical to the serial
-    /// backend either way.
+    /// one stage task per distinct graph no present user already runs,
+    /// and none when every graph is shared. Results are identical to
+    /// the serial backend either way.
     pub fn with_cluster(mut self, cluster: Arc<Cluster>) -> Self {
         self.ctx = self.ctx.into_cluster(cluster);
         self
@@ -238,6 +271,7 @@ impl OffloadSession {
     /// failing strategies).
     pub fn with_strategy(mut self, strategy: Box<dyn CutStrategy>) -> Self {
         self.strategy = strategy;
+        self.frontends.clear();
         self
     }
 
@@ -260,8 +294,15 @@ impl OffloadSession {
         sink: Arc<dyn TraceSink>,
     ) -> Self {
         self.strategy = strategy.build_with_sink(Arc::clone(&sink));
+        self.frontends.clear();
         self.ctx = self.ctx.with_sink(sink);
         self
+    }
+
+    /// Live entries of the front-end map.
+    #[cfg(test)]
+    fn frontend_entries(&self) -> usize {
+        self.frontends.len()
     }
 
     /// Number of users currently in the session.
@@ -271,7 +312,7 @@ impl OffloadSession {
 
     /// `true` if a user with this name is present.
     pub fn contains(&self, name: &str) -> bool {
-        self.users.iter().any(|u| u.name == name)
+        self.names.contains_key(name)
     }
 
     /// The report of the last [`replan`](Self::replan); `None` before
@@ -280,9 +321,11 @@ impl OffloadSession {
         self.state.as_ref().map(|st| &st.report)
     }
 
-    /// Admits a user, running their compression and cuts once. A user
-    /// with the same name replaces the previous entry (e.g. after an
-    /// app update changed the graph).
+    /// Admits a user. Their graph is compressed and cut once per
+    /// distinct graph: when a present user already runs the same
+    /// `Arc<Graph>`, the admission shares that user's front-end and
+    /// computes nothing. A user with the same name replaces the
+    /// previous entry (e.g. after an app update changed the graph).
     ///
     /// The context scope guarantees the `session.join` span,
     /// `session.join_nanos` histogram, and sink flush happen on every
@@ -300,21 +343,11 @@ impl OffloadSession {
     ) -> Result<(), PipelineError> {
         let name = name.into();
         let scope = self.ctx.scope("session.join", "session.join_nanos");
-        let frontend = prepare_users(
-            &mut self.ctx,
-            &self.compressor,
-            self.strategy.as_ref(),
-            vec![Arc::clone(&graph)],
-        )?
-        .pop()
-        .expect("one front-end per graph");
-        self.insert(PreparedUser {
-            name,
-            graph,
-            frontend,
-        });
+        let (mut prepared, shared) = self.prepare(std::slice::from_ref(&graph))?;
+        self.insert(name, prepared.pop().expect("one user per graph"));
         let sink = self.ctx.sink();
         sink.counter_add("session.joins", 1);
+        sink.counter_add("session.frontends_shared", shared);
         if sink.enabled() {
             sink.event(
                 "session.join",
@@ -325,18 +358,19 @@ impl OffloadSession {
         Ok(())
     }
 
-    /// Admits a batch of users at once through the same unified
-    /// front-end path as [`join`](Self::join): on the cluster backend
-    /// every joining user's front-end — compression plus per-component
-    /// cuts — runs as its own stage task; on the serial backend the
-    /// batch is walked on the calling thread, recycling the ctx-owned
-    /// cut arena. Either way the result is identical to calling
-    /// [`join`](Self::join) once per user in batch order: later
-    /// duplicates (in the batch or already present) replace earlier
-    /// entries.
+    /// Admits a batch of users at once through the same front-end path
+    /// as [`join`](Self::join). Front-ends are computed only for the
+    /// batch's distinct graphs that no present user runs: on the
+    /// cluster backend each such graph's front-end — compression plus
+    /// per-component cuts — runs as its own stage task; on the serial
+    /// backend they are walked on the calling thread, recycling the
+    /// ctx-owned cut arena. Either way the result is identical to
+    /// calling [`join`](Self::join) once per user in batch order:
+    /// later duplicates (in the batch or already present) replace
+    /// earlier entries.
     ///
     /// On error nothing is admitted: the batch joins all-or-nothing,
-    /// the reported error is the first failing user's (in batch
+    /// the reported error is the first failing graph's (in batch
     /// order), and the context scope still finishes the
     /// `session.join_many` span, records `session.join_many_nanos`,
     /// and flushes the sink.
@@ -350,27 +384,18 @@ impl OffloadSession {
         &mut self,
         users: impl IntoIterator<Item = (String, Arc<Graph>)>,
     ) -> Result<(), PipelineError> {
-        let batch: Vec<(String, Arc<Graph>)> = users.into_iter().collect();
+        let (names, graphs): (Vec<String>, Vec<Arc<Graph>>) = users.into_iter().unzip();
         let scope = self
             .ctx
             .scope("session.join_many", "session.join_many_nanos");
-        let graphs: Vec<_> = batch.iter().map(|(_, g)| Arc::clone(g)).collect();
-        let frontends = prepare_users(
-            &mut self.ctx,
-            &self.compressor,
-            self.strategy.as_ref(),
-            graphs,
-        )?;
-        let joined = batch.len();
-        for ((name, graph), frontend) in batch.into_iter().zip(frontends) {
-            self.insert(PreparedUser {
-                name,
-                graph,
-                frontend,
-            });
+        let (prepared, shared) = self.prepare(&graphs)?;
+        let joined = names.len();
+        for (name, user) in names.into_iter().zip(prepared) {
+            self.insert(name, user);
         }
         let sink = self.ctx.sink();
         sink.counter_add("session.joins", joined as u64);
+        sink.counter_add("session.frontends_shared", shared);
         if sink.enabled() {
             sink.event(
                 "session.join_many",
@@ -384,54 +409,144 @@ impl OffloadSession {
         Ok(())
     }
 
+    /// The users to admit for `graphs`, in order (arrival numbers not
+    /// yet assigned), and how many of them share a front-end.
+    ///
+    /// A graph some present user runs reuses that user's front-end;
+    /// every other distinct graph is prepared once, and its first user
+    /// in the batch is charged the time. Sharing is exact: compression
+    /// draws no randomness and every cut is scratch-free by the
+    /// [`CutStrategy::cut_reusing`] contract.
+    fn prepare(
+        &mut self,
+        graphs: &[Arc<Graph>],
+    ) -> Result<(Vec<PreparedUser>, u64), PipelineError> {
+        enum Source {
+            Present(Arc<FrontEnd>),
+            New(usize),
+        }
+        let mut fresh = Vec::new();
+        let mut fresh_at = HashMap::new();
+        let sources: Vec<Source> = graphs
+            .iter()
+            .map(|g| {
+                let key = graph_key(g);
+                match self.frontends.get(&key).and_then(Weak::upgrade) {
+                    Some(frontend) => Source::Present(frontend),
+                    None => Source::New(*fresh_at.entry(key).or_insert_with(|| {
+                        fresh.push(Arc::clone(g));
+                        fresh.len() - 1
+                    })),
+                }
+            })
+            .collect();
+        let made: Vec<Arc<FrontEnd>> = if fresh.is_empty() {
+            Vec::new()
+        } else {
+            prepare_users(
+                &mut self.ctx,
+                &self.compressor,
+                self.strategy.as_ref(),
+                fresh,
+            )?
+            .into_iter()
+            .map(Arc::new)
+            .collect()
+        };
+        let mut first_user = vec![true; made.len()];
+        let mut shared = 0;
+        let users = graphs
+            .iter()
+            .zip(sources)
+            .map(|(graph, source)| {
+                let (frontend, charged) = match source {
+                    Source::New(k) => (
+                        Arc::clone(&made[k]),
+                        std::mem::replace(&mut first_user[k], false),
+                    ),
+                    Source::Present(frontend) => (frontend, false),
+                };
+                shared += u64::from(!charged);
+                PreparedUser {
+                    arrival: 0,
+                    graph: Arc::clone(graph),
+                    frontend,
+                    charged,
+                }
+            })
+            .collect();
+        Ok((users, shared))
+    }
+
     /// Inserts or replaces a prepared user (same-name join replaces
     /// the previous workload), keeping the persisted placement
-    /// slot-aligned: a rejoin re-seats the slot's parts in place, a
-    /// fresh join appends, and either way the slot is marked dirty for
-    /// the next warm-started replan.
-    fn insert(&mut self, prepared: PreparedUser) {
+    /// slot-aligned: a rejoin keeps the slot and its arrival number and
+    /// re-seats the slot's parts in place, a fresh join appends, and
+    /// either way the slot is marked dirty for the next warm-started
+    /// replan.
+    fn insert(&mut self, name: String, mut user: PreparedUser) {
         self.churned += 1;
-        self.frontend.compression += prepared.frontend.compression;
-        self.frontend.cutting += prepared.frontend.cutting;
-        let stats = prepared.frontend.outcome.stats;
-        match self.users.iter().position(|u| u.name == prepared.name) {
-            Some(i) => {
+        if user.charged {
+            self.frontend.compression += user.frontend.compression;
+            self.frontend.cutting += user.frontend.cutting;
+        }
+        self.frontends
+            .insert(graph_key(&user.graph), Arc::downgrade(&user.frontend));
+        let stats = user.frontend.outcome.stats;
+        match self.names.get(&name) {
+            Some(&arrival) => {
+                let i = slot_at(&self.users, arrival);
+                user.arrival = arrival;
                 if let Some(st) = self.state.as_mut() {
-                    st.ps.replace_user(
-                        i,
-                        &prepared.graph,
-                        &prepared.frontend.outcome,
-                        &prepared.frontend.cuts,
-                    );
+                    st.ps
+                        .replace_user(i, &user.graph, &user.frontend.outcome, &user.frontend.cuts);
                     st.dirty.push(i);
                     st.pending.push(SlotChange::Replaced(i, stats));
                 }
-                let old = std::mem::replace(&mut self.users[i], prepared);
-                self.frontend.compression -= old.frontend.compression;
-                self.frontend.cutting -= old.frontend.cutting;
+                let old = std::mem::replace(&mut self.users[i], user);
+                self.release(old);
             }
             None => {
+                user.arrival = self.next_arrival;
+                self.next_arrival += 1;
+                self.names.insert(name, user.arrival);
                 if let Some(st) = self.state.as_mut() {
-                    let i = st.ps.add_user(
-                        &prepared.graph,
-                        &prepared.frontend.outcome,
-                        &prepared.frontend.cuts,
-                    );
+                    let i =
+                        st.ps
+                            .add_user(&user.graph, &user.frontend.outcome, &user.frontend.cuts);
                     st.ledger.add_user();
                     st.dirty.push(i);
                     st.pending.push(SlotChange::Appended(stats));
                 }
-                self.users.push(prepared);
+                self.users.push(user);
             }
         }
     }
 
-    /// Removes the user at slot `i`, shifting later slots down and
-    /// keeping the persisted placement (and its dirty set) aligned.
+    /// Lets go of a departed or replaced user: their front-end time
+    /// leaves the sum, and when they were the last present user of
+    /// their front-end, its map entry goes too.
+    fn release(&mut self, gone: PreparedUser) {
+        if gone.charged {
+            self.frontend.compression -= gone.frontend.compression;
+            self.frontend.cutting -= gone.frontend.cutting;
+        }
+        let key = graph_key(&gone.graph);
+        let entry_is_theirs = self
+            .frontends
+            .get(&key)
+            .is_some_and(|w| std::ptr::eq(w.as_ptr(), Arc::as_ptr(&gone.frontend)));
+        if entry_is_theirs && Arc::strong_count(&gone.frontend) == 1 {
+            self.frontends.remove(&key);
+        }
+    }
+
+    /// Removes the user at slot `i` (already gone from the name index),
+    /// shifting later slots down and keeping the persisted placement
+    /// (and its dirty set) aligned.
     fn remove_at(&mut self, i: usize) {
         let gone = self.users.remove(i);
-        self.frontend.compression -= gone.frontend.compression;
-        self.frontend.cutting -= gone.frontend.cutting;
+        self.release(gone);
         self.churned += 1;
         if let Some(st) = self.state.as_mut() {
             st.ps.remove_user(i);
@@ -455,11 +570,11 @@ impl OffloadSession {
     /// full telemetry epilogue (span, `session.leave_nanos` histogram,
     /// flush), so buffered churn records become visible immediately.
     pub fn leave(&mut self, name: &str) -> bool {
-        let Some(i) = self.users.iter().position(|u| u.name == name) else {
+        let Some(arrival) = self.names.remove(name) else {
             return false;
         };
         let scope = self.ctx.scope("session.leave", "session.leave_nanos");
-        self.remove_at(i);
+        self.remove_at(slot_at(&self.users, arrival));
         let sink = self.ctx.sink();
         sink.counter_add("session.leaves", 1);
         if sink.enabled() {
@@ -483,16 +598,17 @@ impl OffloadSession {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        let index = &mut self.names;
+        let users = &self.users;
+        // a name leaves the index at its first sighting, so repeats
+        // are skipped like unknown names
         let mut slots: Vec<usize> = names
             .into_iter()
-            .filter_map(|name| {
-                let name = name.as_ref();
-                self.users.iter().position(|u| u.name == name)
-            })
+            .filter_map(|name| index.remove(name.as_ref()))
+            .map(|arrival| slot_at(users, arrival))
             .collect();
         // descending removal order keeps the remaining slots valid
         slots.sort_unstable_by(|a, b| b.cmp(a));
-        slots.dedup();
         if slots.is_empty() {
             return 0;
         }
@@ -528,9 +644,10 @@ impl OffloadSession {
     /// churn events, rebuild placement and report from scratch.
     ///
     /// The report's `timings.compression` / `timings.cutting` are the
-    /// *cached* per-user front-end times recorded at join time (summed
-    /// over the current crowd), so a session report accounts for the
-    /// same three stages a one-shot
+    /// front-end time each present user's admission spent, summed over
+    /// the current crowd — zero for an admission that reused a present
+    /// user's front-end — so a session report accounts for the same
+    /// three stages a one-shot
     /// [`Offloader::solve`](crate::Offloader::solve) report does;
     /// only `timings.greedy` is spent during the replan itself.
     ///
@@ -966,8 +1083,9 @@ mod tests {
             .map(|u| u.frontend.outcome.stats)
             .collect();
         assert_eq!(report.compression, stats);
-        let compression = session.users.iter().map(|u| u.frontend.compression).sum();
-        let cutting = session.users.iter().map(|u| u.frontend.cutting).sum();
+        let charged = || session.users.iter().filter(|u| u.charged);
+        let compression = charged().map(|u| u.frontend.compression).sum();
+        let cutting = charged().map(|u| u.frontend.cutting).sum();
         assert_eq!(report.timings.compression, compression);
         assert_eq!(report.timings.cutting, cutting);
     }
@@ -1048,6 +1166,99 @@ mod tests {
             }
         }
         assert!(certified > 0, "the bound never settled a rescan");
+    }
+
+    /// Distinct graphs among the present users.
+    fn distinct_graphs(session: &OffloadSession) -> usize {
+        let mut keys: Vec<usize> = session.users.iter().map(|u| graph_key(&u.graph)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len()
+    }
+
+    fn compressions(sink: &mec_obs::Recorder) -> usize {
+        sink.spans()
+            .iter()
+            .filter(|s| s.name == "stage.compression")
+            .count()
+    }
+
+    #[test]
+    fn users_of_one_graph_share_one_front_end_exactly() {
+        use mec_obs::Recorder;
+
+        let pool: Vec<Arc<Graph>> = (0..5).map(|i| app(900 + i)).collect();
+        for seed in [3u64, 11] {
+            let sink = Arc::new(Recorder::new());
+            let mut shared = OffloadSession::new(SystemParams::default())
+                .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+            // the reference: every admission a graph of its own
+            let mut copied = OffloadSession::new(SystemParams::default());
+            let copy = |g: usize| Arc::new((*pool[g]).clone());
+
+            // the set-up batch repeats graphs: each is prepared once
+            let mut present: Vec<(String, usize)> =
+                (0..8).map(|i| (format!("u{i}"), i % 3)).collect();
+            let batch = present
+                .iter()
+                .map(|(n, g)| (n.clone(), Arc::clone(&pool[*g])));
+            shared.join_many(batch).unwrap();
+            copied
+                .join_many(present.iter().map(|(n, g)| (n.clone(), copy(*g))))
+                .unwrap();
+            assert_eq!(compressions(&sink), 3);
+            let mut reused = 5;
+
+            let mut rng = Rng(seed);
+            let mut next = present.len();
+            for step in 0..60 {
+                let roll = rng.below(10);
+                if present.len() > 1 && (4..7).contains(&roll) {
+                    let (victim, _) = present.remove(rng.below(present.len() as u64) as usize);
+                    assert!(shared.leave(&victim));
+                    assert!(copied.leave(&victim));
+                } else {
+                    let g = rng.below(pool.len() as u64) as usize;
+                    let held = present.iter().any(|&(_, h)| h == g);
+                    let name = if present.is_empty() || roll < 4 {
+                        next += 1;
+                        present.push((format!("u{next}"), g));
+                        format!("u{next}")
+                    } else {
+                        // resubmit, possibly of the graph the user runs
+                        let who = rng.below(present.len() as u64) as usize;
+                        present[who].1 = g;
+                        present[who].0.clone()
+                    };
+                    let before = compressions(&sink);
+                    shared.join(name.clone(), Arc::clone(&pool[g])).unwrap();
+                    copied.join(name, copy(g)).unwrap();
+                    let prepared = compressions(&sink) - before;
+                    assert_eq!(prepared, usize::from(!held), "step {step}: graph {g}");
+                    reused += usize::from(held);
+                }
+                assert_eq!(shared.frontend_entries(), distinct_graphs(&shared));
+                assert_eq!(copied.frontend_entries(), copied.user_count());
+                let want = copied.replan().unwrap().clone();
+                let got = shared.replan().unwrap();
+                let what = format!("seed {seed} step {step}");
+                assert_eq!(got.plan, want.plan, "{what}");
+                assert_eq!(got.greedy.moves, want.greedy.moves, "{what}");
+                assert_eq!(
+                    got.greedy.final_objective.to_bits(),
+                    want.greedy.final_objective.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(got.compression, want.compression, "{what}");
+            }
+            assert_eq!(
+                sink.counter_value("session.frontends_shared"),
+                reused as u64
+            );
+            let names: Vec<String> = present.into_iter().map(|(n, _)| n).collect();
+            assert_eq!(shared.leave_many(&names), names.len());
+            assert_eq!(shared.frontend_entries(), 0);
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::{FieldValue, SpanId, TraceSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -88,6 +89,38 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 fn header(tag: u64, field_count: u64, name_id: u32) -> u64 {
     tag | (field_count << 8) | (u64::from(name_id) << 32)
 }
+
+/// A multiply-rotate hasher for the per-thread caches, whose keys are a
+/// `&'static str`'s (address, length). The program's own binary supplies
+/// every key, so SipHash's flood resistance buys nothing here, and it
+/// would cost a good share of each record.
+#[derive(Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl AddrHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A per-thread cache keyed on a `&'static str`'s (address, length).
+type AddrMap<V> = HashMap<(usize, usize), V, BuildHasherDefault<AddrHasher>>;
 
 /// Process-wide `&'static str` → dense id intern table. Locked only on
 /// the first sighting of a name per thread; the hot path hits the
@@ -143,8 +176,12 @@ impl SpscRing {
         }
     }
 
-    /// Appends one record; `false` (record lost) when the ring is full.
-    fn push(&self, words: &[u64; SLOT_WORDS]) -> bool {
+    /// Appends one record of at most [`SLOT_WORDS`] words; `false`
+    /// (record lost) when the ring is full. Only the record's own words
+    /// are written: the decoder never reads past them, so whatever an
+    /// earlier record left in the rest of the slot is harmless.
+    fn push(&self, words: &[u64]) -> bool {
+        debug_assert!(words.len() <= SLOT_WORDS);
         let tail = self.tail.load(Ordering::Relaxed);
         let head = self.head.load(Ordering::Acquire);
         if tail.wrapping_sub(head) > self.mask {
@@ -357,9 +394,9 @@ struct ThreadWriter {
     next_seq: u64,
     stack: Vec<OpenSpan>,
     /// `&'static str` (address, length) → intern id.
-    name_ids: HashMap<(usize, usize), u32>,
+    name_ids: AddrMap<u32>,
     /// `&'static str` (address, length) → exact counter cell.
-    counter_cells: HashMap<(usize, usize), Arc<AtomicU64>>,
+    counter_cells: AddrMap<Arc<AtomicU64>>,
 }
 
 impl ThreadWriter {
@@ -380,8 +417,8 @@ impl ThreadWriter {
             shard,
             next_seq: 0,
             stack: Vec::new(),
-            name_ids: HashMap::new(),
-            counter_cells: HashMap::new(),
+            name_ids: AddrMap::default(),
+            counter_cells: AddrMap::default(),
         }
     }
 
@@ -395,7 +432,7 @@ impl ThreadWriter {
         id
     }
 
-    fn push_record(&self, class: DropClass, words: &[u64; SLOT_WORDS]) {
+    fn push_record(&self, class: DropClass, words: &[u64]) {
         match self.shard {
             Some(i) => {
                 let shard = &self.shared.shards[i];
@@ -437,11 +474,6 @@ impl ThreadWriter {
             open.parent,
             open.start_ns,
             end_ns,
-            0,
-            0,
-            0,
-            0,
-            0,
         ];
         self.push_record(DropClass::Span, &words);
     }
@@ -463,13 +495,12 @@ impl ThreadWriter {
             words[2 + 2 * i] = u64::from(key_id) | (vt << 32);
             words[3 + 2 * i] = bits;
         }
-        self.push_record(DropClass::Event, &words);
+        self.push_record(DropClass::Event, &words[..2 + 2 * n]);
     }
 
     fn histogram(&mut self, name: &'static str, value: u64) {
         let name_id = self.name_id(name);
-        let words = [header(TAG_HIST, 0, name_id), value, 0, 0, 0, 0, 0, 0, 0, 0];
-        self.push_record(DropClass::Histogram, &words);
+        self.push_record(DropClass::Histogram, &[header(TAG_HIST, 0, name_id), value]);
     }
 
     fn counter_add(&mut self, name: &'static str, delta: u64) {

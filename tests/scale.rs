@@ -57,15 +57,33 @@ fn paper_scale_5000_users() {
     );
 }
 
+/// splitmix64: a deterministic churn stream.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
 #[test]
 #[ignore = "scale test: ~30 s, run explicitly"]
 fn session_churn_at_scale() {
+    use copmecs::core::OffloadSession;
+
     let params = SystemParams {
         server_capacity: 5000.0,
         ..SystemParams::default()
     };
-    let mut session = copmecs::core::OffloadSession::new(params);
-    let pool: Vec<Arc<Graph>> = (0..4)
+
+    // first, 500 users of paper-size graphs: the cold replan after the
+    // joins must be fast, since all per-user work is cached
+    let mut session = OffloadSession::new(params);
+    let paper_pool: Vec<Arc<Graph>> = (0..4)
         .map(|i| {
             Arc::new(
                 NetgenSpec::paper_network(1000, 4912)
@@ -77,10 +95,9 @@ fn session_churn_at_scale() {
         .collect();
     for i in 0..500usize {
         session
-            .join(format!("u{i}"), Arc::clone(&pool[i % 4]))
+            .join(format!("u{i}"), Arc::clone(&paper_pool[i % 4]))
             .unwrap();
     }
-    // replans after warm-up must be fast: all per-user work is cached
     let t0 = Instant::now();
     let report = session.replan().unwrap();
     let replan_time = t0.elapsed();
@@ -88,5 +105,90 @@ fn session_churn_at_scale() {
     assert!(
         replan_time.as_secs_f64() < 10.0,
         "cached replan took {replan_time:?}"
+    );
+    drop(session);
+
+    // then the properties tests/churn_delta.rs checks, at 10^4 users:
+    // the warm-started session never prices worse than a from-scratch
+    // one, and the from-scratch one matches a fresh session bit for bit
+    let pool: Vec<Arc<Graph>> = (0..64)
+        .map(|i| Arc::new(NetgenSpec::new(40, 110).seed(50 + i).generate().unwrap()))
+        .collect();
+    let mut rng = Rng(13);
+    let mut present: Vec<(String, usize)> = (0..10_000)
+        .map(|i| (format!("u{i}"), rng.below(pool.len())))
+        .collect();
+    let crowd = |present: &[(String, usize)]| -> Vec<(String, Arc<Graph>)> {
+        present
+            .iter()
+            .map(|(name, g)| (name.clone(), Arc::clone(&pool[*g])))
+            .collect()
+    };
+    let mut delta = OffloadSession::new(params);
+    let mut full = OffloadSession::new(params).with_drift_limit(0.0);
+    delta.join_many(crowd(&present)).unwrap();
+    full.join_many(crowd(&present)).unwrap();
+    delta.replan().unwrap();
+    full.replan().unwrap();
+
+    let mut next = present.len();
+    let mut delta_time = std::time::Duration::ZERO;
+    for step in 0..60 {
+        let roll = rng.below(10);
+        let t0 = Instant::now();
+        let what = if roll < 3 {
+            let g = rng.below(pool.len());
+            let name = format!("u{next}");
+            next += 1;
+            delta.join(name.clone(), Arc::clone(&pool[g])).unwrap();
+            present.push((name.clone(), g));
+            format!("join {name}")
+        } else if roll < 6 {
+            let (victim, _) = present.remove(rng.below(present.len()));
+            assert!(delta.leave(&victim));
+            format!("leave {victim}")
+        } else {
+            let slot = rng.below(present.len());
+            let g = rng.below(pool.len());
+            present[slot].1 = g;
+            delta
+                .join(present[slot].0.clone(), Arc::clone(&pool[g]))
+                .unwrap();
+            format!("resubmit {}", present[slot].0)
+        };
+        let d = delta.replan().unwrap().evaluation.totals.objective();
+        delta_time += t0.elapsed();
+        // the same event on the from-scratch session
+        match what.split_once(' ') {
+            Some(("leave", victim)) => assert!(full.leave(victim)),
+            Some((_, name)) => {
+                let g = present.iter().find(|(n, _)| n == name).unwrap().1;
+                full.join(name, Arc::clone(&pool[g])).unwrap();
+            }
+            None => unreachable!(),
+        }
+        let f = full.replan().unwrap();
+        assert_eq!(f.plan.len(), present.len());
+        let fo = f.evaluation.totals.objective();
+        assert!(
+            d <= fo + 1e-9 * fo.abs().max(1.0),
+            "step {step} ({what}): delta objective {d} worse than full {fo}"
+        );
+        if step % 20 == 19 {
+            let mut fresh = OffloadSession::new(params);
+            fresh.join_many(crowd(&present)).unwrap();
+            let want = fresh.replan().unwrap();
+            let got = full.report().unwrap();
+            assert_eq!(got.plan, want.plan, "step {step}: full diverged from fresh");
+            assert_eq!(
+                got.evaluation.totals.objective().to_bits(),
+                want.evaluation.totals.objective().to_bits(),
+                "step {step}: full must be bit-identical to fresh"
+            );
+        }
+    }
+    assert!(
+        delta_time.as_secs_f64() < 20.0,
+        "60 churn events with their replans took {delta_time:?} at 10^4 users"
     );
 }
