@@ -9,13 +9,15 @@
 //! Each command prints the same normalised rows/series the paper
 //! reports and writes raw JSON next to them.
 //!
-//! `--trace-out <path>` additionally records pipeline telemetry
-//! (stage spans, label-propagation rounds, Lanczos iterations, greedy
-//! counters) through [`mec_obs::ShardedRecorder`] and writes it as
-//! JSON; `--chrome-trace-out <path>` exports the same run in Chrome
-//! trace-event format, and `--serve ADDR` exposes `/metrics`,
-//! `/trace`, `/healthz`, and `/stacks` live over HTTP while the
-//! commands run (`--serve-for SECS` keeps the endpoint up afterwards).
+//! Pipeline telemetry (stage spans, label-propagation rounds, Lanczos
+//! iterations, greedy counters) is recorded through one
+//! [`mec_obs::ShardedRecorder`] whenever something reads it: the fig9
+//! tables or one of these flags. `--trace-out <path>` writes it as JSON,
+//! `--chrome-trace-out <path>` in Chrome trace-event format,
+//! `--metrics-out <path>` writes the metrics registry, and
+//! `--serve ADDR` exposes `/metrics`, `/trace`, `/healthz`, and
+//! `/stacks` live over HTTP while the commands run (`--serve-for SECS`
+//! keeps the endpoint up afterwards).
 
 use mec_bench::ablation;
 use mec_bench::churn::{self, ChurnSpec};
@@ -26,7 +28,7 @@ use mec_bench::report::{normalize, render_table, write_json};
 use mec_bench::runtime::{self, FrontendSpeedup, RuntimePoint, WorkerUtilization};
 use mec_bench::spectral_hotpath::{self, AllocSnapshot, HotpathSpec};
 use mec_bench::{table1, DEFAULT_SEED, PAPER_SIZES, PAPER_USER_SIZES};
-use mec_obs::{MetricsRegistry, MetricsSink, ShardedRecorder, TraceSink};
+use mec_obs::{MetricsRegistry, ShardedRecorder, TraceSink};
 use std::sync::Arc;
 
 /// Counting allocator so the hot-path benchmark can report allocation
@@ -779,6 +781,7 @@ fn run_fig9(opts: &Options, sink: &Arc<dyn TraceSink>, registry: &Arc<MetricsReg
     }
 
     println!("\n== pipeline stage latency distributions ==\n");
+    sink.flush();
     render_stage_percentiles(registry);
 }
 
@@ -962,31 +965,30 @@ fn run_perf_gate(opts: &Options) {
 
 fn main() {
     let opts = parse_args();
-    // One recorder for the whole invocation: spans and counters from
-    // every pipeline the selected command builds land in one trace.
-    // Any of `--trace-out`, `--serve`, `--chrome-trace-out` turns on
-    // the sharded recorder (per-thread SPSC rings drained by a
-    // background aggregator, so worker hot paths never contend on a
-    // lock); otherwise a metrics-only sink still collects histograms
-    // for the percentile tables and `--metrics-out` without buffering
-    // any events.
-    let wants_recorder =
-        opts.trace_out.is_some() || opts.serve.is_some() || opts.chrome_trace_out.is_some();
-    let recorder = wants_recorder.then(|| Arc::new(ShardedRecorder::new()));
-    let (sink, registry): (Arc<dyn TraceSink>, Arc<MetricsRegistry>) = match &recorder {
-        Some(r) => (Arc::clone(r) as Arc<dyn TraceSink>, r.metrics()),
-        None => {
-            let metrics_sink = Arc::new(MetricsSink::new());
-            let registry = metrics_sink.registry();
-            (metrics_sink as Arc<dyn TraceSink>, registry)
-        }
+    // One recorder for the whole invocation (per-thread SPSC rings
+    // drained by a background aggregator, so worker hot paths never
+    // contend on a lock): spans, events, counters and histograms from
+    // every pipeline the selected command builds land in one trace and
+    // one registry, which every export and the fig9 tables read. When
+    // nothing reads them the pipelines get the null sink, so a plain
+    // run times untraced code.
+    let recorder = Arc::new(ShardedRecorder::new());
+    let reads_telemetry = opts.trace_out.is_some()
+        || opts.chrome_trace_out.is_some()
+        || opts.metrics_out.is_some()
+        || opts.serve.is_some()
+        || matches!(opts.command.as_str(), "fig9" | "all");
+    let sink: Arc<dyn TraceSink> = if reads_telemetry {
+        Arc::clone(&recorder) as Arc<dyn TraceSink>
+    } else {
+        mec_obs::null_sink()
     };
+    let registry = recorder.metrics();
     // Bind the exposition endpoint before the command runs so the
     // whole run is observable live. The printed line is parsed by the
     // CI smoke job (port 0 binds an ephemeral port, reported here).
     let server = opts.serve.as_ref().map(|addr| {
-        let recorder = recorder.as_ref().expect("--serve implies the recorder");
-        let server = mec_obs::serve(Arc::clone(recorder), addr.as_str())
+        let server = mec_obs::serve(Arc::clone(&recorder), addr.as_str())
             .unwrap_or_else(|e| die(&format!("cannot bind --serve {addr}: {e}")));
         println!("serving telemetry on http://{}", server.local_addr());
         server
@@ -1037,7 +1039,7 @@ fn main() {
         }
         other => die(&format!("unknown command: {other}")),
     }
-    if let (Some(path), Some(recorder)) = (&opts.trace_out, &recorder) {
+    if let Some(path) = &opts.trace_out {
         if let Some(dir) = std::path::Path::new(path).parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir).expect("trace directory is creatable");
@@ -1046,7 +1048,7 @@ fn main() {
         std::fs::write(path, recorder.to_json_string()).expect("trace file is writable");
         println!("trace written to {path}");
     }
-    if let (Some(path), Some(recorder)) = (&opts.chrome_trace_out, &recorder) {
+    if let Some(path) = &opts.chrome_trace_out {
         if let Some(dir) = std::path::Path::new(path).parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir).expect("trace directory is creatable");
@@ -1061,6 +1063,7 @@ fn main() {
                 std::fs::create_dir_all(dir).expect("metrics directory is creatable");
             }
         }
+        recorder.flush();
         let snap = registry.snapshot();
         let body = if path.ends_with(".prom") || path.ends_with(".txt") {
             snap.to_prometheus_string()

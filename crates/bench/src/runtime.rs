@@ -28,7 +28,6 @@ use mec_obs::{MetricsRegistry, TraceSink};
 use mec_spectral::SpectralBisector;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One timing measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -263,7 +262,7 @@ pub fn frontend_speedup_traced(
     );
 
     let interval = registry.snapshot().since(&before);
-    let wall = Duration::from_secs_f64(cluster_seconds);
+    let wall_nanos = cluster_seconds * 1e9;
     let per_worker = (0..workers)
         .map(|w| {
             let label = w.to_string();
@@ -288,7 +287,11 @@ pub fn frontend_speedup_traced(
                 worker: w,
                 tasks,
                 busy_seconds: busy_nanos as f64 / 1e9,
-                utilization: WorkerSnapshotProxy(busy_nanos).busy_fraction(wall),
+                utilization: if wall_nanos > 0.0 {
+                    (busy_nanos as f64 / wall_nanos).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                },
                 p50_task_nanos: p50,
                 p99_task_nanos: p99,
                 p50_queue_nanos: p50_queue,
@@ -310,21 +313,6 @@ pub fn frontend_speedup_traced(
         },
         per_worker,
     )
-}
-
-/// Busy-fraction arithmetic shared with
-/// [`mec_engine::WorkerSnapshot::busy_fraction`], applied to a
-/// registry-sourced busy counter.
-struct WorkerSnapshotProxy(u64);
-
-impl WorkerSnapshotProxy {
-    fn busy_fraction(&self, wall: Duration) -> f64 {
-        let wall_ns = wall.as_nanos() as f64;
-        if wall_ns <= 0.0 {
-            return 0.0;
-        }
-        (self.0 as f64 / wall_ns).clamp(0.0, 1.0)
-    }
 }
 
 /// Builds the Fig. 9 workload: a *single-component* graph of `nodes`
@@ -357,9 +345,7 @@ pub fn run(sizes: &[usize], seed: u64, include_extra: bool) -> Vec<RuntimePoint>
     run_traced(sizes, seed, include_extra, &mec_obs::null_sink())
 }
 
-/// Like [`run`] but wires `sink` into every pipeline variant and
-/// re-emits the engine cluster's counters (`engine.stages`,
-/// `engine.tasks`, `engine.busy_nanos`) once the sweep finishes.
+/// Like [`run`] but wires `sink` into every pipeline variant.
 pub fn run_traced(
     sizes: &[usize],
     seed: u64,
@@ -429,7 +415,6 @@ pub fn run_traced(
             });
         }
     }
-    cluster.metrics().emit_to(sink.as_ref());
     out
 }
 
@@ -465,9 +450,14 @@ mod tests {
 
     #[test]
     fn traced_speedup_reports_per_worker_utilization() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink: Arc<dyn TraceSink> =
-            Arc::new(mec_obs::MetricsSink::with_registry(Arc::clone(&registry)));
+        let recorder = Arc::new(mec_obs::ShardedRecorder::with_config(
+            mec_obs::ShardConfig {
+                drain_interval: None,
+                ..mec_obs::ShardConfig::default()
+            },
+        ));
+        let registry = recorder.metrics();
+        let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as Arc<dyn TraceSink>;
         let (s, workers) = frontend_speedup_traced(4, 120, 11, 2, &sink, &registry);
         assert_eq!((s.users, s.nodes, s.workers), (4, 120, 2));
         assert_eq!(workers.len(), 2);
@@ -484,6 +474,7 @@ mod tests {
             }
         }
         // both legs recorded their stage histograms into the registry
+        recorder.flush();
         let snap = registry.snapshot();
         let comp = snap
             .histogram("stage.compression_nanos")

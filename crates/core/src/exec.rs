@@ -244,7 +244,16 @@ impl Drop for ExecScope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mec_obs::Recorder;
+    use mec_obs::{ShardConfig, ShardedRecorder};
+
+    /// A recorder without the background aggregator: the registry sees
+    /// only what the scope's own flush drained.
+    fn manual_recorder() -> Arc<ShardedRecorder> {
+        Arc::new(ShardedRecorder::with_config(ShardConfig {
+            drain_interval: None,
+            ..ShardConfig::default()
+        }))
+    }
 
     #[test]
     fn serial_ctx_defaults() {
@@ -269,7 +278,7 @@ mod tests {
 
     #[test]
     fn scope_records_span_histogram_and_flush_on_finish() {
-        let rec = Arc::new(Recorder::new());
+        let rec = manual_recorder();
         let ctx = ExecCtx::serial().with_sink(Arc::clone(&rec) as Arc<dyn TraceSink>);
         let scope = ctx.scope("exec.test", "exec.test_nanos");
         let elapsed = scope.finish();
@@ -286,7 +295,7 @@ mod tests {
 
     #[test]
     fn scope_epilogue_runs_on_drop_and_panic() {
-        let rec = Arc::new(Recorder::new());
+        let rec = manual_recorder();
         let ctx = ExecCtx::serial().with_sink(Arc::clone(&rec) as Arc<dyn TraceSink>);
         // plain drop (the `?` early-return shape)
         drop(ctx.scope("exec.dropped", "exec.dropped_nanos"));

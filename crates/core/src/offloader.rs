@@ -552,7 +552,14 @@ mod tests {
         // the stage path actually ran on the cluster (unless the
         // environment forces every context onto the serial backend)
         if !crate::exec::force_serial() {
-            assert!(cluster.metrics().tasks >= 3);
+            let snap = cluster.registry().snapshot();
+            let tasks: u64 = snap
+                .histograms
+                .iter()
+                .filter(|(k, _)| k.name == "engine.task_nanos")
+                .map(|(_, h)| h.count())
+                .sum();
+            assert!(tasks >= 3);
         }
     }
 

@@ -10,9 +10,7 @@
 //! The edge server's capacity is partitioned evenly across shards
 //! (`server_capacity / K` per shard), which approximates the
 //! full-crowd coupling by letting users contend only within their
-//! shard — the standard shard-local relaxation; at the crowd sizes the
-//! service targets every shard is busy, so the per-shard sharer count
-//! tracks the global one.
+//! shard — the standard shard-local relaxation.
 //!
 //! Every event records a `service.*_nanos` histogram and bumps a
 //! `service.*` counter on the service sink, mirroring the session's
@@ -38,7 +36,8 @@ struct Shard {
     dirty: bool,
 }
 
-/// The crowd-consistent aggregate over all shards.
+/// The service-wide totals: the sum of the shard objectives, each
+/// shard priced under its `server_capacity / K` share of the server.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ServiceReport {
     /// Users tracked across every shard.
@@ -349,12 +348,15 @@ impl OffloadService {
     }
 
     /// Re-plans every **dirty** shard (clean shards keep their last
-    /// report) and aggregates the crowd-consistent totals.
+    /// report) and sums the shard totals.
     ///
     /// # Errors
     ///
-    /// The first failing shard's error; shards replanned before it
-    /// keep their fresh reports.
+    /// [`PipelineError::Model`] when the system parameters are
+    /// invalid. Every shard validates the same parameters before it
+    /// touches any state, so the first shard to replan fails and no
+    /// shard changes: each keeps its last report (or none), and dirty
+    /// shards stay dirty.
     pub fn replan(&mut self) -> Result<ServiceReport, PipelineError> {
         let s = span(self.sink.as_ref(), "service.replan");
         let mut replanned = 0usize;
@@ -481,6 +483,25 @@ mod tests {
         let home = service.shard_of("u2");
         let shard = service.shard_report(home).unwrap();
         assert!(shard.plan.iter().any(|p| p.len() == bigger.node_count()));
+    }
+
+    #[test]
+    fn invalid_params_fail_before_any_shard_changes() {
+        let params = SystemParams {
+            bandwidth: 0.0,
+            ..SystemParams::default()
+        };
+        let mut service = OffloadService::new(params, 4);
+        for i in 0..8u64 {
+            service.join(format!("u{i}"), graph(i + 1)).unwrap();
+        }
+        for _ in 0..2 {
+            assert!(matches!(service.replan(), Err(PipelineError::Model(_))));
+            for i in 0..service.shard_count() {
+                assert!(service.shard_report(i).is_none(), "shard {i} changed");
+            }
+        }
+        assert_eq!(service.user_count(), 8);
     }
 
     #[test]

@@ -1101,7 +1101,7 @@ mod tests {
     #[test]
     fn persisted_reports_match_the_oracles_under_random_churn() {
         use mec_model::AllocationPolicy;
-        use mec_obs::Recorder;
+        use mec_obs::ShardedRecorder;
 
         let mut certified = 0;
         for allocation in [
@@ -1119,7 +1119,7 @@ mod tests {
                         allocation,
                         ..SystemParams::default()
                     };
-                    let sink = Arc::new(Recorder::new());
+                    let sink = Arc::new(ShardedRecorder::new());
                     let mut bounded = OffloadSession::new(params)
                         .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
                     let mut exact = OffloadSession::new(params);
@@ -1176,7 +1176,7 @@ mod tests {
         keys.len()
     }
 
-    fn compressions(sink: &mec_obs::Recorder) -> usize {
+    fn compressions(sink: &mec_obs::ShardedRecorder) -> usize {
         sink.spans()
             .iter()
             .filter(|s| s.name == "stage.compression")
@@ -1185,11 +1185,11 @@ mod tests {
 
     #[test]
     fn users_of_one_graph_share_one_front_end_exactly() {
-        use mec_obs::Recorder;
+        use mec_obs::ShardedRecorder;
 
         let pool: Vec<Arc<Graph>> = (0..5).map(|i| app(900 + i)).collect();
         for seed in [3u64, 11] {
-            let sink = Arc::new(Recorder::new());
+            let sink = Arc::new(ShardedRecorder::new());
             let mut shared = OffloadSession::new(SystemParams::default())
                 .with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
             // the reference: every admission a graph of its own

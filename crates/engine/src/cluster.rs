@@ -1,7 +1,7 @@
 //! The persistent worker pool.
 
-use crate::metrics::{Metrics, WorkerSnapshot};
-use crate::{EngineError, MetricsSnapshot};
+use crate::metrics::Metrics;
+use crate::EngineError;
 use crossbeam::channel::{unbounded, Sender};
 use mec_obs::metrics::MetricsRegistry;
 use mec_obs::TraceSink;
@@ -79,11 +79,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> Option<String> {
 /// which worker ran what.
 ///
 /// Workers live until the cluster is dropped.
+///
+/// Every cluster records into a [`MetricsRegistry`]
+/// ([`registry`](Cluster::registry)): per-worker task-latency and
+/// queue-wait histograms (`engine.task_nanos{worker="i"}`,
+/// `engine.queue_wait_nanos{worker="i"}`), per-worker busy counters
+/// (`engine.worker_busy_nanos{worker="i"}`) and the stage fan-out width
+/// (`engine.stage_width`, one sample per stage).
 #[derive(Debug)]
 pub struct Cluster {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
+    registry: Arc<MetricsRegistry>,
     metrics: Arc<Metrics>,
     /// The sink the workers registered with at spawn, kept so pipeline
     /// layers holding only the cluster can flush worker-side shard
@@ -92,37 +100,21 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawns a cluster with `workers` threads.
+    /// Spawns a cluster with `workers` threads, recording into a
+    /// registry of its own.
     ///
     /// # Errors
     ///
     /// [`EngineError::NoWorkers`] when `workers == 0`.
     pub fn new(workers: usize) -> Result<Self, EngineError> {
-        Cluster::build(workers, None, None)
+        Cluster::with_telemetry(workers, None, None)
     }
 
-    /// Spawns a cluster whose per-worker task-latency and queue-wait
-    /// histograms, busy counters, and stage fan-out widths are recorded
-    /// into `registry` (as `engine.task_nanos{worker="i"}`,
-    /// `engine.queue_wait_nanos{worker="i"}`,
-    /// `engine.worker_busy_nanos{worker="i"}`, `engine.stage_width`).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NoWorkers`] when `workers == 0`.
-    pub fn with_metrics(
-        workers: usize,
-        registry: Arc<MetricsRegistry>,
-    ) -> Result<Self, EngineError> {
-        Cluster::build(workers, Some(registry), None)
-    }
-
-    /// Spawns a cluster with both a metrics registry (as in
-    /// [`with_metrics`](Cluster::with_metrics)) and a [`TraceSink`]
-    /// that each worker thread registers itself with
-    /// ([`TraceSink::register_worker`]) before taking its first task —
-    /// a sharded sink pins worker `i` to ring shard `i`, so worker
-    /// telemetry never contends with the serial path.
+    /// Spawns a cluster that records into `registry` (a fresh one when
+    /// `None`) and whose worker threads each register with `sink`
+    /// ([`TraceSink::register_worker`]) before taking their first
+    /// task — a sharded sink pins worker `i` to ring shard `i`, so
+    /// worker telemetry never contends with the serial path.
     ///
     /// # Errors
     ///
@@ -132,19 +124,12 @@ impl Cluster {
         registry: Option<Arc<MetricsRegistry>>,
         sink: Option<Arc<dyn TraceSink>>,
     ) -> Result<Self, EngineError> {
-        Cluster::build(workers, registry, sink)
-    }
-
-    fn build(
-        workers: usize,
-        registry: Option<Arc<MetricsRegistry>>,
-        sink: Option<Arc<dyn TraceSink>>,
-    ) -> Result<Self, EngineError> {
         if workers == 0 {
             return Err(EngineError::NoWorkers);
         }
+        let registry = registry.unwrap_or_default();
         let (sender, receiver) = unbounded::<Job>();
-        let metrics = Arc::new(Metrics::new(workers, registry.as_deref()));
+        let metrics = Arc::new(Metrics::new(workers, &registry));
         let handles = (0..workers)
             .map(|i| {
                 let rx = receiver.clone();
@@ -166,6 +151,7 @@ impl Cluster {
             sender: Some(sender),
             workers: handles,
             worker_count: workers,
+            registry,
             metrics,
             sink,
         })
@@ -324,14 +310,9 @@ impl Cluster {
         }
     }
 
-    /// Current execution counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// Per-worker execution counters, indexed by worker.
-    pub fn worker_metrics(&self) -> Vec<WorkerSnapshot> {
-        self.metrics.worker_snapshots()
+    /// The registry this cluster records its execution metrics into.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.registry
     }
 }
 
@@ -490,20 +471,21 @@ mod tests {
         let c = Cluster::new(2).unwrap();
         c.run_stage(vec![1, 2, 3], |_, x: i32| x).unwrap();
         c.run_stage(vec![1], |_, x: i32| x).unwrap();
-        let m = c.metrics();
-        assert_eq!(m.stages, 2);
-        assert_eq!(m.tasks, 4);
-        assert_eq!(m.workers, 2);
-        assert!(m.wall_nanos > 0);
+        let snap = c.registry().snapshot();
+        let width = snap.histogram("engine.stage_width").expect("stage width");
+        assert_eq!(width.count(), 2);
         // every task ran on some worker
-        let per_worker: u64 = c.worker_metrics().iter().map(|w| w.tasks).sum();
+        let per_worker: u64 = (0..2)
+            .filter_map(|w| snap.histogram_labeled("engine.task_nanos", "worker", &w.to_string()))
+            .map(|h| h.count())
+            .sum();
         assert_eq!(per_worker, 4);
     }
 
     #[test]
     fn registry_backed_cluster_records_distributions() {
         let registry = Arc::new(MetricsRegistry::new());
-        let c = Cluster::with_metrics(3, Arc::clone(&registry)).unwrap();
+        let c = Cluster::with_telemetry(3, Some(Arc::clone(&registry)), None).unwrap();
         c.run_stage((0..24).collect(), |_, x: i32| {
             std::thread::sleep(std::time::Duration::from_micros(100));
             x

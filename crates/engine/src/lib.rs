@@ -45,6 +45,5 @@ mod parallel_op;
 pub use cluster::{Cluster, StageError};
 pub use dataset::Dataset;
 pub use error::EngineError;
-pub use metrics::{MetricsSnapshot, WorkerSnapshot};
 pub use parallel_csr::ParallelCsr;
 pub use parallel_op::ParallelLaplacian;

@@ -247,11 +247,17 @@ mod tests {
     fn stage_metrics_grow_with_applications() {
         let c = cluster();
         let par = ParallelLaplacian::from_edges(Arc::clone(&c), 20, &ring_edges(20), 4).unwrap();
-        let before = c.metrics().stages;
+        let stages = || {
+            c.registry()
+                .snapshot()
+                .histogram("engine.stage_width")
+                .map_or(0, |h| h.count())
+        };
+        let before = stages();
         let x = vec![1.0; 20];
         let mut y = vec![0.0; 20];
         par.apply(&x, &mut y);
         par.apply(&x, &mut y);
-        assert_eq!(c.metrics().stages, before + 2);
+        assert_eq!(stages(), before + 2);
     }
 }

@@ -19,10 +19,7 @@
 //! - [`householder_eigen`] — the classic dense two-stage solver
 //!   (Householder reduction + QL), faster than Jacobi at equal
 //!   robustness;
-//! - [`refine_eigenpair`] — shifted inverse iteration to sharpen
-//!   approximate pairs;
-//! - [`ConjugateGradient`] — an SPD solver used for inverse-iteration
-//!   refinement of eigenpairs.
+//! - [`largest_eigenpair`] — power iteration for `λ_max` (formula (11)).
 //!
 //! # Example: Fiedler pair of a path graph
 //!
@@ -52,19 +49,16 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-mod cg;
 mod dense;
 mod error;
 mod householder;
 pub mod kernels;
 mod lanczos;
 mod power;
-mod refine;
 mod sparse;
 mod tridiag;
 pub mod vector;
 
-pub use cg::{CgOutcome, ConjugateGradient};
 pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;
 pub use householder::{householder_eigen, householder_tridiagonalize, HouseholderReduction};
@@ -73,7 +67,6 @@ pub use lanczos::{
     smallest_eigenpairs_with, Eigenpair, LanczosOptions, LanczosResult, LanczosRun, LanczosScratch,
 };
 pub use power::{largest_eigenpair, PowerOptions};
-pub use refine::{refine_eigenpair, residual_norm, RefineOptions};
 pub use sparse::CsrMatrix;
 pub use tridiag::{tridiagonal_eigen, tridiagonal_eigenvalues, tridiagonal_eigenvector};
 

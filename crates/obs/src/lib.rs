@@ -3,29 +3,25 @@
 //! The paper's evaluation is entirely about *where time goes* —
 //! compression shrinkage (Table I), per-stage runtime against graph
 //! size (Fig. 9), greedy convergence (Algorithm 2). This crate gives
-//! every stage a single, dependency-free instrumentation surface:
+//! every stage a single, dependency-free instrumentation surface and
+//! one recording path:
 //!
 //! - [`TraceSink`] — the trait the pipeline calls: span enter/exit,
-//!   named monotonic counters, and structured events;
+//!   named monotonic counters, structured events and histogram
+//!   samples;
 //! - [`NullSink`] — the default no-op; every method is an empty default
 //!   so the uninstrumented path compiles away to nothing;
-//! - [`Recorder`] — an in-memory sink with atomic counters, a bounded
-//!   event ring buffer, full span records, and JSON export for
-//!   `scripts/plot_figures.py` and the `--trace-out` flag of the
-//!   experiments binary;
-//! - [`MetricsRegistry`] (the `mec-metrics` layer, [`metrics`]) — live
-//!   log-bucketed histograms, gauges, and labeled counters with
-//!   percentile summaries, snapshot diffing, and JSON/Prometheus
-//!   exposition — the distributional complement to the event-ordered
-//!   trace above;
-//! - [`MetricsSink`] — a [`TraceSink`] that forwards counters and
-//!   histogram records into a shared registry without recording spans
-//!   or events, for metric collection at near-zero overhead;
-//! - [`ShardedRecorder`] — the always-on collection path: per-thread
-//!   bounded SPSC ring shards drained by a background aggregator into
-//!   the [`Recorder`]/[`MetricsRegistry`] views, making hot-path
-//!   recording wait-free and allocation-free after warm-up, with
-//!   per-class drop accounting ([`DroppedRecords`]);
+//! - [`ShardedRecorder`] — the one recording sink: per-thread bounded
+//!   SPSC ring shards drained by a background aggregator into a span
+//!   table, a bounded event ring and a [`MetricsRegistry`], making
+//!   hot-path recording wait-free and allocation-free after warm-up,
+//!   with per-class drop accounting ([`DroppedRecords`]). Counters are
+//!   exact and land straight in the registry. Exports: the JSON trace
+//!   (`--trace-out`, read by `scripts/plot_figures.py`), Chrome trace
+//!   events, collapsed stacks and Prometheus text;
+//! - [`MetricsRegistry`] ([`metrics`]) — log-bucketed histograms,
+//!   gauges and labeled counters with percentile summaries, snapshot
+//!   diffing, and JSON/Prometheus exposition;
 //! - [`serve`] — a dependency-free live exposition endpoint
 //!   (`/metrics`, `/trace`, `/healthz`, `/stacks`) over
 //!   `std::net::TcpListener`.
@@ -33,10 +29,10 @@
 //! # Example
 //!
 //! ```
-//! use mec_obs::{FieldValue, Recorder, TraceSink};
+//! use mec_obs::{FieldValue, ShardedRecorder, TraceSink};
 //! use std::sync::Arc;
 //!
-//! let recorder = Arc::new(Recorder::new());
+//! let recorder = Arc::new(ShardedRecorder::new());
 //! let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as Arc<dyn TraceSink>;
 //!
 //! let span = mec_obs::span(sink.as_ref(), "stage.compression");
@@ -45,6 +41,7 @@
 //! let elapsed = span.finish();
 //!
 //! assert_eq!(recorder.counter_value("labelprop.rounds"), 3);
+//! assert_eq!(recorder.metrics().snapshot().counter("labelprop.rounds"), Some(3));
 //! assert!(recorder.to_json_string().contains("stage.compression"));
 //! assert!(elapsed.as_nanos() > 0);
 //! ```
@@ -53,17 +50,17 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-mod recorder;
 mod serve;
 mod shard;
+mod store;
 
 pub use metrics::{
     CounterHandle, GaugeHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricKey,
     MetricsRegistry, RegistrySnapshot,
 };
-pub use recorder::{DropClass, DroppedRecords, Recorder, SpanRecord, TraceEvent};
 pub use serve::{serve, ObsServer};
 pub use shard::{ShardConfig, ShardedRecorder};
+pub use store::{DroppedRecords, SpanRecord, TraceEvent};
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -202,55 +199,6 @@ impl TraceSink for NullSink {}
 pub fn null_sink() -> Arc<dyn TraceSink> {
     static NULL: OnceLock<Arc<NullSink>> = OnceLock::new();
     Arc::clone(NULL.get_or_init(|| Arc::new(NullSink))) as Arc<dyn TraceSink>
-}
-
-/// A [`TraceSink`] that collects *metrics only*: counters and histogram
-/// records land in a shared [`MetricsRegistry`], spans and events are
-/// ignored. This is the cheap way to get live percentiles from a run
-/// that does not need a full trace — the experiments binary uses it
-/// when `--trace-out` is absent but a metrics table is wanted.
-#[derive(Debug, Clone)]
-pub struct MetricsSink {
-    registry: Arc<MetricsRegistry>,
-}
-
-impl Default for MetricsSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsSink {
-    /// A sink backed by a fresh enabled registry.
-    pub fn new() -> Self {
-        MetricsSink {
-            registry: Arc::new(MetricsRegistry::new()),
-        }
-    }
-
-    /// A sink forwarding into an existing registry.
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
-        MetricsSink { registry }
-    }
-
-    /// The shared registry this sink records into.
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-}
-
-impl TraceSink for MetricsSink {
-    fn enabled(&self) -> bool {
-        self.registry.enabled()
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        self.registry.add_counter(name, delta);
-    }
-
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        self.registry.record_histogram(name, value);
-    }
 }
 
 /// RAII guard for a span: exits the span when dropped or

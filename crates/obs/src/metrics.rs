@@ -413,8 +413,8 @@ struct RegistryInner {
 /// Handle acquisition takes a write lock once per metric; recording
 /// through a handle is lock-free. One-shot helpers
 /// ([`record_histogram`](Self::record_histogram),
-/// [`add_counter`](Self::add_counter)) take a read lock per call and
-/// exist for call sites that only hold a `dyn TraceSink`.
+/// [`add_counter`](Self::add_counter)) take a read lock per call; the
+/// recorder's aggregator folds histogram samples in through the first.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
@@ -484,8 +484,8 @@ impl MetricsRegistry {
         HistogramHandle(self.histogram_arc(MetricKey::labeled(name, key, value)))
     }
 
-    /// One-shot histogram record by name (the [`crate::TraceSink`]
-    /// forwarding path). No-op on a disabled registry.
+    /// One-shot histogram record by name. No-op on a disabled
+    /// registry.
     pub fn record_histogram(&self, name: &'static str, value: u64) {
         if !self.enabled {
             return;
@@ -502,7 +502,7 @@ impl MetricsRegistry {
         }
     }
 
-    fn counter_arc(&self, key: MetricKey) -> Option<Arc<Counter>> {
+    pub(crate) fn counter_arc(&self, key: MetricKey) -> Option<Arc<Counter>> {
         if !self.enabled {
             return None;
         }
@@ -529,6 +529,17 @@ impl MetricsRegistry {
         value: impl Into<String>,
     ) -> CounterHandle {
         CounterHandle(self.counter_arc(MetricKey::labeled(name, key, value)))
+    }
+
+    /// Current value of the unlabeled counter `name`, `None` if it was
+    /// never created.
+    pub(crate) fn counter_value(&self, name: &str) -> Option<u64> {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner
+            .counters
+            .iter()
+            .find(|(k, _)| k.name == name && k.label.is_none())
+            .map(|(_, c)| c.value())
     }
 
     /// One-shot counter add by name. No-op on a disabled registry.
@@ -614,7 +625,7 @@ pub struct RegistrySnapshot {
 
 /// Replaces every character outside `[a-zA-Z0-9_:]` with `_` — the
 /// Prometheus metric-name alphabet.
-pub(crate) fn prom_name(name: &str) -> String {
+fn prom_name(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == ':' {

@@ -1,10 +1,4 @@
-//! Sharded, bounded, lock-free trace collection.
-//!
-//! PR 1's [`Recorder`] funnels every span and event from all engine
-//! workers through two global `Mutex`es, which both distorts the
-//! latencies being measured and caps how much tracing a long-running
-//! service can afford to leave on. This module rebuilds the collection
-//! path as a sharded pipeline:
+//! The recorder: sharded, bounded, lock-free trace collection.
 //!
 //! - each recording thread owns (at most) one fixed-capacity **SPSC
 //!   ring shard** and appends complete span/event/histogram records to
@@ -13,21 +7,19 @@
 //!   `tests/alloc_budget.rs`);
 //! - a background **aggregator thread** drains every shard on a fixed
 //!   interval (or on demand via [`ShardedRecorder::flush`]) into the
-//!   ordinary [`Recorder`] / [`MetricsRegistry`] views, so every
-//!   existing export — JSON trace, collapsed stacks, Prometheus text,
-//!   Chrome trace events — keeps working unchanged;
+//!   recorder's store (span table, event ring, drop counts) and its
+//!   [`MetricsRegistry`] (histogram samples), which every export reads;
 //! - when a ring is full the record is **dropped, never blocked on**,
-//!   and the loss is counted per shard and per class
-//!   ([`DropClass::Span`] / [`DropClass::Event`] /
-//!   [`DropClass::Histogram`]) so `recorded + dropped` is exactly
-//!   conserved (see `crates/obs/tests/shard_properties.rs`).
+//!   and the loss is counted per shard and per class (span, event,
+//!   histogram sample) so `recorded + dropped` is exactly conserved
+//!   (see `crates/obs/tests/shard_properties.rs`).
 //!
-//! Counters deliberately bypass the rings: tests and the reproduction
-//! checks assert *exact* counter values, so [`TraceSink::counter_add`]
-//! lands directly on a per-thread cached `Arc<AtomicU64>` handle —
-//! still wait-free and allocation-free after warm-up, and never lossy.
-//! The split is: **counters are exact, spans/events/histogram samples
-//! are bounded-lossy with accounted drops.**
+//! Counters bypass the rings: tests and the reproduction checks assert
+//! *exact* counter values, so [`TraceSink::counter_add`] lands directly
+//! on the registry's counter cell, which each thread caches as an
+//! `Arc<Counter>` — wait-free and allocation-free after warm-up, and
+//! never lossy. The split is: **counters are exact, spans/events/
+//! histogram samples are bounded-lossy with accounted drops.**
 //!
 //! # Record encoding
 //!
@@ -38,10 +30,12 @@
 //! interning locks only on the first sighting of each name). Spans are
 //! written **once, on exit**, as a complete record — this is what makes
 //! drop accounting exact and keeps in-flight spans off the shared path
-//! (consequence: a sharded snapshot only shows completed spans).
+//! (consequence: a snapshot only shows completed spans).
 
-use crate::metrics::MetricsRegistry;
-use crate::recorder::{DropClass, DroppedRecords, Recorder, SpanRecord, TraceEvent};
+use crate::metrics::{Counter, MetricKey, MetricsRegistry};
+use crate::store::{
+    DropClass, DroppedRecords, SpanRecord, Store, TraceEvent, DEFAULT_EVENT_CAPACITY,
+};
 use crate::{FieldValue, SpanId, TraceSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -50,7 +44,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Words per ring slot: header + timestamp(s) + up to
 /// [`MAX_EVENT_FIELDS`] key/value pairs at two words each.
@@ -230,8 +224,8 @@ impl Shard {
 
 const CLASSES: [DropClass; 3] = [DropClass::Span, DropClass::Event, DropClass::Histogram];
 
-/// Aggregator-side bookkeeping, all behind one consumer mutex (the
-/// producers never touch it).
+/// The aggregator side, all behind one consumer mutex the producers
+/// never touch: the drain bookkeeping and the store it drains into.
 struct DrainState {
     /// Local copy of the intern table, extended lazily.
     names: Vec<&'static str>,
@@ -241,20 +235,22 @@ struct DrainState {
     /// record arrives) and removed once the span's own record lands.
     span_ids: Vec<HashMap<u64, u64>>,
     next_span_id: u64,
-    /// Per shard, per class: drop counts already forwarded to the
-    /// recorder, so each flush transfers only the delta.
+    /// Per shard, per class: drop counts already moved into the store,
+    /// so each flush moves only the delta.
     transferred: Vec<[u64; 3]>,
     transferred_unassigned: [u64; 3],
+    store: Store,
 }
 
 impl DrainState {
-    fn new(shards: usize) -> Self {
+    fn new(shards: usize, event_capacity: usize) -> Self {
         DrainState {
             names: Vec::new(),
             span_ids: (0..shards).map(|_| HashMap::new()).collect(),
             next_span_id: 1,
             transferred: vec![[0; 3]; shards],
             transferred_unassigned: [0; 3],
+            store: Store::new(event_capacity),
         }
     }
 
@@ -271,6 +267,8 @@ impl DrainState {
 
 struct Shared {
     sink_id: u64,
+    /// Zero point of every timestamp.
+    start: Instant,
     shards: Box<[Shard]>,
     /// Shard indices not currently owned by a thread. `Mutex` hand-off
     /// is what makes shard reuse safe: the previous owner's writes
@@ -280,9 +278,17 @@ struct Shared {
     /// Records shed by threads that found the shard pool exhausted,
     /// indexed by [`DropClass`].
     unassigned: [AtomicU64; 3],
-    recorder: Recorder,
+    /// Exact counters (written by the producers) and histograms
+    /// (folded in by the aggregator).
+    registry: Arc<MetricsRegistry>,
     drain: Mutex<DrainState>,
     stop: AtomicBool,
+}
+
+impl Shared {
+    fn now_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
 }
 
 /// Resolves an intern id against the aggregator's local copy of the
@@ -312,7 +318,7 @@ fn apply_record(shared: &Shared, drain: &mut DrainState, shard_idx: usize, words
             } else {
                 drain.global_span_id(shard_idx, parent_local)
             };
-            shared.recorder.ingest_span(SpanRecord {
+            drain.store.push_span(SpanRecord {
                 id,
                 parent,
                 name,
@@ -335,24 +341,20 @@ fn apply_record(shared: &Shared, drain: &mut DrainState, shard_idx: usize, words
                 };
                 fields.push((key, value));
             }
-            shared.recorder.ingest_event(TraceEvent {
+            drain.store.push_event(TraceEvent {
                 t_ns: words[1],
                 name,
                 fields,
             });
         }
-        TAG_HIST => {
-            TraceSink::histogram_record(&shared.recorder, name, words[1]);
-        }
+        TAG_HIST => shared.registry.record_histogram(name, words[1]),
         _ => {}
     }
 }
 
-/// Drains every shard into the recorder and forwards new drop counts.
-/// Consumer-side only; concurrent calls serialize on the drain mutex.
-fn flush_shared(shared: &Shared) {
-    let mut guard = lock(&shared.drain);
-    let drain = &mut *guard;
+/// Drains every shard into the store and moves new drop counts over.
+/// Consumer-side only: the caller holds the drain mutex.
+fn drain_into(shared: &Shared, drain: &mut DrainState) {
     for (shard_idx, shard) in shared.shards.iter().enumerate() {
         shard
             .ring
@@ -360,20 +362,21 @@ fn flush_shared(shared: &Shared) {
         for (class_idx, class) in CLASSES.iter().enumerate() {
             let seen = shard.drops[class_idx].load(Ordering::Relaxed);
             let delta = seen - drain.transferred[shard_idx][class_idx];
-            if delta > 0 {
-                drain.transferred[shard_idx][class_idx] = seen;
-                shared.recorder.add_dropped(*class, delta);
-            }
+            drain.transferred[shard_idx][class_idx] = seen;
+            drain.store.add_dropped(*class, delta);
         }
     }
     for (class_idx, class) in CLASSES.iter().enumerate() {
         let seen = shared.unassigned[class_idx].load(Ordering::Relaxed);
         let delta = seen - drain.transferred_unassigned[class_idx];
-        if delta > 0 {
-            drain.transferred_unassigned[class_idx] = seen;
-            shared.recorder.add_dropped(*class, delta);
-        }
+        drain.transferred_unassigned[class_idx] = seen;
+        drain.store.add_dropped(*class, delta);
     }
+}
+
+/// [`drain_into`] under the drain mutex; concurrent calls serialize.
+fn flush_shared(shared: &Shared) {
+    drain_into(shared, &mut lock(&shared.drain));
 }
 
 /// A span this thread has entered but not yet exited.
@@ -395,8 +398,8 @@ struct ThreadWriter {
     stack: Vec<OpenSpan>,
     /// `&'static str` (address, length) → intern id.
     name_ids: AddrMap<u32>,
-    /// `&'static str` (address, length) → exact counter cell.
-    counter_cells: AddrMap<Arc<AtomicU64>>,
+    /// `&'static str` (address, length) → the registry's counter cell.
+    counter_cells: AddrMap<Arc<Counter>>,
 }
 
 impl ThreadWriter {
@@ -449,7 +452,7 @@ impl ThreadWriter {
 
     fn span_enter(&mut self, name: &'static str) -> SpanId {
         let name_id = self.name_id(name);
-        let start_ns = self.shared.recorder.now_ns();
+        let start_ns = self.shared.now_ns();
         let parent = self.stack.last().map_or(0, |s| s.seq);
         self.next_seq += 1;
         let seq = self.next_seq;
@@ -463,7 +466,7 @@ impl ThreadWriter {
     }
 
     fn span_exit(&mut self, id: SpanId) {
-        let end_ns = self.shared.recorder.now_ns();
+        let end_ns = self.shared.now_ns();
         let Some(pos) = self.stack.iter().rposition(|s| s.seq == id.0) else {
             return;
         };
@@ -483,7 +486,7 @@ impl ThreadWriter {
         let n = fields.len().min(MAX_EVENT_FIELDS);
         let mut words = [0u64; SLOT_WORDS];
         words[0] = header(TAG_EVENT, n as u64, name_id);
-        words[1] = self.shared.recorder.now_ns();
+        words[1] = self.shared.now_ns();
         for (i, (key, value)) in fields.iter().take(n).enumerate() {
             let key_id = self.name_id(key);
             let (vt, bits) = match value {
@@ -506,11 +509,14 @@ impl ThreadWriter {
     fn counter_add(&mut self, name: &'static str, delta: u64) {
         let key = (name.as_ptr() as usize, name.len());
         if let Some(cell) = self.counter_cells.get(&key) {
-            cell.fetch_add(delta, Ordering::Relaxed);
+            cell.add(delta);
             return;
         }
-        let cell = self.shared.recorder.counter_cell(name);
-        cell.fetch_add(delta, Ordering::Relaxed);
+        // the recorder's registry is always enabled, so this resolves
+        let Some(cell) = self.shared.registry.counter_arc(MetricKey::plain(name)) else {
+            return;
+        };
+        cell.add(delta);
         self.counter_cells.insert(key, cell);
     }
 }
@@ -533,8 +539,8 @@ pub struct ShardConfig {
     /// Slots per shard, rounded up to a power of two (min 8). One slot
     /// holds one complete span, event, or histogram sample.
     pub capacity: usize,
-    /// Capacity of the aggregated recorder's retained event ring (the
-    /// existing [`Recorder::with_event_capacity`] bound).
+    /// Capacity of the retained event ring; once it is full, each new
+    /// event evicts the oldest, which counts as dropped.
     pub event_capacity: usize,
     /// Aggregator drain period. `None` disables the background thread
     /// entirely: records sit in the shards until an explicit
@@ -549,29 +555,31 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: (2 * cores + 4).clamp(8, 64),
             capacity: 16_384,
-            event_capacity: crate::recorder::DEFAULT_EVENT_CAPACITY,
+            event_capacity: DEFAULT_EVENT_CAPACITY,
             drain_interval: Some(Duration::from_millis(5)),
         }
     }
 }
 
-/// A [`TraceSink`] whose hot path is wait-free: every recording thread
-/// appends to its own bounded SPSC ring shard, and a background
-/// aggregator folds the shards into an ordinary [`Recorder`] (spans,
-/// events, collapsed stacks, JSON/Chrome export) and its
-/// [`MetricsRegistry`] (histograms).
+/// The recording [`TraceSink`]. Its hot path is wait-free: every
+/// recording thread appends to its own bounded SPSC ring shard, and a
+/// background aggregator folds the shards into the recorder's span
+/// table and event ring and its [`MetricsRegistry`] (histograms).
+/// Counters go straight to the registry.
 ///
 /// Snapshot accessors ([`spans`](ShardedRecorder::spans),
 /// [`to_json_string`](ShardedRecorder::to_json_string), …) flush
 /// pending records first, so they always observe everything recorded
 /// *and completed* before the call. In-flight spans are not visible
-/// until they exit (spans travel as one complete record).
+/// until they exit (spans travel as one complete record). Reading the
+/// registry through [`metrics`](ShardedRecorder::metrics) does not
+/// flush: call [`flush`](ShardedRecorder::flush) first to see every
+/// histogram sample.
 ///
-/// Dropping the recorder stops the aggregator thread and performs a
-/// final flush.
+/// Dropping the recorder stops the aggregator thread.
 pub struct ShardedRecorder {
     shared: Arc<Shared>,
-    aggregator: Mutex<Option<JoinHandle<()>>>,
+    aggregator: Option<JoinHandle<()>>,
 }
 
 impl Default for ShardedRecorder {
@@ -593,14 +601,15 @@ impl ShardedRecorder {
         let shards: Box<[Shard]> = (0..count).map(|_| Shard::new(config.capacity)).collect();
         let shared = Arc::new(Shared {
             sink_id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
+            start: Instant::now(),
             shards,
             // reversed so `pop()` hands out shard 0 first (the serial
             // path lands on tid 1 in the Chrome export)
             free: Mutex::new((0..count).rev().collect()),
             names: Mutex::new(NameTable::default()),
             unassigned: Default::default(),
-            recorder: Recorder::with_event_capacity(config.event_capacity),
-            drain: Mutex::new(DrainState::new(count)),
+            registry: Arc::new(MetricsRegistry::new()),
+            drain: Mutex::new(DrainState::new(count, config.event_capacity)),
             stop: AtomicBool::new(false),
         });
         let aggregator = config.drain_interval.map(|interval| {
@@ -612,14 +621,10 @@ impl ShardedRecorder {
                         flush_shared(&shared);
                         std::thread::park_timeout(interval);
                     }
-                    flush_shared(&shared);
                 })
                 .expect("spawn mec-obs aggregator thread")
         });
-        ShardedRecorder {
-            shared,
-            aggregator: Mutex::new(aggregator),
-        }
+        ShardedRecorder { shared, aggregator }
     }
 
     fn with_writer<R>(
@@ -646,6 +651,13 @@ impl ShardedRecorder {
         })
     }
 
+    /// Flushes, then reads the store under the same lock.
+    fn read<R>(&self, f: impl FnOnce(&Store) -> R) -> R {
+        let mut drain = lock(&self.shared.drain);
+        drain_into(&self.shared, &mut drain);
+        f(&drain.store)
+    }
+
     /// Number of ring shards.
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
@@ -658,69 +670,57 @@ impl ShardedRecorder {
         flush_shared(&self.shared);
     }
 
-    /// The live metrics registry the aggregator folds histogram
-    /// samples into (share it with an engine cluster for per-worker
-    /// histograms).
+    /// The live metrics registry: the exact counters, plus the
+    /// histogram samples the aggregator has folded in so far. Share it
+    /// with an engine cluster to collect per-worker histograms in the
+    /// same place.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        self.shared.recorder.metrics()
+        Arc::clone(&self.shared.registry)
     }
 
-    /// Current value of exact counter `name` (flushes first).
+    /// Current value of exact counter `name` (0 if never incremented).
+    /// Counters never ride the rings, so this needs no flush.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.shared.recorder.counter_value(name)
-    }
-
-    /// Snapshot of every exact counter, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        self.shared.recorder.counters()
+        self.shared.registry.counter_value(name).unwrap_or(0)
     }
 
     /// Completed spans aggregated so far (flushes first).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.flush();
-        self.shared.recorder.spans()
+        self.read(|s| s.spans().to_vec())
     }
 
     /// Aggregated events, oldest first (flushes first).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.flush();
-        self.shared.recorder.events()
+        self.read(|s| s.events().cloned().collect())
     }
 
     /// Per-class counts of records lost to full rings, shed by
     /// unassigned threads, or evicted from the retained event ring
     /// (flushes first so shard-side counts are folded in).
     pub fn dropped_records(&self) -> DroppedRecords {
-        self.flush();
-        self.shared.recorder.dropped_records()
+        self.read(Store::dropped)
     }
 
-    /// JSON trace export — same schema as [`Recorder::to_json_string`]
-    /// (flushes first).
+    /// The schema-v1 JSON trace (flushes first).
     pub fn to_json_string(&self) -> String {
-        self.flush();
-        self.shared.recorder.to_json_string()
+        self.read(|s| s.to_json_string(self.shared.now_ns(), &self.shared.registry.snapshot()))
     }
 
-    /// Chrome trace-event export — see
-    /// [`Recorder::to_chrome_trace_string`] (flushes first).
+    /// Chrome trace-event export (flushes first).
     pub fn to_chrome_trace_string(&self) -> String {
-        self.flush();
-        self.shared.recorder.to_chrome_trace_string()
+        self.read(Store::to_chrome_trace_string)
     }
 
     /// Folded-stack lines for `scripts/flamegraph.sh` (flushes first).
     pub fn to_collapsed_stacks(&self) -> String {
-        self.flush();
-        self.shared.recorder.to_collapsed_stacks()
+        self.read(Store::to_collapsed_stacks)
     }
 
-    /// Prometheus text exposition: the metrics registry snapshot plus
-    /// the exact trace counters and the three
+    /// Prometheus text exposition: the registry snapshot (histograms,
+    /// counters, gauges) plus the three
     /// `mec_obs_dropped_records{class=…}` series (flushes first).
     pub fn to_prometheus_string(&self) -> String {
-        self.flush();
-        self.shared.recorder.to_prometheus_string()
+        self.read(|s| s.to_prometheus_string(&self.shared.registry.snapshot()))
     }
 }
 
@@ -736,11 +736,10 @@ impl fmt::Debug for ShardedRecorder {
 impl Drop for ShardedRecorder {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = lock(&self.aggregator).take() {
+        if let Some(handle) = self.aggregator.take() {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        flush_shared(&self.shared);
     }
 }
 
@@ -807,7 +806,7 @@ mod tests {
         let inner_rec = spans.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(outer_rec.parent, 0);
         assert_eq!(inner_rec.parent, outer_rec.id);
-        assert!(outer_rec.end_ns.is_some());
+        assert!(outer_rec.duration_ns().unwrap() >= inner_rec.duration_ns().unwrap());
     }
 
     #[test]
@@ -865,6 +864,7 @@ mod tests {
         let h = snap.histogram("stage.nanos").expect("histogram");
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 3_000);
+        assert!(rec.to_json_string().contains("stage.nanos"));
     }
 
     #[test]
@@ -905,7 +905,7 @@ mod tests {
     /// Reads the recorder's span table *without* triggering the
     /// flush-on-read path, so the background thread must have done it.
     fn peek_spans(rec: &ShardedRecorder) -> Vec<SpanRecord> {
-        rec.shared.recorder.spans()
+        lock(&rec.shared.drain).store.spans().to_vec()
     }
 
     #[test]
@@ -959,5 +959,7 @@ mod tests {
         assert_eq!(b.spans().len(), 1);
         assert_eq!(a.spans()[0].name, "a_root");
         assert_eq!(b.spans()[0].name, "b_root");
+        assert_eq!(a.spans()[0].parent, 0);
+        assert_eq!(b.spans()[0].parent, 0);
     }
 }

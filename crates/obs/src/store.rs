@@ -1,30 +1,19 @@
-//! The in-memory recording sink and its JSON export.
+//! The aggregated trace a [`crate::ShardedRecorder`] drains into — the
+//! span table, the retained event ring and the per-class drop counts —
+//! and every export rendered from it.
 
-use crate::metrics::MetricsRegistry;
-use crate::{FieldValue, SpanId, TraceSink};
-use std::cell::RefCell;
+use crate::metrics::RegistrySnapshot;
+use crate::FieldValue;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
-/// Default capacity of the event ring buffer.
+/// Default capacity of the retained event ring.
 pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 65_536;
-
-/// Monotonically increasing id distinguishing recorders, so the
-/// per-thread span stacks of two live recorders never interfere.
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Stack of (recorder id, span id) for parent attribution.
-    static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The classes of lossy telemetry records whose losses are accounted
 /// separately (counters are exact and never dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropClass {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DropClass {
     /// A completed span record.
     Span = 0,
     /// A structured event.
@@ -54,7 +43,7 @@ impl DroppedRecords {
     }
 }
 
-/// A completed or in-flight span as the recorder stores it.
+/// A completed span as the recorder stores it.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Span id (1-based, dense).
@@ -65,17 +54,16 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Nanoseconds since the recorder was created.
     pub start_ns: u64,
-    /// End time, `None` while the span is still open.
+    /// End time. A span is stored once it closes, so this is always
+    /// `Some`; the JSON export keeps `end_ns` nullable.
     pub end_ns: Option<u64>,
-    /// Originating track: 0 for spans recorded directly on the
-    /// recorder, `shard index + 1` for spans aggregated from a
-    /// [`crate::ShardedRecorder`] ring shard. Becomes the `tid` of the
-    /// Chrome trace-event export.
+    /// Ring shard the span was recorded on, plus one. Becomes the
+    /// `tid` of the Chrome trace-event export.
     pub tid: u64,
 }
 
 impl SpanRecord {
-    /// Span duration in nanoseconds, `None` while open.
+    /// Span duration in nanoseconds.
     pub fn duration_ns(&self) -> Option<u64> {
         self.end_ns.map(|e| e.saturating_sub(self.start_ns))
     }
@@ -92,6 +80,7 @@ pub struct TraceEvent {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
+#[derive(Debug)]
 struct EventRing {
     buf: Vec<TraceEvent>,
     capacity: usize,
@@ -118,202 +107,87 @@ impl EventRing {
     }
 }
 
-/// An in-memory [`TraceSink`]: atomic counters, full span records, and
-/// a bounded event ring buffer, exportable as JSON.
-///
-/// Counter increments take a shared read lock plus one atomic add
-/// (the write lock is only taken the first time a counter name
-/// appears), so hot loops pay near-nothing. Span and event recording
-/// take a mutex; the pipeline emits those at stage granularity, not in
-/// inner loops.
+/// What the aggregator has drained so far: every completed span, the
+/// newest `event_capacity` events, and the per-class losses. Memory is
+/// bounded for events only; the span table grows with every span.
 #[derive(Debug)]
-pub struct Recorder {
-    recorder_id: u64,
-    start: Instant,
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    spans: Mutex<Vec<SpanRecord>>,
-    events: Mutex<EventRing>,
-    /// Losses indexed by [`DropClass`]: spans, events, histogram
-    /// samples. The recorder's direct path only ever evicts events;
-    /// the sharded pipeline forwards all three classes here so every
-    /// export reports them uniformly.
-    dropped: [AtomicU64; 3],
-    drop_warned: AtomicBool,
-    metrics: Arc<MetricsRegistry>,
+pub(crate) struct Store {
+    spans: Vec<SpanRecord>,
+    events: EventRing,
+    /// Losses indexed by [`DropClass`].
+    dropped: [u64; 3],
 }
 
-impl std::fmt::Debug for EventRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("len", &self.buf.len())
-            .field("capacity", &self.capacity)
-            .finish()
-    }
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
-impl Recorder {
-    /// A recorder with the default event capacity.
-    pub fn new() -> Self {
-        Recorder::with_event_capacity(DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// A recorder whose ring buffer keeps at most `capacity` events;
-    /// once full, new events overwrite the oldest and the dropped
-    /// count rises.
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Recorder {
-            recorder_id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            start: Instant::now(),
-            counters: RwLock::new(HashMap::new()),
-            spans: Mutex::new(Vec::new()),
-            events: Mutex::new(EventRing {
+impl Store {
+    pub(crate) fn new(event_capacity: usize) -> Self {
+        Store {
+            spans: Vec::new(),
+            events: EventRing {
                 buf: Vec::new(),
-                capacity: capacity.max(1),
+                capacity: event_capacity.max(1),
                 head: 0,
-            }),
-            dropped: Default::default(),
-            drop_warned: AtomicBool::new(false),
-            metrics: Arc::new(MetricsRegistry::new()),
+            },
+            dropped: [0; 3],
         }
     }
 
-    /// The live metrics registry this recorder forwards
-    /// [`TraceSink::histogram_record`] calls into. Share the `Arc` with
-    /// an engine cluster to collect per-worker histograms in the same
-    /// place as the pipeline's stage histograms.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
+    pub(crate) fn spans(&self) -> &[SpanRecord] {
+        &self.spans
     }
 
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
+    /// The retained events, oldest first.
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.events.iter_in_order()
     }
 
-    /// Current value of counter `name` (0 if never incremented).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// The shared cell backing counter `name`, creating it on first
-    /// use. The sharded pipeline caches these per thread so counter
-    /// increments stay exact *and* wait-free.
-    pub(crate) fn counter_cell(&self, name: &'static str) -> Arc<AtomicU64> {
-        {
-            let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = map.get(name) {
-                return Arc::clone(c);
-            }
-        }
-        let mut map = self.counters.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Snapshot of every counter, sorted by name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<(String, u64)> = map
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.load(Ordering::Relaxed)))
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Copies of all span records, in creation order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Copies of the retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter_in_order()
-            .cloned()
-            .collect()
-    }
-
-    /// Number of events evicted from the ring (or dropped upstream by
-    /// a sharded pipeline) so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped[DropClass::Event as usize].load(Ordering::Relaxed)
-    }
-
-    /// Per-class record losses. All three classes are reported
-    /// uniformly in the JSON export, the Prometheus exposition, and
-    /// the one-time warning.
-    pub fn dropped_records(&self) -> DroppedRecords {
+    pub(crate) fn dropped(&self) -> DroppedRecords {
         DroppedRecords {
-            spans: self.dropped[DropClass::Span as usize].load(Ordering::Relaxed),
-            events: self.dropped[DropClass::Event as usize].load(Ordering::Relaxed),
-            histogram_samples: self.dropped[DropClass::Histogram as usize].load(Ordering::Relaxed),
+            spans: self.dropped[DropClass::Span as usize],
+            events: self.dropped[DropClass::Event as usize],
+            histogram_samples: self.dropped[DropClass::Histogram as usize],
         }
     }
 
-    /// Counts `n` lost records of `class`, warning (once per recorder)
-    /// the first time any loss is observed.
-    pub(crate) fn add_dropped(&self, class: DropClass, n: u64) {
+    /// Counts `n` lost records of `class`, warning on stderr the first
+    /// time any loss is observed.
+    pub(crate) fn add_dropped(&mut self, class: DropClass, n: u64) {
         if n == 0 {
             return;
         }
-        self.dropped[class as usize].fetch_add(n, Ordering::Relaxed);
-        if !self.drop_warned.swap(true, Ordering::Relaxed) {
+        if self.dropped == [0; 3] {
             eprintln!(
                 "mec-obs: bounded telemetry buffers overflowed; \
                  span/event/histogram records are being dropped or evicted \
-                 (raise ShardConfig capacity or Recorder::with_event_capacity); \
+                 (raise ShardConfig::capacity or ShardConfig::event_capacity); \
                  exact counts are in the export's *_dropped fields"
             );
         }
+        self.dropped[class as usize] += n;
     }
 
-    /// Appends a completed span record produced by the shard
-    /// aggregator (ids are assigned by the caller).
-    pub(crate) fn ingest_span(&self, record: SpanRecord) {
-        self.spans
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(record);
+    pub(crate) fn push_span(&mut self, record: SpanRecord) {
+        self.spans.push(record);
     }
 
-    /// Appends an event produced by the shard aggregator, with the
-    /// same bounded-ring eviction accounting as the direct path.
-    pub(crate) fn ingest_event(&self, ev: TraceEvent) {
-        let evicted = self
-            .events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ev);
-        if evicted {
+    /// Retains `ev`, evicting (and counting) the oldest event once the
+    /// ring is full.
+    pub(crate) fn push_event(&mut self, ev: TraceEvent) {
+        if self.events.push(ev) {
             self.add_dropped(DropClass::Event, 1);
         }
     }
 
-    /// Collapses the closed spans into folded-stack lines
+    /// Collapses the spans into folded-stack lines
     /// (`root;child;leaf <self_nanos>`), the input format of
     /// inferno / `flamegraph.pl`. Self time is the span's duration
     /// minus the summed durations of its direct children; frames whose
     /// self time rounds to zero are omitted (they still appear as
     /// prefixes of their children's stacks). See
     /// `scripts/flamegraph.sh` for the rendering step.
-    pub fn to_collapsed_stacks(&self) -> String {
-        let spans = self.spans();
+    pub(crate) fn to_collapsed_stacks(&self) -> String {
+        let spans = &self.spans;
         let mut child_ns: HashMap<u64, u64> = HashMap::new();
-        for s in &spans {
+        for s in spans {
             if let Some(d) = s.duration_ns() {
                 if s.parent != 0 {
                     *child_ns.entry(s.parent).or_insert(0) += d;
@@ -322,7 +196,7 @@ impl Recorder {
         }
         let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        for s in &spans {
+        for s in spans {
             let Some(d) = s.duration_ns() else { continue };
             let self_ns = d.saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
             if self_ns == 0 {
@@ -349,7 +223,9 @@ impl Recorder {
         out
     }
 
-    /// Serialises the whole trace as a JSON document.
+    /// Serialises the whole trace as a JSON document. `metrics` is the
+    /// registry snapshot: its unlabeled counters are the top-level
+    /// `counters`, and the whole snapshot is nested under `metrics`.
     ///
     /// Schema (stable, consumed by `scripts/plot_figures.py`):
     ///
@@ -372,32 +248,29 @@ impl Recorder {
     /// When any bounded buffer has dropped or evicted records, the
     /// export also carries a top-level `"warning"` string listing the
     /// per-class counts so truncation is never silent.
-    /// (`"events_dropped"` was named `"dropped_events"` before the
-    /// warning existed; `"spans_dropped"` / `"hist_samples_dropped"`
-    /// arrived with the sharded pipeline.)
-    pub fn to_json_string(&self) -> String {
+    pub(crate) fn to_json_string(&self, duration_ns: u64, metrics: &RegistrySnapshot) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"version\": 1,\n");
-        let _ = writeln!(out, "  \"duration_ns\": {},", self.now_ns());
+        let _ = writeln!(out, "  \"duration_ns\": {duration_ns},");
 
         out.push_str("  \"counters\": {");
-        let counters = self.counters();
-        for (i, (name, value)) in counters.iter().enumerate() {
-            if i > 0 {
+        let mut any = false;
+        for (key, value) in metrics.counters.iter().filter(|(k, _)| k.label.is_none()) {
+            if any {
                 out.push(',');
             }
+            any = true;
             out.push_str("\n    ");
-            write_json_str(&mut out, name);
+            write_json_str(&mut out, key.name);
             let _ = write!(out, ": {value}");
         }
-        if !counters.is_empty() {
+        if any {
             out.push_str("\n  ");
         }
         out.push_str("},\n");
 
         out.push_str("  \"spans\": [");
-        let spans = self.spans();
-        for (i, s) in spans.iter().enumerate() {
+        for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -422,14 +295,13 @@ impl Recorder {
                 None => out.push_str(", \"end_ns\": null, \"duration_ns\": null }"),
             }
         }
-        if !spans.is_empty() {
+        if !self.spans.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("],\n");
 
         out.push_str("  \"events\": [");
-        let events = self.events();
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in self.events().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -447,27 +319,26 @@ impl Recorder {
             }
             out.push_str("} }");
         }
-        if !events.is_empty() {
+        if !self.events.buf.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("],\n");
 
-        // live metrics: spliced in as a nested object (the snapshot
-        // serialiser already emits a complete JSON document)
-        let metrics_json = self.metrics.snapshot().to_json_string();
+        // the snapshot serialiser already emits a complete JSON
+        // document; splice it in as a nested object
         out.push_str("  \"metrics\": ");
-        out.push_str(metrics_json.trim_end());
+        out.push_str(metrics.to_json_string().trim_end());
         out.push_str(",\n");
 
-        let dropped = self.dropped_records();
+        let dropped = self.dropped();
         if dropped.total() > 0 {
             out.push_str("  \"warning\": ");
             write_json_str(
                 &mut out,
                 &format!(
                     "bounded telemetry buffers overflowed: {} span(s), {} event(s), \
-                     {} histogram sample(s) dropped or evicted; raise ShardConfig \
-                     capacity or Recorder::with_event_capacity to keep them",
+                     {} histogram sample(s) dropped or evicted; raise \
+                     ShardConfig::capacity or ShardConfig::event_capacity to keep them",
                     dropped.spans, dropped.events, dropped.histogram_samples
                 ),
             );
@@ -486,15 +357,15 @@ impl Recorder {
     /// Serialises the trace in the Chrome trace-event JSON format
     /// (load the file at `chrome://tracing` or in Perfetto).
     ///
-    /// Completed spans become `"ph": "X"` duration events on track
-    /// `tid` (0 = direct recording, `shard + 1` = sharded pipeline);
-    /// trace events become `"ph": "i"` instants with their fields under
-    /// `"args"`. Timestamps are microseconds since recorder creation.
-    pub fn to_chrome_trace_string(&self) -> String {
+    /// Spans become `"ph": "X"` duration events on track `tid` (ring
+    /// shard + 1); trace events become `"ph": "i"` instants with their
+    /// fields under `"args"`. Timestamps are microseconds since
+    /// recorder creation.
+    pub(crate) fn to_chrome_trace_string(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
-        for s in self.spans() {
+        for s in &self.spans {
             let Some(end_ns) = s.end_ns else { continue };
             if !first {
                 out.push(',');
@@ -536,17 +407,12 @@ impl Recorder {
         out
     }
 
-    /// Prometheus text exposition: the metrics registry snapshot, the
-    /// exact trace counters, and the three
+    /// Prometheus text exposition: the registry snapshot (histograms,
+    /// counters, gauges) plus the three
     /// `mec_obs_dropped_records{class=…}` series.
-    pub fn to_prometheus_string(&self) -> String {
-        let mut out = self.metrics.snapshot().to_prometheus_string();
-        for (name, value) in self.counters() {
-            let n = crate::metrics::prom_name(&name);
-            let _ = writeln!(out, "# TYPE {n} counter");
-            let _ = writeln!(out, "{n} {value}");
-        }
-        let d = self.dropped_records();
+    pub(crate) fn to_prometheus_string(&self, metrics: &RegistrySnapshot) -> String {
+        let mut out = metrics.to_prometheus_string();
+        let d = self.dropped();
         out.push_str("# TYPE mec_obs_dropped_records counter\n");
         for (class, value) in [
             ("span", d.spans),
@@ -596,144 +462,27 @@ fn write_field_value(out: &mut String, v: &FieldValue) {
     }
 }
 
-impl TraceSink for Recorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span_enter(&self, name: &'static str) -> SpanId {
-        let start_ns = self.now_ns();
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
-        let id = spans.len() as u64 + 1;
-        let parent = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack
-                .iter()
-                .rev()
-                .find(|(rec, _)| *rec == self.recorder_id)
-                .map_or(0, |(_, span)| *span);
-            stack.push((self.recorder_id, id));
-            parent
-        });
-        spans.push(SpanRecord {
-            id,
-            parent,
-            name,
-            start_ns,
-            end_ns: None,
-            tid: 0,
-        });
-        SpanId(id)
-    }
-
-    fn span_exit(&self, id: SpanId) {
-        if id.is_null() {
-            return;
-        }
-        let end_ns = self.now_ns();
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack
-                .iter()
-                .rposition(|&(rec, span)| rec == self.recorder_id && span == id.0)
-            {
-                stack.remove(pos);
-            }
-        });
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(record) = spans.get_mut((id.0 - 1) as usize) {
-            if record.end_ns.is_none() {
-                record.end_ns = Some(end_ns);
-            }
-        }
-    }
-
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        {
-            let map = self.counters.read().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = map.get(name) {
-                c.fetch_add(delta, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut map = self.counters.write().unwrap_or_else(|e| e.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
-        self.ingest_event(TraceEvent {
-            t_ns: self.now_ns(),
-            name,
-            fields: fields.to_vec(),
-        });
-    }
-
-    fn histogram_record(&self, name: &'static str, value: u64) {
-        self.metrics.record_histogram(name, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::span;
+    use crate::{span, FieldValue, ShardConfig, ShardedRecorder, TraceSink};
 
-    #[test]
-    fn counters_accumulate_across_threads() {
-        let rec = std::sync::Arc::new(Recorder::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = std::sync::Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        rec.counter_add("hits", 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.counter_value("hits"), 4000);
-    }
-
-    #[test]
-    fn spans_nest_by_thread_order() {
-        let rec = Recorder::new();
-        let outer = span(&rec, "outer");
-        let inner = span(&rec, "inner");
-        inner.finish();
-        outer.finish();
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 2);
-        let outer_rec = spans.iter().find(|s| s.name == "outer").unwrap();
-        let inner_rec = spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(outer_rec.parent, 0);
-        assert_eq!(inner_rec.parent, outer_rec.id);
-        assert!(outer_rec.duration_ns().unwrap() >= inner_rec.duration_ns().unwrap());
-    }
-
-    #[test]
-    fn two_recorders_keep_separate_parent_stacks() {
-        let a = Recorder::new();
-        let b = Recorder::new();
-        let sa = span(&a, "a_root");
-        let sb = span(&b, "b_root");
-        sb.finish();
-        sa.finish();
-        assert_eq!(a.spans()[0].parent, 0);
-        assert_eq!(b.spans()[0].parent, 0);
+    /// A recorder without the background aggregator, holding at most
+    /// `event_capacity` events.
+    fn manual(event_capacity: usize) -> ShardedRecorder {
+        ShardedRecorder::with_config(ShardConfig {
+            event_capacity,
+            drain_interval: None,
+            ..ShardConfig::default()
+        })
     }
 
     #[test]
     fn event_ring_evicts_oldest_and_counts_drops() {
-        let rec = Recorder::with_event_capacity(3);
+        let rec = manual(3);
         for i in 0..5u64 {
             rec.event("e", &[("i", FieldValue::U64(i))]);
         }
-        assert_eq!(rec.dropped_events(), 2);
+        assert_eq!(rec.dropped_records().events, 2);
         let events = rec.events();
         assert_eq!(events.len(), 3);
         let kept: Vec<u64> = events
@@ -748,7 +497,7 @@ mod tests {
 
     #[test]
     fn json_export_contains_all_sections() {
-        let rec = Recorder::new();
+        let rec = manual(16);
         let s = span(&rec, "stage.compression");
         rec.counter_add("greedy.moves_evaluated", 7);
         rec.event(
@@ -780,7 +529,7 @@ mod tests {
 
     #[test]
     fn json_export_warns_once_truncation_happened() {
-        let rec = Recorder::with_event_capacity(1);
+        let rec = manual(1);
         rec.event("e", &[]);
         rec.event("e", &[]);
         let json = rec.to_json_string();
@@ -789,21 +538,33 @@ mod tests {
         assert!(json.contains("evicted"), "{json}");
     }
 
+    /// Every counter view reads the registry's one cell: the direct
+    /// lookup, the registry snapshot, the trace JSON's top-level
+    /// `counters` and the Prometheus text.
     #[test]
-    fn histogram_records_land_in_the_registry() {
-        let rec = Recorder::new();
-        rec.histogram_record("stage.greedy_nanos", 1_000);
-        rec.histogram_record("stage.greedy_nanos", 3_000);
-        let snap = rec.metrics().snapshot();
-        let h = snap.histogram("stage.greedy_nanos").expect("histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 3_000);
-        assert!(rec.to_json_string().contains("stage.greedy_nanos"));
+    fn one_counter_store_backs_every_view() {
+        let rec = manual(16);
+        rec.counter_add("labelprop.rounds", 29);
+        rec.counter_add("labelprop.rounds", 1);
+        assert_eq!(rec.counter_value("labelprop.rounds"), 30);
+        assert_eq!(
+            rec.metrics().snapshot().counter("labelprop.rounds"),
+            Some(30)
+        );
+        let json = rec.to_json_string();
+        let top = json.split("\"spans\"").next().unwrap();
+        assert!(top.contains("\"labelprop.rounds\": 30"), "{json}");
+        let prom = rec.to_prometheus_string();
+        let samples: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("labelprop_rounds"))
+            .collect();
+        assert_eq!(samples, ["labelprop_rounds 30"], "{prom}");
     }
 
     #[test]
     fn collapsed_stacks_fold_self_time_by_path() {
-        let rec = Recorder::new();
+        let rec = manual(16);
         let outer = span(&rec, "pipeline.solve");
         std::thread::sleep(std::time::Duration::from_millis(2));
         let inner = span(&rec, "stage.greedy");

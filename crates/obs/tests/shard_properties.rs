@@ -1,9 +1,9 @@
 //! Property-based tests for the sharded collection pipeline: exact
 //! conservation of `recorded + dropped` per class under multi-thread
-//! hammering at tiny ring capacities, and equality with the
-//! single-threaded [`Recorder`] reference when nothing drops.
+//! hammering at tiny ring capacities, and a lossless single-thread run
+//! reproducing exactly what the workload script emitted.
 
-use mec_obs::{FieldValue, Recorder, ShardConfig, ShardedRecorder, TraceSink};
+use mec_obs::{FieldValue, ShardConfig, ShardedRecorder, TraceSink};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -88,15 +88,12 @@ proptest! {
         prop_assert_eq!(rec.counter_value("work.count"), spans_emitted as u64);
     }
 
-    /// With ample capacity and a single recording thread, the sharded
-    /// pipeline reproduces the plain `Recorder` reference exactly:
-    /// same span names/nesting/count, same events in order, same
-    /// histogram shape, zero drops.
+    /// With ample capacity and a single recording thread, the recorder
+    /// reproduces the workload script exactly: the spans it opened (as
+    /// sequential roots), the events it emitted in order, the histogram
+    /// samples it recorded, the counter it bumped, and zero drops.
     #[test]
     fn lossless_single_thread_matches_reference(w in arb_workload()) {
-        let reference = Recorder::new();
-        run_workload(&reference, &w);
-
         let sharded = ShardedRecorder::with_config(ShardConfig {
             capacity: 1 << 12,
             drain_interval: None,
@@ -107,34 +104,36 @@ proptest! {
 
         prop_assert_eq!(sharded.dropped_records().total(), 0);
 
-        let ref_spans = reference.spans();
         let got_spans = sharded.spans();
-        prop_assert_eq!(got_spans.len(), ref_spans.len());
-        for (a, b) in got_spans.iter().zip(ref_spans.iter()) {
-            prop_assert_eq!(a.name, b.name);
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.parent, b.parent);
-            prop_assert!(a.end_ns.is_some() && b.end_ns.is_some());
+        prop_assert_eq!(got_spans.len(), w.spans);
+        for (i, s) in got_spans.iter().enumerate() {
+            prop_assert_eq!(s.name, "work.unit");
+            prop_assert_eq!(s.id, i as u64 + 1);
+            prop_assert_eq!(s.parent, 0);
+            prop_assert!(s.end_ns.is_some());
         }
 
-        let ref_events = reference.events();
+        let expected_events: Vec<(&str, Vec<(&str, FieldValue)>)> = (0..w.spans)
+            .map(|i| ("work.tick", vec![("i", FieldValue::U64(i as u64))]))
+            .chain((0..w.loose_events).map(|_| ("work.loose", Vec::new())))
+            .collect();
         let got_events = sharded.events();
-        prop_assert_eq!(got_events.len(), ref_events.len());
-        for (a, b) in got_events.iter().zip(ref_events.iter()) {
-            prop_assert_eq!(a.name, b.name);
-            prop_assert_eq!(&a.fields, &b.fields);
+        prop_assert_eq!(got_events.len(), expected_events.len());
+        for (a, (name, fields)) in got_events.iter().zip(expected_events.iter()) {
+            prop_assert_eq!(a.name, *name);
+            prop_assert_eq!(&a.fields, fields);
         }
 
-        let ref_hist = reference.metrics().snapshot();
         let got_hist = sharded.metrics().snapshot();
-        match (ref_hist.histogram("work.nanos"), got_hist.histogram("work.nanos")) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.count(), b.count());
-                prop_assert_eq!(a.sum(), b.sum());
-                prop_assert_eq!(a.max(), b.max());
+        match got_hist.histogram("work.nanos") {
+            Some(h) => {
+                let n = w.spans as u64;
+                prop_assert_eq!(h.count(), n);
+                prop_assert_eq!(h.sum(), 100 * n * (n + 1) / 2);
+                prop_assert_eq!(h.max(), 100 * n);
             }
-            (None, None) => {}
-            (a, b) => prop_assert!(false, "histogram presence differs: {:?} vs {:?}", a.is_some(), b.is_some()),
+            None => prop_assert_eq!(w.spans, 0, "histogram missing"),
         }
+        prop_assert_eq!(sharded.counter_value("work.count"), w.spans as u64);
     }
 }

@@ -1,10 +1,10 @@
 //! Pipeline telemetry: record a full multi-user solve as a trace.
 //!
-//! Attaches an [`mec_obs::Recorder`] to the offloader, solves a small
-//! three-user scenario, and prints what the instrumentation saw: stage
-//! spans with durations, the label-propagation α trajectory, Lanczos
-//! iteration counts, the greedy evaluated/accepted ratio, and the
-//! stage-latency histograms from the recorder's metrics registry.
+//! Attaches a [`mec_obs::ShardedRecorder`] to the offloader, solves a
+//! small three-user scenario, and prints what the instrumentation saw:
+//! stage spans with durations, the label-propagation α trajectory,
+//! Lanczos iteration counts, the greedy evaluated/accepted ratio, and
+//! the stage-latency histograms from the recorder's metrics registry.
 //! Finally exports the whole trace as JSON (the same format the
 //! experiments binary writes with `--trace-out`).
 //!
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }));
 
     // --- 2. solve with a recorder attached ---------------------------
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(ShardedRecorder::new());
     let report = Offloader::builder()
         .strategy(StrategyKind::Spectral)
         .trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
@@ -44,8 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 3. stage spans ----------------------------------------------
+    // spans are stored as they close; sort by start time for tree order
     println!("stage spans:");
-    for s in recorder.spans() {
+    let mut spans = recorder.spans();
+    spans.sort_by_key(|s| s.start_ns);
+    for s in spans {
         let ms = s.duration_ns().unwrap_or(0) as f64 / 1e6;
         let indent = if s.parent == 0 { "" } else { "  " };
         println!("  {indent}{:<20} {ms:>8.3} ms", s.name);
@@ -110,7 +113,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 6. live histograms from the metrics registry ----------------
+    // histogram samples reach the registry when the recorder drains its
+    // rings: flush before reading it
     println!("\nstage latency distributions:");
+    recorder.flush();
     let snap = recorder.metrics().snapshot();
     for name in [
         "stage.compression_nanos",
@@ -137,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         json.len(),
         recorder.spans().len(),
         recorder.events().len(),
-        recorder.dropped_events()
+        recorder.dropped_records().events
     );
 
     // --- 8. flamegraph / Chrome-tracing exports ----------------------

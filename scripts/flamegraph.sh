@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Render a flame graph from collapsed-stack span output.
 #
-# Input is the format Recorder::to_collapsed_stacks() produces
+# Input is the format ShardedRecorder::to_collapsed_stacks() produces
 # ("root;child;leaf <self_nanos>" per line), either from a file or
 # pulled live from a serving pipeline's /stacks endpoint:
 #

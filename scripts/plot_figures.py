@@ -106,7 +106,7 @@ def runtime_curves(points, path):
 
 def trace_summary(trace, path):
     """Stage-duration chart + counter dump from a telemetry trace
-    (the JSON `mec_obs::Recorder` exports, schema version 1)."""
+    (the JSON `mec_obs::ShardedRecorder` exports, schema version 1)."""
     if trace.get("version") != 1:
         print(f"skipping trace: unknown schema version {trace.get('version')!r}")
         return

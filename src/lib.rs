@@ -76,6 +76,6 @@ pub mod prelude {
     pub use mec_labelprop::{CompressionConfig, Compressor, ThresholdRule};
     pub use mec_model::{AllocationPolicy, Scenario, SystemParams, UserWorkload};
     pub use mec_netgen::NetgenSpec;
-    pub use mec_obs::{NullSink, Recorder, ShardedRecorder, TraceSink};
+    pub use mec_obs::{NullSink, ShardedRecorder, TraceSink};
     pub use mec_spectral::{SpectralBisector, SplitRule};
 }

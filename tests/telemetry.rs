@@ -1,5 +1,7 @@
 //! Telemetry guarantees: tracing never changes results, the recorder
-//! sees the whole pipeline, and the exported JSON is well-formed.
+//! sees the whole pipeline, and the exported JSON is well-formed. The
+//! recorder's span, event and JSON accessors flush first, and counters
+//! need no flush, so these tests read without flushing by hand.
 
 use copmecs::obs::FieldValue;
 use copmecs::prelude::*;
@@ -42,7 +44,7 @@ fn null_sink_report_is_byte_identical() {
 fn recording_does_not_change_the_plan() {
     let s = crowd(12, 2);
     let plain = Offloader::builder().build().solve(&s).unwrap();
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(ShardedRecorder::new());
     let traced = Offloader::builder()
         .trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
         .build()
@@ -58,7 +60,7 @@ fn recording_does_not_change_the_plan() {
 #[test]
 fn recorder_sees_every_pipeline_stage() {
     let s = crowd(13, 2);
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(ShardedRecorder::new());
     Offloader::builder()
         .strategy(StrategyKind::Spectral)
         .trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
@@ -116,7 +118,7 @@ fn recorder_sees_every_pipeline_stage() {
 
 #[test]
 fn session_counters_track_churn() {
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(ShardedRecorder::new());
     let mut session = OffloadSession::new(SystemParams::default()).with_traced_strategy(
         &StrategyKind::Spectral,
         Arc::clone(&recorder) as Arc<dyn TraceSink>,
@@ -139,7 +141,7 @@ fn session_counters_track_churn() {
 #[test]
 fn trace_json_round_trips_through_serde() {
     let s = crowd(14, 1);
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(ShardedRecorder::new());
     Offloader::builder()
         .trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
         .build()
