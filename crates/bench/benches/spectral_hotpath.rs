@@ -4,11 +4,16 @@
 //! in three configurations so a regression in any layer of the
 //! optimisation shows up as its own curve:
 //!
-//! - `cold`: fresh buffers per call, cold Lanczos (pre-PR shape);
-//! - `scratch`: one [`CutScratch`] arena reused across calls,
-//!   warm-start off — isolates the allocation savings;
-//! - `scratch+warm`: arena plus warm-started Lanczos — the full hot
-//!   path, as wired by `experiments --bench-out BENCH_spectral.json`.
+//! - `cold`: fresh buffers per call, unseeded Lanczos (every
+//!   eigen-solve starts from the pseudo-random vector);
+//! - `scratch`: one [`CutScratch`] arena reused across calls, still
+//!   unseeded — isolates the allocation savings;
+//! - `scratch+warm`: arena plus each child cut seeded with its parent's
+//!   Fiedler vector — the full hot path, as wired by
+//!   `experiments --bench-out BENCH_spectral.json`.
+//!
+//! All three run the same eigensolver schedule, one Lanczos recurrence
+//! per solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mec_bench::runtime::runtime_graph;

@@ -6,7 +6,8 @@
 //!   *dense* eigensolver. The paper reports that its serial variant
 //!   "wasted most of the running time on lots of matrix
 //!   multiplications about the graph spectrum calculation"; the dense
-//!   Jacobi path reproduces exactly that cost profile.
+//!   eigensolver path (Householder reduction + QL, Jacobi up to 8
+//!   nodes) reproduces exactly that cost profile.
 //! - **our algorithm with engine** — the sparse Lanczos eigensolver
 //!   with Laplacian products sharded over the [`mec_engine`] cluster
 //!   (the paper's Spark configuration).
@@ -40,8 +41,9 @@ pub struct RuntimePoint {
     pub seconds: f64,
 }
 
-/// Spectral strategy forced onto the dense (Jacobi) eigensolver —
-/// the paper's matrix-multiplication-bound serial implementation.
+/// Spectral strategy forced onto the dense eigensolver (Householder
+/// reduction + QL; Jacobi up to 8 nodes) — the paper's
+/// matrix-multiplication-bound serial implementation.
 #[derive(Debug, Clone)]
 pub struct DenseSpectralStrategy {
     bisector: SpectralBisector,
@@ -52,7 +54,8 @@ impl DenseSpectralStrategy {
     pub fn new() -> Self {
         DenseSpectralStrategy {
             bisector: SpectralBisector::new().lanczos_options(LanczosOptions {
-                // always densify: every eigenpair comes from Jacobi
+                // always densify: every eigenpair comes from a dense
+                // solve, never the Lanczos recurrence
                 dense_cutoff: usize::MAX,
                 ..LanczosOptions::default()
             }),

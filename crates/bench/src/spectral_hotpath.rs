@@ -8,13 +8,17 @@
 //! - **baseline**: the pre-scratch-arena shape of the code. Every
 //!   recursion level materialises an owned sub-graph
 //!   ([`Subgraph::induced`]), every cut builds a fresh CSR snapshot and
-//!   lets Lanczos allocate a new Krylov basis, and every solve starts
-//!   cold.
+//!   lets Lanczos allocate a new Krylov basis, and every eigen-solve
+//!   starts from the pseudo-random vector (no parent seed).
 //! - **optimized**: the current hot path. One [`CutScratch`] arena for
 //!   the whole run, index-space [`mec_graph::CsrView`] restriction
-//!   instead of owned sub-graphs, and warm-started Lanczos
-//!   ([`mec_linalg::LanczosOptions::warm_start`]) seeding each child cut
-//!   with the restriction of its parent's Fiedler vector.
+//!   instead of owned sub-graphs, and each child cut's eigen-solve
+//!   seeded ([`mec_linalg::LanczosOptions::warm_start`]) with the
+//!   restriction of its parent's Fiedler vector.
+//!
+//! Both sides run the same eigensolver schedule, one Lanczos
+//! recurrence per solve; they differ in buffers, sub-graph handling and
+//! the start vector.
 //!
 //! Both sides are recorded in the same [`HotpathReport`] (written as
 //! `BENCH_spectral.json` by `experiments --bench-out`), so every PR
@@ -141,9 +145,10 @@ pub struct ObsOverhead {
 pub struct HotpathReport {
     /// The workload both sides ran.
     pub spec: HotpathSpec,
-    /// Pre-PR shape: owned sub-graphs, cold Lanczos, fresh buffers.
+    /// Pre-arena shape: owned sub-graphs, unseeded Lanczos, fresh
+    /// buffers.
     pub baseline: HotpathMeasurement,
-    /// Current shape: CsrView + CutScratch + warm-started Lanczos,
+    /// Current shape: CsrView + CutScratch + parent-seeded Lanczos,
     /// scalar kernels.
     pub optimized: HotpathMeasurement,
     /// The optimized shape under the unrolled 4-lane kernels; `None`
@@ -160,8 +165,8 @@ pub struct HotpathReport {
     pub obs_overhead: Option<ObsOverhead>,
 }
 
-/// Pre-PR-style recursive bisection: owned [`Subgraph::induced`] per
-/// level, a cold [`SpectralBisector::bisect`] per cut (fresh CSR
+/// Pre-arena recursive bisection: owned [`Subgraph::induced`] per
+/// level, an unseeded [`SpectralBisector::bisect`] per cut (fresh CSR
 /// snapshot, fresh Krylov basis). Faithful to the code shape before the
 /// scratch arena landed — this is the measured baseline, not a straw
 /// man: the split rule, depth, and leaf policy match the optimized
@@ -448,7 +453,7 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
     mec_linalg::kernels::set_simd_enabled(false);
 
     let baseline = measure(
-        "owned-subgraph cold-start (pre-PR shape)",
+        "owned-subgraph unseeded (pre-arena shape)",
         spec,
         probe,
         |quotients| {

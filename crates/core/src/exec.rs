@@ -8,8 +8,8 @@
 //! which meant every `?` early-return was a site where one of those
 //! copies could (and did) go missing. [`ExecCtx`] collapses the fork:
 //! one context carries the backend (serial with a [`CutScratch`] arena,
-//! or an engine [`Cluster`]), the trace sink, and the RNG seed, and
-//! every pipeline stage takes the context instead of picking a path.
+//! or an engine [`Cluster`]) and the trace sink, and every pipeline
+//! stage takes the context instead of picking a path.
 //!
 //! The telemetry epilogue is RAII: [`ExecCtx::scope`] returns an
 //! [`ExecScope`] guard whose drop handler finishes the span, records
@@ -17,10 +17,6 @@
 //! returns, `?` error propagation, and panics alike — so the
 //! flush-skipped-on-error bug class cannot recur one call site at a
 //! time.
-//!
-//! A future async or work-stealing backend slots in as a third
-//! [`ExecBackend`] variant: algorithm code already dispatches on the
-//! context, so no solve/session/front-end signature changes.
 
 use mec_engine::Cluster;
 use mec_obs::{SpanId, TraceSink};
@@ -66,8 +62,8 @@ pub enum ExecBackend {
     Cluster(Arc<Cluster>),
 }
 
-/// One execution context for the whole pipeline: backend, trace sink,
-/// and RNG seed. Construct with [`ExecCtx::serial`] /
+/// One execution context for the whole pipeline: backend and trace
+/// sink. Construct with [`ExecCtx::serial`] /
 /// [`ExecCtx::cluster`], configure with the `with_*` builders, and
 /// pass `&mut` to [`Offloader::solve_with`](crate::Offloader::solve_with)
 /// (or hold one inside an [`OffloadSession`](crate::OffloadSession)).
@@ -79,7 +75,6 @@ pub enum ExecBackend {
 pub struct ExecCtx {
     backend: ExecBackend,
     sink: Arc<dyn TraceSink>,
-    seed: u64,
 }
 
 impl Default for ExecCtx {
@@ -89,15 +84,14 @@ impl Default for ExecCtx {
 }
 
 impl ExecCtx {
-    /// A serial context with a fresh arena, the [`mec_obs::NullSink`],
-    /// and seed 0.
+    /// A serial context with a fresh arena and the
+    /// [`mec_obs::NullSink`].
     pub fn serial() -> Self {
         ExecCtx {
             backend: ExecBackend::Serial {
                 scratch: Box::default(),
             },
             sink: mec_obs::null_sink(),
-            seed: 0,
         }
     }
 
@@ -110,7 +104,7 @@ impl ExecCtx {
     }
 
     /// Swaps the backend to `cluster` (respecting [`force_serial`]),
-    /// keeping the sink and seed.
+    /// keeping the sink.
     pub fn into_cluster(mut self, cluster: Arc<Cluster>) -> Self {
         if !force_serial() {
             self.backend = ExecBackend::Cluster(cluster);
@@ -125,23 +119,9 @@ impl ExecCtx {
         self
     }
 
-    /// Sets the RNG seed carried by this context. Nothing in the
-    /// deterministic pipeline consumes it today; randomized stages
-    /// (the ROADMAP's anytime optimizer, sampled workloads) must draw
-    /// their generators from here so a context fixes the whole run.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The trace sink every stage under this context records into.
     pub fn sink(&self) -> &Arc<dyn TraceSink> {
         &self.sink
-    }
-
-    /// The RNG seed carried by this context.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// `true` when the front-end fans out over a cluster.
@@ -260,8 +240,6 @@ mod tests {
         let ctx = ExecCtx::serial();
         assert!(!ctx.is_cluster());
         assert_eq!(ctx.backend_name(), "serial");
-        assert_eq!(ctx.seed(), 0);
-        assert_eq!(ctx.with_seed(7).seed(), 7);
     }
 
     #[test]

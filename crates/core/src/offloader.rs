@@ -124,7 +124,6 @@ pub struct OffloaderBuilder {
     greedy_mode: GreedyMode,
     sink: Option<Arc<dyn TraceSink>>,
     cluster: Option<Arc<Cluster>>,
-    seed: u64,
 }
 
 impl OffloaderBuilder {
@@ -163,13 +162,6 @@ impl OffloaderBuilder {
         self
     }
 
-    /// Sets the RNG seed carried by the contexts this offloader builds
-    /// ([`Offloader::exec_ctx`]); see [`ExecCtx::with_seed`].
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Builds the offloader.
     pub fn build(self) -> Offloader {
         let sink = self.sink.unwrap_or_else(mec_obs::null_sink);
@@ -179,7 +171,6 @@ impl OffloaderBuilder {
             greedy_mode: self.greedy_mode,
             sink,
             cluster: self.cluster,
-            seed: self.seed,
         }
     }
 
@@ -192,7 +183,6 @@ impl OffloaderBuilder {
             greedy_mode: self.greedy_mode,
             sink: self.sink.unwrap_or_else(mec_obs::null_sink),
             cluster: self.cluster,
-            seed: self.seed,
         }
     }
 }
@@ -205,7 +195,6 @@ pub struct Offloader {
     greedy_mode: GreedyMode,
     sink: Arc<dyn TraceSink>,
     cluster: Option<Arc<Cluster>>,
-    seed: u64,
 }
 
 impl Offloader {
@@ -259,13 +248,11 @@ impl Offloader {
     /// The execution context this offloader's configuration implies: a
     /// cluster backend when one was set via
     /// [`OffloaderBuilder::cluster`] (serial otherwise), the builder's
-    /// trace sink, and its seed. Hold one across repeated
+    /// trace sink. Hold one across repeated
     /// [`solve_with`](Self::solve_with) calls to reuse the serial
     /// scratch arena between solves.
     pub fn exec_ctx(&self) -> ExecCtx {
-        let mut ctx = ExecCtx::serial()
-            .with_sink(Arc::clone(&self.sink))
-            .with_seed(self.seed);
+        let mut ctx = ExecCtx::serial().with_sink(Arc::clone(&self.sink));
         if let Some(cluster) = &self.cluster {
             ctx = ctx.into_cluster(Arc::clone(cluster));
         }

@@ -2,17 +2,23 @@
 //!
 //! The paper's spectral stage needs the two smallest eigenpairs of each
 //! compressed sub-graph's Laplacian (Theorem 1: the minimum cut is read
-//! off the second-smallest eigenvalue's eigenvector). [`lanczos`]
-//! reduces the operator to a small tridiagonal matrix; the Ritz pairs of
-//! that matrix approximate the operator's extreme eigenpairs. Full
-//! re-orthogonalisation keeps the Krylov basis honest, and breakdown is
-//! handled by restarting with a fresh direction — which makes the solver
-//! correct on *disconnected* graphs too (multiple zero eigenvalues).
+//! off the second-smallest eigenvalue's eigenvector).
+//! [`smallest_eigenpairs_with`] grows one Krylov basis step by step and
+//! reads the Ritz pairs off the small tridiagonal matrix the recurrence
+//! builds; [`lanczos_with`] exposes the bare recurrence. Full
+//! re-orthogonalisation keeps the basis honest, and breakdown restarts
+//! the recurrence in a fresh direction, so a basis that grows to the
+//! operator's dimension finds repeated eigenvalues too. Before that, a
+//! single Krylov sequence sees a repeated eigenvalue once — the reason
+//! the spectral bisectors split disconnected graphs before solving.
 
-use crate::tridiag::{tridiagonal_eigen, tridiagonal_eigenvalues, tridiagonal_eigenvector};
+use crate::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
 use crate::vector::{axpy, dot, normalize, orthogonalize_against};
 use crate::{jacobi_eigen, DenseMatrix, JacobiOptions, LinalgError, SymOp};
 use mec_obs::{FieldValue, TraceSink};
+
+/// Residual norm below which a new Krylov direction counts as lost.
+const BREAKDOWN_TOL: f64 = 1e-12;
 
 /// One converged eigenpair.
 #[derive(Debug, Clone)]
@@ -23,7 +29,7 @@ pub struct Eigenpair {
     pub vector: Vec<f64>,
 }
 
-/// Tuning knobs for [`lanczos`] / [`smallest_eigenpairs`].
+/// Tuning knobs for [`smallest_eigenpairs`] and [`lanczos_with`].
 #[derive(Debug, Clone)]
 pub struct LanczosOptions {
     /// Maximum Krylov-subspace dimension (capped at the operator
@@ -33,14 +39,15 @@ pub struct LanczosOptions {
     pub tolerance: f64,
     /// Seed for the deterministic pseudo-random start vector.
     pub seed: u64,
-    /// Operator dimension at or below which the dense Jacobi solver is
-    /// used directly instead of iterating. Default `32`.
+    /// Operator dimension at or below which the eigenpairs come from a
+    /// dense solve instead of the recurrence: Jacobi rotations up to 8
+    /// nodes, Householder reduction plus implicit QL above. Default
+    /// `32`.
     pub dense_cutoff: usize,
     /// When `true`, a caller-supplied start vector (the `warm` argument
     /// of [`lanczos_with`] / [`smallest_eigenpairs_with`]) seeds the
-    /// first Krylov direction instead of the pseudo-random one. Default
-    /// `false`; with the flag off every entry point is bit-identical to
-    /// the historical behaviour regardless of what `warm` holds.
+    /// recurrence instead of the pseudo-random one. Default `false`,
+    /// which ignores `warm`.
     pub warm_start: bool,
 }
 
@@ -56,7 +63,8 @@ impl Default for LanczosOptions {
     }
 }
 
-/// Reusable buffers for repeated Lanczos solves.
+/// Reusable buffers for repeated Lanczos solves, and the state of the
+/// recurrence in progress.
 ///
 /// The recurrence needs one length-`n` vector per Krylov step plus two
 /// working vectors; a cold run allocates them all. Threading one
@@ -71,17 +79,20 @@ pub struct LanczosScratch {
     betas: Vec<f64>,
     basis: Vec<Vec<f64>>,
     pool: Vec<Vec<f64>>,
+    /// The vector the next step appends to the basis.
+    next: Vec<f64>,
+    /// Where the next step forms `A · next`.
+    work: Vec<f64>,
+    /// Start-vector generator state of the run in progress.
+    seed: u64,
+    /// Breakdown restarts of the run in progress.
+    restarts: u64,
 }
 
 impl LanczosScratch {
     /// An empty scratch arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Moves the previous run's basis vectors back into the pool.
-    fn retire(&mut self) {
-        self.pool.append(&mut self.basis);
     }
 
     /// Checks a zeroed length-`n` buffer out of the pool (allocating
@@ -92,10 +103,100 @@ impl LanczosScratch {
         buf.resize(n, 0.0);
         buf
     }
+
+    /// Starts a recurrence on a dimension-`n` operator: retires the
+    /// previous run's basis into the pool and loads the start vector —
+    /// `warm` when `opts.warm_start` is set and `warm` is a non-zero
+    /// vector of length `n`, the seeded pseudo-random vector otherwise.
+    /// Returns whether `warm` seeded the run.
+    fn begin(&mut self, n: usize, opts: &LanczosOptions, warm: Option<&[f64]>) -> bool {
+        self.pool.append(&mut self.basis);
+        self.alphas.clear();
+        self.betas.clear();
+        self.seed = opts.seed;
+        self.restarts = 0;
+        self.work.clear();
+        self.work.resize(n, 0.0);
+        self.next.clear();
+        self.next.resize(n, 0.0);
+        if let Some(w0) = warm.filter(|w0| opts.warm_start && w0.len() == n) {
+            self.next.copy_from_slice(w0);
+            if normalize(&mut self.next) > BREAKDOWN_TOL {
+                return true;
+            }
+        }
+        random_unit_vector_into(&mut self.next, &mut self.seed);
+        false
+    }
+
+    /// One three-term step: `A · next` is reduced against the last two
+    /// basis vectors and `next` joins the basis. Unless the basis now
+    /// holds `cap` vectors, the remainder — re-orthogonalised against
+    /// the whole basis, twice for stability — becomes the next vector;
+    /// on breakdown the recurrence restarts in a fresh random direction
+    /// orthogonal to the basis. Returns `true` when the basis can grow
+    /// no further: it holds `cap` vectors or spans the whole space.
+    fn step<A: SymOp>(&mut self, op: &A, cap: usize) -> bool {
+        op.apply(&self.next, &mut self.work);
+        let alpha = dot(&self.next, &self.work);
+        self.alphas.push(alpha);
+        axpy(-alpha, &self.next, &mut self.work);
+        if let Some(prev) = self.basis.last() {
+            let beta_prev = *self.betas.last().unwrap_or(&0.0);
+            axpy(-beta_prev, prev, &mut self.work);
+        }
+        let recycled = self.checkout(self.next.len());
+        self.basis.push(std::mem::replace(&mut self.next, recycled));
+        if self.basis.len() >= cap {
+            return true;
+        }
+        orthogonalize_against(&mut self.work, &self.basis);
+        orthogonalize_against(&mut self.work, &self.basis);
+        let beta = normalize(&mut self.work);
+        if beta > BREAKDOWN_TOL {
+            self.betas.push(beta);
+            std::mem::swap(&mut self.next, &mut self.work);
+        } else {
+            // invariant subspace exhausted: restart in a fresh direction
+            random_unit_vector_into(&mut self.next, &mut self.seed);
+            orthogonalize_against(&mut self.next, &self.basis);
+            orthogonalize_against(&mut self.next, &self.basis);
+            if normalize(&mut self.next) <= BREAKDOWN_TOL {
+                return true; // the whole space is spanned
+            }
+            self.restarts += 1;
+            self.betas.push(0.0);
+        }
+        self.work.fill(0.0);
+        false
+    }
+
+    /// Records the finished run's effort on `sink`: the steps run as
+    /// the `lanczos.iterations` counter and histogram sample, and the
+    /// breakdown restarts, if any, as `lanczos.restarts`.
+    fn record(&self, sink: &dyn TraceSink) {
+        let steps = self.alphas.len() as u64;
+        sink.counter_add("lanczos.iterations", steps);
+        sink.histogram_record("lanczos.iterations", steps);
+        if self.restarts > 0 {
+            sink.counter_add("lanczos.restarts", self.restarts);
+        }
+    }
+
+    /// Borrows the current run.
+    fn run(&self) -> LanczosRun<'_> {
+        LanczosRun {
+            alphas: &self.alphas,
+            betas: &self.betas,
+            basis: &self.basis,
+        }
+    }
 }
 
 /// Borrowed view of one Lanczos run living inside a
-/// [`LanczosScratch`] — the zero-copy analogue of [`LanczosResult`].
+/// [`LanczosScratch`]: `T = tridiag(beta, alpha, beta)` plus the
+/// orthonormal Krylov basis `V` with `A ≈ V T Vᵀ` on the captured
+/// subspace.
 #[derive(Debug)]
 pub struct LanczosRun<'a> {
     /// Diagonal of `T`.
@@ -104,19 +205,6 @@ pub struct LanczosRun<'a> {
     pub betas: &'a [f64],
     /// Orthonormal basis vectors spanning the Krylov space.
     pub basis: &'a [Vec<f64>],
-}
-
-/// Raw output of the Lanczos recurrence: `T = tridiag(beta, alpha,
-/// beta)` plus the orthonormal Krylov basis `V` with `A ≈ V T Vᵀ` on
-/// the captured subspace.
-#[derive(Debug, Clone)]
-pub struct LanczosResult {
-    /// Diagonal of `T`.
-    pub alphas: Vec<f64>,
-    /// Sub-diagonal of `T` (one shorter than `alphas`).
-    pub betas: Vec<f64>,
-    /// Orthonormal basis vectors, `basis[j]` spanning the Krylov space.
-    pub basis: Vec<Vec<f64>>,
 }
 
 /// SplitMix64 — deterministic start vectors without a rand dependency.
@@ -137,59 +225,22 @@ fn random_unit_vector_into(v: &mut [f64], seed: &mut u64) {
     normalize(v);
 }
 
-/// Runs the Lanczos recurrence with full re-orthogonalisation for up to
-/// `steps` iterations (capped at the operator dimension), restarting on
-/// breakdown so that the basis keeps growing even across invariant
-/// subspaces.
+/// Runs the Lanczos recurrence with full re-orthogonalisation for
+/// `steps` iterations (capped at the operator dimension) inside a
+/// caller-owned [`LanczosScratch`], restarting on breakdown so that the
+/// basis keeps growing even across invariant subspaces. The returned
+/// [`LanczosRun`] borrows the arena, and a warm re-run at the same
+/// dimension performs no heap allocations.
+///
+/// `warm` seeds the recurrence when `opts.warm_start` is set (see
+/// [`LanczosOptions::warm_start`]). Bumps the `lanczos.iterations`
+/// counter by the steps run and `lanczos.restarts` by the breakdown
+/// restarts on `sink`.
 ///
 /// # Errors
 ///
 /// [`LinalgError::DimensionMismatch`] if `steps == 0` while the
 /// operator is non-empty.
-pub fn lanczos<A: SymOp>(
-    op: &A,
-    steps: usize,
-    opts: &LanczosOptions,
-) -> Result<LanczosResult, LinalgError> {
-    lanczos_traced(op, steps, opts, &mec_obs::NullSink)
-}
-
-/// [`lanczos`] with telemetry: bumps the `lanczos.iterations` counter
-/// per recurrence step and `lanczos.restarts` per breakdown restart on
-/// `sink`. Numerically identical to the untraced entry point.
-///
-/// # Errors
-///
-/// Same as [`lanczos`].
-pub fn lanczos_traced<A: SymOp>(
-    op: &A,
-    steps: usize,
-    opts: &LanczosOptions,
-    sink: &dyn TraceSink,
-) -> Result<LanczosResult, LinalgError> {
-    let mut scratch = LanczosScratch::new();
-    let run = lanczos_with(op, steps, opts, None, sink, &mut scratch)?;
-    Ok(LanczosResult {
-        alphas: run.alphas.to_vec(),
-        betas: run.betas.to_vec(),
-        basis: run.basis.to_vec(),
-    })
-}
-
-/// [`lanczos_traced`] running entirely inside a caller-owned
-/// [`LanczosScratch`]: the returned [`LanczosRun`] borrows the arena,
-/// and a warm re-run at the same dimension performs no heap
-/// allocations in the recurrence.
-///
-/// `warm` optionally seeds the first Krylov direction; it is honoured
-/// only when `opts.warm_start` is set *and* its length matches the
-/// operator (and it is not numerically zero) — otherwise the usual
-/// seeded pseudo-random start vector is used, keeping results
-/// bit-identical to [`lanczos`].
-///
-/// # Errors
-///
-/// Same as [`lanczos`].
 pub fn lanczos_with<'s, A: SymOp>(
     op: &A,
     steps: usize,
@@ -199,104 +250,32 @@ pub fn lanczos_with<'s, A: SymOp>(
     scratch: &'s mut LanczosScratch,
 ) -> Result<LanczosRun<'s>, LinalgError> {
     let n = op.dim();
-    scratch.retire();
-    scratch.alphas.clear();
-    scratch.betas.clear();
-    if n == 0 {
-        return Ok(LanczosRun {
-            alphas: &scratch.alphas,
-            betas: &scratch.betas,
-            basis: &scratch.basis,
-        });
-    }
-    if steps == 0 {
+    if n > 0 && steps == 0 {
         return Err(LinalgError::DimensionMismatch {
             expected: 1,
             actual: 0,
         });
     }
-    let m = steps.min(n);
-    let mut seed = opts.seed;
-    scratch.alphas.reserve(m);
-    scratch.betas.reserve(m.saturating_sub(1));
-    scratch.basis.reserve(m);
-    let breakdown_tol = 1e-12;
-
-    let mut v = scratch.checkout(n);
-    match warm {
-        Some(w0) if opts.warm_start && w0.len() == n => {
-            v.copy_from_slice(w0);
-            if normalize(&mut v) <= breakdown_tol {
-                random_unit_vector_into(&mut v, &mut seed);
-            }
-        }
-        _ => random_unit_vector_into(&mut v, &mut seed),
+    scratch.begin(n, opts, warm);
+    if n > 0 {
+        while !scratch.step(op, steps.min(n)) {}
+        scratch.record(sink);
     }
-    let mut w = scratch.checkout(n);
-    let mut restarts = 0u64;
-
-    while scratch.basis.len() < m {
-        op.apply(&v, &mut w);
-        let alpha = dot(&v, &w);
-        scratch.alphas.push(alpha);
-        axpy(-alpha, &v, &mut w);
-        if let Some(prev) = scratch.basis.last() {
-            let beta_prev = *scratch.betas.last().unwrap_or(&0.0);
-            axpy(-beta_prev, prev, &mut w);
-        }
-        let recycled = scratch.checkout(n);
-        scratch.basis.push(std::mem::replace(&mut v, recycled));
-        if scratch.basis.len() == m {
-            break;
-        }
-        // full re-orthogonalisation, twice for stability
-        orthogonalize_against(&mut w, &scratch.basis);
-        orthogonalize_against(&mut w, &scratch.basis);
-        let beta = normalize(&mut w);
-        if beta <= breakdown_tol {
-            // invariant subspace exhausted: restart in a fresh direction
-            random_unit_vector_into(&mut v, &mut seed);
-            orthogonalize_against(&mut v, &scratch.basis);
-            orthogonalize_against(&mut v, &scratch.basis);
-            let r = normalize(&mut v);
-            if r <= breakdown_tol {
-                break; // the whole space is spanned
-            }
-            restarts += 1;
-            scratch.betas.push(0.0);
-            w.fill(0.0);
-        } else {
-            scratch.betas.push(beta);
-            std::mem::swap(&mut v, &mut w);
-            w.fill(0.0);
-        }
-    }
-    scratch.pool.push(v);
-    scratch.pool.push(w);
-    sink.counter_add("lanczos.iterations", scratch.alphas.len() as u64);
-    sink.histogram_record("lanczos.iterations", scratch.alphas.len() as u64);
-    if restarts > 0 {
-        sink.counter_add("lanczos.restarts", restarts);
-    }
-    Ok(LanczosRun {
-        alphas: &scratch.alphas,
-        betas: &scratch.betas,
-        basis: &scratch.basis,
-    })
+    Ok(scratch.run())
 }
 
 /// Computes the `k` smallest eigenpairs of `op`, sorted ascending.
 ///
-/// Small operators (`dim ≤ opts.dense_cutoff`) are solved exactly with
-/// the dense Jacobi reference; larger ones run Lanczos with growing
-/// subspace until the requested Ritz pairs converge to
-/// `opts.tolerance`.
+/// Small operators (`dim ≤ opts.dense_cutoff`) are solved exactly by a
+/// dense solver (Jacobi up to 8 nodes, Householder + QL above); larger
+/// ones grow one Lanczos recurrence until the requested Ritz pairs
+/// converge to `opts.tolerance`.
 ///
 /// # Errors
 ///
 /// - [`LinalgError::TooManyEigenpairs`] if `k > op.dim()`;
-/// - [`LinalgError::NoConvergence`] if `opts.max_dim` is exhausted
-///   before the pairs converge.
+/// - [`LinalgError::NoConvergence`] if the pairs have not converged
+///   when the basis reaches `opts.max_dim` vectors.
 ///
 /// # Example
 ///
@@ -317,11 +296,13 @@ pub fn smallest_eigenpairs<A: SymOp>(
     smallest_eigenpairs_traced(op, k, opts, &mec_obs::NullSink)
 }
 
-/// [`smallest_eigenpairs`] with telemetry: each Krylov burst emits a
-/// `lanczos.burst` event (subspace dimension, residual estimate,
-/// convergence flag), dense fallbacks bump `lanczos.dense_solves`, and
-/// converged iterative solves bump `lanczos.solves`. Numerically
-/// identical to the untraced entry point.
+/// [`smallest_eigenpairs`] with telemetry: each convergence checkpoint
+/// emits a `lanczos.burst` event (subspace dimension, residual
+/// estimate, convergence flag) and each finished recurrence records
+/// its checkpoint count in the `lanczos.checkpoints` histogram; dense
+/// fallbacks bump `lanczos.dense_solves`, and converged iterative
+/// solves bump `lanczos.solves`. Numerically identical to the untraced
+/// entry point.
 ///
 /// # Errors
 ///
@@ -337,13 +318,16 @@ pub fn smallest_eigenpairs_traced<A: SymOp>(
 }
 
 /// [`smallest_eigenpairs_traced`] with a caller-owned
-/// [`LanczosScratch`] and an optional warm-start vector.
+/// [`LanczosScratch`] and an optional start vector.
 ///
-/// The Krylov recurrence recycles `scratch`'s buffer pool, so repeated
-/// solves stop allocating once the arena is warm. `warm` seeds the
-/// first Krylov direction when `opts.warm_start` is set (see
-/// [`lanczos_with`]); with the flag off the result is bit-identical to
-/// [`smallest_eigenpairs`].
+/// One recurrence grows the basis step by step and never recomputes a
+/// prefix. Convergence checkpoints come at geometrically spaced
+/// dimensions; each costs `O(m²)` (eigenvalues-only QL plus `k`
+/// inverse-iteration vectors of the tridiagonal matrix) and accepts
+/// the pairs once every Ritz residual `beta · |s[m-1]|` is within
+/// `opts.tolerance`. Repeated solves stop allocating in the recurrence
+/// once `scratch` is warm. `warm` seeds the recurrence when
+/// `opts.warm_start` is set; a seeded run checks convergence sooner.
 ///
 /// # Errors
 ///
@@ -384,236 +368,77 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
             .collect());
     }
 
-    // `warm_start` opts into the incremental hot path: the Krylov
-    // basis grows step by step with cheap eigenvalue-only convergence
-    // checks instead of the restart-ladder below, so the solve stops at
-    // the smallest sufficient dimension and never recomputes a prefix.
-    // With the flag off the historical schedule runs bit-identically.
-    if opts.warm_start {
-        return solve_incremental(op, k, opts, warm, sink, scratch);
-    }
-
-    // grow the Krylov space in bursts, testing convergence between them
-    let mut dim = (4 * k + 20).min(n);
-    loop {
-        let run = lanczos_with(op, dim, opts, warm, sink, scratch)?;
-        let t = tridiagonal_eigen(run.alphas, run.betas)?;
-        let m = run.alphas.len();
-        if m >= k {
-            // Ritz residual estimate: |beta_m * s[m-1]| per pair; when the
-            // basis spans the full space the Ritz pairs are exact.
-            let beta_last = if m < n {
-                run.betas.last().copied().unwrap_or(0.0)
-            } else {
-                0.0
-            };
-            let converged = (0..k).all(|i| {
-                let tail = t.vectors[i][m - 1].abs();
-                beta_last * tail <= opts.tolerance.max(1e-14 * t.values[k - 1].abs())
-            });
-            if sink.enabled() {
-                let residual = (0..k)
-                    .map(|i| beta_last * t.vectors[i][m - 1].abs())
-                    .fold(0.0f64, f64::max);
-                sink.event(
-                    "lanczos.burst",
-                    &[
-                        ("dim", FieldValue::from(m)),
-                        ("residual", FieldValue::from(residual)),
-                        ("converged", FieldValue::from(converged || m >= n)),
-                    ],
-                );
-            }
-            if converged || m >= n {
-                sink.counter_add("lanczos.solves", 1);
-                let mut out = Vec::with_capacity(k);
-                for i in 0..k {
-                    let mut x = vec![0.0; n];
-                    for (j, b) in run.basis.iter().enumerate() {
-                        axpy(t.vectors[i][j], b, &mut x);
-                    }
-                    normalize(&mut x);
-                    out.push(Eigenpair {
-                        value: t.values[i],
-                        vector: x,
-                    });
-                }
-                return Ok(out);
-            }
-        }
-        if dim >= opts.max_dim.min(n) {
-            return Err(LinalgError::NoConvergence {
-                iterations: dim,
-                residual: run.betas.last().copied().unwrap_or(0.0),
-            });
-        }
-        dim = (dim * 2).min(opts.max_dim.min(n));
-    }
-}
-
-/// The `warm_start` hot path of [`smallest_eigenpairs_with`]: one
-/// continuous Lanczos recurrence (optionally seeded by `warm`) with
-/// geometric convergence checkpoints. Each checkpoint costs `O(m²)`
-/// (eigenvalues-only QL plus `k` inverse-iteration vectors) instead of
-/// the `O(m³)` full tridiagonal decomposition, and no prefix of the
-/// recurrence is ever recomputed — the two properties that make the
-/// recursive bisection front-end fast.
-///
-/// Convergence uses the same Ritz-residual criterion as the cold path
-/// (`beta · |s[m-1]| ≤ tolerance`), with the genuine next `beta` rather
-/// than the previous step's, so accepted pairs are at least as
-/// converged as the cold solver's.
-fn solve_incremental<A: SymOp>(
-    op: &A,
-    k: usize,
-    opts: &LanczosOptions,
-    warm: Option<&[f64]>,
-    sink: &dyn TraceSink,
-    scratch: &mut LanczosScratch,
-) -> Result<Vec<Eigenpair>, LinalgError> {
-    let n = op.dim();
     let cap = opts.max_dim.min(n).max(k);
-    scratch.retire();
-    scratch.alphas.clear();
-    scratch.betas.clear();
-    let mut seed = opts.seed;
-    let breakdown_tol = 1e-12;
-
-    let mut v = scratch.checkout(n);
-    let warm_seeded = matches!(warm, Some(w0) if w0.len() == n);
-    match warm {
-        Some(w0) if warm_seeded => {
-            v.copy_from_slice(w0);
-            if normalize(&mut v) <= breakdown_tol {
-                random_unit_vector_into(&mut v, &mut seed);
-            }
-        }
-        _ => random_unit_vector_into(&mut v, &mut seed),
-    }
-    let mut w = scratch.checkout(n);
-    let mut restarts = 0u64;
+    // a seed is already near the target eigenvector, so check sooner
+    let seeded = scratch.begin(n, opts, warm);
+    let mut next_check = if seeded { 2 * k + 8 } else { 4 * k + 20 }.min(cap);
     let mut checkpoints = 0u64;
-    // a warm seed is already near the target eigenvector, so start
-    // checking earlier than the cold burst size
-    let mut next_check = if warm_seeded {
-        (2 * k + 8).min(cap)
-    } else {
-        (4 * k + 20).min(cap)
-    };
-
     loop {
-        // one recurrence step — same arithmetic as `lanczos_with`
-        op.apply(&v, &mut w);
-        let alpha = dot(&v, &w);
-        scratch.alphas.push(alpha);
-        axpy(-alpha, &v, &mut w);
-        if let Some(prev) = scratch.basis.last() {
-            let beta_prev = *scratch.betas.last().unwrap_or(&0.0);
-            axpy(-beta_prev, prev, &mut w);
-        }
-        let recycled = scratch.checkout(n);
-        scratch.basis.push(std::mem::replace(&mut v, recycled));
+        let spanned = scratch.step(op, cap);
         let m = scratch.basis.len();
-        let mut spanned = m >= cap;
-        if !spanned {
-            orthogonalize_against(&mut w, &scratch.basis);
-            orthogonalize_against(&mut w, &scratch.basis);
-            let beta = normalize(&mut w);
-            if beta <= breakdown_tol {
-                random_unit_vector_into(&mut v, &mut seed);
-                orthogonalize_against(&mut v, &scratch.basis);
-                orthogonalize_against(&mut v, &scratch.basis);
-                if normalize(&mut v) <= breakdown_tol {
-                    spanned = true; // the whole space is spanned
-                } else {
-                    restarts += 1;
-                    scratch.betas.push(0.0);
-                    w.fill(0.0);
-                }
-            } else {
-                scratch.betas.push(beta);
-                std::mem::swap(&mut v, &mut w);
-                w.fill(0.0);
-            }
+        if m < k || (m < next_check && !spanned) {
+            continue;
         }
-
-        if m >= k && (m >= next_check || spanned) {
-            checkpoints += 1;
-            let vals = tridiagonal_eigenvalues(&scratch.alphas, &scratch.betas[..m - 1])?;
-            // the genuine next beta when the recurrence prepared one
-            // (betas.len() == m), the cold-path estimate beta_{m-1}
-            // when stopped at the cap (betas.len() == m - 1)
-            let beta_last = if m < n {
-                scratch.betas.last().copied().unwrap_or(0.0)
-            } else {
-                0.0
-            };
-            let threshold = opts.tolerance.max(1e-14 * vals[k - 1].abs());
-            let mut svecs: Vec<Vec<f64>> = Vec::with_capacity(k);
-            let mut converged = true;
-            for val in vals.iter().take(k) {
-                let s = tridiagonal_eigenvector(
-                    &scratch.alphas,
-                    &scratch.betas[..m - 1],
-                    *val,
-                    &svecs,
-                )?;
-                converged &= beta_last * s[m - 1].abs() <= threshold;
-                svecs.push(s);
-            }
-            if sink.enabled() {
-                let residual = svecs
-                    .iter()
-                    .map(|s| beta_last * s[m - 1].abs())
-                    .fold(0.0f64, f64::max);
-                sink.event(
-                    "lanczos.burst",
-                    &[
-                        ("dim", FieldValue::from(m)),
-                        ("residual", FieldValue::from(residual)),
-                        ("converged", FieldValue::from(converged || spanned)),
-                    ],
-                );
-            }
-            if converged || spanned {
-                scratch.pool.push(v);
-                scratch.pool.push(w);
-                sink.counter_add("lanczos.iterations", m as u64);
-                // iterations-to-convergence and checkpoint-count
-                // distributions: cheap enough (two relaxed-atomic
-                // bumps, or a branch on the null sink) to stay on
-                // under warm_start
-                sink.histogram_record("lanczos.iterations", m as u64);
-                sink.histogram_record("lanczos.checkpoints", checkpoints);
-                if restarts > 0 {
-                    sink.counter_add("lanczos.restarts", restarts);
-                }
-                if !converged {
-                    return Err(LinalgError::NoConvergence {
-                        iterations: m,
-                        residual: scratch.betas.last().copied().unwrap_or(0.0),
-                    });
-                }
-                sink.counter_add("lanczos.solves", 1);
-                let mut out = Vec::with_capacity(k);
-                for (val, s) in vals.iter().take(k).zip(&svecs) {
-                    let mut x = vec![0.0; n];
-                    for (j, b) in scratch.basis.iter().enumerate() {
-                        axpy(s[j], b, &mut x);
-                    }
-                    normalize(&mut x);
-                    out.push(Eigenpair {
-                        value: *val,
-                        vector: x,
-                    });
-                }
-                return Ok(out);
-            }
+        checkpoints += 1;
+        let (alphas, betas) = (&scratch.alphas[..], &scratch.betas[..m - 1]);
+        let vals = tridiagonal_eigenvalues(alphas, betas)?;
+        let mut svecs: Vec<Vec<f64>> = Vec::with_capacity(k);
+        for val in vals.iter().take(k) {
+            let s = tridiagonal_eigenvector(alphas, betas, *val, &svecs)?;
+            svecs.push(s);
+        }
+        // the genuine next beta when the step prepared one
+        // (betas.len() == m), the last coupling when it stopped at the
+        // cap (betas.len() == m - 1); a basis spanning the whole space
+        // makes the Ritz pairs exact
+        let beta_last = if m < n {
+            scratch.betas.last().copied().unwrap_or(0.0)
+        } else {
+            0.0
+        };
+        let residual = svecs
+            .iter()
+            .map(|s| beta_last * s[m - 1].abs())
+            .fold(0.0f64, f64::max);
+        let converged = residual <= opts.tolerance.max(1e-14 * vals[k - 1].abs());
+        if sink.enabled() {
+            sink.event(
+                "lanczos.burst",
+                &[
+                    ("dim", FieldValue::from(m)),
+                    ("residual", FieldValue::from(residual)),
+                    ("converged", FieldValue::from(converged || spanned)),
+                ],
+            );
+        }
+        if !converged && !spanned {
             // grow ~1/3 before the next check: geometric enough to
             // amortise the O(m²) eigenvalue sweep, fine enough to stop
             // near the minimal sufficient dimension
             next_check = (m + (m / 3).max(8)).min(cap);
+            continue;
         }
+        scratch.record(sink);
+        sink.histogram_record("lanczos.checkpoints", checkpoints);
+        if !converged {
+            return Err(LinalgError::NoConvergence {
+                iterations: m,
+                residual,
+            });
+        }
+        sink.counter_add("lanczos.solves", 1);
+        return Ok(vals
+            .iter()
+            .zip(&svecs)
+            .map(|(&value, s)| {
+                let mut vector = vec![0.0; n];
+                for (j, b) in scratch.basis.iter().enumerate() {
+                    axpy(s[j], b, &mut vector);
+                }
+                normalize(&mut vector);
+                Eigenpair { value, vector }
+            })
+            .collect());
     }
 }
 
@@ -640,6 +465,13 @@ mod tests {
         let mut edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
         edges.push((n - 1, 0, 1.0));
         CsrMatrix::laplacian_from_edges(n, &edges).unwrap()
+    }
+
+    fn iterative() -> LanczosOptions {
+        LanczosOptions {
+            dense_cutoff: 0,
+            ..LanczosOptions::default()
+        }
     }
 
     #[test]
@@ -693,13 +525,10 @@ mod tests {
 
     #[test]
     fn disconnected_graph_has_double_zero() {
-        // two disjoint edges: eigenvalues {0, 0, 2, 2}
+        // two disjoint edges: eigenvalues {0, 0, 2, 2}; the basis runs
+        // to the full dimension, so breakdown restarts find both zeros
         let l = CsrMatrix::laplacian_from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
-        let opts = LanczosOptions {
-            dense_cutoff: 0, // force the iterative path
-            ..LanczosOptions::default()
-        };
-        let pairs = smallest_eigenpairs(&l, 3, &opts).unwrap();
+        let pairs = smallest_eigenpairs(&l, 3, &iterative()).unwrap();
         assert!(pairs[0].value.abs() < 1e-9);
         assert!(pairs[1].value.abs() < 1e-9);
         assert!((pairs[2].value - 2.0).abs() < 1e-9);
@@ -708,13 +537,9 @@ mod tests {
     #[test]
     fn dense_cutoff_path_agrees_with_lanczos_path() {
         let l = path_laplacian(30);
-        let dense_opts = LanczosOptions::default(); // 30 <= 32 → Jacobi
-        let iter_opts = LanczosOptions {
-            dense_cutoff: 0,
-            ..LanczosOptions::default()
-        };
+        let dense_opts = LanczosOptions::default(); // 30 <= 32 → Householder + QL
         let a = smallest_eigenpairs(&l, 2, &dense_opts).unwrap();
-        let b = smallest_eigenpairs(&l, 2, &iter_opts).unwrap();
+        let b = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
         assert!((a[1].value - b[1].value).abs() < 1e-7);
         // eigenvectors agree up to sign
         let dot_abs: f64 = a[1]
@@ -753,9 +578,65 @@ mod tests {
     }
 
     #[test]
+    fn iteration_cap_surfaces_as_no_convergence() {
+        // λ₂ of P_200 is ~2.5e-4: twenty steps cannot resolve it, and
+        // the solve must stop at the cap instead of running past it
+        let l = path_laplacian(200);
+        let opts = LanczosOptions {
+            max_dim: 20,
+            ..iterative()
+        };
+        match smallest_eigenpairs(&l, 2, &opts) {
+            Err(LinalgError::NoConvergence { iterations, .. }) => {
+                assert!(iterations <= 20, "ran {iterations} steps past the cap");
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_solve_runs_one_recurrence() {
+        // every step is counted once and every checkpoint extends the
+        // same basis: the counted steps equal the last checkpoint's
+        // dimension, so no prefix of the recurrence is ever rerun
+        let rec = mec_obs::ShardedRecorder::with_config(mec_obs::ShardConfig {
+            drain_interval: None,
+            ..mec_obs::ShardConfig::default()
+        });
+        let l = path_laplacian(150);
+        smallest_eigenpairs_traced(&l, 2, &iterative(), &rec).unwrap();
+        rec.flush();
+        let dims: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter(|e| e.name == "lanczos.burst")
+            .map(|e| match e.fields[0] {
+                ("dim", FieldValue::U64(d)) => d,
+                ref other => panic!("unexpected first field {other:?}"),
+            })
+            .collect();
+        assert!(dims.len() >= 2, "expected several checkpoints: {dims:?}");
+        assert!(dims.windows(2).all(|w| w[0] < w[1]), "{dims:?}");
+        assert_eq!(
+            rec.counter_value("lanczos.iterations"),
+            dims[dims.len() - 1]
+        );
+        assert_eq!(rec.counter_value("lanczos.solves"), 1);
+    }
+
+    #[test]
     fn lanczos_basis_is_orthonormal() {
         let l = path_laplacian(60);
-        let run = lanczos(&l, 25, &LanczosOptions::default()).unwrap();
+        let mut scratch = LanczosScratch::new();
+        let run = lanczos_with(
+            &l,
+            25,
+            &LanczosOptions::default(),
+            None,
+            &mec_obs::NullSink,
+            &mut scratch,
+        )
+        .unwrap();
         assert_eq!(run.alphas.len(), 25);
         assert_eq!(run.betas.len(), 24);
         for (i, a) in run.basis.iter().enumerate() {
@@ -772,12 +653,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let l = path_laplacian(50);
-        let opts = LanczosOptions {
-            dense_cutoff: 0,
-            ..LanczosOptions::default()
-        };
-        let a = smallest_eigenpairs(&l, 2, &opts).unwrap();
-        let b = smallest_eigenpairs(&l, 2, &opts).unwrap();
+        let a = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
+        let b = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
         assert_eq!(a[1].value.to_bits(), b[1].value.to_bits());
         assert_eq!(a[1].vector, b[1].vector);
     }
@@ -785,10 +662,7 @@ mod tests {
     #[test]
     fn scratch_path_is_bit_identical_to_plain_path() {
         let l = path_laplacian(50);
-        let opts = LanczosOptions {
-            dense_cutoff: 0,
-            ..LanczosOptions::default()
-        };
+        let opts = iterative();
         let plain = smallest_eigenpairs(&l, 2, &opts).unwrap();
         let mut scratch = LanczosScratch::new();
         // a stale warm vector must be ignored while warm_start is off
@@ -815,13 +689,15 @@ mod tests {
         let mut scratch = LanczosScratch::new();
         for n in [40usize, 12, 64, 12] {
             let l = path_laplacian(n);
-            let opts = LanczosOptions {
-                dense_cutoff: 0,
-                ..LanczosOptions::default()
-            };
-            let pairs =
-                smallest_eigenpairs_with(&l, 2, &opts, None, &mec_obs::NullSink, &mut scratch)
-                    .unwrap();
+            let pairs = smallest_eigenpairs_with(
+                &l,
+                2,
+                &iterative(),
+                None,
+                &mec_obs::NullSink,
+                &mut scratch,
+            )
+            .unwrap();
             let expected = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
             assert!((pairs[1].value - expected).abs() < 1e-7, "n={n}");
         }
@@ -830,28 +706,23 @@ mod tests {
     #[test]
     fn warm_start_converges_to_the_same_pairs() {
         let l = path_laplacian(70);
-        let cold_opts = LanczosOptions {
-            dense_cutoff: 0,
-            ..LanczosOptions::default()
-        };
-        let cold = smallest_eigenpairs(&l, 2, &cold_opts).unwrap();
+        let unseeded = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
         let warm_opts = LanczosOptions {
-            dense_cutoff: 0,
             warm_start: true,
-            ..LanczosOptions::default()
+            ..iterative()
         };
         let mut scratch = LanczosScratch::new();
-        let warm = smallest_eigenpairs_with(
+        let seeded = smallest_eigenpairs_with(
             &l,
             2,
             &warm_opts,
-            Some(&cold[1].vector),
+            Some(&unseeded[1].vector),
             &mec_obs::NullSink,
             &mut scratch,
         )
         .unwrap();
-        assert!((warm[1].value - cold[1].value).abs() < 1e-7);
-        let dot_abs = dot(&warm[1].vector, &cold[1].vector).abs();
+        assert!((seeded[1].value - unseeded[1].value).abs() < 1e-7);
+        let dot_abs = dot(&seeded[1].vector, &unseeded[1].vector).abs();
         assert!((dot_abs - 1.0).abs() < 1e-5);
     }
 
@@ -859,35 +730,25 @@ mod tests {
     fn warm_start_ignores_mismatched_or_zero_seeds() {
         let l = path_laplacian(50);
         let opts = LanczosOptions {
-            dense_cutoff: 0,
             warm_start: true,
-            ..LanczosOptions::default()
+            ..iterative()
         };
-        let plain = smallest_eigenpairs(
-            &l,
-            2,
-            &LanczosOptions {
-                dense_cutoff: 0,
-                ..LanczosOptions::default()
-            },
-        )
-        .unwrap();
+        let plain = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
         let mut scratch = LanczosScratch::new();
-        // wrong length → random start; the incremental hot path still
-        // converges to the same eigenpair (alignment up to sign)
+        // wrong length → random start, bit-identical to the unseeded solve
         let short = vec![1.0; 7];
         let a =
             smallest_eigenpairs_with(&l, 2, &opts, Some(&short), &mec_obs::NullSink, &mut scratch)
                 .unwrap();
-        assert!((a[1].value - plain[1].value).abs() < 1e-8);
-        assert!(dot(&a[1].vector, &plain[1].vector).abs() > 1.0 - 1e-8);
+        assert_eq!(a[1].value.to_bits(), plain[1].value.to_bits());
+        assert_eq!(a[1].vector, plain[1].vector);
         // an all-zero warm vector cannot be normalised → random start
         let zero = vec![0.0; 50];
         let b =
             smallest_eigenpairs_with(&l, 2, &opts, Some(&zero), &mec_obs::NullSink, &mut scratch)
                 .unwrap();
-        assert!((b[1].value - plain[1].value).abs() < 1e-8);
-        assert!(dot(&b[1].vector, &plain[1].vector).abs() > 1.0 - 1e-8);
+        assert_eq!(b[1].value.to_bits(), plain[1].value.to_bits());
+        assert_eq!(b[1].vector, plain[1].vector);
     }
 
     #[test]
@@ -896,7 +757,16 @@ mod tests {
         assert!(smallest_eigenpairs(&l, 0, &LanczosOptions::default())
             .unwrap()
             .is_empty());
-        let run = lanczos(&l, 5, &LanczosOptions::default()).unwrap();
+        let mut scratch = LanczosScratch::new();
+        let run = lanczos_with(
+            &l,
+            5,
+            &LanczosOptions::default(),
+            None,
+            &mec_obs::NullSink,
+            &mut scratch,
+        )
+        .unwrap();
         assert!(run.basis.is_empty());
     }
 }

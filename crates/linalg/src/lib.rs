@@ -10,8 +10,9 @@
 //!   the serial CSR matrix and the `mec-engine` parallel backend
 //!   implement;
 //! - [`CsrMatrix`] — compressed-sparse-row symmetric matrices;
-//! - [`lanczos`] — Lanczos tridiagonalisation with full
-//!   re-orthogonalisation and optional deflation of known eigenvectors;
+//! - [`smallest_eigenpairs`] — the Fiedler-pair solver: one Lanczos
+//!   recurrence with full re-orthogonalisation and geometric
+//!   convergence checkpoints, or a dense solve for small operators;
 //! - [`tridiagonal_eigen`] — implicit-QL eigensolver for symmetric
 //!   tridiagonal matrices;
 //! - [`jacobi_eigen`] — a dense Jacobi reference solver used for
@@ -63,8 +64,8 @@ pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;
 pub use householder::{householder_eigen, householder_tridiagonalize, HouseholderReduction};
 pub use lanczos::{
-    lanczos, lanczos_traced, lanczos_with, smallest_eigenpairs, smallest_eigenpairs_traced,
-    smallest_eigenpairs_with, Eigenpair, LanczosOptions, LanczosResult, LanczosRun, LanczosScratch,
+    lanczos_with, smallest_eigenpairs, smallest_eigenpairs_traced, smallest_eigenpairs_with,
+    Eigenpair, LanczosOptions, LanczosRun, LanczosScratch,
 };
 pub use power::{largest_eigenpair, PowerOptions};
 pub use sparse::CsrMatrix;

@@ -145,8 +145,7 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
 /// tridiagonal matrix — the same implicit-QL sweeps as
 /// [`tridiagonal_eigen`] without eigenvector accumulation, so the cost
 /// drops from cubic to quadratic in the dimension. This is what makes
-/// frequent convergence checks affordable in the incremental Lanczos
-/// hot path.
+/// frequent convergence checks affordable in the Lanczos solver.
 ///
 /// # Errors
 ///

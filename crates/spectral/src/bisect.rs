@@ -3,7 +3,7 @@
 use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError};
 use mec_engine::{Cluster, ParallelLaplacian};
-use mec_graph::{Bipartition, CsrAdjacency, Graph, NodeId, Side};
+use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
 use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
 use mec_obs::{FieldValue, TraceSink};
 use std::sync::Arc;
@@ -143,9 +143,10 @@ impl SpectralBisector {
     /// Bisects `g` along its Fiedler vector.
     ///
     /// A single-node graph yields the trivial cut (the node on
-    /// [`Side::Remote`], zero weight, `λ₂ = 0`). Disconnected graphs
-    /// are fine: `λ₂ = 0` and the eigenvector separates components, so
-    /// the returned cut has zero weight.
+    /// [`Side::Remote`], zero weight, `λ₂ = 0`). A disconnected graph
+    /// is split along its components without an eigen-solve: node 0's
+    /// component goes [`Side::Local`] and the rest [`Side::Remote`],
+    /// with zero cut weight and `λ₂ = 0`.
     ///
     /// This is a thin shim over
     /// [`bisect_reusing`](SpectralBisector::bisect_reusing) with a
@@ -168,11 +169,11 @@ impl SpectralBisector {
     /// buffers are recycled across calls, so every cut after the first
     /// is allocation-free in the eigensolver's inner loop.
     ///
-    /// A warm-start seed previously staged via
-    /// [`CutScratch::stage_warm_start`] is consumed by this call and
-    /// honoured only when the bisector's `LanczosOptions::warm_start`
-    /// is set; with the flag off the result is bit-identical to
-    /// [`bisect`](SpectralBisector::bisect).
+    /// Connectivity is tested on the CSR snapshot before the
+    /// eigen-solve, so the eigensolver only ever sees a connected
+    /// Laplacian. There, one Krylov sequence finds `λ₂`; on a
+    /// disconnected one it would see the repeated zero eigenvalue only
+    /// once and could report a positive `λ₂` with a non-zero cut.
     ///
     /// # Errors
     ///
@@ -184,11 +185,9 @@ impl SpectralBisector {
     ) -> Result<SpectralCut, SpectralError> {
         let n = g.node_count();
         if n == 0 {
-            scratch.clear_warm_start();
             return Err(SpectralError::EmptyGraph);
         }
         if n == 1 {
-            scratch.clear_warm_start();
             let partition = Bipartition::uniform(1, Side::Remote);
             return Ok(SpectralCut {
                 partition,
@@ -201,12 +200,21 @@ impl SpectralBisector {
             Some(s) => s.as_ref(),
             None => &mec_obs::NullSink,
         };
+        scratch.csr.rebuild_from(g);
+        let CutScratch {
+            csr, order, local, ..
+        } = &mut *scratch;
+        let reached = mark_first_component(csr, local, order);
+        if reached < n {
+            emit_cut(sink, n, 0.0, 0.0);
+            return Ok(component_split(local, reached));
+        }
         // Below the cutoff the serial CSR kernel beats the stage
         // round-trip; the two backends produce bit-identical products
         // (same row contents in the same order), so this is purely a
         // wall-time decision.
         let use_cluster = self.cluster.is_some() && n >= self.serial_cutoff;
-        let pairs = if use_cluster {
+        let mut pairs = if use_cluster {
             let (cluster, blocks) = self.cluster.as_ref().expect("checked above");
             let edges: Vec<(usize, usize, f64)> = g
                 .edges()
@@ -214,26 +222,15 @@ impl SpectralBisector {
                 .collect();
             let l = ParallelLaplacian::from_edges(Arc::clone(cluster), n, &edges, *blocks)
                 .expect("block count is at least 1");
-            let (lanczos, warm) = scratch.lanczos_and_warm();
-            let seed = (self.lanczos.warm_start && warm.len() == n).then_some(warm);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, seed, sink, lanczos)?
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
         } else {
-            scratch.csr.rebuild_from(g);
-            let CutScratch {
-                csr, lanczos, warm, ..
-            } = &mut *scratch;
-            let l = CsrLaplacian::new(csr);
-            let seed = (self.lanczos.warm_start && warm.len() == n).then_some(&warm[..]);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, seed, sink, lanczos)?
+            let l = CsrLaplacian::new(&scratch.csr);
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
         };
-        scratch.clear_warm_start();
         let Eigenpair {
             value: fiedler_value,
             vector: mut fiedler_vector,
-        } = {
-            let mut pairs = pairs;
-            pairs.swap_remove(1)
-        };
+        } = pairs.swap_remove(1);
         // canonical sign: first non-zero component positive
         if let Some(first) = fiedler_vector.iter().find(|v| v.abs() > 1e-12) {
             if *first < 0.0 {
@@ -242,36 +239,8 @@ impl SpectralBisector {
                 }
             }
         }
-        // Disconnected graph: λ₂ = 0 with multiplicity, and the returned
-        // null-space vector is only piecewise-constant per component — a
-        // component whose constant is ~0 could be torn apart by sign
-        // noise. The true minimum cut is trivially 0, so split along
-        // actual connected components instead.
-        if fiedler_value.abs() <= 1e-9 {
-            let labeling = mec_graph::ComponentLabeling::compute(g);
-            if labeling.count() >= 2 {
-                let partition = Bipartition::from_fn(n, |i| {
-                    if labeling.component_of(NodeId::new(i)) == 0 {
-                        Side::Local
-                    } else {
-                        Side::Remote
-                    }
-                });
-                emit_cut(sink, n, fiedler_value, 0.0);
-                return Ok(SpectralCut {
-                    partition,
-                    fiedler_value,
-                    fiedler_vector,
-                    cut_weight: 0.0,
-                });
-            }
-        }
         let partition = match self.split {
             SplitRule::RatioSweep | SplitRule::Sweep => {
-                if use_cluster {
-                    // the cluster path skipped the serial CSR snapshot
-                    scratch.csr.rebuild_from(g);
-                }
                 let objective = if self.split == SplitRule::RatioSweep {
                     SweepObjective::RatioCut
                 } else {
@@ -292,6 +261,68 @@ impl SpectralBisector {
             fiedler_vector,
             cut_weight,
         })
+    }
+}
+
+/// Marks in `reached` the nodes joined to node 0 by positive-weight
+/// edges — a breadth-first sweep over `csr`, with `queue` as the pooled
+/// frontier — and returns how many there are. The Laplacian is
+/// connected exactly when that is every node. Both bisectors run this
+/// before any eigen-solve.
+pub(crate) fn mark_first_component(
+    csr: &CsrAdjacency,
+    reached: &mut Vec<bool>,
+    queue: &mut Vec<usize>,
+) -> usize {
+    let (offsets, columns, weights) = csr.as_parts();
+    reached.clear();
+    reached.resize(csr.node_count(), false);
+    queue.clear();
+    if reached.is_empty() {
+        return 0;
+    }
+    reached[0] = true;
+    queue.push(0);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for (&nb, &w) in columns[offsets[u]..offsets[u + 1]]
+            .iter()
+            .zip(&weights[offsets[u]..offsets[u + 1]])
+        {
+            let nb = nb as usize;
+            if w > 0.0 && !reached[nb] {
+                reached[nb] = true;
+                queue.push(nb);
+            }
+        }
+    }
+    queue.len()
+}
+
+/// The cut of a disconnected graph along its components: the `reached`
+/// nodes (node 0's component, `a` of them) go local, the rest remote.
+/// The returned vector is a `λ = 0` eigenvector of the Laplacian: a
+/// unit vector constant on each side, orthogonal to the all-ones
+/// vector, positive on node 0.
+fn component_split(reached: &[bool], a: usize) -> SpectralCut {
+    let n = reached.len() as f64;
+    let (a, b) = (a as f64, n - a as f64);
+    let (local, remote) = ((b / (a * n)).sqrt(), -(a / (b * n)).sqrt());
+    SpectralCut {
+        partition: Bipartition::from_fn(reached.len(), |i| {
+            if reached[i] {
+                Side::Local
+            } else {
+                Side::Remote
+            }
+        }),
+        fiedler_value: 0.0,
+        fiedler_vector: reached
+            .iter()
+            .map(|&r| if r { local } else { remote })
+            .collect(),
+        cut_weight: 0.0,
     }
 }
 
@@ -457,6 +488,27 @@ mod tests {
         assert!(cut.fiedler_value.abs() < 1e-9);
         assert_eq!(cut.cut_weight, 0.0);
         assert!(cut.partition.is_proper());
+    }
+
+    #[test]
+    fn zero_weight_bridge_counts_as_disconnected() {
+        // the Laplacian ignores a zero-weight edge, so the operator has
+        // two components although the graph is connected
+        let k = 20;
+        let mut b = GraphBuilder::new();
+        let n: Vec<_> = (0..2 * k).map(|_| b.add_node(1.0)).collect();
+        for side in 0..2 {
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    b.add_edge(n[side * k + i], n[side * k + j], 8.0).unwrap();
+                }
+            }
+        }
+        b.add_edge(n[k - 1], n[k], 0.0).unwrap();
+        let cut = SpectralBisector::new().bisect(&b.build()).unwrap();
+        assert_eq!(cut.fiedler_value, 0.0);
+        assert_eq!(cut.cut_weight, 0.0);
+        assert_eq!(cut.partition.count_on(Side::Local), k);
     }
 
     #[test]
@@ -648,51 +700,5 @@ mod tests {
             .bisect(&g)
             .unwrap();
         assert_eq!(serial.partition, forced.partition);
-    }
-
-    #[test]
-    fn staged_warm_start_changes_seed_but_not_quality() {
-        let g = NetgenSpec::new(100, 320)
-            .components(1)
-            .seed(8)
-            .generate()
-            .unwrap();
-        let cold = SpectralBisector::new().bisect(&g).unwrap();
-
-        let opts = LanczosOptions {
-            warm_start: true,
-            ..LanczosOptions::default()
-        };
-        let warm_bisector = SpectralBisector::new().lanczos_options(opts);
-        let mut scratch = CutScratch::new();
-        // seed with the cold Fiedler vector: the solve should land on
-        // the same eigenpair
-        scratch.stage_warm_start(&cold.fiedler_vector);
-        let warm = warm_bisector.bisect_reusing(&g, &mut scratch).unwrap();
-        assert!((warm.fiedler_value - cold.fiedler_value).abs() < 1e-7);
-        assert!(warm.cut_weight <= cold.cut_weight + 1e-9);
-        // the seed is consumed: the next cut is cold again and must be
-        // bit-identical to the never-warmed solve
-        let again = warm_bisector.bisect_reusing(&g, &mut scratch).unwrap();
-        let never = warm_bisector.bisect(&g).unwrap();
-        assert_eq!(again.partition, never.partition);
-        assert_eq!(again.fiedler_value.to_bits(), never.fiedler_value.to_bits());
-    }
-
-    #[test]
-    fn warm_start_off_ignores_staged_seed() {
-        let g = NetgenSpec::new(64, 180)
-            .components(1)
-            .seed(9)
-            .generate()
-            .unwrap();
-        let plain = SpectralBisector::new().bisect(&g).unwrap();
-        let mut scratch = CutScratch::new();
-        scratch.stage_warm_start(&vec![1.0; g.node_count()]);
-        let cut = SpectralBisector::new()
-            .bisect_reusing(&g, &mut scratch)
-            .unwrap();
-        assert_eq!(plain.partition, cut.partition);
-        assert_eq!(plain.fiedler_value.to_bits(), cut.fiedler_value.to_bits());
     }
 }

@@ -9,16 +9,18 @@
 //! snapshot of the root graph is built into the [`CutScratch`] arena,
 //! every level below the root restricts it through a
 //! [`mec_graph::CsrView`] compacted into a second pooled CSR (one
-//! O(subset edges) pass — the eigensolver then iterates on dense rows),
-//! and each child cut can be warm-started with the restriction of its
-//! parent's Fiedler vector (`LanczosOptions::warm_start`, default off —
-//! results are bit-identical to the cold solver when off).
+//! O(subset edges) pass — the eigensolver then iterates on dense rows).
+//! Each subset is tested for connectivity before its eigen-solve: a
+//! disconnected one peels the component of its first node with no
+//! solve at all. With `LanczosOptions::warm_start` set, each child's
+//! eigen-solve is seeded with the restriction of its parent's Fiedler
+//! vector.
 
-use crate::bisect::DEFAULT_SERIAL_CUTOFF;
+use crate::bisect::mark_first_component;
 use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError, SplitRule};
-use mec_graph::{CsrView, Graph, NodeId};
-use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
+use mec_graph::{CsrView, Graph};
+use mec_linalg::{kernels, smallest_eigenpairs_with, LanczosOptions};
 
 const OUTSIDE: u32 = CsrView::OUTSIDE;
 
@@ -72,7 +74,7 @@ impl Default for RecursiveBisector {
 
 impl RecursiveBisector {
     /// A partitioner with default options: depth 3 (≤ 8 parts),
-    /// [`SplitRule::Sign`], cold-started Lanczos.
+    /// [`SplitRule::Sign`], unseeded Lanczos.
     pub fn new() -> Self {
         Self::default()
     }
@@ -80,9 +82,10 @@ impl RecursiveBisector {
     /// Overrides the eigensolver options. Setting
     /// `LanczosOptions::warm_start` makes every child cut seed its
     /// Krylov recurrence with the restriction of the parent's Fiedler
-    /// vector — typically fewer iterations per level, at the price of
-    /// losing bit-identity with the cold solver (cut *quality* stays on
-    /// par; see `tests/alloc_budget.rs`).
+    /// vector — typically fewer iterations per level. The seed moves
+    /// the start vector, not the schedule, so cuts are no longer
+    /// bit-identical to unseeded ones, but their *quality* stays on
+    /// par (see `tests/alloc_budget.rs`).
     pub fn lanczos_options(mut self, opts: LanczosOptions) -> Self {
         self.lanczos = opts;
         self
@@ -150,7 +153,7 @@ impl RecursiveBisector {
         let mut root = scratch.checkout_idx();
         root.extend(0..u32::try_from(n).expect("node count fits u32"));
         let root_warm = scratch.checkout_f64();
-        // (subset, staged warm seed, depth); left child pushed last so
+        // (subset, parent-restricted seed, depth); left child pushed last so
         // part ids are assigned in depth-first left-first order
         let mut stack: Vec<(Vec<u32>, Vec<f64>, usize)> = vec![(root, root_warm, 0)];
 
@@ -175,7 +178,6 @@ impl RecursiveBisector {
                 local,
                 idx_pool,
                 f64_pool,
-                ..
             } = &mut *scratch;
             for (l, &p) in nodes.iter().enumerate() {
                 to_local[p as usize] = u32::try_from(l).expect("subset fits u32");
@@ -184,84 +186,35 @@ impl RecursiveBisector {
             // matrix–vector product below then runs on dense rows
             // instead of re-filtering the parent CSR
             csr_sub.rebuild_from_view(&csr.view(&nodes, to_local));
-            let op = CsrLaplacian::new(csr_sub);
-            let seed = (self.lanczos.warm_start && warm.len() == m).then_some(&warm[..]);
-            let mut pairs =
-                smallest_eigenpairs_with(&op, 2, &self.lanczos, seed, &mec_obs::NullSink, lanczos)?;
-            let Eigenpair {
-                value: fiedler_value,
-                vector: mut fiedler,
-            } = pairs.swap_remove(1);
-            // canonical sign: first non-zero component positive
-            if let Some(first) = fiedler.iter().find(|v| v.abs() > 1e-12) {
-                if *first < 0.0 {
-                    for v in &mut fiedler {
-                        *v = -*v;
-                    }
-                }
-            }
-
-            // `local[l] == true` → node goes to the left child
-            local.clear();
-            local.resize(m, false);
-            let mut proper = false;
-            if fiedler_value.abs() <= 1e-9 {
-                // disconnected subset: peel the component of local 0
-                let mut queue = idx_pool.pop().unwrap_or_default();
-                queue.clear();
-                queue.push(0);
-                local[0] = true;
-                let mut head = 0;
-                while head < queue.len() {
-                    let u = queue[head] as usize;
-                    head += 1;
-                    for (nb, _) in csr_sub.row(NodeId::new(u)) {
-                        if !local[nb.index()] {
-                            local[nb.index()] = true;
-                            queue.push(u32::try_from(nb.index()).expect("subset fits u32"));
+            // `local[l] == true` → node goes to the left child. A
+            // disconnected subset peels the component of local 0
+            // without an eigen-solve; a connected one is split by the
+            // rule on its Fiedler vector.
+            let fiedler = if mark_first_component(csr_sub, local, order) < m {
+                None
+            } else {
+                let op = CsrLaplacian::new(csr_sub);
+                let seed = (self.lanczos.warm_start && warm.len() == m).then_some(&warm[..]);
+                let mut pairs = smallest_eigenpairs_with(
+                    &op,
+                    2,
+                    &self.lanczos,
+                    seed,
+                    &mec_obs::NullSink,
+                    lanczos,
+                )?;
+                let mut fiedler = pairs.swap_remove(1).vector;
+                // canonical sign: first non-zero component positive
+                if let Some(first) = fiedler.iter().find(|v| v.abs() > 1e-12) {
+                    if *first < 0.0 {
+                        for v in &mut fiedler {
+                            *v = -*v;
                         }
                     }
                 }
-                proper = queue.len() < m;
-                if !proper {
-                    // connected after all (λ₂ merely tiny): reset and
-                    // fall through to the configured split rule
-                    local.clear();
-                    local.resize(m, false);
-                }
-                idx_pool.push(queue);
-            }
-            if !proper {
-                proper = match self.split {
-                    SplitRule::Sweep | SplitRule::RatioSweep => {
-                        sweep_sides(csr_sub, &fiedler, self.split, order, local)
-                    }
-                    SplitRule::Sign => {
-                        for (l, &x) in fiedler.iter().enumerate() {
-                            local[l] = x < 0.0;
-                        }
-                        let lefts = local.iter().filter(|&&s| s).count();
-                        lefts > 0 && lefts < m
-                    }
-                    SplitRule::Median => false,
-                };
-                if !proper {
-                    // Sign produced an improper split, or Median: take
-                    // the lower half of the Fiedler ordering
-                    order.clear();
-                    order.extend(0..m);
-                    order.sort_by(|&a, &b| {
-                        fiedler[a]
-                            .partial_cmp(&fiedler[b])
-                            .expect("components are finite")
-                    });
-                    local.iter_mut().for_each(|s| *s = false);
-                    for &l in order.iter().take(m / 2) {
-                        local[l] = true;
-                    }
-                    proper = m >= 2;
-                }
-            }
+                split_sides(csr_sub, &fiedler, self.split, order, local);
+                Some(fiedler)
+            };
 
             let mut left = idx_pool.pop().unwrap_or_default();
             let mut right = idx_pool.pop().unwrap_or_default();
@@ -272,35 +225,22 @@ impl RecursiveBisector {
             warm_left.clear();
             warm_right.clear();
             for (l, &p) in nodes.iter().enumerate() {
-                if local[l] {
-                    left.push(p);
-                    if self.lanczos.warm_start {
-                        warm_left.push(fiedler[l]);
-                    }
+                let (side, seed) = if local[l] {
+                    (&mut left, &mut warm_left)
                 } else {
-                    right.push(p);
-                    if self.lanczos.warm_start {
-                        warm_right.push(fiedler[l]);
-                    }
+                    (&mut right, &mut warm_right)
+                };
+                side.push(p);
+                if let Some(fiedler) = fiedler.as_ref().filter(|_| self.lanczos.warm_start) {
+                    seed.push(fiedler[l]);
                 }
             }
             for &p in &nodes {
                 to_local[p as usize] = OUTSIDE;
             }
-
-            if !proper || left.is_empty() || right.is_empty() {
-                for &p in &nodes {
-                    part_of[p as usize] = parts;
-                }
-                parts += 1;
-                scratch.retire_idx(left);
-                scratch.retire_idx(right);
-                scratch.retire_f64(warm_left);
-                scratch.retire_f64(warm_right);
-            } else {
-                stack.push((right, warm_right, depth + 1));
-                stack.push((left, warm_left, depth + 1));
-            }
+            debug_assert!(!left.is_empty() && !right.is_empty());
+            stack.push((right, warm_right, depth + 1));
+            stack.push((left, warm_left, depth + 1));
             scratch.retire_idx(nodes);
             scratch.retire_f64(warm);
         }
@@ -309,6 +249,40 @@ impl RecursiveBisector {
             part_of,
             parts: parts as usize,
         })
+    }
+}
+
+/// Marks the left child of a connected subset in `local` by `rule` on
+/// its Fiedler vector `v`. When the rule gives an improper split (or
+/// is [`SplitRule::Median`]), the lower half of the Fiedler ordering
+/// goes left instead, so both children are non-empty.
+fn split_sides(
+    csr: &mec_graph::CsrAdjacency,
+    v: &[f64],
+    rule: SplitRule,
+    order: &mut Vec<usize>,
+    local: &mut Vec<bool>,
+) {
+    let m = v.len();
+    let proper = match rule {
+        SplitRule::Sweep | SplitRule::RatioSweep => sweep_sides(csr, v, rule, order, local),
+        SplitRule::Sign => {
+            local.clear();
+            local.extend(v.iter().map(|&x| x < 0.0));
+            let lefts = local.iter().filter(|&&s| s).count();
+            lefts > 0 && lefts < m
+        }
+        SplitRule::Median => false,
+    };
+    if !proper {
+        order.clear();
+        order.extend(0..m);
+        order.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).expect("components are finite"));
+        local.clear();
+        local.resize(m, false);
+        for &l in order.iter().take(m / 2) {
+            local[l] = true;
+        }
     }
 }
 
@@ -363,11 +337,6 @@ fn sweep_sides(
     }
     true
 }
-
-// keep the serial-cutoff constant referenced so the two defaults stay
-// discoverable together in docs
-#[allow(dead_code)]
-const _: usize = DEFAULT_SERIAL_CUTOFF;
 
 #[cfg(test)]
 mod tests {
@@ -458,21 +427,21 @@ mod tests {
                 .seed(seed)
                 .generate()
                 .unwrap();
-            let cold = RecursiveBisector::new().partition(&g).unwrap();
-            let warm = RecursiveBisector::new()
+            let unseeded = RecursiveBisector::new().partition(&g).unwrap();
+            let seeded = RecursiveBisector::new()
                 .lanczos_options(LanczosOptions {
                     warm_start: true,
                     ..LanczosOptions::default()
                 })
                 .partition(&g)
                 .unwrap();
-            assert_eq!(cold.parts, warm.parts, "seed {seed}");
-            let (cw, ww) = (cold.cut_weight(&g), warm.cut_weight(&g));
-            // warm starts change the Krylov seed, not the physics: cut
+            assert_eq!(unseeded.parts, seeded.parts, "seed {seed}");
+            let (cw, ww) = (unseeded.cut_weight(&g), seeded.cut_weight(&g));
+            // seeds change the Krylov start vector, not the physics: cut
             // weights must stay within a few percent of each other
             assert!(
                 (cw - ww).abs() <= 0.05 * cw.max(1.0),
-                "seed {seed}: cold {cw} vs warm {ww}"
+                "seed {seed}: unseeded {cw} vs seeded {ww}"
             );
         }
     }
@@ -485,8 +454,8 @@ mod tests {
         b.add_edge(n[2], n[3], 2.0).unwrap();
         b.add_edge(n[4], n[5], 2.0).unwrap();
         let g = b.build();
-        // pairs are leaves (min_nodes 3), so only the λ₂ ≈ 0 component
-        // peeling contributes splits — one part per component
+        // pairs are leaves (min_nodes 3), so only the component peeling
+        // contributes splits — one part per component
         let p = RecursiveBisector::new().min_nodes(3).partition(&g).unwrap();
         assert_eq!(p.parts, 3);
         assert_eq!(p.cut_weight(&g), 0.0);

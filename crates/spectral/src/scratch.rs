@@ -34,13 +34,12 @@ pub struct CutScratch {
     /// so the eigensolver iterates on a dense-rowed CSR instead of
     /// re-filtering parent rows every matrix–vector product).
     pub(crate) csr_sub: CsrAdjacency,
-    /// Sweep / median node orderings.
+    /// Sweep / median node orderings; the connectivity check's
+    /// breadth-first queue.
     pub(crate) order: Vec<usize>,
-    /// Sweep membership flags.
+    /// Sweep membership flags; the nodes the connectivity check
+    /// reached.
     pub(crate) local: Vec<bool>,
-    /// Staged warm-start vector (consumed by the next cut when the
-    /// bisector's `LanczosOptions::warm_start` is set).
-    pub(crate) warm: Vec<f64>,
     /// Parent → local index map for CSR views (recursive bisection).
     pub(crate) to_local: Vec<u32>,
     /// Pool of node-subset index buffers (recursive bisection).
@@ -53,28 +52,6 @@ impl CutScratch {
     /// An empty arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Stages `vals` as the warm-start seed for the next
-    /// [`bisect_reusing`](crate::SpectralBisector::bisect_reusing)
-    /// call. The seed is consumed (cleared) by that call and only
-    /// honoured when the bisector's Lanczos options set `warm_start`
-    /// *and* the length matches the graph being cut — a stale or
-    /// mismatched seed is ignored, never an error.
-    pub fn stage_warm_start(&mut self, vals: &[f64]) {
-        self.warm.clear();
-        self.warm.extend_from_slice(vals);
-    }
-
-    /// Discards any staged warm-start seed.
-    pub fn clear_warm_start(&mut self) {
-        self.warm.clear();
-    }
-
-    /// Borrows the Lanczos pool together with the staged warm seed —
-    /// the split keeps both usable at once.
-    pub(crate) fn lanczos_and_warm(&mut self) -> (&mut LanczosScratch, &[f64]) {
-        (&mut self.lanczos, &self.warm)
     }
 
     /// Checks an index buffer out of the pool.

@@ -1,10 +1,13 @@
 //! Property tests for the spectral stage: split-rule contracts,
-//! Theorem 2 on arbitrary generated graphs, backend parity.
+//! Theorem 2 on arbitrary generated graphs, backend parity, and the
+//! disconnected inputs both bisectors split before any eigen-solve.
 
-use mec_graph::{NodeId, Side};
+use mec_graph::{Graph, NodeId, Side};
 use mec_netgen::NetgenSpec;
-use mec_spectral::{theory, SpectralBisector, SplitRule};
+use mec_obs::{ShardConfig, ShardedRecorder, TraceSink};
+use mec_spectral::{theory, RecursiveBisector, SpectralBisector, SplitRule};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_graph() -> impl Strategy<Value = mec_graph::Graph> {
     // node range keeps every sampled spec inside per-component pair
@@ -87,16 +90,83 @@ proptest! {
 
     #[test]
     fn disconnected_inputs_get_zero_cuts(g in arb_graph()) {
-        // add an isolated node to force disconnection
-        let mut b = mec_graph::GraphBuilder::new();
-        let ids: Vec<NodeId> = g.node_ids().map(|n| b.add_node(g.node_weight(n))).collect();
-        for e in g.edges() {
-            b.add_edge(ids[e.source.index()], ids[e.target.index()], e.weight).unwrap();
-        }
-        b.add_node(1.0);
-        let g2 = b.build();
+        let g2 = with_isolated_node(&g);
         let cut = SpectralBisector::new().bisect(&g2).unwrap();
         prop_assert!(cut.fiedler_value.abs() < 1e-6);
         prop_assert_eq!(cut.cut_weight, 0.0);
+    }
+}
+
+/// `g` plus one isolated node: disconnected whatever `g` is.
+fn with_isolated_node(g: &Graph) -> Graph {
+    let mut b = mec_graph::GraphBuilder::new();
+    let ids: Vec<NodeId> = g.node_ids().map(|n| b.add_node(g.node_weight(n))).collect();
+    for e in g.edges() {
+        b.add_edge(ids[e.source.index()], ids[e.target.index()], e.weight)
+            .unwrap();
+    }
+    b.add_node(1.0);
+    b.build()
+}
+
+/// Two generated components plus an isolated node, well above the
+/// eigensolver's dense cutoff: a solve would take the iterative path,
+/// where one Krylov sequence sees the repeated zero eigenvalue once.
+fn disconnected_above_the_dense_cutoff(seed: u64) -> Graph {
+    let g = NetgenSpec::new(50, 100)
+        .components(2)
+        .unoffloadable_fraction(0.0)
+        .seed(seed)
+        .generate()
+        .expect("feasible spec");
+    with_isolated_node(&g)
+}
+
+#[test]
+fn disconnected_bisection_splits_components_without_a_solve() {
+    for seed in 0..6u64 {
+        let g = disconnected_above_the_dense_cutoff(seed);
+        let n = g.node_count();
+        let rec = Arc::new(ShardedRecorder::with_config(ShardConfig {
+            drain_interval: None,
+            ..ShardConfig::default()
+        }));
+        let cut = SpectralBisector::new()
+            .with_trace_sink(Arc::clone(&rec) as Arc<dyn TraceSink>)
+            .bisect(&g)
+            .unwrap();
+        rec.flush();
+        assert_eq!(cut.cut_weight, 0.0, "seed {seed}");
+        assert_eq!(cut.fiedler_value, 0.0, "seed {seed}");
+        assert_eq!(cut.partition.cut_weight(&g), 0.0, "seed {seed}");
+        assert!(cut.partition.is_proper(), "seed {seed}");
+        assert_eq!(cut.partition.side(NodeId::new(0)), Side::Local);
+        assert_eq!(rec.counter_value("lanczos.iterations"), 0, "seed {seed}");
+        assert_eq!(rec.counter_value("lanczos.dense_solves"), 0, "seed {seed}");
+        assert_eq!(rec.counter_value("spectral.bisections"), 1, "seed {seed}");
+        // a unit λ = 0 eigenvector: constant on each side, orthogonal
+        // to the all-ones vector, first component positive
+        let v = &cut.fiedler_vector;
+        assert_eq!(v.len(), n);
+        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        assert!((norm - 1.0).abs() < 1e-12, "seed {seed}: norm {norm}");
+        assert!(v.iter().sum::<f64>().abs() < 1e-12, "seed {seed}");
+        assert!(v[0] > 0.0, "seed {seed}");
+        for i in 0..n {
+            let side = cut.partition.side(NodeId::new(i));
+            assert_eq!(v[i] == v[0], side == Side::Local, "seed {seed}, node {i}");
+        }
+        let rayleigh = theory::rayleigh_quotient(&g, v);
+        assert!(rayleigh.abs() < 1e-12, "seed {seed}: vᵀLv/vᵀv = {rayleigh}");
+    }
+}
+
+#[test]
+fn disconnected_recursive_bisection_peels_a_zero_weight_partition() {
+    for seed in 0..6u64 {
+        let g = disconnected_above_the_dense_cutoff(seed);
+        let p = RecursiveBisector::new().max_depth(1).partition(&g).unwrap();
+        assert_eq!(p.parts, 2, "seed {seed}");
+        assert_eq!(p.cut_weight(&g), 0.0, "seed {seed}");
     }
 }
