@@ -510,16 +510,11 @@ fn run_bench(opts: &Options) {
     let probe = alloc_probe;
     let report = spectral_hotpath::run(&spec, Some(&probe)).expect("hot path is benchable");
     let fmt_opt = |v: Option<u64>| v.map_or_else(|| "n/a".to_string(), |v| v.to_string());
-    let mut variants = vec![&report.baseline, &report.optimized];
-    if let Some(simd) = &report.optimized_simd {
-        variants.push(simd);
-    }
-    let rows: Vec<Vec<String>> = variants
+    let rows: Vec<Vec<String>> = [&report.baseline, &report.optimized]
         .iter()
         .map(|m| {
             vec![
                 m.label.clone(),
-                m.kernel.clone(),
                 format!("{:.4}s", m.seconds),
                 fmt_opt(m.allocations),
                 fmt_opt(m.allocated_bytes),
@@ -533,7 +528,6 @@ fn run_bench(opts: &Options) {
         render_table(
             &[
                 "variant",
-                "kernel",
                 "mean wall",
                 "allocs/run",
                 "bytes/run",
@@ -550,10 +544,6 @@ fn run_bench(opts: &Options) {
             .alloc_ratio
             .map_or_else(|| "n/a".to_string(), |r| format!("{r:.1}x")),
     );
-    match report.simd_speedup {
-        Some(s) => println!("simd kernels: {s:.2}x over scalar optimized"),
-        None => println!("simd kernels: not compiled in (build with --features simd to measure)"),
-    }
     let path = opts
         .bench_out
         .clone()

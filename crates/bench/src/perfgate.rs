@@ -59,9 +59,9 @@ pub struct GateReport {
     pub rows: Vec<GateRow>,
     /// The tolerance the verdicts used (relative, e.g. 0.25 = 25 %).
     pub tolerance: f64,
-    /// Informational messages — e.g. a kernel variant present on one
-    /// side only, which is skipped rather than failed so schema
-    /// upgrades and scalar-only binaries pass against any baseline.
+    /// Informational messages — e.g. a tracing-overhead measurement
+    /// present on one side only, which is noted rather than failed so
+    /// schema upgrades pass against any baseline.
     pub notes: Vec<String>,
 }
 
@@ -81,9 +81,6 @@ impl GateReport {
 pub struct Baseline {
     /// The workload to re-run.
     pub spec: HotpathSpec,
-    /// Kernel variant of the `optimized` entry; reports predating the
-    /// kernel layer omit the field and are read as `"scalar"`.
-    pub kernel: String,
     /// `optimized.seconds` from the baseline.
     pub optimized_seconds: f64,
     /// `speedup` from the baseline.
@@ -97,27 +94,11 @@ pub struct Baseline {
     pub parts: u64,
     /// `optimized.cut_weight` (deterministic).
     pub cut_weight: f64,
-    /// The `optimized_simd` variant, when the baseline recorded one.
-    pub simd: Option<SimdBaseline>,
     /// `obs_overhead.sharded_overhead` from the baseline, when the
     /// baseline recorded the tracing-overhead measurement. Recorded
     /// for the report; the gate verdict compares the fresh value
     /// against the configured budget, not against this.
     pub obs_overhead: Option<f64>,
-}
-
-/// Baseline slice for the unrolled-kernel variant, gated against its
-/// own fresh counterpart only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimdBaseline {
-    /// `optimized_simd.seconds`.
-    pub seconds: f64,
-    /// `simd_speedup` (scalar seconds / simd seconds), when recorded.
-    pub speedup: Option<f64>,
-    /// `optimized_simd.parts` (deterministic).
-    pub parts: u64,
-    /// `optimized_simd.cut_weight` (deterministic).
-    pub cut_weight: f64,
 }
 
 fn as_f64(v: &Value) -> Option<f64> {
@@ -165,18 +146,6 @@ pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
     let optimized = find_field(top, "optimized")
         .and_then(Value::as_object)
         .ok_or("baseline lacks an optimized object")?;
-    // `optimized_simd` is an optional object (absent or JSON null in
-    // scalar-only reports); each variant is gated only against its own
-    // counterpart, so an old baseline still gates a new binary.
-    let simd = match find_field(top, "optimized_simd").and_then(Value::as_object) {
-        Some(simd) => Some(SimdBaseline {
-            seconds: field_f64(simd, "seconds")?,
-            speedup: find_field(top, "simd_speedup").and_then(as_f64),
-            parts: field_u64(simd, "parts")?,
-            cut_weight: field_f64(simd, "cut_weight")?,
-        }),
-        None => None,
-    };
     Ok(Baseline {
         spec: HotpathSpec {
             users: field_u64(spec, "users")? as usize,
@@ -185,17 +154,12 @@ pub fn parse_baseline(json: &str) -> Result<Baseline, String> {
             depth: field_u64(spec, "depth")? as usize,
             iters: field_u64(spec, "iters")? as usize,
         },
-        kernel: match find_field(optimized, "kernel") {
-            Some(Value::Str(k)) => k.clone(),
-            _ => "scalar".to_string(),
-        },
         optimized_seconds: field_f64(optimized, "seconds")?,
         speedup: field_f64(top, "speedup")?,
         allocations: find_field(optimized, "allocations").and_then(as_u64),
         allocated_bytes: find_field(optimized, "allocated_bytes").and_then(as_u64),
         parts: field_u64(optimized, "parts")?,
         cut_weight: field_f64(optimized, "cut_weight")?,
-        simd,
         obs_overhead: find_field(top, "obs_overhead")
             .and_then(Value::as_object)
             .and_then(|o| find_field(o, "sharded_overhead"))
@@ -354,44 +318,7 @@ pub fn evaluate(
         baseline.cut_weight,
         fresh.optimized.cut_weight,
     ));
-    // The unrolled-kernel variant gates only against its own baseline:
-    // a variant present on one side alone is noted and skipped, never
-    // failed, so schema upgrades and scalar-only binaries still pass.
     let mut notes = Vec::new();
-    match (&baseline.simd, &fresh.optimized_simd) {
-        (Some(b), Some(f)) => {
-            rows.push(gate_lower_is_better(
-                "optimized_simd.seconds",
-                b.seconds,
-                f.seconds,
-                tolerance,
-            ));
-            if let (Some(bs), Some(fs)) = (b.speedup, fresh.simd_speedup) {
-                rows.push(gate_higher_is_better("simd_speedup", bs, fs, tolerance));
-            }
-            rows.push(gate_exact(
-                "optimized_simd.parts",
-                b.parts as f64,
-                f.parts as f64,
-            ));
-            rows.push(gate_exact(
-                "optimized_simd.cut_weight",
-                b.cut_weight,
-                f.cut_weight,
-            ));
-        }
-        (Some(_), None) => notes.push(
-            "baseline records a simd variant but this binary is scalar-only; \
-             simd rows skipped (rebuild with --features simd to gate them)"
-                .to_string(),
-        ),
-        (None, Some(_)) => notes.push(
-            "fresh run measured a simd variant the baseline predates; \
-             simd rows skipped (commit a dual-variant baseline to gate them)"
-                .to_string(),
-        ),
-        (None, None) => {}
-    }
     // The tracing-overhead budget row: absolute, not baseline-relative.
     // A binary that did not measure overhead is noted and skipped so
     // pre-observability baselines and stripped builds still gate.
@@ -541,7 +468,6 @@ mod tests {
     fn measurement(label: &str, secs: f64, parts: usize, cut_weight: f64) -> HotpathMeasurement {
         HotpathMeasurement {
             label: label.to_string(),
-            kernel: "scalar".to_string(),
             seconds: secs,
             allocations: Some(100_000),
             allocated_bytes: Some(40_000_000),
@@ -556,9 +482,7 @@ mod tests {
             spec: HotpathSpec::default(),
             baseline: measurement("baseline", seconds * speedup, parts, cut_weight),
             optimized: measurement("optimized", seconds, parts, cut_weight),
-            optimized_simd: None,
             speedup,
-            simd_speedup: None,
             alloc_ratio: Some(1.5),
             obs_overhead: None,
         }
@@ -576,39 +500,16 @@ mod tests {
         }
     }
 
-    fn fresh_dual_report(scalar_secs: f64, simd_secs: f64, parts: usize) -> HotpathReport {
-        let mut report = fresh_report(scalar_secs, 3.0, 64, 16576.5);
-        let mut simd = measurement("optimized", simd_secs, parts, 16576.5);
-        simd.kernel = "simd".to_string();
-        report.simd_speedup = Some(scalar_secs / simd_secs);
-        report.optimized_simd = Some(simd);
-        report
-    }
-
     fn baseline() -> Baseline {
         Baseline {
             spec: HotpathSpec::default(),
-            kernel: "scalar".to_string(),
             optimized_seconds: 1.0,
             speedup: 3.0,
             allocations: Some(100_000),
             allocated_bytes: Some(40_000_000),
             parts: 64,
             cut_weight: 16576.5,
-            simd: None,
             obs_overhead: None,
-        }
-    }
-
-    fn dual_baseline() -> Baseline {
-        Baseline {
-            simd: Some(SimdBaseline {
-                seconds: 0.6,
-                speedup: Some(1.0 / 0.6),
-                parts: 64,
-                cut_weight: 16576.5,
-            }),
-            ..baseline()
         }
     }
 
@@ -726,32 +627,6 @@ mod tests {
         assert_eq!(b.allocations, Some(172040));
         assert!((b.optimized_seconds - 1.07).abs() < 1e-12);
         assert!((b.speedup - 3.118).abs() < 1e-12);
-        // a pre-kernel-layer baseline reads as the scalar variant,
-        // with no simd counterpart to gate
-        assert_eq!(b.kernel, "scalar");
-        assert_eq!(b.simd, None);
-    }
-
-    #[test]
-    fn parse_baseline_reads_the_dual_variant_schema() {
-        let json = r#"{
-            "spec": { "users": 8, "nodes": 2000, "seed": 20190707, "depth": 3, "iters": 3 },
-            "baseline": { "label": "b", "kernel": "scalar", "seconds": 3.3,
-                          "parts": 64, "cut_weight": 16576.9 },
-            "optimized": { "label": "o", "kernel": "scalar", "seconds": 1.07,
-                           "parts": 64, "cut_weight": 16576.9 },
-            "optimized_simd": { "label": "o", "kernel": "simd", "seconds": 0.66,
-                                "parts": 64, "cut_weight": 16576.9 },
-            "speedup": 3.118,
-            "simd_speedup": 1.62,
-            "alloc_ratio": null
-        }"#;
-        let b = parse_baseline(json).expect("parses");
-        assert_eq!(b.kernel, "scalar");
-        let simd = b.simd.expect("simd variant parsed");
-        assert!((simd.seconds - 0.66).abs() < 1e-12);
-        assert_eq!(simd.speedup, Some(1.62));
-        assert_eq!(simd.parts, 64);
     }
 
     #[test]
@@ -759,65 +634,6 @@ mod tests {
         assert!(parse_baseline("not json").is_err());
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline(r#"{ "spec": {} }"#).is_err());
-    }
-
-    #[test]
-    fn simd_variant_gates_against_its_own_baseline() {
-        // simd regressed 2x while scalar is unchanged: only the simd
-        // rows fail
-        let report = evaluate(
-            &dual_baseline(),
-            &fresh_dual_report(1.0, 1.2, 64),
-            0.25,
-            BUDGET,
-        );
-        assert!(report.notes.is_empty());
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "optimized_simd.seconds")
-            .unwrap();
-        assert_eq!(row.status, GateStatus::Fail);
-        let scalar = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "optimized.seconds")
-            .unwrap();
-        assert_eq!(scalar.status, GateStatus::Pass);
-    }
-
-    #[test]
-    fn simd_structural_drift_fails_exactly() {
-        let report = evaluate(
-            &dual_baseline(),
-            &fresh_dual_report(1.0, 0.6, 65),
-            10.0,
-            BUDGET,
-        );
-        let row = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "optimized_simd.parts")
-            .unwrap();
-        assert_eq!(row.status, GateStatus::Fail);
-    }
-
-    #[test]
-    fn missing_variant_is_noted_not_failed() {
-        // scalar-only binary against a dual-variant baseline
-        let report = evaluate(
-            &dual_baseline(),
-            &fresh_report(1.0, 3.0, 64, 16576.5),
-            0.25,
-            BUDGET,
-        );
-        assert_eq!(report.worst(), GateStatus::Pass);
-        assert_eq!(report.notes.len(), 1);
-        assert!(!report.rows.iter().any(|r| r.metric.contains("simd")));
-        // dual-variant binary against a pre-simd baseline
-        let report = evaluate(&baseline(), &fresh_dual_report(1.0, 0.6, 64), 0.25, BUDGET);
-        assert_eq!(report.worst(), GateStatus::Pass);
-        assert_eq!(report.notes.len(), 1);
     }
 
     #[test]
@@ -899,22 +715,6 @@ mod tests {
         }"#;
         let b = parse_baseline(json).expect("parses");
         assert!((b.obs_overhead.expect("overhead parsed") - 0.019).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matched_healthy_dual_run_passes() {
-        let report = evaluate(
-            &dual_baseline(),
-            &fresh_dual_report(1.0, 0.6, 64),
-            0.25,
-            BUDGET,
-        );
-        assert_eq!(report.worst(), GateStatus::Pass);
-        assert!(report.notes.is_empty());
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.metric == "optimized_simd.cut_weight"));
     }
 
     fn churn_report(speedup: f64, p99: u64, sustained: usize) -> ChurnReport {

@@ -88,10 +88,6 @@ impl Default for HotpathSpec {
 pub struct HotpathMeasurement {
     /// Which implementation this row measured.
     pub label: String,
-    /// Numeric-kernel variant active during the measurement
-    /// (`"scalar"` or `"simd"`); reports predating the kernel layer
-    /// omit the field and are read as `"scalar"`.
-    pub kernel: String,
     /// Mean wall-clock seconds per front-end run.
     pub seconds: f64,
     /// Heap allocations per run (`None` without a counting allocator).
@@ -148,16 +144,10 @@ pub struct HotpathReport {
     /// Pre-arena shape: owned sub-graphs, unseeded Lanczos, fresh
     /// buffers.
     pub baseline: HotpathMeasurement,
-    /// Current shape: CsrView + CutScratch + parent-seeded Lanczos,
-    /// scalar kernels.
+    /// Current shape: CsrView + CutScratch + parent-seeded Lanczos.
     pub optimized: HotpathMeasurement,
-    /// The optimized shape under the unrolled 4-lane kernels; `None`
-    /// when the binary was built without the `simd` cargo feature.
-    pub optimized_simd: Option<HotpathMeasurement>,
     /// `baseline.seconds / optimized.seconds`.
     pub speedup: f64,
-    /// `optimized.seconds / optimized_simd.seconds`, when measured.
-    pub simd_speedup: Option<f64>,
     /// `baseline.allocations / optimized.allocations`, when measured.
     pub alloc_ratio: Option<f64>,
     /// Tracing overhead (off / NullSink / sharded-on); `None` only in
@@ -258,7 +248,6 @@ fn measure(
     };
     Ok(HotpathMeasurement {
         label: label.to_string(),
-        kernel: mec_linalg::kernels::kernel_name().to_string(),
         seconds,
         allocations: per_iter(|s| s.allocations),
         allocated_bytes: per_iter(|s| s.allocated_bytes),
@@ -340,8 +329,7 @@ fn min_seconds(
 }
 
 /// Measures tracing overhead on the Fig. 9 front-end: off vs
-/// [`NullSink`] vs live [`ShardedRecorder`]. Runs on whatever kernel
-/// variant is currently active.
+/// [`NullSink`] vs live [`ShardedRecorder`].
 ///
 /// # Errors
 ///
@@ -447,11 +435,6 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
         .collect();
     let depth = spec.depth;
 
-    // both reference sides run on the scalar kernels, whatever mode the
-    // process was in; the prior mode is restored before returning
-    let prior_simd = mec_linalg::kernels::simd_enabled();
-    mec_linalg::kernels::set_simd_enabled(false);
-
     let baseline = measure(
         "owned-subgraph unseeded (pre-arena shape)",
         spec,
@@ -475,35 +458,22 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
                 ..LanczosOptions::default()
             });
     let mut scratch = CutScratch::new();
-    let mut optimized_run = |label: &str| {
-        measure(
-            label,
-            spec,
-            probe,
-            |quotients| {
-                let mut acc = (0usize, 0.0f64);
-                for quotient in quotients {
-                    let p = optimized_bisector
-                        .partition_reusing(quotient, &mut scratch)
-                        .map_err(|e| PipelineError::Cut(e.into()))?;
-                    tally(&mut acc, &p, quotient);
-                }
-                Ok(acc)
-            },
-            &quotients,
-        )
-    };
-    let optimized = optimized_run("csr-view scratch-arena warm-start")?;
-
-    // the same hot path again under the unrolled kernels, when the
-    // binary carries them — one process measures both variants so the
-    // report's scalar/simd rows share every other condition
-    let optimized_simd = if mec_linalg::kernels::set_simd_enabled(true) {
-        Some(optimized_run("csr-view scratch-arena warm-start")?)
-    } else {
-        None
-    };
-    mec_linalg::kernels::set_simd_enabled(prior_simd);
+    let optimized = measure(
+        "csr-view scratch-arena warm-start",
+        spec,
+        probe,
+        |quotients| {
+            let mut acc = (0usize, 0.0f64);
+            for quotient in quotients {
+                let p = optimized_bisector
+                    .partition_reusing(quotient, &mut scratch)
+                    .map_err(|e| PipelineError::Cut(e.into()))?;
+                tally(&mut acc, &p, quotient);
+            }
+            Ok(acc)
+        },
+        &quotients,
+    )?;
 
     // tracing overhead rides on the same report: the full front-end
     // (compression + cuts) under off / NullSink / sharded-on sinks,
@@ -512,9 +482,6 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
     let obs_overhead = Some(measure_obs_overhead(spec, &graphs)?);
 
     let speedup = baseline.seconds / optimized.seconds;
-    let simd_speedup = optimized_simd
-        .as_ref()
-        .map(|s| optimized.seconds / s.seconds);
     let alloc_ratio = baseline
         .allocations
         .zip(optimized.allocations)
@@ -523,9 +490,7 @@ pub fn run(spec: &HotpathSpec, probe: AllocProbe<'_>) -> Result<HotpathReport, P
         spec: *spec,
         baseline,
         optimized,
-        optimized_simd,
         speedup,
-        simd_speedup,
         alloc_ratio,
         obs_overhead,
     })

@@ -258,8 +258,8 @@ impl OffloadSession {
         self
     }
 
-    /// Replaces the session's whole execution context (backend, sink,
-    /// seed) with `ctx`.
+    /// Replaces the session's whole execution context (backend and
+    /// sink) with `ctx`.
     pub fn with_exec_ctx(mut self, ctx: ExecCtx) -> Self {
         self.ctx = ctx;
         self

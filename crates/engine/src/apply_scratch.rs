@@ -1,14 +1,13 @@
 //! Reusable broadcast / gather buffers for cluster-backed operators.
 //!
 //! Every `y = A·x` product of [`ParallelLaplacian`](crate::ParallelLaplacian)
-//! and [`ParallelCsr`](crate::ParallelCsr) used to allocate a fresh
-//! broadcast copy of `x` plus one output `Vec` per row block — at
-//! hundreds of products per Lanczos solve, that dominated the
-//! allocator profile of the "with engine" configuration. The scratch
-//! here recycles both: the broadcast `Arc<Vec<f64>>` is reclaimed with
-//! [`Arc::try_unwrap`] once the stage's tasks have dropped their
-//! clones, and the per-block output buffers ride through the stage as
-//! task inputs and come back as part of the results.
+//! used to allocate a fresh broadcast copy of `x` plus one output `Vec`
+//! per row block — at hundreds of products per Lanczos solve, that
+//! dominated the allocator profile of the "with engine" configuration.
+//! The scratch here recycles both: the broadcast `Arc<Vec<f64>>` is
+//! reclaimed with [`Arc::try_unwrap`] once the stage's tasks have
+//! dropped their clones, and the per-block output buffers ride through
+//! the stage as task inputs and come back as part of the results.
 //!
 //! The buffers are behaviourally invisible: contents are fully
 //! overwritten per product, so results are bit-identical to the

@@ -5,28 +5,24 @@
 //! serially ("our algorithm without Spark") and once with the Laplacian
 //! matrix products distributed over Spark (Fig. 9). Reproducing that
 //! contrast needs a data-parallel engine, not a cloud: this crate
-//! provides a persistent worker pool ([`Cluster`]), a partitioned
-//! dataset abstraction ([`Dataset`]) with `map` / `reduce` /
-//! `collect` stages, and [`ParallelLaplacian`] — a
+//! provides a persistent worker pool ([`Cluster`]) that runs *stages*
+//! of independent tasks, and [`ParallelLaplacian`] — a
 //! [`SymOp`](mec_linalg::SymOp) whose matrix-vector products are
 //! sharded across the cluster exactly the way the paper shards its
 //! matrix multiplications.
 //!
-//! Everything is deterministic: stage results are reassembled in
-//! partition order regardless of worker scheduling.
+//! Everything is deterministic: stage results are reassembled in task
+//! order regardless of worker scheduling.
 //!
 //! # Example
 //!
 //! ```
-//! use mec_engine::{Cluster, Dataset};
-//! use std::sync::Arc;
+//! use mec_engine::Cluster;
 //!
 //! # fn main() -> Result<(), mec_engine::EngineError> {
-//! let cluster = Arc::new(Cluster::new(4)?);
-//! let squares: i64 = Dataset::from_vec(Arc::clone(&cluster), (1..=100).collect(), 8)
-//!     .map(|x| x * x)
-//!     .reduce(0, |a, b| a + b);
-//! assert_eq!(squares, 338_350);
+//! let cluster = Cluster::new(4)?;
+//! let squares = cluster.run_stage((1..=100i64).collect(), |_task, x| x * x)?;
+//! assert_eq!(squares.iter().sum::<i64>(), 338_350);
 //! # Ok(())
 //! # }
 //! ```
@@ -36,14 +32,10 @@
 
 mod apply_scratch;
 mod cluster;
-mod dataset;
 mod error;
 mod metrics;
-mod parallel_csr;
 mod parallel_op;
 
 pub use cluster::{Cluster, StageError};
-pub use dataset::Dataset;
 pub use error::EngineError;
-pub use parallel_csr::ParallelCsr;
 pub use parallel_op::ParallelLaplacian;

@@ -1,34 +1,13 @@
 //! Property tests: every parallel engine result must equal its serial
 //! equivalent, for arbitrary data, partitionings and worker counts.
 
-use mec_engine::{Cluster, Dataset, ParallelCsr, ParallelLaplacian};
+use mec_engine::{Cluster, ParallelLaplacian};
 use mec_linalg::{CsrMatrix, SymOp};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn dataset_map_filter_reduce_match_serial(
-        data in proptest::collection::vec(-1000i64..1000, 0..200),
-        partitions in 1usize..12,
-        workers in 1usize..6,
-    ) {
-        let cluster = Arc::new(Cluster::new(workers).unwrap());
-        let d = Dataset::from_vec(cluster, data.clone(), partitions);
-        prop_assert_eq!(d.collect(), data.clone());
-        prop_assert_eq!(d.count(), data.len());
-        let mapped = d.map(|x| x * 3 - 1);
-        let serial_mapped: Vec<i64> = data.iter().map(|x| x * 3 - 1).collect();
-        prop_assert_eq!(&mapped.collect()[..], &serial_mapped[..]);
-        let filtered = mapped.filter(|x| x % 2 == 0);
-        let serial_filtered: Vec<i64> =
-            serial_mapped.iter().copied().filter(|x| x % 2 == 0).collect();
-        prop_assert_eq!(&filtered.collect()[..], &serial_filtered[..]);
-        let sum = filtered.reduce(0, |a, b| a + b);
-        prop_assert_eq!(sum, serial_filtered.iter().sum::<i64>());
-    }
 
     #[test]
     fn stage_results_keep_input_order_under_contention(
@@ -77,46 +56,5 @@ proptest! {
         for (a, b) in ys.iter().zip(&yp) {
             prop_assert!((a - b).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn parallel_csr_matches_serial_for_any_blocking(
-        n in 1usize..50,
-        blocks in 1usize..8,
-    ) {
-        let mut triplets = vec![];
-        for i in 0..n {
-            triplets.push((i, i, 2.0 + (i % 3) as f64));
-            if i + 1 < n {
-                triplets.push((i, i + 1, -1.0));
-                triplets.push((i + 1, i, -1.0));
-            }
-        }
-        let m = CsrMatrix::from_triplets(n, &triplets).unwrap();
-        let cluster = Arc::new(Cluster::new(2).unwrap());
-        let par = ParallelCsr::new(cluster, &m, blocks).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut ys = vec![0.0; n];
-        let mut yp = vec![0.0; n];
-        m.apply(&x, &mut ys);
-        par.apply(&x, &mut yp);
-        for (a, b) in ys.iter().zip(&yp) {
-            prop_assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn zip_with_matches_serial(
-        data in proptest::collection::vec(-50i32..50, 1..80),
-        pl in 1usize..6,
-        pr in 1usize..6,
-    ) {
-        let cluster = Arc::new(Cluster::new(3).unwrap());
-        let left = Dataset::from_vec(Arc::clone(&cluster), data.clone(), pl);
-        let doubled: Vec<i32> = data.iter().map(|x| x * 2).collect();
-        let right = Dataset::from_vec(cluster, doubled, pr);
-        let combined = left.zip_with(&right, |a, b| a + b);
-        let expected: Vec<i32> = data.iter().map(|x| x * 3).collect();
-        prop_assert_eq!(combined.collect(), expected);
     }
 }

@@ -97,21 +97,4 @@ proptest! {
         let parallel = Compressor::new(CompressionConfig::default().parallel(true)).compress(&g);
         prop_assert_eq!(serial.stats, parallel.stats);
     }
-
-    #[test]
-    fn labels_are_invariant_to_kernel_mode(g in arb_spec()) {
-        // compression's dense score accumulation is shared by both
-        // kernel modes, so the label assignment must be bit-identical
-        // whichever mode the process runs in (trivially so in
-        // scalar-only builds, where the switch is inert)
-        let config = CompressionConfig::default();
-        let prior = mec_linalg::kernels::simd_enabled();
-        mec_linalg::kernels::set_simd_enabled(false);
-        let scalar = propagate_labels(&g, &config);
-        mec_linalg::kernels::set_simd_enabled(true);
-        let unrolled = propagate_labels(&g, &config);
-        mec_linalg::kernels::set_simd_enabled(prior);
-        prop_assert_eq!(&scalar.labels, &unrolled.labels);
-        prop_assert_eq!(scalar.rounds, unrolled.rounds);
-    }
 }

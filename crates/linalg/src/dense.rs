@@ -261,7 +261,7 @@ pub fn jacobi_eigen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{dot, norm};
+    use crate::kernels::{dot, norm};
 
     #[test]
     fn construction_and_access() {

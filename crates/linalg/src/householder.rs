@@ -163,7 +163,7 @@ pub fn householder_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, Vec<Vec<f64>>), L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{dot, norm};
+    use crate::kernels::{dot, norm};
     use crate::{jacobi_eigen, JacobiOptions};
 
     fn arrow_matrix(n: usize) -> DenseMatrix {

@@ -9,31 +9,24 @@
 //! take those slices directly so there is exactly one implementation of
 //! each loop in the workspace.
 //!
-//! ## The `simd` feature and the scalar-parity contract
+//! ## 4-lane bodies and the sequential-reference contract
 //!
-//! With the `simd` cargo feature **off** (the default) every kernel is
-//! the plain sequential loop the callers used to inline, so results are
-//! bit-identical to builds that predate this module, and the feature
-//! check compiles away entirely.
-//!
-//! With the feature **on**, a process-wide switch
-//! ([`set_simd_enabled`]) selects hand-unrolled 4-lane variants written
-//! for instruction-level parallelism on stable Rust (the toolchain here
-//! has no `std::simd`; the unrolled forms are what the autovectorizer
-//! and out-of-order hardware want). Two parity classes apply:
+//! The reductions are hand-unrolled into [`LANES`] independent chains,
+//! written for instruction-level parallelism on stable Rust (no
+//! `std::simd`; the unrolled forms are what the autovectorizer and
+//! out-of-order hardware want). Against the plain sequential loops,
+//! which `tests/kernel_parity.rs` keeps as the reference, two parity
+//! classes apply:
 //!
 //! - **bit-exact**: the CSR matvec kernels block four *rows* per
 //!   iteration but keep each row's own accumulation strictly
 //!   sequential, and `axpy`/`scale` stay elementwise — these promise
-//!   bit-identical output in both modes (covered by exact-equality
-//!   proptests);
-//! - **1-ulp-scaled**: `dot`/`norm` use four independent partial sums
-//!   and `orthogonalize_against` projects against four basis vectors
-//!   per pass, which reassociates the reduction — these promise
-//!   agreement within a tolerance scaled to the accumulated magnitude.
-
-#[cfg(feature = "simd")]
-use std::sync::atomic::{AtomicBool, Ordering};
+//!   bit-identical output (covered by exact-equality proptests);
+//! - **1-ulp-scaled**: `dot`/`norm` and the sweep boundary fold use
+//!   four independent partial sums and `orthogonalize_against`
+//!   projects against four basis vectors per pass, which reassociates
+//!   the reduction — these promise agreement within a tolerance scaled
+//!   to the accumulated magnitude.
 
 /// Number of independent accumulator lanes in the unrolled kernels.
 ///
@@ -41,55 +34,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// and match the ~4-cycle latency of a dependent FP add, so the
 /// unrolled loops keep the adder busy instead of waiting on one chain.
 pub const LANES: usize = 4;
-
-#[cfg(feature = "simd")]
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// `true` when the unrolled 4-lane kernels are active.
-///
-/// Always `false` when the `simd` cargo feature is off, letting the
-/// compiler erase the dispatch branch entirely.
-#[inline(always)]
-pub fn simd_enabled() -> bool {
-    #[cfg(feature = "simd")]
-    {
-        SIMD_ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        false
-    }
-}
-
-/// Selects the kernel variant at runtime and returns the effective
-/// state. Without the `simd` cargo feature this is a no-op that always
-/// returns `false` — the scalar build has nothing to switch to, which
-/// is what makes feature-off builds reproduce historical results
-/// bit-for-bit.
-///
-/// The switch exists so one benchmark binary can measure both variants
-/// in a single process; library code never toggles it.
-pub fn set_simd_enabled(on: bool) -> bool {
-    #[cfg(feature = "simd")]
-    {
-        SIMD_ENABLED.store(on, Ordering::Relaxed);
-        on
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        let _ = on;
-        false
-    }
-}
-
-/// Name of the active kernel variant, for benchmark reports.
-pub fn kernel_name() -> &'static str {
-    if simd_enabled() {
-        "simd"
-    } else {
-        "scalar"
-    }
-}
 
 /// Column-index types a CSR kernel can walk (`u32` adjacency snapshots,
 /// `usize` general matrices).
@@ -116,18 +60,15 @@ impl ColIndex for usize {
 // dense vector kernels
 // ---------------------------------------------------------------------------
 
+/// Dot product `xᵀy` over four partial sums (1-ulp-scaled parity
+/// class).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
 #[inline]
-fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (a, b) in x.iter().zip(y) {
-        acc += a * b;
-    }
-    acc
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn dot_unrolled(x: &[f64], y: &[f64]) -> f64 {
+pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
     let n = x.len();
     let chunks = n - n % LANES;
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
@@ -146,23 +87,7 @@ fn dot_unrolled(x: &[f64], y: &[f64]) -> f64 {
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// Dot product `xᵀy`. Reassociated under the 4-lane variant
-/// (1-ulp-scaled parity class).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    #[cfg(feature = "simd")]
-    if simd_enabled() {
-        return dot_unrolled(x, y);
-    }
-    dot_scalar(x, y)
-}
-
-/// `y ← y + alpha · x`. Elementwise in both modes, so bit-exact.
+/// `y ← y + alpha · x`. Elementwise, so bit-exact.
 ///
 /// # Panics
 ///
@@ -175,7 +100,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← alpha · x`. Elementwise in both modes, so bit-exact.
+/// `x ← alpha · x`. Elementwise, so bit-exact.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x {
@@ -186,32 +111,18 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 /// Removes from `x` its components along each (assumed orthonormal)
 /// vector in `basis`.
 ///
-/// Scalar mode is one step of modified Gram–Schmidt, exactly the
-/// historical loop. The 4-lane variant projects against [`LANES`]
-/// basis vectors per pass (classical Gram–Schmidt within the block,
-/// with one fused subtraction sweep) — the callers in the Lanczos
-/// recurrence always orthogonalize twice, which is the classic
-/// "twice is enough" regime where the blocked form is stable. The
-/// block form reads `x` once per four basis vectors instead of four
-/// times, which is where the win comes from.
+/// Projects against [`LANES`] basis vectors per pass (classical
+/// Gram–Schmidt within the block, with one fused subtraction sweep),
+/// then one modified Gram–Schmidt step per leftover vector. The
+/// callers in the Lanczos recurrence always orthogonalize twice, which
+/// is the classic "twice is enough" regime where the blocked form is
+/// stable. The block form reads `x` once per four basis vectors
+/// instead of four times, which is where the win comes from.
 ///
 /// # Panics
 ///
 /// Panics if any basis vector length differs from `x`.
 pub fn orthogonalize_against(x: &mut [f64], basis: &[Vec<f64>]) {
-    #[cfg(feature = "simd")]
-    if simd_enabled() {
-        orthogonalize_blocked(x, basis);
-        return;
-    }
-    for b in basis {
-        let c = dot(x, b);
-        axpy(-c, b, x);
-    }
-}
-
-#[cfg(feature = "simd")]
-fn orthogonalize_blocked(x: &mut [f64], basis: &[Vec<f64>]) {
     let mut chunks = basis.chunks_exact(LANES);
     for block in &mut chunks {
         let (b0, b1, b2, b3) = (&block[0], &block[1], &block[2], &block[3]);
@@ -260,8 +171,8 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 
 /// Plain CSR matrix-vector product: `y[r] = Σ values·x[col]` for each
 /// of the `offsets.len() - 1` rows. Columns index the full-length `x`;
-/// `y` is row-block local. Bit-exact in both modes: the 4-lane variant
-/// interleaves four rows but keeps every row's accumulation sequential.
+/// `y` is row-block local. Bit-exact: the loop interleaves four rows
+/// but keeps every row's accumulation sequential.
 ///
 /// # Panics
 ///
@@ -275,85 +186,54 @@ pub fn csr_matvec<C: ColIndex>(
 ) {
     let rows = offsets.len() - 1;
     assert!(y.len() >= rows, "y length mismatch");
-    #[cfg(feature = "simd")]
-    if simd_enabled() {
-        let blocks = rows - rows % LANES;
-        let mut r = 0;
-        while r < blocks {
-            let o = [offsets[r], offsets[r + 1], offsets[r + 2], offsets[r + 3]];
-            let end = offsets[r + 4];
-            let lens = [o[1] - o[0], o[2] - o[1], o[3] - o[2], end - o[3]];
-            let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            // lock-step across four rows: independent chains, each row
-            // still accumulates in its own sequential order
-            for k in 0..m {
-                a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
-                a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
-                a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
-                a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
-            }
-            for k in m..lens[0] {
-                a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
-            }
-            for k in m..lens[1] {
-                a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
-            }
-            for k in m..lens[2] {
-                a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
-            }
-            for k in m..lens[3] {
-                a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
-            }
-            y[r] = a0;
-            y[r + 1] = a1;
-            y[r + 2] = a2;
-            y[r + 3] = a3;
-            r += LANES;
+    let blocks = rows - rows % LANES;
+    let mut r = 0;
+    while r < blocks {
+        let o = [offsets[r], offsets[r + 1], offsets[r + 2], offsets[r + 3]];
+        let end = offsets[r + 4];
+        let lens = [o[1] - o[0], o[2] - o[1], o[3] - o[2], end - o[3]];
+        let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        // lock-step across four rows: independent chains, each row
+        // still accumulates in its own sequential order
+        for k in 0..m {
+            a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
+            a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
+            a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
+            a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
         }
-        for r in blocks..rows {
-            y[r] = row_dot(
-                &columns[offsets[r]..offsets[r + 1]],
-                &values[offsets[r]..offsets[r + 1]],
-                x,
-            );
+        for k in m..lens[0] {
+            a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
         }
-        return;
+        for k in m..lens[1] {
+            a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
+        }
+        for k in m..lens[2] {
+            a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
+        }
+        for k in m..lens[3] {
+            a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
+        }
+        y[r] = a0;
+        y[r + 1] = a1;
+        y[r + 2] = a2;
+        y[r + 3] = a3;
+        r += LANES;
     }
-    for r in 0..rows {
-        y[r] = row_dot(
-            &columns[offsets[r]..offsets[r + 1]],
-            &values[offsets[r]..offsets[r + 1]],
-            x,
-        );
+    for r in blocks..rows {
+        let mut acc = 0.0;
+        for k in offsets[r]..offsets[r + 1] {
+            acc += values[k] * x[columns[k].index()];
+        }
+        y[r] = acc;
     }
-}
-
-#[inline(always)]
-fn row_dot<C: ColIndex>(columns: &[C], values: &[f64], x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (c, v) in columns.iter().zip(values) {
-        acc += v * x[c.index()];
-    }
-    acc
-}
-
-#[inline(always)]
-fn row_lap<C: ColIndex>(columns: &[C], weights: &[f64], x: &[f64]) -> (f64, f64) {
-    let mut acc = 0.0;
-    let mut deg = 0.0;
-    for (c, w) in columns.iter().zip(weights) {
-        acc += w * x[c.index()];
-        deg += w;
-    }
-    (acc, deg)
 }
 
 /// Graph-Laplacian matvec `y[r] = deg_r · x[x_base + r] − Σ w·x[col]`
 /// with the weighted degree accumulated in-loop (the adjacency-snapshot
 /// form). `x_base` offsets the diagonal term for row blocks whose rows
 /// start partway into `x`; columns always index the full-length `x`.
-/// Bit-exact in both modes.
+/// Bit-exact, like [`csr_matvec`].
 ///
 /// # Panics
 ///
@@ -368,74 +248,62 @@ pub fn csr_laplacian_matvec<C: ColIndex>(
 ) {
     let rows = offsets.len() - 1;
     assert!(y.len() >= rows, "y length mismatch");
-    #[cfg(feature = "simd")]
-    if simd_enabled() {
-        let blocks = rows - rows % LANES;
-        let mut r = 0;
-        while r < blocks {
-            let o = [offsets[r], offsets[r + 1], offsets[r + 2], offsets[r + 3]];
-            let end = offsets[r + 4];
-            let lens = [o[1] - o[0], o[2] - o[1], o[3] - o[2], end - o[3]];
-            let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            let (mut d0, mut d1, mut d2, mut d3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for k in 0..m {
-                let (w0, w1) = (weights[o[0] + k], weights[o[1] + k]);
-                let (w2, w3) = (weights[o[2] + k], weights[o[3] + k]);
-                a0 += w0 * x[columns[o[0] + k].index()];
-                d0 += w0;
-                a1 += w1 * x[columns[o[1] + k].index()];
-                d1 += w1;
-                a2 += w2 * x[columns[o[2] + k].index()];
-                d2 += w2;
-                a3 += w3 * x[columns[o[3] + k].index()];
-                d3 += w3;
-            }
-            for k in m..lens[0] {
-                a0 += weights[o[0] + k] * x[columns[o[0] + k].index()];
-                d0 += weights[o[0] + k];
-            }
-            for k in m..lens[1] {
-                a1 += weights[o[1] + k] * x[columns[o[1] + k].index()];
-                d1 += weights[o[1] + k];
-            }
-            for k in m..lens[2] {
-                a2 += weights[o[2] + k] * x[columns[o[2] + k].index()];
-                d2 += weights[o[2] + k];
-            }
-            for k in m..lens[3] {
-                a3 += weights[o[3] + k] * x[columns[o[3] + k].index()];
-                d3 += weights[o[3] + k];
-            }
-            y[r] = d0 * x[x_base + r] - a0;
-            y[r + 1] = d1 * x[x_base + r + 1] - a1;
-            y[r + 2] = d2 * x[x_base + r + 2] - a2;
-            y[r + 3] = d3 * x[x_base + r + 3] - a3;
-            r += LANES;
+    let blocks = rows - rows % LANES;
+    let mut r = 0;
+    while r < blocks {
+        let o = [offsets[r], offsets[r + 1], offsets[r + 2], offsets[r + 3]];
+        let end = offsets[r + 4];
+        let lens = [o[1] - o[0], o[2] - o[1], o[3] - o[2], end - o[3]];
+        let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        let (mut d0, mut d1, mut d2, mut d3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for k in 0..m {
+            let (w0, w1) = (weights[o[0] + k], weights[o[1] + k]);
+            let (w2, w3) = (weights[o[2] + k], weights[o[3] + k]);
+            a0 += w0 * x[columns[o[0] + k].index()];
+            d0 += w0;
+            a1 += w1 * x[columns[o[1] + k].index()];
+            d1 += w1;
+            a2 += w2 * x[columns[o[2] + k].index()];
+            d2 += w2;
+            a3 += w3 * x[columns[o[3] + k].index()];
+            d3 += w3;
         }
-        for r in blocks..rows {
-            let (acc, deg) = row_lap(
-                &columns[offsets[r]..offsets[r + 1]],
-                &weights[offsets[r]..offsets[r + 1]],
-                x,
-            );
-            y[r] = deg * x[x_base + r] - acc;
+        for k in m..lens[0] {
+            a0 += weights[o[0] + k] * x[columns[o[0] + k].index()];
+            d0 += weights[o[0] + k];
         }
-        return;
+        for k in m..lens[1] {
+            a1 += weights[o[1] + k] * x[columns[o[1] + k].index()];
+            d1 += weights[o[1] + k];
+        }
+        for k in m..lens[2] {
+            a2 += weights[o[2] + k] * x[columns[o[2] + k].index()];
+            d2 += weights[o[2] + k];
+        }
+        for k in m..lens[3] {
+            a3 += weights[o[3] + k] * x[columns[o[3] + k].index()];
+            d3 += weights[o[3] + k];
+        }
+        y[r] = d0 * x[x_base + r] - a0;
+        y[r + 1] = d1 * x[x_base + r + 1] - a1;
+        y[r + 2] = d2 * x[x_base + r + 2] - a2;
+        y[r + 3] = d3 * x[x_base + r + 3] - a3;
+        r += LANES;
     }
-    for r in 0..rows {
-        let (acc, deg) = row_lap(
-            &columns[offsets[r]..offsets[r + 1]],
-            &weights[offsets[r]..offsets[r + 1]],
-            x,
-        );
+    for r in blocks..rows {
+        let (mut acc, mut deg) = (0.0, 0.0);
+        for k in offsets[r]..offsets[r + 1] {
+            acc += weights[k] * x[columns[k].index()];
+            deg += weights[k];
+        }
         y[r] = deg * x[x_base + r] - acc;
     }
 }
 
 /// Graph-Laplacian matvec with **precomputed** weighted degrees
 /// (`y[r] = degrees[r] · x[x_base + r] − Σ w·x[col]`), the row-block
-/// form used by the parallel engine. Bit-exact in both modes.
+/// form used by the parallel engine. Bit-exact, like [`csr_matvec`].
 ///
 /// # Panics
 ///
@@ -469,65 +337,53 @@ pub fn csr_laplacian_matvec_deg<C: ColIndex>(
 /// joins it (`cut + w`). `columns`/`weights` are the vertex's SoA
 /// adjacency row; `local` is the membership array the sweep maintains.
 ///
-/// Scalar mode folds into `cut` in row order — exactly the historical
-/// loop. The 4-lane variant accumulates the signed row sum in four
-/// independent chains, which reassociates the fold (1-ulp-scaled
+/// The signed row sum accumulates in four independent chains and is
+/// added to `cut` once, which reassociates the fold (1-ulp-scaled
 /// parity class).
 #[inline]
 pub fn sweep_boundary_update<C: ColIndex>(
-    mut cut: f64,
+    cut: f64,
     columns: &[C],
     weights: &[f64],
     local: &[bool],
 ) -> f64 {
-    #[cfg(feature = "simd")]
-    if simd_enabled() {
-        let n = columns.len();
-        let chunks = n - n % LANES;
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut k = 0;
-        while k < chunks {
-            // branchless sign select keeps the four chains independent
-            let s0 = if local[columns[k].index()] {
-                -weights[k]
-            } else {
-                weights[k]
-            };
-            let s1 = if local[columns[k + 1].index()] {
-                -weights[k + 1]
-            } else {
-                weights[k + 1]
-            };
-            let s2 = if local[columns[k + 2].index()] {
-                -weights[k + 2]
-            } else {
-                weights[k + 2]
-            };
-            let s3 = if local[columns[k + 3].index()] {
-                -weights[k + 3]
-            } else {
-                weights[k + 3]
-            };
-            a0 += s0;
-            a1 += s1;
-            a2 += s2;
-            a3 += s3;
-            k += LANES;
-        }
-        for i in chunks..n {
-            let w = weights[i];
-            a0 += if local[columns[i].index()] { -w } else { w };
-        }
-        return cut + ((a0 + a1) + (a2 + a3));
-    }
-    for (c, w) in columns.iter().zip(weights) {
-        if local[c.index()] {
-            cut -= w;
+    let n = columns.len();
+    let chunks = n - n % LANES;
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    let mut k = 0;
+    while k < chunks {
+        // branchless sign select keeps the four chains independent
+        let s0 = if local[columns[k].index()] {
+            -weights[k]
         } else {
-            cut += w;
-        }
+            weights[k]
+        };
+        let s1 = if local[columns[k + 1].index()] {
+            -weights[k + 1]
+        } else {
+            weights[k + 1]
+        };
+        let s2 = if local[columns[k + 2].index()] {
+            -weights[k + 2]
+        } else {
+            weights[k + 2]
+        };
+        let s3 = if local[columns[k + 3].index()] {
+            -weights[k + 3]
+        } else {
+            weights[k + 3]
+        };
+        a0 += s0;
+        a1 += s1;
+        a2 += s2;
+        a3 += s3;
+        k += LANES;
     }
-    cut
+    for i in chunks..n {
+        let w = weights[i];
+        a0 += if local[columns[i].index()] { -w } else { w };
+    }
+    cut + ((a0 + a1) + (a2 + a3))
 }
 
 #[cfg(test)]
@@ -538,6 +394,41 @@ mod tests {
     fn dot_matches_reference() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn dot_validates_lengths() {
+        let _ = dot(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn axpy_accumulates() {
+        let mut y = vec![1.0, 1.0];
+        axpy(2.0, &[3.0, -1.0], &mut y);
+        assert_eq!(y, vec![7.0, -1.0]);
+    }
+
+    #[test]
+    fn scale_and_normalize() {
+        let mut x = vec![0.0, 3.0, 4.0];
+        let n = normalize(&mut x);
+        assert_eq!(n, 5.0);
+        assert!((norm(&x) - 1.0).abs() < 1e-12);
+        let mut z = vec![0.0, 0.0];
+        assert_eq!(normalize(&mut z), 0.0);
+        assert_eq!(z, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn orthogonalize_removes_components() {
+        let e1 = vec![1.0, 0.0, 0.0];
+        let e2 = vec![0.0, 1.0, 0.0];
+        let mut x = vec![3.0, 4.0, 5.0];
+        orthogonalize_against(&mut x, &[e1.clone(), e2.clone()]);
+        assert!(dot(&x, &e1).abs() < 1e-12);
+        assert!(dot(&x, &e2).abs() < 1e-12);
+        assert!((x[2] - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -586,20 +477,5 @@ mod tests {
         let local = [true, false, true];
         // -1 + 2 - 4 = -3 on top of cut = 10
         assert_eq!(sweep_boundary_update(10.0, &columns, &weights, &local), 7.0);
-    }
-
-    #[test]
-    fn mode_switch_reports_variant() {
-        // feature off: always scalar; feature on: toggles both ways
-        if cfg!(feature = "simd") {
-            assert!(set_simd_enabled(true));
-            assert_eq!(kernel_name(), "simd");
-            assert!(!set_simd_enabled(false));
-            assert_eq!(kernel_name(), "scalar");
-            set_simd_enabled(true);
-        } else {
-            assert!(!set_simd_enabled(true));
-            assert_eq!(kernel_name(), "scalar");
-        }
     }
 }

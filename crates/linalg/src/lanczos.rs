@@ -12,8 +12,8 @@
 //! single Krylov sequence sees a repeated eigenvalue once — the reason
 //! the spectral bisectors split disconnected graphs before solving.
 
+use crate::kernels::{axpy, dot, normalize, orthogonalize_against};
 use crate::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
-use crate::vector::{axpy, dot, normalize, orthogonalize_against};
 use crate::{jacobi_eigen, DenseMatrix, JacobiOptions, LinalgError, SymOp};
 use mec_obs::{FieldValue, TraceSink};
 
@@ -445,7 +445,7 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::norm;
+    use crate::kernels::norm;
     use crate::CsrMatrix;
 
     fn residual(op: &impl SymOp, pair: &Eigenpair) -> f64 {

@@ -20,7 +20,10 @@
 //! - [`householder_eigen`] — the classic dense two-stage solver
 //!   (Householder reduction + QL), faster than Jacobi at equal
 //!   robustness;
-//! - [`largest_eigenpair`] — power iteration for `λ_max` (formula (11)).
+//! - [`largest_eigenpair`] — power iteration for `λ_max` (formula (11));
+//! - [`kernels`] — the dot/axpy/Gram–Schmidt, CSR matvec and sweep-cut
+//!   loops every operator and solver above runs on, each with one
+//!   4-lane unrolled body.
 //!
 //! # Example: Fiedler pair of a path graph
 //!
@@ -58,7 +61,6 @@ mod lanczos;
 mod power;
 mod sparse;
 mod tridiag;
-pub mod vector;
 
 pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;

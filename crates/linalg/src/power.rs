@@ -5,7 +5,7 @@
 //! [`smallest_eigenpairs`](crate::smallest_eigenpairs), this module
 //! supplies the large end.
 
-use crate::vector::{axpy, dot, norm, normalize};
+use crate::kernels::{axpy, dot, norm, normalize};
 use crate::{Eigenpair, LinalgError, SymOp};
 
 /// Tuning for [`largest_eigenpair`].

@@ -282,10 +282,10 @@ pub fn tridiagonal_eigenvector(
             }
         }
         for o in ortho {
-            let proj = crate::vector::dot(&x, o);
-            crate::vector::axpy(-proj, o, &mut x);
+            let proj = crate::kernels::dot(&x, o);
+            crate::kernels::axpy(-proj, o, &mut x);
         }
-        if crate::vector::normalize(&mut x) <= f64::MIN_POSITIVE {
+        if crate::kernels::normalize(&mut x) <= f64::MIN_POSITIVE {
             continue 'attempts;
         }
         for _ in 0..3 {
@@ -336,10 +336,10 @@ pub fn tridiagonal_eigenvector(
                 x[i] = acc / u[i];
             }
             for o in ortho {
-                let proj = crate::vector::dot(&x, o);
-                crate::vector::axpy(-proj, o, &mut x);
+                let proj = crate::kernels::dot(&x, o);
+                crate::kernels::axpy(-proj, o, &mut x);
             }
-            if crate::vector::normalize(&mut x) <= f64::MIN_POSITIVE {
+            if crate::kernels::normalize(&mut x) <= f64::MIN_POSITIVE {
                 continue 'attempts;
             }
         }
@@ -381,7 +381,7 @@ pub fn tridiagonal_eigenvector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::{dot, norm};
+    use crate::kernels::{dot, norm};
 
     fn residual(diag: &[f64], off: &[f64], lambda: f64, v: &[f64]) -> f64 {
         let n = diag.len();

@@ -1,41 +1,172 @@
-//! Scalar ↔ unrolled-kernel parity properties.
+//! Sequential-reference ↔ shipped-kernel parity properties.
 //!
 //! Every kernel in `mec_linalg::kernels` belongs to one of two parity
-//! classes (documented on the kernel itself):
+//! classes (documented on the kernel itself), measured against the
+//! plain sequential loops kept in [`reference`] below:
 //!
-//! * **bit-exact** — the 4-lane variant keeps each output element's
-//!   accumulation order identical to the scalar loop (matvec
+//! * **bit-exact** — the 4-lane kernel keeps each output element's
+//!   accumulation order identical to the sequential loop (matvec
 //!   interleaves rows but never reassociates within a row; axpy and
 //!   scale are elementwise). Compared here via `to_bits`.
 //! * **1-ulp-scaled** — reductions split into four independent chains
 //!   (dot, norm, the sweep boundary fold, blocked Gram–Schmidt)
 //!   reassociate the sum. Compared against a tolerance proportional to
 //!   machine epsilon times the magnitude actually accumulated.
-//!
-//! Without `--features simd` the mode switch is inert
-//! (`set_simd_enabled(true)` reports `false`) and both runs take the
-//! scalar path, so the suite passes trivially; CI runs the test matrix
-//! in both feature states so the real comparison is always exercised.
-//! Tests serialise on a local mutex because the mode switch is process
-//! global and the harness runs tests concurrently.
 
 use mec_linalg::kernels;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-static MODE: Mutex<()> = Mutex::new(());
+/// The sequential loops the 4-lane kernels are checked against: one
+/// accumulator per reduction, folded in index order, and one modified
+/// Gram–Schmidt step per basis vector.
+mod reference {
+    use mec_linalg::kernels::ColIndex;
 
-/// Runs `f` once in scalar mode and once with the unrolled kernels
-/// (when compiled in), restoring the prior mode after.
-fn both_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    let _guard = MODE.lock().unwrap_or_else(|e| e.into_inner());
-    let prior = kernels::simd_enabled();
-    kernels::set_simd_enabled(false);
-    let scalar = f();
-    kernels::set_simd_enabled(true);
-    let unrolled = f();
-    kernels::set_simd_enabled(prior);
-    (scalar, unrolled)
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "dot: length mismatch");
+        let mut acc = 0.0;
+        for (a, b) in x.iter().zip(y) {
+            acc += a * b;
+        }
+        acc
+    }
+
+    pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    }
+
+    pub fn scale(alpha: f64, x: &mut [f64]) {
+        for xi in x {
+            *xi *= alpha;
+        }
+    }
+
+    pub fn norm(x: &[f64]) -> f64 {
+        dot(x, x).sqrt()
+    }
+
+    pub fn normalize(x: &mut [f64]) -> f64 {
+        let n = norm(x);
+        if n > 0.0 {
+            scale(1.0 / n, x);
+        }
+        n
+    }
+
+    pub fn orthogonalize_against(x: &mut [f64], basis: &[Vec<f64>]) {
+        for b in basis {
+            let c = dot(x, b);
+            axpy(-c, b, x);
+        }
+    }
+
+    pub fn csr_matvec<C: ColIndex>(
+        offsets: &[usize],
+        columns: &[C],
+        values: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        let rows = offsets.len() - 1;
+        assert!(y.len() >= rows, "y length mismatch");
+        for r in 0..rows {
+            y[r] = row_dot(
+                &columns[offsets[r]..offsets[r + 1]],
+                &values[offsets[r]..offsets[r + 1]],
+                x,
+            );
+        }
+    }
+
+    fn row_dot<C: ColIndex>(columns: &[C], values: &[f64], x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for (c, v) in columns.iter().zip(values) {
+            acc += v * x[c.index()];
+        }
+        acc
+    }
+
+    fn row_lap<C: ColIndex>(columns: &[C], weights: &[f64], x: &[f64]) -> (f64, f64) {
+        let mut acc = 0.0;
+        let mut deg = 0.0;
+        for (c, w) in columns.iter().zip(weights) {
+            acc += w * x[c.index()];
+            deg += w;
+        }
+        (acc, deg)
+    }
+
+    pub fn csr_laplacian_matvec<C: ColIndex>(
+        offsets: &[usize],
+        columns: &[C],
+        weights: &[f64],
+        x: &[f64],
+        x_base: usize,
+        y: &mut [f64],
+    ) {
+        let rows = offsets.len() - 1;
+        assert!(y.len() >= rows, "y length mismatch");
+        for r in 0..rows {
+            let (acc, deg) = row_lap(
+                &columns[offsets[r]..offsets[r + 1]],
+                &weights[offsets[r]..offsets[r + 1]],
+                x,
+            );
+            y[r] = deg * x[x_base + r] - acc;
+        }
+    }
+
+    pub fn csr_laplacian_matvec_deg<C: ColIndex>(
+        offsets: &[usize],
+        columns: &[C],
+        weights: &[f64],
+        degrees: &[f64],
+        x: &[f64],
+        x_base: usize,
+        y: &mut [f64],
+    ) {
+        let rows = offsets.len() - 1;
+        assert!(degrees.len() >= rows, "degrees length mismatch");
+        assert!(y.len() >= rows, "y length mismatch");
+        csr_matvec(offsets, columns, weights, x, y);
+        for r in 0..rows {
+            y[r] = degrees[r] * x[x_base + r] - y[r];
+        }
+    }
+
+    pub fn sweep_boundary_update<C: ColIndex>(
+        mut cut: f64,
+        columns: &[C],
+        weights: &[f64],
+        local: &[bool],
+    ) -> f64 {
+        for (c, w) in columns.iter().zip(weights) {
+            if local[c.index()] {
+                cut -= w;
+            } else {
+                cut += w;
+            }
+        }
+        cut
+    }
+}
+
+/// Evaluates the closure body twice: first with `kernels` naming the
+/// sequential [`reference`], then with `kernels` naming the shipped
+/// `mec_linalg::kernels`.
+macro_rules! both_modes {
+    (|| $body:expr) => {
+        (
+            {
+                use crate::reference as kernels;
+                $body
+            },
+            $body,
+        )
+    };
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -99,7 +230,7 @@ proptest! {
     #[test]
     fn csr_matvec_is_bit_exact_across_modes(case in arb_csr()) {
         let rows = case.offsets.len() - 1;
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut y = vec![0.0; rows];
             kernels::csr_matvec(&case.offsets, &case.columns, &case.values, &case.x, &mut y);
             y
@@ -114,7 +245,7 @@ proptest! {
         let rows = case.offsets.len() - 1;
         let mut x = case.x.clone();
         x.resize(x.len().max(rows), 1.0);
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut y = vec![0.0; rows];
             kernels::csr_laplacian_matvec(
                 &case.offsets, &case.columns, &case.values, &x, 0, &mut y,
@@ -132,7 +263,7 @@ proptest! {
         let degrees: Vec<f64> = (0..rows)
             .map(|r| case.values[case.offsets[r]..case.offsets[r + 1]].iter().sum())
             .collect();
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut y = vec![0.0; rows];
             kernels::csr_laplacian_matvec_deg(
                 &case.offsets, &case.columns, &case.values, &degrees, &x, 0, &mut y,
@@ -144,7 +275,7 @@ proptest! {
 
     #[test]
     fn axpy_is_bit_exact_across_modes((x, y) in arb_vec_pair(), alpha in -3.0f64..3.0) {
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut out = y.clone();
             kernels::axpy(alpha, &x, &mut out);
             out
@@ -154,7 +285,7 @@ proptest! {
 
     #[test]
     fn scale_is_bit_exact_across_modes((x, _) in arb_vec_pair(), alpha in -3.0f64..3.0) {
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut out = x.clone();
             kernels::scale(alpha, &mut out);
             out
@@ -166,7 +297,7 @@ proptest! {
 
     #[test]
     fn dot_parity_within_scaled_tolerance((x, y) in arb_vec_pair()) {
-        let (a, b) = both_modes(|| kernels::dot(&x, &y));
+        let (a, b) = both_modes!(|| kernels::dot(&x, &y));
         // reassociating a length-n sum perturbs it by at most O(n·eps)
         // of the accumulated magnitude
         let scale: f64 = x.iter().zip(&y).map(|(a, b)| (a * b).abs()).sum();
@@ -176,14 +307,14 @@ proptest! {
 
     #[test]
     fn norm_parity_within_scaled_tolerance((x, _) in arb_vec_pair()) {
-        let (a, b) = both_modes(|| kernels::norm(&x));
+        let (a, b) = both_modes!(|| kernels::norm(&x));
         let tol = 8.0 * f64::EPSILON * (x.len() as f64 + 1.0) * (1.0 + a);
         prop_assert!((a - b).abs() <= tol, "norm drift {} > tol {}", (a - b).abs(), tol);
     }
 
     #[test]
     fn normalize_parity_within_scaled_tolerance((x, _) in arb_vec_pair()) {
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             let mut v = x.clone();
             let n = kernels::normalize(&mut v);
             (n, v)
@@ -198,7 +329,7 @@ proptest! {
     #[test]
     fn sweep_boundary_update_parity(case in arb_csr(), cut in 0.0f64..1e6) {
         let local: Vec<bool> = case.x.iter().map(|v| *v > 0.0).collect();
-        let (a, b) = both_modes(|| {
+        let (a, b) = both_modes!(|| {
             kernels::sweep_boundary_update(cut, &case.columns, &case.values, &local)
         });
         let scale: f64 = case.values.iter().map(|w| w.abs()).sum::<f64>() + cut.abs();
@@ -211,33 +342,27 @@ proptest! {
         seed in proptest::collection::vec(-1.0f64..1.0, 24..96),
         k in 1usize..7,
     ) {
-        // build an orthonormal basis deterministically (scalar mode) so
-        // both modes project against the same vectors; blocked CGS and
-        // sequential MGS then agree to rounding because cross terms
-        // b_i·b_j are already at machine-epsilon level
+        // build an orthonormal basis deterministically (with the
+        // reference loops) so both sides project against the same
+        // vectors; blocked CGS and sequential MGS then agree to
+        // rounding because cross terms b_i·b_j are already at
+        // machine-epsilon level
         let n = seed.len();
-        let _guard = MODE.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = kernels::simd_enabled();
-        kernels::set_simd_enabled(false);
         let mut basis: Vec<Vec<f64>> = Vec::new();
         for j in 0..k {
             let mut v: Vec<f64> = (0..n)
                 .map(|i| seed[(i * (j + 2) + j) % n] + if i % (j + 1) == 0 { 0.5 } else { 0.0 })
                 .collect();
-            kernels::orthogonalize_against(&mut v, &basis);
-            if kernels::normalize(&mut v) > 1e-9 {
+            reference::orthogonalize_against(&mut v, &basis);
+            if reference::normalize(&mut v) > 1e-9 {
                 basis.push(v);
             }
         }
-        let run = |on: bool| {
-            kernels::set_simd_enabled(on);
+        let (scalar, unrolled) = both_modes!(|| {
             let mut x = seed.clone();
             kernels::orthogonalize_against(&mut x, &basis);
             x
-        };
-        let scalar = run(false);
-        let unrolled = run(true);
-        kernels::set_simd_enabled(prior);
+        });
         let scale = 1.0 + seed.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
         for (s, u) in scalar.iter().zip(&unrolled) {
             prop_assert!(

@@ -231,28 +231,12 @@ impl SpectralBisector {
             value: fiedler_value,
             vector: mut fiedler_vector,
         } = pairs.swap_remove(1);
-        // canonical sign: first non-zero component positive
-        if let Some(first) = fiedler_vector.iter().find(|v| v.abs() > 1e-12) {
-            if *first < 0.0 {
-                for v in &mut fiedler_vector {
-                    *v = -*v;
-                }
-            }
-        }
-        let partition = match self.split {
-            SplitRule::RatioSweep | SplitRule::Sweep => {
-                let objective = if self.split == SplitRule::RatioSweep {
-                    SweepObjective::RatioCut
-                } else {
-                    SweepObjective::CutWeight
-                };
-                let CutScratch {
-                    csr, order, local, ..
-                } = &mut *scratch;
-                sweep_cut(csr, &fiedler_vector, objective, order, local)
-            }
-            rule => split_vector(&fiedler_vector, rule, &mut scratch.order),
-        };
+        canonicalize_sign(&mut fiedler_vector);
+        let CutScratch {
+            csr, order, local, ..
+        } = &mut *scratch;
+        split_sides(csr, &fiedler_vector, self.split, order, local);
+        let partition = local_sides(local);
         let cut_weight = partition.cut_weight(g);
         emit_cut(sink, n, fiedler_value, cut_weight);
         Ok(SpectralCut {
@@ -300,6 +284,121 @@ pub(crate) fn mark_first_component(
     queue.len()
 }
 
+/// Flips `v` so its first non-zero component is positive: the
+/// canonical sign of a Fiedler vector, which both bisectors split on.
+pub(crate) fn canonicalize_sign(v: &mut [f64]) {
+    if let Some(first) = v.iter().find(|x| x.abs() > 1e-12) {
+        if *first < 0.0 {
+            for x in v.iter_mut() {
+                *x = -*x;
+            }
+        }
+    }
+}
+
+/// Marks in `local` the [`Side::Local`] nodes of a connected graph by
+/// `rule` on its Fiedler vector `v`. When the rule gives an improper
+/// split (or is [`SplitRule::Median`]), the lower half of the Fiedler
+/// ordering goes local instead, so both sides are non-empty. Both
+/// bisectors split through this routine.
+pub(crate) fn split_sides(
+    csr: &CsrAdjacency,
+    v: &[f64],
+    rule: SplitRule,
+    order: &mut Vec<usize>,
+    local: &mut Vec<bool>,
+) {
+    let m = v.len();
+    let proper = match rule {
+        SplitRule::Sweep | SplitRule::RatioSweep => sweep_sides(csr, v, rule, order, local),
+        SplitRule::Sign => {
+            local.clear();
+            local.extend(v.iter().map(|&x| x < 0.0));
+            let lefts = local.iter().filter(|&&s| s).count();
+            lefts > 0 && lefts < m
+        }
+        SplitRule::Median => false,
+    };
+    if !proper {
+        order.clear();
+        order.extend(0..m);
+        order.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).expect("components are finite"));
+        local.clear();
+        local.resize(m, false);
+        for &l in order.iter().take(m / 2) {
+            local[l] = true;
+        }
+    }
+}
+
+/// Sweep cut: nodes sorted by Fiedler component; every prefix split is
+/// priced incrementally and the best-scoring one is marked in `local`.
+/// Ties in the ordering break by node id, ties in score by the more
+/// balanced split. Returns whether the split is proper. The per-vertex
+/// boundary update reads the CSR's SoA `columns`/`weights` slices
+/// through the shared sweep kernel.
+fn sweep_sides(
+    csr: &CsrAdjacency,
+    v: &[f64],
+    rule: SplitRule,
+    order: &mut Vec<usize>,
+    local: &mut Vec<bool>,
+) -> bool {
+    let m = v.len();
+    debug_assert!(m >= 2);
+    debug_assert_eq!(csr.node_count(), m);
+    order.clear();
+    order.extend(0..m);
+    order.sort_by(|&a, &b| {
+        v[a].partial_cmp(&v[b])
+            .expect("components are finite")
+            .then(a.cmp(&b))
+    });
+    local.clear();
+    local.resize(m, false);
+    let (offsets, columns, weights) = csr.as_parts();
+    let mut cut = 0.0f64;
+    let mut best = (f64::INFINITY, 0usize, usize::MAX); // (score, |k - m/2|, k)
+    for (k, &node) in order.iter().enumerate().take(m - 1) {
+        // moving `node` to the local side: edges into the prefix leave
+        // the boundary, edges out of it start crossing
+        let (lo, hi) = (offsets[node], offsets[node + 1]);
+        cut = kernels::sweep_boundary_update(cut, &columns[lo..hi], &weights[lo..hi], local);
+        local[node] = true;
+        let prefix = k + 1;
+        let balance_dist = prefix.abs_diff(m / 2);
+        let score = if rule == SplitRule::RatioSweep {
+            cut / (prefix as f64 * (m - prefix) as f64)
+        } else {
+            cut
+        };
+        if score < best.0 - 1e-12 || (score <= best.0 + 1e-12 && balance_dist < best.1) {
+            best = (score, balance_dist, prefix);
+        }
+    }
+    local.iter_mut().for_each(|s| *s = false);
+    let split_at = best.2;
+    if split_at == usize::MAX || split_at == 0 || split_at >= m {
+        return false;
+    }
+    for &node in order.iter().take(split_at) {
+        local[node] = true;
+    }
+    true
+}
+
+/// The bipartition whose [`Side::Local`] nodes are the ones marked in
+/// `local`.
+fn local_sides(local: &[bool]) -> Bipartition {
+    Bipartition::from_fn(local.len(), |i| {
+        if local[i] {
+            Side::Local
+        } else {
+            Side::Remote
+        }
+    })
+}
+
 /// The cut of a disconnected graph along its components: the `reached`
 /// nodes (node 0's component, `a` of them) go local, the rest remote.
 /// The returned vector is a `λ = 0` eigenvector of the Laplacian: a
@@ -310,13 +409,7 @@ fn component_split(reached: &[bool], a: usize) -> SpectralCut {
     let (a, b) = (a as f64, n - a as f64);
     let (local, remote) = ((b / (a * n)).sqrt(), -(a / (b * n)).sqrt());
     SpectralCut {
-        partition: Bipartition::from_fn(reached.len(), |i| {
-            if reached[i] {
-                Side::Local
-            } else {
-                Side::Remote
-            }
-        }),
+        partition: local_sides(reached),
         fiedler_value: 0.0,
         fiedler_vector: reached
             .iter()
@@ -339,99 +432,6 @@ fn emit_cut(sink: &dyn TraceSink, n: usize, fiedler_value: f64, cut_weight: f64)
                 ("cut_weight", FieldValue::from(cut_weight)),
             ],
         );
-    }
-}
-
-/// What a sweep minimises over the prefix splits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SweepObjective {
-    /// Raw crossing weight.
-    CutWeight,
-    /// `cut / (|A| · |B|)` — the ratio-cut score.
-    RatioCut,
-}
-
-/// Sweep cut: nodes sorted by Fiedler component; every prefix split is
-/// priced incrementally and the best-scoring proper one wins. Ties in
-/// the ordering break by node id, ties in score by the more balanced
-/// split.
-///
-/// Works off the CSR snapshot's SoA `columns`/`weights` slices instead
-/// of chasing `g.neighbors` + `edge_weight` pointers per candidate
-/// prefix; CSR rows list the same neighbours in the same order, and the
-/// boundary kernel folds in row order under the scalar kernels, so the
-/// incremental cut accumulation is bit-identical to the pointer-chasing
-/// version. `order` and `local` are pooled scratch buffers.
-fn sweep_cut(
-    csr: &CsrAdjacency,
-    v: &[f64],
-    objective: SweepObjective,
-    order: &mut Vec<usize>,
-    local: &mut Vec<bool>,
-) -> Bipartition {
-    let n = v.len();
-    debug_assert!(n >= 2);
-    debug_assert_eq!(csr.node_count(), n);
-    order.clear();
-    order.extend(0..n);
-    order.sort_by(|&a, &b| {
-        v[a].partial_cmp(&v[b])
-            .expect("components are finite")
-            .then(a.cmp(&b))
-    });
-    local.clear();
-    local.resize(n, false);
-    let (offsets, columns, weights) = csr.as_parts();
-    let mut cut = 0.0f64;
-    let mut best = (f64::INFINITY, 0usize, usize::MAX); // (weight, |k - n/2| dist, k)
-    for (k, &node) in order.iter().enumerate().take(n - 1) {
-        // moving `node` from Remote to Local: edges into the prefix
-        // leave the boundary, edges out of it start crossing
-        let (lo, hi) = (offsets[node], offsets[node + 1]);
-        cut = kernels::sweep_boundary_update(cut, &columns[lo..hi], &weights[lo..hi], local);
-        local[node] = true;
-        let prefix = k + 1;
-        let balance_dist = prefix.abs_diff(n / 2);
-        let score = match objective {
-            SweepObjective::CutWeight => cut,
-            SweepObjective::RatioCut => cut / (prefix as f64 * (n - prefix) as f64),
-        };
-        if score < best.0 - 1e-12 || (score <= best.0 + 1e-12 && balance_dist < best.1) {
-            best = (score, balance_dist, prefix);
-        }
-    }
-    let split_at = best.2;
-    let mut sides = vec![Side::Remote; n];
-    for &node in order.iter().take(split_at) {
-        sides[node] = Side::Local;
-    }
-    Bipartition::from_sides(sides)
-}
-
-fn split_vector(v: &[f64], rule: SplitRule, order: &mut Vec<usize>) -> Bipartition {
-    let by_sign = Bipartition::from_fn(v.len(), |i| {
-        if v[i] >= 0.0 {
-            Side::Remote
-        } else {
-            Side::Local
-        }
-    });
-    match rule {
-        SplitRule::Sweep | SplitRule::RatioSweep => {
-            unreachable!("sweeps are handled by sweep_cut")
-        }
-        SplitRule::Sign if by_sign.is_proper() => by_sign,
-        SplitRule::Sign | SplitRule::Median => {
-            order.clear();
-            order.extend(0..v.len());
-            order.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).expect("components are finite"));
-            let half = v.len() / 2;
-            let mut sides = vec![Side::Remote; v.len()];
-            for &i in order.iter().take(half) {
-                sides[i] = Side::Local;
-            }
-            Bipartition::from_sides(sides)
-        }
     }
 }
 

@@ -16,11 +16,11 @@
 //! eigen-solve is seeded with the restriction of its parent's Fiedler
 //! vector.
 
-use crate::bisect::mark_first_component;
+use crate::bisect::{canonicalize_sign, mark_first_component, split_sides};
 use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError, SplitRule};
 use mec_graph::{CsrView, Graph};
-use mec_linalg::{kernels, smallest_eigenpairs_with, LanczosOptions};
+use mec_linalg::{smallest_eigenpairs_with, LanczosOptions};
 
 const OUTSIDE: u32 = CsrView::OUTSIDE;
 
@@ -204,14 +204,7 @@ impl RecursiveBisector {
                     lanczos,
                 )?;
                 let mut fiedler = pairs.swap_remove(1).vector;
-                // canonical sign: first non-zero component positive
-                if let Some(first) = fiedler.iter().find(|v| v.abs() > 1e-12) {
-                    if *first < 0.0 {
-                        for v in &mut fiedler {
-                            *v = -*v;
-                        }
-                    }
-                }
+                canonicalize_sign(&mut fiedler);
                 split_sides(csr_sub, &fiedler, self.split, order, local);
                 Some(fiedler)
             };
@@ -250,92 +243,6 @@ impl RecursiveBisector {
             parts: parts as usize,
         })
     }
-}
-
-/// Marks the left child of a connected subset in `local` by `rule` on
-/// its Fiedler vector `v`. When the rule gives an improper split (or
-/// is [`SplitRule::Median`]), the lower half of the Fiedler ordering
-/// goes left instead, so both children are non-empty.
-fn split_sides(
-    csr: &mec_graph::CsrAdjacency,
-    v: &[f64],
-    rule: SplitRule,
-    order: &mut Vec<usize>,
-    local: &mut Vec<bool>,
-) {
-    let m = v.len();
-    let proper = match rule {
-        SplitRule::Sweep | SplitRule::RatioSweep => sweep_sides(csr, v, rule, order, local),
-        SplitRule::Sign => {
-            local.clear();
-            local.extend(v.iter().map(|&x| x < 0.0));
-            let lefts = local.iter().filter(|&&s| s).count();
-            lefts > 0 && lefts < m
-        }
-        SplitRule::Median => false,
-    };
-    if !proper {
-        order.clear();
-        order.extend(0..m);
-        order.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).expect("components are finite"));
-        local.clear();
-        local.resize(m, false);
-        for &l in order.iter().take(m / 2) {
-            local[l] = true;
-        }
-    }
-}
-
-/// Compact-CSR sweep: prices every prefix of the Fiedler ordering
-/// incrementally (same tie-breaks as the flat bisector's sweep) and
-/// marks the winning prefix in `local`. Returns whether the split is
-/// proper. The per-vertex boundary update reads the CSR's SoA
-/// `columns`/`weights` slices through the shared sweep kernel.
-fn sweep_sides(
-    csr: &mec_graph::CsrAdjacency,
-    v: &[f64],
-    rule: SplitRule,
-    order: &mut Vec<usize>,
-    local: &mut Vec<bool>,
-) -> bool {
-    let m = v.len();
-    debug_assert!(m >= 2);
-    order.clear();
-    order.extend(0..m);
-    order.sort_by(|&a, &b| {
-        v[a].partial_cmp(&v[b])
-            .expect("components are finite")
-            .then(a.cmp(&b))
-    });
-    local.clear();
-    local.resize(m, false);
-    let (offsets, columns, weights) = csr.as_parts();
-    let mut cut = 0.0f64;
-    let mut best = (f64::INFINITY, 0usize, usize::MAX);
-    for (k, &node) in order.iter().enumerate().take(m - 1) {
-        let (lo, hi) = (offsets[node], offsets[node + 1]);
-        cut = kernels::sweep_boundary_update(cut, &columns[lo..hi], &weights[lo..hi], local);
-        local[node] = true;
-        let prefix = k + 1;
-        let balance_dist = prefix.abs_diff(m / 2);
-        let score = if rule == SplitRule::RatioSweep {
-            cut / (prefix as f64 * (m - prefix) as f64)
-        } else {
-            cut
-        };
-        if score < best.0 - 1e-12 || (score <= best.0 + 1e-12 && balance_dist < best.1) {
-            best = (score, balance_dist, prefix);
-        }
-    }
-    local.iter_mut().for_each(|s| *s = false);
-    let split_at = best.2;
-    if split_at == usize::MAX || split_at == 0 || split_at >= m {
-        return false;
-    }
-    for &node in order.iter().take(split_at) {
-        local[node] = true;
-    }
-    true
 }
 
 #[cfg(test)]

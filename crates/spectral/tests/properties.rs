@@ -1,6 +1,7 @@
 //! Property tests for the spectral stage: split-rule contracts,
-//! Theorem 2 on arbitrary generated graphs, backend parity, and the
-//! disconnected inputs both bisectors split before any eigen-solve.
+//! Theorem 2 on arbitrary generated graphs, backend parity, the
+//! disconnected inputs both bisectors split before any eigen-solve, and
+//! the split routine both bisectors share.
 
 use mec_graph::{Graph, NodeId, Side};
 use mec_netgen::NetgenSpec;
@@ -168,5 +169,41 @@ fn disconnected_recursive_bisection_peels_a_zero_weight_partition() {
         let p = RecursiveBisector::new().max_depth(1).partition(&g).unwrap();
         assert_eq!(p.parts, 2, "seed {seed}");
         assert_eq!(p.cut_weight(&g), 0.0, "seed {seed}");
+    }
+}
+
+#[test]
+fn flat_bisection_and_depth_one_recursion_split_alike_for_every_rule() {
+    // sizes on both sides of the eigensolver's dense cutoff, so both the
+    // dense path and the Lanczos path feed the shared split routine
+    for (nodes, edges) in [(12usize, 30usize), (40, 120), (150, 600), (400, 2000)] {
+        for seed in 0..10u64 {
+            let g = NetgenSpec::new(nodes, edges)
+                .components(1)
+                .unoffloadable_fraction(0.0)
+                .seed(seed)
+                .generate()
+                .expect("feasible spec");
+            for rule in [
+                SplitRule::Sign,
+                SplitRule::RatioSweep,
+                SplitRule::Sweep,
+                SplitRule::Median,
+            ] {
+                let flat = SpectralBisector::new().split_rule(rule).bisect(&g).unwrap();
+                let rec = RecursiveBisector::new()
+                    .max_depth(1)
+                    .split_rule(rule)
+                    .partition(&g)
+                    .unwrap();
+                for i in 0..g.node_count() {
+                    assert_eq!(
+                        flat.partition.side(NodeId::new(i)) == Side::Local,
+                        rec.part_of[i] == 0,
+                        "({nodes}, {edges}) seed {seed} {rule:?}: node {i}"
+                    );
+                }
+            }
+        }
     }
 }
