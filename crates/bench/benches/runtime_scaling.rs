@@ -4,7 +4,7 @@
 
 use copmecs_core::{Offloader, StrategyKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mec_bench::runtime::{runtime_graph, DenseSpectralStrategy, LanczosSerialStrategy};
+use mec_bench::runtime::{dense_spectral, lanczos_serial, runtime_graph};
 use mec_engine::Cluster;
 use mec_model::{Scenario, SystemParams, UserWorkload};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn bench_runtime_variants(c: &mut Criterion) {
     let variants: Vec<(&str, Offloader)> = vec![
         (
             "spectral-dense",
-            Offloader::builder().build_with_strategy(Box::new(DenseSpectralStrategy::new())),
+            Offloader::builder().build_with_strategy(Box::new(dense_spectral())),
         ),
         (
             "spectral-engine",
@@ -33,7 +33,7 @@ fn bench_runtime_variants(c: &mut Criterion) {
         ),
         (
             "lanczos-serial",
-            Offloader::builder().build_with_strategy(Box::new(LanczosSerialStrategy::new())),
+            Offloader::builder().build_with_strategy(Box::new(lanczos_serial())),
         ),
         (
             "max-flow",

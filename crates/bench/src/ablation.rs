@@ -2,8 +2,8 @@
 //! what each knob does to the *objective*, not just to wall-clock.
 
 use crate::workload::paper_graph;
-use copmecs_core::{CutError, CutStrategy, GreedyMode, Offloader, StrategyKind};
-use mec_graph::{Bipartition, Graph};
+use copmecs_core::{GreedyMode, Offloader, StrategyKind};
+use mec_graph::Graph;
 use mec_labelprop::{CompressionConfig, ThresholdRule, TraversalPolicy};
 use mec_model::{AllocationPolicy, Scenario, SystemParams, UserWorkload};
 use mec_obs::TraceSink;
@@ -51,25 +51,6 @@ fn measure(knob: &str, setting: &str, offloader: &Offloader, scenario: &Scenario
     }
 }
 
-/// A spectral strategy with a chosen split rule (ablation helper).
-#[derive(Debug, Clone)]
-struct SplitRuleStrategy {
-    bisector: SpectralBisector,
-}
-
-impl CutStrategy for SplitRuleStrategy {
-    fn boxed_clone(&self) -> Box<dyn CutStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "spectral-ablation"
-    }
-    fn cut(&self, g: &Graph) -> Result<Bipartition, CutError> {
-        Ok(self.bisector.bisect(g)?.partition)
-    }
-}
-
 /// Runs every quality ablation and returns the points grouped by knob.
 pub fn run(seed: u64) -> Vec<AblationPoint> {
     run_traced(seed, &mec_obs::null_sink())
@@ -114,9 +95,7 @@ pub fn run_traced(seed: u64, sink: &Arc<dyn TraceSink>) -> Vec<AblationPoint> {
         ("ratio sweep", SplitRule::RatioSweep),
         ("median", SplitRule::Median),
     ] {
-        let o = builder().build_with_strategy(Box::new(SplitRuleStrategy {
-            bisector: SpectralBisector::new().split_rule(rule),
-        }));
+        let o = builder().build_with_strategy(Box::new(SpectralBisector::new().split_rule(rule)));
         out.push(measure("split-rule", label, &o, &scenario));
     }
 

@@ -19,9 +19,9 @@
 //! `multilevel` times the future-work coarsen–partition–refine scheme.
 
 use crate::workload::edges_for;
-use copmecs_core::{CutError, CutStrategy, Offloader, StrategyKind};
+use copmecs_core::{Offloader, StrategyKind};
 use mec_engine::Cluster;
-use mec_graph::{Bipartition, Graph};
+use mec_graph::Graph;
 use mec_linalg::LanczosOptions;
 use mec_model::{Scenario, SystemParams, UserWorkload};
 use mec_netgen::NetgenSpec;
@@ -41,84 +41,25 @@ pub struct RuntimePoint {
     pub seconds: f64,
 }
 
-/// Spectral strategy forced onto the dense eigensolver (Householder
+/// The spectral cut forced onto the dense eigensolver (Householder
 /// reduction + QL; Jacobi up to 8 nodes) — the paper's
 /// matrix-multiplication-bound serial implementation.
-#[derive(Debug, Clone)]
-pub struct DenseSpectralStrategy {
-    bisector: SpectralBisector,
+pub fn dense_spectral() -> SpectralBisector {
+    SpectralBisector::new().lanczos_options(LanczosOptions {
+        // always densify: every eigenpair comes from a dense solve,
+        // never the Lanczos recurrence
+        dense_cutoff: usize::MAX,
+        ..LanczosOptions::default()
+    })
 }
 
-impl DenseSpectralStrategy {
-    /// Creates the dense-eigensolver strategy.
-    pub fn new() -> Self {
-        DenseSpectralStrategy {
-            bisector: SpectralBisector::new().lanczos_options(LanczosOptions {
-                // always densify: every eigenpair comes from a dense
-                // solve, never the Lanczos recurrence
-                dense_cutoff: usize::MAX,
-                ..LanczosOptions::default()
-            }),
-        }
-    }
-}
-
-impl Default for DenseSpectralStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CutStrategy for DenseSpectralStrategy {
-    fn boxed_clone(&self) -> Box<dyn CutStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "spectral-dense"
-    }
-
-    fn cut(&self, g: &Graph) -> Result<Bipartition, CutError> {
-        Ok(self.bisector.bisect(g)?.partition)
-    }
-}
-
-/// Serial sparse Lanczos spectral strategy (the ablation series).
-#[derive(Debug, Clone)]
-pub struct LanczosSerialStrategy {
-    bisector: SpectralBisector,
-}
-
-impl LanczosSerialStrategy {
-    /// Creates the serial-Lanczos strategy.
-    pub fn new() -> Self {
-        LanczosSerialStrategy {
-            bisector: SpectralBisector::new().lanczos_options(LanczosOptions {
-                dense_cutoff: 0,
-                ..LanczosOptions::default()
-            }),
-        }
-    }
-}
-
-impl Default for LanczosSerialStrategy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CutStrategy for LanczosSerialStrategy {
-    fn boxed_clone(&self) -> Box<dyn CutStrategy> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "lanczos-serial"
-    }
-
-    fn cut(&self, g: &Graph) -> Result<Bipartition, CutError> {
-        Ok(self.bisector.bisect(g)?.partition)
-    }
+/// The spectral cut on the serial sparse Lanczos eigensolver at every
+/// size (the ablation series).
+pub fn lanczos_serial() -> SpectralBisector {
+    SpectralBisector::new().lanczos_options(LanczosOptions {
+        dense_cutoff: 0,
+        ..LanczosOptions::default()
+    })
 }
 
 /// One serial-vs-cluster measurement of the multi-user pipeline
@@ -367,7 +308,7 @@ pub fn run_traced(
                 "our algorithm without engine".into(),
                 Offloader::builder()
                     .trace_sink(Arc::clone(sink))
-                    .build_with_strategy(Box::new(DenseSpectralStrategy::new())),
+                    .build_with_strategy(Box::new(dense_spectral())),
             ),
             (
                 "our algorithm with engine".into(),
@@ -399,7 +340,7 @@ pub fn run_traced(
                 "lanczos-serial (extra)".into(),
                 Offloader::builder()
                     .trace_sink(Arc::clone(sink))
-                    .build_with_strategy(Box::new(LanczosSerialStrategy::new())),
+                    .build_with_strategy(Box::new(lanczos_serial())),
             ));
             variants.push((
                 "multilevel (extra)".into(),
@@ -424,6 +365,7 @@ pub fn run_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copmecs_core::CutStrategy;
 
     #[test]
     fn all_variants_report_positive_times() {
@@ -490,8 +432,8 @@ mod tests {
     fn custom_strategies_cut_properly() {
         let g = runtime_graph(80, 2);
         // compress first — strategies see compressed graphs in the pipeline
-        let dense = DenseSpectralStrategy::new().cut(&g).unwrap();
-        let serial = LanczosSerialStrategy::new().cut(&g).unwrap();
+        let dense = dense_spectral().cut(&g).unwrap();
+        let serial = lanczos_serial().cut(&g).unwrap();
         assert!(dense.is_proper());
         assert!(serial.is_proper());
         // both spectral variants find the same cut weight

@@ -32,7 +32,6 @@ use mec_linalg::LanczosOptions;
 use mec_obs::{span, NullSink, ShardedRecorder, TraceSink};
 use mec_spectral::{CutScratch, RecursiveBisector, RecursivePartition, SpectralBisector};
 use serde::Serialize;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Cumulative allocator counters, supplied by the measuring *binary*
@@ -283,7 +282,7 @@ fn instrumented_front_end(
         );
         let s = span(sink, "stage.cutting");
         for comp in &outcome.components {
-            strategy.cut_reusing(comp.quotient.graph(), scratch)?;
+            strategy.cut_reusing(comp.quotient.graph(), scratch, sink)?;
         }
         let cutting = s.finish();
         sink.histogram_record(
@@ -305,7 +304,7 @@ fn bare_front_end(
     for g in graphs {
         let outcome = compressor.compress(g);
         for comp in &outcome.components {
-            strategy.cut_reusing(comp.quotient.graph(), scratch)?;
+            strategy.cut_reusing(comp.quotient.graph(), scratch, &NullSink)?;
         }
     }
     Ok(())
@@ -339,46 +338,24 @@ pub fn measure_obs_overhead(
     graphs: &[Graph],
 ) -> Result<ObsOverhead, PipelineError> {
     let compressor = Compressor::new(CompressionConfig::default());
+    let strategy = StrategyKind::Spectral.build();
     let iters = spec.iters.max(1);
+    let run_instrumented = |sink: &dyn TraceSink| {
+        let mut scratch = CutScratch::new();
+        min_seconds(iters, || {
+            instrumented_front_end(&compressor, strategy.as_ref(), sink, graphs, &mut scratch)
+        })
+    };
 
     let off_seconds = {
-        let strategy = StrategyKind::Spectral.build();
         let mut scratch = CutScratch::new();
         min_seconds(iters, || {
             bare_front_end(&compressor, strategy.as_ref(), graphs, &mut scratch)
         })?
     };
-
-    let null_seconds = {
-        let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
-        let strategy = StrategyKind::Spectral.build_with_sink(Arc::clone(&sink));
-        let mut scratch = CutScratch::new();
-        min_seconds(iters, || {
-            instrumented_front_end(
-                &compressor,
-                strategy.as_ref(),
-                sink.as_ref(),
-                graphs,
-                &mut scratch,
-            )
-        })?
-    };
-
-    let recorder = Arc::new(ShardedRecorder::new());
-    let sharded_seconds = {
-        let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as Arc<dyn TraceSink>;
-        let strategy = StrategyKind::Spectral.build_with_sink(Arc::clone(&sink));
-        let mut scratch = CutScratch::new();
-        min_seconds(iters, || {
-            instrumented_front_end(
-                &compressor,
-                strategy.as_ref(),
-                sink.as_ref(),
-                graphs,
-                &mut scratch,
-            )
-        })?
-    };
+    let null_seconds = run_instrumented(&NullSink)?;
+    let recorder = ShardedRecorder::new();
+    let sharded_seconds = run_instrumented(&recorder)?;
     recorder.flush();
     let sharded_records = recorder.spans().len() as u64
         + recorder.events().len() as u64

@@ -67,6 +67,10 @@ pub(crate) fn prepare_users(
 /// and, when the caller threads the same arena across users (the
 /// serial [`prepare_users`] path), across the whole batch. Plans are
 /// identical to a scratch-free cut by the `cut_reusing` contract.
+///
+/// `sink` is the context's on both backends: compression and every
+/// cut record into it, so a call's eigensolver telemetry lands beside
+/// its spans.
 pub(crate) fn prepare_user_reusing(
     compressor: &Compressor,
     strategy: &dyn CutStrategy,
@@ -82,7 +86,7 @@ pub(crate) fn prepare_user_reusing(
     let s = span(sink, "stage.cutting");
     let mut cuts = Vec::with_capacity(outcome.components.len());
     for comp in &outcome.components {
-        cuts.push(strategy.cut_reusing(comp.quotient.graph(), scratch)?);
+        cuts.push(strategy.cut_reusing(comp.quotient.graph(), scratch, sink)?);
     }
     let cutting = s.finish();
     sink.histogram_record("stage.cutting_nanos", duration_sample(cutting));

@@ -147,7 +147,11 @@ impl OffloaderBuilder {
 
     /// Routes all pipeline telemetry — stage spans, label-propagation
     /// rounds, eigensolver counters, the greedy objective trajectory —
-    /// to `sink` (defaults to the no-op [`mec_obs::NullSink`]).
+    /// to `sink` (defaults to the no-op [`mec_obs::NullSink`]). The
+    /// sink is the one [`exec_ctx`](Offloader::exec_ctx) puts in the
+    /// context [`solve`](Offloader::solve) runs under; a
+    /// [`solve_with`](Offloader::solve_with) call records into its own
+    /// context's sink instead.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
         self
@@ -164,14 +168,8 @@ impl OffloaderBuilder {
 
     /// Builds the offloader.
     pub fn build(self) -> Offloader {
-        let sink = self.sink.unwrap_or_else(mec_obs::null_sink);
-        Offloader {
-            compressor: Compressor::new(self.compression),
-            strategy: self.strategy.build_with_sink(Arc::clone(&sink)),
-            greedy_mode: self.greedy_mode,
-            sink,
-            cluster: self.cluster,
-        }
+        let strategy = self.strategy.build();
+        self.build_with_strategy(strategy)
     }
 
     /// Builds with a custom cut backend instead of a

@@ -140,7 +140,8 @@ impl OffloadService {
     }
 
     /// Routes service-level telemetry (`service.*` counters, events and
-    /// histograms) **and** every shard session's telemetry to `sink`.
+    /// histograms) **and** every shard session's telemetry to `sink`,
+    /// the eigensolver records of their cuts included.
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         for shard in &mut self.shards {
             let session = std::mem::replace(

@@ -275,26 +275,10 @@ impl OffloadSession {
         self
     }
 
-    /// Routes session telemetry to `sink`: `session.join` /
-    /// `session.replan` spans, churn events, and what the compression
-    /// and greedy stages emit. (The cut strategy keeps its own sink;
-    /// use [`with_traced_strategy`](Self::with_traced_strategy) to
-    /// route the eigensolver too.)
+    /// Routes all session telemetry to `sink`: `session.join` /
+    /// `session.replan` spans, churn events, and what the compression,
+    /// cut (the eigensolver included) and greedy stages emit.
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.ctx = self.ctx.with_sink(sink);
-        self
-    }
-
-    /// Like [`with_trace_sink`](Self::with_trace_sink) but also routes
-    /// the given [`StrategyKind`]'s internals (the spectral
-    /// eigensolver) through the sink.
-    pub fn with_traced_strategy(
-        mut self,
-        strategy: &StrategyKind,
-        sink: Arc<dyn TraceSink>,
-    ) -> Self {
-        self.strategy = strategy.build_with_sink(Arc::clone(&sink));
-        self.frontends.clear();
         self.ctx = self.ctx.with_sink(sink);
         self
     }

@@ -53,39 +53,56 @@ impl From<BaselineError> for CutError {
 /// A minimum-cut backend: bipartitions one (compressed, connected)
 /// sub-graph.
 ///
+/// Each cut algorithm implements the trait itself —
+/// [`SpectralBisector`], [`MaxFlowBisector`], [`KernighanLin`] and
+/// [`MultilevelBisector`] — configured once and then shared read-only.
+/// A strategy holds configuration only: where its telemetry goes is
+/// decided per call, by the sink handed to
+/// [`cut_reusing`](CutStrategy::cut_reusing).
+///
 /// Single-node graphs must return the trivial all-remote partition so
 /// the greedy stage can still decide the node's placement.
 pub trait CutStrategy: Send + Sync {
     /// Short identifier used in reports and experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Bipartitions `g`.
+    /// Bipartitions `g`, recording nothing.
     ///
     /// # Errors
     ///
     /// Backend-specific failures; see [`CutError`].
     fn cut(&self, g: &Graph) -> Result<Bipartition, CutError>;
 
-    /// Bipartitions `g` inside a caller-owned [`CutScratch`] arena.
+    /// Bipartitions `g` inside a caller-owned [`CutScratch`] arena,
+    /// recording into `sink`.
     ///
-    /// The front-end threads one arena through every component of every
-    /// user it prepares — on the serial backend that arena lives inside
-    /// the [`ExecCtx`](crate::ExecCtx) and survives across solves, on
-    /// the cluster backend each stage task owns a private one — so
-    /// backends that can recycle buffers (the spectral ones) avoid
-    /// re-allocating their CSR snapshot, Krylov basis, and sweep
-    /// buffers per cut. The default implementation
-    /// ignores the arena and delegates to [`cut`](CutStrategy::cut) —
-    /// combinatorial baselines have no spectral state to reuse.
+    /// This is the entry point the pipeline calls. The front-end threads
+    /// one arena through every component of every user it prepares — on
+    /// the serial backend that arena lives inside the
+    /// [`ExecCtx`](crate::ExecCtx) and survives across solves, on the
+    /// cluster backend each stage task owns a private one — so backends
+    /// that can recycle buffers (the spectral one) avoid re-allocating
+    /// their CSR snapshot, Krylov basis, and sweep buffers per cut. The
+    /// sink is the context's, so a cut's records (the eigensolver's
+    /// counters and events, `spectral.cut`) land where the rest of the
+    /// call's do. The default implementation ignores both and delegates
+    /// to [`cut`](CutStrategy::cut): the combinatorial baselines have no
+    /// spectral state to reuse and nothing iterative to report.
     ///
     /// Implementations must return exactly what `cut` would: the arena
-    /// is a performance channel, never a behavioural one.
+    /// is a performance channel and the sink an observation channel,
+    /// never behavioural ones.
     ///
     /// # Errors
     ///
     /// Same as [`cut`](CutStrategy::cut).
-    fn cut_reusing(&self, g: &Graph, scratch: &mut CutScratch) -> Result<Bipartition, CutError> {
-        let _ = scratch;
+    fn cut_reusing(
+        &self,
+        g: &Graph,
+        scratch: &mut CutScratch,
+        sink: &dyn TraceSink,
+    ) -> Result<Bipartition, CutError> {
+        let _ = (scratch, sink);
         self.cut(g)
     }
 
@@ -127,52 +144,30 @@ pub enum StrategyKind {
 impl StrategyKind {
     /// Instantiates the strategy.
     pub fn build(&self) -> Box<dyn CutStrategy> {
-        self.build_with_sink(mec_obs::null_sink())
-    }
-
-    /// Instantiates the strategy with telemetry routed to `sink`. The
-    /// spectral backends forward the sink to the eigensolver (Lanczos
-    /// iteration/restart counters, `spectral.cut` events); the
-    /// combinatorial baselines have nothing iterative to report and
-    /// ignore it.
-    pub fn build_with_sink(&self, sink: Arc<dyn TraceSink>) -> Box<dyn CutStrategy> {
         match self {
-            StrategyKind::Spectral => Box::new(SpectralStrategy {
-                bisector: SpectralBisector::new().with_trace_sink(sink),
-            }),
-            StrategyKind::SpectralParallel { cluster, blocks } => Box::new(SpectralStrategy {
-                bisector: SpectralBisector::new()
-                    .with_cluster(Arc::clone(cluster), *blocks)
-                    .with_trace_sink(sink),
-            }),
+            StrategyKind::Spectral => Box::new(SpectralBisector::new()),
+            StrategyKind::SpectralParallel { cluster, blocks } => {
+                Box::new(SpectralBisector::new().with_cluster(Arc::clone(cluster), *blocks))
+            }
             // ratio-based trial selection: raw min-weight s–t cuts peel
             // single nodes, which makes the offloading split useless
-            StrategyKind::MaxFlow => Box::new(MaxFlowStrategy {
-                bisector: MaxFlowBisector::new().selection(TrialSelection::MinRatio),
-            }),
-            StrategyKind::KernighanLin => Box::new(KlStrategy {
-                partitioner: KernighanLin::new(),
-            }),
-            StrategyKind::Multilevel => Box::new(MultilevelStrategy {
-                bisector: MultilevelBisector::new(),
-            }),
+            StrategyKind::MaxFlow => {
+                Box::new(MaxFlowBisector::new().selection(TrialSelection::MinRatio))
+            }
+            StrategyKind::KernighanLin => Box::new(KernighanLin::new()),
+            StrategyKind::Multilevel => Box::new(MultilevelBisector::new()),
         }
     }
 }
 
-/// Spectral (Fiedler-vector) cut backend.
-#[derive(Debug, Clone)]
-struct SpectralStrategy {
-    bisector: SpectralBisector,
-}
-
-impl CutStrategy for SpectralStrategy {
+/// The Fiedler-vector cut (the paper's §III-B).
+impl CutStrategy for SpectralBisector {
     fn boxed_clone(&self) -> Box<dyn CutStrategy> {
         Box::new(self.clone())
     }
 
     fn name(&self) -> &'static str {
-        if self.bisector.is_parallel() {
+        if self.is_parallel() {
             "spectral+engine"
         } else {
             "spectral"
@@ -180,21 +175,21 @@ impl CutStrategy for SpectralStrategy {
     }
 
     fn cut(&self, g: &Graph) -> Result<Bipartition, CutError> {
-        Ok(self.bisector.bisect(g)?.partition)
+        Ok(self.bisect(g)?.partition)
     }
 
-    fn cut_reusing(&self, g: &Graph, scratch: &mut CutScratch) -> Result<Bipartition, CutError> {
-        Ok(self.bisector.bisect_reusing(g, scratch)?.partition)
+    fn cut_reusing(
+        &self,
+        g: &Graph,
+        scratch: &mut CutScratch,
+        sink: &dyn TraceSink,
+    ) -> Result<Bipartition, CutError> {
+        Ok(self.bisect_reusing(g, scratch, sink)?.partition)
     }
 }
 
-/// Max-flow min-cut backend.
-#[derive(Debug, Clone)]
-struct MaxFlowStrategy {
-    bisector: MaxFlowBisector,
-}
-
-impl CutStrategy for MaxFlowStrategy {
+/// Edmonds–Karp max-flow minimum cut (a paper baseline).
+impl CutStrategy for MaxFlowBisector {
     fn boxed_clone(&self) -> Box<dyn CutStrategy> {
         Box::new(self.clone())
     }
@@ -207,17 +202,12 @@ impl CutStrategy for MaxFlowStrategy {
         if g.node_count() == 1 {
             return Ok(Bipartition::uniform(1, Side::Remote));
         }
-        Ok(self.bisector.bisect(g)?)
+        Ok(self.bisect(g)?)
     }
 }
 
-/// Kernighan–Lin backend.
-#[derive(Debug, Clone)]
-struct KlStrategy {
-    partitioner: KernighanLin,
-}
-
-impl CutStrategy for KlStrategy {
+/// The Kernighan–Lin heuristic (a paper baseline).
+impl CutStrategy for KernighanLin {
     fn boxed_clone(&self) -> Box<dyn CutStrategy> {
         Box::new(self.clone())
     }
@@ -230,17 +220,12 @@ impl CutStrategy for KlStrategy {
         if g.node_count() == 1 {
             return Ok(Bipartition::uniform(1, Side::Remote));
         }
-        Ok(self.partitioner.bisect(g)?)
+        Ok(self.bisect(g)?)
     }
 }
 
-/// Multilevel coarsen–partition–refine backend.
-#[derive(Debug, Clone)]
-struct MultilevelStrategy {
-    bisector: MultilevelBisector,
-}
-
-impl CutStrategy for MultilevelStrategy {
+/// Multilevel coarsen–partition–refine.
+impl CutStrategy for MultilevelBisector {
     fn boxed_clone(&self) -> Box<dyn CutStrategy> {
         Box::new(self.clone())
     }
@@ -253,7 +238,7 @@ impl CutStrategy for MultilevelStrategy {
         if g.node_count() == 1 {
             return Ok(Bipartition::uniform(1, Side::Remote));
         }
-        Ok(self.bisector.bisect(g)?)
+        Ok(self.bisect(g)?)
     }
 }
 

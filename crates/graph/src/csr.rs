@@ -195,13 +195,14 @@ impl Default for CsrAdjacency {
 /// subset — the induced sub-graph's adjacency without building an
 /// owned [`Graph`] or copying rows.
 ///
-/// Edges leaving the subset are skipped on the fly; weighted degrees
-/// count only in-subset edges, so [`laplacian_mul`](CsrView::laplacian_mul)
-/// is exactly the induced sub-graph's Laplacian. Neighbour order within
-/// a row follows the parent row, which itself follows the parent's
-/// edge-insertion order — the same order an owned induced graph's CSR
-/// would produce, keeping float accumulation bit-identical between the
-/// two code paths.
+/// Edges leaving the subset are skipped on the fly, so
+/// [`row`](CsrView::row) and [`row_sum`](CsrView::row_sum) see exactly
+/// the induced sub-graph's adjacency and weighted degrees. Neighbour
+/// order within a row follows the parent row, which itself follows the
+/// parent's edge-insertion order — the same order an owned induced
+/// graph's CSR would produce, so
+/// [`CsrAdjacency::rebuild_from_view`] compacts a view into that CSR
+/// entry for entry.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrView<'a> {
     parent: &'a CsrAdjacency,
@@ -248,32 +249,6 @@ impl<'a> CsrView<'a> {
     /// degree).
     pub fn row_sum(&self, i: usize) -> f64 {
         self.row(i).map(|(_, w)| w).sum()
-    }
-
-    /// Multiplies the **induced** graph Laplacian against `x`, writing
-    /// into `y` (`y = L|_S x`). Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` length differs from the subset size.
-    pub fn laplacian_mul(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.nodes.len();
-        assert_eq!(x.len(), n, "x length mismatch");
-        assert_eq!(y.len(), n, "y length mismatch");
-        let (offsets, columns, weights) = self.parent.as_parts();
-        for (i, &p) in self.nodes.iter().enumerate() {
-            let (lo, hi) = (offsets[p as usize], offsets[p as usize + 1]);
-            let mut acc = 0.0;
-            let mut deg = 0.0;
-            for (c, w) in columns[lo..hi].iter().zip(&weights[lo..hi]) {
-                let l = self.to_local[*c as usize];
-                if l != Self::OUTSIDE {
-                    acc += w * x[l as usize];
-                    deg += w;
-                }
-            }
-            y[i] = deg * x[i] - acc;
-        }
     }
 }
 
@@ -373,8 +348,8 @@ mod tests {
         assert_eq!((csr.offsets.capacity(), csr.columns.capacity()), cap);
     }
 
-    /// Path 0-1-2-3 restricted to {1, 2, 3}: the view's Laplacian must
-    /// equal the induced path 1-2-3's Laplacian.
+    /// Path 0-1-2-3 restricted to {1, 2, 3}: the view's rows must be
+    /// the induced path 1-2-3's rows.
     #[test]
     fn view_laplacian_matches_induced_graph() {
         let mut b = GraphBuilder::new();
@@ -395,17 +370,6 @@ mod tests {
         // induced degrees: node 1 loses the weight-5 edge to node 0
         assert_eq!(view.row_sum(0), 2.0);
         assert_eq!(view.row_sum(1), 5.0);
-        let x = [1.0, -2.0, 4.0];
-        let mut y = [0.0; 3];
-        view.laplacian_mul(&x, &mut y);
-        // L|_S = [[2,-2,0],[-2,5,-3],[0,-3,3]]
-        assert_eq!(y, [2.0 + 4.0, -2.0 - 10.0 - 12.0, 6.0 + 12.0]);
-        // constants are annihilated by the induced Laplacian
-        let mut z = [7.0; 3];
-        view.laplacian_mul(&[3.0; 3], &mut z);
-        for v in z {
-            assert!(v.abs() < 1e-12);
-        }
     }
 
     /// Compacting a view must reproduce the CSR of the owned induced

@@ -293,32 +293,25 @@ pub fn smallest_eigenpairs<A: SymOp>(
     k: usize,
     opts: &LanczosOptions,
 ) -> Result<Vec<Eigenpair>, LinalgError> {
-    smallest_eigenpairs_traced(op, k, opts, &mec_obs::NullSink)
+    smallest_eigenpairs_with(
+        op,
+        k,
+        opts,
+        None,
+        &mec_obs::NullSink,
+        &mut LanczosScratch::new(),
+    )
 }
 
-/// [`smallest_eigenpairs`] with telemetry: each convergence checkpoint
-/// emits a `lanczos.burst` event (subspace dimension, residual
-/// estimate, convergence flag) and each finished recurrence records
-/// its checkpoint count in the `lanczos.checkpoints` histogram; dense
-/// fallbacks bump `lanczos.dense_solves`, and converged iterative
-/// solves bump `lanczos.solves`. Numerically identical to the untraced
-/// entry point.
-///
-/// # Errors
-///
-/// Same as [`smallest_eigenpairs`].
-pub fn smallest_eigenpairs_traced<A: SymOp>(
-    op: &A,
-    k: usize,
-    opts: &LanczosOptions,
-    sink: &dyn TraceSink,
-) -> Result<Vec<Eigenpair>, LinalgError> {
-    let mut scratch = LanczosScratch::new();
-    smallest_eigenpairs_with(op, k, opts, None, sink, &mut scratch)
-}
-
-/// [`smallest_eigenpairs_traced`] with a caller-owned
+/// [`smallest_eigenpairs`] with telemetry, a caller-owned
 /// [`LanczosScratch`] and an optional start vector.
+///
+/// Each convergence checkpoint emits a `lanczos.burst` event (subspace
+/// dimension, residual estimate, convergence flag) into `sink`, and
+/// each finished recurrence records its checkpoint count in the
+/// `lanczos.checkpoints` histogram; dense solves bump
+/// `lanczos.dense_solves`, and converged iterative solves bump
+/// `lanczos.solves`. The sink never changes the result.
 ///
 /// One recurrence grows the basis step by step and never recomputes a
 /// prefix. Convergence checkpoints come at geometrically spaced
@@ -604,7 +597,8 @@ mod tests {
             ..mec_obs::ShardConfig::default()
         });
         let l = path_laplacian(150);
-        smallest_eigenpairs_traced(&l, 2, &iterative(), &rec).unwrap();
+        let mut scratch = LanczosScratch::new();
+        smallest_eigenpairs_with(&l, 2, &iterative(), None, &rec, &mut scratch).unwrap();
         rec.flush();
         let dims: Vec<u64> = rec
             .events()

@@ -66,8 +66,8 @@ pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;
 pub use householder::{householder_eigen, householder_tridiagonalize, HouseholderReduction};
 pub use lanczos::{
-    lanczos_with, smallest_eigenpairs, smallest_eigenpairs_traced, smallest_eigenpairs_with,
-    Eigenpair, LanczosOptions, LanczosRun, LanczosScratch,
+    lanczos_with, smallest_eigenpairs, smallest_eigenpairs_with, Eigenpair, LanczosOptions,
+    LanczosRun, LanczosScratch,
 };
 pub use power::{largest_eigenpair, PowerOptions};
 pub use sparse::CsrMatrix;

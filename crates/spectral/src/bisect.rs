@@ -5,15 +5,8 @@ use crate::{CutScratch, SpectralError};
 use mec_engine::{Cluster, ParallelLaplacian};
 use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
 use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
-use mec_obs::{FieldValue, TraceSink};
+use mec_obs::{FieldValue, NullSink, TraceSink};
 use std::sync::Arc;
-
-/// Default node count below which a cluster-configured bisector still
-/// solves serially: shipping a 3-node Laplacian to the pool costs more
-/// than the product itself. Matches the eigensolver's dense cutoff —
-/// below it Lanczos never iterates, so a distributed operator would
-/// only pay stage round-trips without amortising them.
-pub(crate) const DEFAULT_SERIAL_CUTOFF: usize = 32;
 
 /// How the Fiedler vector is turned into two node sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,26 +55,14 @@ pub struct SpectralCut {
 ///
 /// The eigensolver can run serially or with its matrix-vector products
 /// sharded over a [`Cluster`] — the paper's Spark configuration
-/// (`with_cluster`).
-#[derive(Debug, Clone)]
+/// (`with_cluster`). The bisector holds configuration only: telemetry
+/// goes to the sink each [`bisect_reusing`](Self::bisect_reusing) call
+/// is handed.
+#[derive(Debug, Clone, Default)]
 pub struct SpectralBisector {
     lanczos: LanczosOptions,
     split: SplitRule,
     cluster: Option<(Arc<Cluster>, usize)>,
-    serial_cutoff: usize,
-    sink: Option<Arc<dyn TraceSink>>,
-}
-
-impl Default for SpectralBisector {
-    fn default() -> Self {
-        SpectralBisector {
-            lanczos: LanczosOptions::default(),
-            split: SplitRule::default(),
-            cluster: None,
-            serial_cutoff: DEFAULT_SERIAL_CUTOFF,
-            sink: None,
-        }
-    }
 }
 
 impl SpectralBisector {
@@ -105,39 +86,20 @@ impl SpectralBisector {
 
     /// Runs the Laplacian products on `cluster`, sharded into `blocks`
     /// row blocks — the "with Spark" configuration of the paper's
-    /// Fig. 9.
+    /// Fig. 9. Only graphs above the eigensolver's dense cutoff
+    /// ([`LanczosOptions::dense_cutoff`]) go to the cluster: at or
+    /// below it no product is iterated, so the serial operator builds
+    /// the dense matrix. The two operators produce bit-identical
+    /// products (same row contents, same accumulation order), so the
+    /// choice changes wall-time only, never the cut.
     pub fn with_cluster(mut self, cluster: Arc<Cluster>, blocks: usize) -> Self {
         self.cluster = Some((cluster, blocks.max(1)));
-        self
-    }
-
-    /// Reverts to the serial backend.
-    pub fn serial(mut self) -> Self {
-        self.cluster = None;
-        self
-    }
-
-    /// Node count below which a cluster-configured bisector solves
-    /// serially anyway (default 32). The cluster and serial backends
-    /// produce bit-identical Laplacian products — row contents and
-    /// accumulation order match — so the threshold changes wall-time
-    /// only, never the cut. Set to `0` to always use the cluster.
-    pub fn serial_cutoff(mut self, nodes: usize) -> Self {
-        self.serial_cutoff = nodes;
         self
     }
 
     /// `true` when a cluster backend is configured.
     pub fn is_parallel(&self) -> bool {
         self.cluster.is_some()
-    }
-
-    /// Routes telemetry to `sink`: eigensolver iteration/restart
-    /// counters and one `spectral.cut` event per bisection (Fiedler
-    /// value, cut weight, node count).
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
-        self
     }
 
     /// Bisects `g` along its Fiedler vector.
@@ -150,10 +112,10 @@ impl SpectralBisector {
     ///
     /// This is a thin shim over
     /// [`bisect_reusing`](SpectralBisector::bisect_reusing) with a
-    /// throwaway arena; pipeline callers never take it — the
-    /// offloader's execution context owns one [`CutScratch`] per
-    /// serial batch (and one per cluster task) and threads it through
-    /// the reusing entry point.
+    /// throwaway arena and no sink; pipeline callers never take it —
+    /// the offloader's execution context owns one [`CutScratch`] per
+    /// serial batch (and one per cluster task) and threads it, with
+    /// its sink, through the reusing entry point.
     ///
     /// # Errors
     ///
@@ -161,13 +123,18 @@ impl SpectralBisector {
     /// - [`SpectralError::Eigensolver`] if the Fiedler pair cannot be
     ///   computed.
     pub fn bisect(&self, g: &Graph) -> Result<SpectralCut, SpectralError> {
-        self.bisect_reusing(g, &mut CutScratch::new())
+        self.bisect_reusing(g, &mut CutScratch::new(), &NullSink)
     }
 
     /// [`bisect`](SpectralBisector::bisect) with a caller-owned
     /// [`CutScratch`] arena: the CSR snapshot, Krylov basis, and sweep
     /// buffers are recycled across calls, so every cut after the first
     /// is allocation-free in the eigensolver's inner loop.
+    ///
+    /// Telemetry goes to `sink`: the eigensolver's counters, events and
+    /// histograms, and per bisection the `spectral.bisections` counter
+    /// and one `spectral.cut` event (node count, Fiedler value, cut
+    /// weight). The sink never changes the cut.
     ///
     /// Connectivity is tested on the CSR snapshot before the
     /// eigen-solve, so the eigensolver only ever sees a connected
@@ -182,6 +149,7 @@ impl SpectralBisector {
         &self,
         g: &Graph,
         scratch: &mut CutScratch,
+        sink: &dyn TraceSink,
     ) -> Result<SpectralCut, SpectralError> {
         let n = g.node_count();
         if n == 0 {
@@ -196,10 +164,6 @@ impl SpectralBisector {
                 cut_weight: 0.0,
             });
         }
-        let sink: &dyn TraceSink = match &self.sink {
-            Some(s) => s.as_ref(),
-            None => &mec_obs::NullSink,
-        };
         scratch.csr.rebuild_from(g);
         let CutScratch {
             csr, order, local, ..
@@ -209,13 +173,16 @@ impl SpectralBisector {
             emit_cut(sink, n, 0.0, 0.0);
             return Ok(component_split(local, reached));
         }
-        // Below the cutoff the serial CSR kernel beats the stage
-        // round-trip; the two backends produce bit-identical products
-        // (same row contents in the same order), so this is purely a
+        // At or below the dense cutoff the eigensolver densifies the
+        // operator instead of iterating it, so only larger graphs can
+        // amortise the cluster's stage round-trips; the two operators
+        // produce bit-identical products, so this is purely a
         // wall-time decision.
-        let use_cluster = self.cluster.is_some() && n >= self.serial_cutoff;
-        let mut pairs = if use_cluster {
-            let (cluster, blocks) = self.cluster.as_ref().expect("checked above");
+        let cluster = self
+            .cluster
+            .as_ref()
+            .filter(|_| n > self.lanczos.dense_cutoff);
+        let mut pairs = if let Some((cluster, blocks)) = cluster {
             let edges: Vec<(usize, usize, f64)> = g
                 .edges()
                 .map(|e| (e.source.index(), e.target.index(), e.weight))
@@ -565,7 +532,6 @@ mod tests {
         let cluster = Arc::new(Cluster::new(2).unwrap());
         let b2 = b.with_cluster(cluster, 4);
         assert!(b2.is_parallel());
-        assert!(!b2.serial().is_parallel());
     }
 
     #[test]
@@ -656,7 +622,7 @@ mod tests {
                 .unwrap();
             let b = SpectralBisector::new().split_rule(rule);
             let fresh = b.bisect(&g).unwrap();
-            let reused = b.bisect_reusing(&g, &mut scratch).unwrap();
+            let reused = b.bisect_reusing(&g, &mut scratch, &NullSink).unwrap();
             assert_eq!(fresh.partition, reused.partition, "seed {seed}");
             assert_eq!(
                 fresh.fiedler_value.to_bits(),
@@ -673,9 +639,9 @@ mod tests {
 
     #[test]
     fn small_graphs_take_the_serial_path_on_a_cluster() {
-        // 30 nodes < default cutoff (32): the cluster-configured
-        // bisector must produce the serial result bit-for-bit, because
-        // it *is* the serial path below the cutoff
+        // 30 nodes ≤ the default dense cutoff (32): the
+        // cluster-configured bisector must produce the serial result
+        // bit-for-bit, because it *is* the serial path at that size
         let g = NetgenSpec::new(30, 80)
             .components(1)
             .seed(6)
@@ -692,13 +658,26 @@ mod tests {
             serial.fiedler_value.to_bits(),
             small.fiedler_value.to_bits()
         );
-        // forcing the cutoff to 0 routes even this graph through the
-        // parallel operator, which is numerically identical by design
+        // a dense cutoff of 0 makes even this graph iterate, so the
+        // cluster-configured bisector runs the parallel operator, which
+        // is numerically identical to the serial one by design
+        let iterative = LanczosOptions {
+            dense_cutoff: 0,
+            ..LanczosOptions::default()
+        };
+        let serial = SpectralBisector::new()
+            .lanczos_options(iterative.clone())
+            .bisect(&g)
+            .unwrap();
         let forced = SpectralBisector::new()
+            .lanczos_options(iterative)
             .with_cluster(cluster, 4)
-            .serial_cutoff(0)
             .bisect(&g)
             .unwrap();
         assert_eq!(serial.partition, forced.partition);
+        assert_eq!(
+            serial.fiedler_value.to_bits(),
+            forced.fiedler_value.to_bits()
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Laplacian operators over graphs.
 
-use mec_graph::{CsrAdjacency, CsrView, Graph};
+use mec_graph::{CsrAdjacency, Graph};
 use mec_linalg::SymOp;
 
 /// The graph Laplacian `L = D − A` of a [`Graph`], as a serial
@@ -60,31 +60,6 @@ impl SymOp for CsrLaplacian<'_> {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.csr.laplacian_mul(x, y)
-    }
-}
-
-/// The **induced** Laplacian of a [`CsrView`] — the operator the
-/// recursive bisector hands to Lanczos at every level below the root,
-/// where no owned sub-graph exists at all.
-#[derive(Debug, Clone, Copy)]
-pub struct CsrViewLaplacian<'a> {
-    view: CsrView<'a>,
-}
-
-impl<'a> CsrViewLaplacian<'a> {
-    /// Wraps an index-space restriction.
-    pub fn new(view: CsrView<'a>) -> Self {
-        CsrViewLaplacian { view }
-    }
-}
-
-impl SymOp for CsrViewLaplacian<'_> {
-    fn dim(&self) -> usize {
-        self.view.node_count()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.view.laplacian_mul(x, y)
     }
 }
 

@@ -45,7 +45,7 @@ mod scratch;
 pub mod theory;
 
 pub use bisect::{SpectralBisector, SpectralCut, SplitRule};
-pub use laplacian::{CsrLaplacian, CsrViewLaplacian, GraphLaplacian};
+pub use laplacian::{CsrLaplacian, GraphLaplacian};
 pub use recursive::{RecursiveBisector, RecursivePartition};
 pub use scratch::CutScratch;
 

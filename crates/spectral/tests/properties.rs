@@ -5,10 +5,9 @@
 
 use mec_graph::{Graph, NodeId, Side};
 use mec_netgen::NetgenSpec;
-use mec_obs::{ShardConfig, ShardedRecorder, TraceSink};
-use mec_spectral::{theory, RecursiveBisector, SpectralBisector, SplitRule};
+use mec_obs::{ShardConfig, ShardedRecorder};
+use mec_spectral::{theory, CutScratch, RecursiveBisector, SpectralBisector, SplitRule};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn arb_graph() -> impl Strategy<Value = mec_graph::Graph> {
     // node range keeps every sampled spec inside per-component pair
@@ -128,13 +127,12 @@ fn disconnected_bisection_splits_components_without_a_solve() {
     for seed in 0..6u64 {
         let g = disconnected_above_the_dense_cutoff(seed);
         let n = g.node_count();
-        let rec = Arc::new(ShardedRecorder::with_config(ShardConfig {
+        let rec = ShardedRecorder::with_config(ShardConfig {
             drain_interval: None,
             ..ShardConfig::default()
-        }));
+        });
         let cut = SpectralBisector::new()
-            .with_trace_sink(Arc::clone(&rec) as Arc<dyn TraceSink>)
-            .bisect(&g)
+            .bisect_reusing(&g, &mut CutScratch::new(), &rec)
             .unwrap();
         rec.flush();
         assert_eq!(cut.cut_weight, 0.0, "seed {seed}");

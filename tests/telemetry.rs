@@ -116,13 +116,84 @@ fn recorder_sees_every_pipeline_stage() {
     assert_eq!(alphas[0], 1.0, "first sweep updates every node");
 }
 
+/// The counters of every spectral and eigensolver record in `rec`.
+fn cut_counters(rec: &ShardedRecorder) -> Vec<(&'static str, u64)> {
+    rec.metrics()
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|(k, _)| k.name.starts_with("spectral.") || k.name.starts_with("lanczos."))
+        .map(|(k, v)| (k.name, v))
+        .collect()
+}
+
+/// A caller's context decides where a solve records, on both backends:
+/// the `pipeline.solve` span and every cut counter land in the
+/// context's sink, and the builder's sink sees nothing of the call.
+#[test]
+fn solve_with_records_only_into_the_context_sink() {
+    let s = crowd(15, 2);
+    // what the builder's sink records of a plain `solve`
+    let reference = Arc::new(ShardedRecorder::new());
+    Offloader::builder()
+        .trace_sink(Arc::clone(&reference) as Arc<dyn TraceSink>)
+        .build()
+        .solve(&s)
+        .unwrap();
+    let expected = cut_counters(&reference);
+    assert!(reference.counter_value("spectral.bisections") > 0);
+    assert!(reference.counter_value("lanczos.solves") > 0);
+
+    let cluster = Arc::new(copmecs::engine::Cluster::new(2).unwrap());
+    for ctx in [ExecCtx::serial(), ExecCtx::cluster(cluster)] {
+        let builder_sink = Arc::new(ShardedRecorder::new());
+        let ctx_sink = Arc::new(ShardedRecorder::new());
+        let offloader = Offloader::builder()
+            .trace_sink(Arc::clone(&builder_sink) as Arc<dyn TraceSink>)
+            .build();
+        let mut ctx = ctx.with_sink(Arc::clone(&ctx_sink) as Arc<dyn TraceSink>);
+        offloader.solve_with(&mut ctx, &s).unwrap();
+
+        assert!(ctx_sink
+            .spans()
+            .iter()
+            .any(|sp| sp.name == "pipeline.solve"));
+        assert_eq!(cut_counters(&ctx_sink), expected);
+        assert!(builder_sink.spans().is_empty());
+        assert!(builder_sink.events().is_empty());
+        let untouched = builder_sink.metrics().snapshot();
+        assert!(untouched.counters.iter().all(|(_, v)| *v == 0));
+        assert!(untouched.histograms.iter().all(|(_, h)| h.count() == 0));
+    }
+}
+
+/// A traced service's admissions record their cuts: every shard
+/// session hands the service's sink to the eigensolver.
+#[test]
+fn service_admission_records_the_eigensolver() {
+    let recorder = Arc::new(ShardedRecorder::new());
+    let mut service = OffloadService::new(SystemParams::default(), 2)
+        .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
+    let users: Vec<_> = (0..6u64)
+        .map(|i| {
+            let g = NetgenSpec::new(300, 900).seed(20 + i).generate().unwrap();
+            (format!("u{i}"), Arc::new(g))
+        })
+        .collect();
+    service.join_many(users).unwrap();
+    assert!(recorder.counter_value("labelprop.rounds") > 0);
+    assert!(recorder.counter_value("spectral.bisections") > 0);
+    assert!(
+        recorder.counter_value("lanczos.solves") + recorder.counter_value("lanczos.dense_solves")
+            > 0
+    );
+}
+
 #[test]
 fn session_counters_track_churn() {
     let recorder = Arc::new(ShardedRecorder::new());
-    let mut session = OffloadSession::new(SystemParams::default()).with_traced_strategy(
-        &StrategyKind::Spectral,
-        Arc::clone(&recorder) as Arc<dyn TraceSink>,
-    );
+    let mut session = OffloadSession::new(SystemParams::default())
+        .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>);
     let g = Arc::new(NetgenSpec::new(120, 360).seed(5).generate().unwrap());
     session.join("a", Arc::clone(&g)).unwrap();
     session.join("b", g).unwrap();
@@ -134,6 +205,12 @@ fn session_counters_track_churn() {
     assert_eq!(recorder.counter_value("session.replans"), 2);
     assert!(recorder.spans().iter().any(|s| s.name == "session.join"));
     assert!(recorder.spans().iter().any(|s| s.name == "session.replan"));
+    // the session's sink covers the cuts of its admissions too
+    assert!(recorder.counter_value("spectral.bisections") > 0);
+    assert!(
+        recorder.counter_value("lanczos.solves") + recorder.counter_value("lanczos.dense_solves")
+            > 0
+    );
 }
 
 /// The exported trace must parse as JSON and survive a parse →
