@@ -1,28 +1,22 @@
-//! Criterion bench for the zero-realloc spectral hot path.
+//! Criterion bench for the spectral hot path: the pipeline's cut stage,
+//! one Fiedler cut per compressed component.
 //!
-//! Benches the per-user front-end (compress → recursive Fiedler cuts)
-//! in three configurations so a regression in any layer of the
-//! optimisation shows up as its own curve:
+//! Two configurations, so a regression in the arena shows up as its
+//! own curve:
 //!
-//! - `cold`: fresh buffers per call, unseeded Lanczos (every
-//!   eigen-solve starts from the pseudo-random vector);
-//! - `scratch`: one [`CutScratch`] arena reused across calls, still
-//!   unseeded — isolates the allocation savings;
-//! - `scratch+warm`: arena plus each child cut seeded with its parent's
-//!   Fiedler vector — the full hot path, as wired by
-//!   `experiments --bench-out BENCH_spectral.json`.
-//!
-//! All three run the same eigensolver schedule, one Lanczos recurrence
-//! per solve.
+//! - `cold`: [`SpectralBisector::bisect`], fresh buffers per call;
+//! - `scratch`: [`StrategyKind::Spectral`]'s `cut_reusing` through one
+//!   [`CutScratch`] arena reused across calls — the stage as the
+//!   pipeline ships it, and as `experiments bench` times it into
+//!   `BENCH_spectral.json`.
 
+use copmecs_core::StrategyKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mec_bench::runtime::runtime_graph;
 use mec_graph::Graph;
 use mec_labelprop::{CompressionConfig, Compressor};
-use mec_linalg::LanczosOptions;
-use mec_spectral::{CutScratch, RecursiveBisector};
-
-const DEPTH: usize = 3;
+use mec_obs::NullSink;
+use mec_spectral::{CutScratch, SpectralBisector};
 
 fn front_end_quotients(users: usize, nodes: usize) -> Vec<Graph> {
     let compressor = Compressor::new(CompressionConfig::default());
@@ -32,9 +26,8 @@ fn front_end_quotients(users: usize, nodes: usize) -> Vec<Graph> {
             compressor
                 .compress(&g)
                 .components
-                .iter()
+                .into_iter()
                 .map(|c| c.quotient.graph().clone())
-                .collect::<Vec<_>>()
         })
         .collect()
 }
@@ -47,13 +40,13 @@ fn bench_spectral_hotpath(c: &mut Criterion) {
     let quotients = front_end_quotients(2, 600);
 
     group.bench_with_input(BenchmarkId::from_parameter("cold"), &quotients, |b, qs| {
-        let bisector = RecursiveBisector::new().max_depth(DEPTH);
+        let bisector = SpectralBisector::new();
         b.iter(|| {
-            let mut parts = 0usize;
+            let mut weight = 0.0;
             for q in qs {
-                parts += bisector.partition(std::hint::black_box(q)).unwrap().parts;
+                weight += bisector.bisect(std::hint::black_box(q)).unwrap().cut_weight;
             }
-            std::hint::black_box(parts)
+            std::hint::black_box(weight)
         })
     });
 
@@ -61,42 +54,17 @@ fn bench_spectral_hotpath(c: &mut Criterion) {
         BenchmarkId::from_parameter("scratch"),
         &quotients,
         |b, qs| {
-            let bisector = RecursiveBisector::new().max_depth(DEPTH);
+            let strategy = StrategyKind::Spectral.build();
             let mut scratch = CutScratch::new();
             b.iter(|| {
-                let mut parts = 0usize;
+                let mut proper = 0usize;
                 for q in qs {
-                    parts += bisector
-                        .partition_reusing(std::hint::black_box(q), &mut scratch)
-                        .unwrap()
-                        .parts;
+                    let cut = strategy
+                        .cut_reusing(std::hint::black_box(q), &mut scratch, &NullSink)
+                        .unwrap();
+                    proper += usize::from(cut.is_proper());
                 }
-                std::hint::black_box(parts)
-            })
-        },
-    );
-
-    group.bench_with_input(
-        BenchmarkId::from_parameter("scratch+warm"),
-        &quotients,
-        |b, qs| {
-            let bisector =
-                RecursiveBisector::new()
-                    .max_depth(DEPTH)
-                    .lanczos_options(LanczosOptions {
-                        warm_start: true,
-                        ..LanczosOptions::default()
-                    });
-            let mut scratch = CutScratch::new();
-            b.iter(|| {
-                let mut parts = 0usize;
-                for q in qs {
-                    parts += bisector
-                        .partition_reusing(std::hint::black_box(q), &mut scratch)
-                        .unwrap()
-                        .parts;
-                }
-                std::hint::black_box(parts)
+                std::hint::black_box(proper)
             })
         },
     );

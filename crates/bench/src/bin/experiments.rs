@@ -23,7 +23,7 @@ use mec_bench::ablation;
 use mec_bench::churn::{self, ChurnSpec};
 use mec_bench::energy::{self, EnergyPoint};
 use mec_bench::multiuser::{self, MultiUserConfig, MultiUserPoint};
-use mec_bench::perfgate::{self, GateStatus};
+use mec_bench::perfgate::{self, BenchFile, GateStatus};
 use mec_bench::report::{normalize, render_table, write_json};
 use mec_bench::runtime::{self, FrontendSpeedup, RuntimePoint, WorkerUtilization};
 use mec_bench::spectral_hotpath::{self, AllocSnapshot, HotpathSpec};
@@ -83,7 +83,6 @@ struct Options {
     serve: Option<String>,
     serve_for: Option<u64>,
     chrome_trace_out: Option<String>,
-    obs_budget: f64,
 }
 
 fn parse_args() -> Options {
@@ -103,7 +102,6 @@ fn parse_args() -> Options {
         serve: None,
         serve_for: None,
         chrome_trace_out: None,
-        obs_budget: 0.03,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -175,13 +173,6 @@ fn parse_args() -> Options {
                         .unwrap_or_else(|| die("--chrome-trace-out needs a path")),
                 );
             }
-            "--obs-budget" => {
-                opts.obs_budget = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&b: &f64| b >= 0.0)
-                    .unwrap_or_else(|| die("--obs-budget needs a non-negative fraction"));
-            }
             cmd if opts.command.is_empty() && !cmd.starts_with('-') => {
                 opts.command = cmd.to_string();
             }
@@ -202,10 +193,10 @@ fn parse_args() -> Options {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: experiments [table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablate|bench|churn|perf-gate|churn-gate|check|all] \
+        "usage: experiments [table1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|ablate|bench|churn|gate|check|all] \
          [--quick] [--extra] [--seed N] [--out DIR] [--trace-out FILE] [--workers N] \
          [--bench-out FILE] [--metrics-out FILE] [--baseline FILE] [--tolerance FRAC] \
-         [--serve ADDR] [--serve-for SECS] [--chrome-trace-out FILE] [--obs-budget FRAC]"
+         [--serve ADDR] [--serve-for SECS] [--chrome-trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -493,7 +484,7 @@ fn run_check(opts: &Options) {
 }
 
 fn run_bench(opts: &Options) {
-    println!("== spectral hot path: pre-PR baseline vs zero-realloc ==\n");
+    println!("== spectral hot path: the shipped cut stage ==\n");
     let spec = HotpathSpec {
         seed: opts.seed,
         ..if opts.quick {
@@ -510,39 +501,35 @@ fn run_bench(opts: &Options) {
     let probe = alloc_probe;
     let report = spectral_hotpath::run(&spec, Some(&probe)).expect("hot path is benchable");
     let fmt_opt = |v: Option<u64>| v.map_or_else(|| "n/a".to_string(), |v| v.to_string());
-    let rows: Vec<Vec<String>> = [&report.baseline, &report.optimized]
-        .iter()
-        .map(|m| {
-            vec![
-                m.label.clone(),
-                format!("{:.4}s", m.seconds),
-                fmt_opt(m.allocations),
-                fmt_opt(m.allocated_bytes),
-                fmt_opt(m.peak_growth_bytes),
-                m.parts.to_string(),
-            ]
-        })
-        .collect();
+    let m = &report.optimized;
+    let o = &report.obs_overhead;
     println!(
         "{}",
         render_table(
             &[
-                "variant",
                 "mean wall",
                 "allocs/run",
                 "bytes/run",
                 "peak growth",
                 "parts",
+                "cut weight",
             ],
-            &rows,
+            &[vec![
+                format!("{:.4}s", m.seconds),
+                fmt_opt(m.allocations),
+                fmt_opt(m.allocated_bytes),
+                fmt_opt(m.peak_growth_bytes),
+                m.parts.to_string(),
+                format!("{:.4}", m.cut_weight),
+            ]],
         )
     );
     println!(
-        "speedup: {:.2}x   alloc ratio: {}",
-        report.speedup,
-        report
-            .alloc_ratio
-            .map_or_else(|| "n/a".to_string(), |r| format!("{r:.1}x")),
+        "tracing overhead: null {:+.2}%, sharded {:+.2}% ({} records, {} dropped)",
+        100.0 * o.null_overhead,
+        100.0 * o.sharded_overhead,
+        o.sharded_records,
+        o.sharded_dropped,
     );
     let path = opts
         .bench_out
@@ -775,9 +762,6 @@ fn run_fig9(opts: &Options, sink: &Arc<dyn TraceSink>, registry: &Arc<MetricsReg
     render_stage_percentiles(registry);
 }
 
-/// Re-runs the committed baseline's hot-path spec and gates the fresh
-/// numbers against it. Exits non-zero when any metric fails, so CI can
-/// consume the verdict directly.
 fn run_churn(opts: &Options, sink: &Arc<dyn TraceSink>) {
     println!("== streaming churn: delta replans over sharded sessions ==\n");
     let spec = ChurnSpec {
@@ -833,86 +817,29 @@ fn run_churn(opts: &Options, sink: &Arc<dyn TraceSink>) {
     write_json(path, &report);
 }
 
-fn run_churn_gate(opts: &Options) {
+/// Re-runs the spec a committed bench file records and gates the fresh
+/// run against the file. Exits non-zero only when a deterministic row
+/// changed, so CI blocks on what host noise cannot move and reads the
+/// timing verdicts from the printed table.
+fn run_gate(opts: &Options) {
     let path = opts
         .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
-    println!("== churn gate: fresh churn run vs {path} ==\n");
-    let json = std::fs::read_to_string(&path)
+        .as_deref()
+        .unwrap_or_else(|| die("gate needs --baseline FILE"));
+    let json = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
-    let baseline = perfgate::parse_churn_baseline(&json).unwrap_or_else(|e| die(&e));
+    let baseline = BenchFile::parse(&json).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    println!("== gate: fresh run vs {path} ==\n");
     println!(
-        "re-running the baseline's spec (users {}, shards {}, events {}, seed {}) \
-         at {:.0}% tolerance, speedup floor {:.0}x\n",
-        baseline.spec.users,
-        baseline.spec.shards,
-        baseline.spec.events,
-        baseline.spec.seed,
-        100.0 * opts.tolerance,
-        perfgate::CHURN_SPEEDUP_FLOOR,
-    );
-    let fresh = churn::run(&baseline.spec, None);
-    let report = perfgate::evaluate_churn(&baseline, &fresh, opts.tolerance);
-    let rows: Vec<Vec<String>> = report
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.metric.to_string(),
-                format!("{:.2}", r.baseline),
-                format!("{:.2}", r.fresh),
-                format!("{:.3}x", r.ratio),
-                r.status.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["metric", "baseline", "fresh", "ratio", "verdict"], &rows)
-    );
-    println!(
-        "fresh: speedup {:.2}x, p50 {}, p99 {}",
-        fresh.speedup,
-        fmt_sample("replan_nanos", fresh.replan_p50_nanos),
-        fmt_sample("replan_nanos", fresh.replan_p99_nanos),
-    );
-    match report.worst() {
-        GateStatus::Pass => println!("\nchurn gate: PASS"),
-        GateStatus::Warn => println!(
-            "\nchurn gate: WARN — within tolerance but drifting; re-run on a quiet host \
-             or refresh the baseline if the regression is intended"
-        ),
-        GateStatus::Fail => {
-            println!("\nchurn gate: FAIL — at least one metric regressed beyond tolerance");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn run_perf_gate(opts: &Options) {
-    let path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| "BENCH_spectral.json".to_string());
-    println!("== perf gate: fresh hot-path run vs {path} ==\n");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
-    let baseline = perfgate::parse_baseline(&json).unwrap_or_else(|e| die(&e));
-    println!(
-        "re-running the baseline's spec (users {}, nodes {}, seed {}, depth {}, iters {}) \
-         at {:.0}% tolerance, tracing-overhead budget {:.1}%\n",
-        baseline.spec.users,
-        baseline.spec.nodes,
-        baseline.spec.seed,
-        baseline.spec.depth,
-        baseline.spec.iters,
-        100.0 * opts.tolerance,
-        100.0 * opts.obs_budget,
+        "re-running {:?} at {:.0}% tolerance\n",
+        baseline.spec(),
+        100.0 * opts.tolerance
     );
     let probe = alloc_probe;
-    let fresh = spectral_hotpath::run(&baseline.spec, Some(&probe)).expect("hot path is benchable");
-    let report = perfgate::evaluate(&baseline, &fresh, opts.tolerance, opts.obs_budget);
+    let fresh = baseline
+        .rerun(Some(&probe))
+        .expect("the committed spec is runnable");
+    let report = perfgate::evaluate(&baseline, &fresh, opts.tolerance);
     let fmt_value = |v: f64| {
         if v.fract() == 0.0 && v.abs() < 1e15 {
             format!("{}", v as i64)
@@ -926,7 +853,8 @@ fn run_perf_gate(opts: &Options) {
         .map(|r| {
             vec![
                 r.metric.to_string(),
-                fmt_value(r.baseline),
+                r.rule.to_string(),
+                fmt_value(r.reference),
                 fmt_value(r.fresh),
                 format!("{:.3}x", r.ratio),
                 r.status.to_string(),
@@ -935,21 +863,25 @@ fn run_perf_gate(opts: &Options) {
         .collect();
     println!(
         "{}",
-        render_table(&["metric", "baseline", "fresh", "ratio", "verdict"], &rows)
+        render_table(
+            &["metric", "rule", "reference", "fresh", "ratio", "verdict"],
+            &rows
+        )
     );
-    for note in &report.notes {
-        println!("note: {note}");
-    }
     match report.worst() {
-        GateStatus::Pass => println!("\nperf gate: PASS"),
+        GateStatus::Pass => println!("\ngate: PASS"),
         GateStatus::Warn => println!(
-            "\nperf gate: WARN — within tolerance but drifting; re-run on a quiet host \
+            "\ngate: WARN — within tolerance but drifting; re-run on a quiet host \
              or refresh the baseline if the regression is intended"
         ),
-        GateStatus::Fail => {
-            println!("\nperf gate: FAIL — at least one metric regressed beyond tolerance");
+        GateStatus::Fail if report.blocks() => {
+            println!("\ngate: FAIL — a deterministic row changed");
             std::process::exit(1);
         }
+        GateStatus::Fail => println!(
+            "\ngate: FAIL — a timing or budget row is past its bound \
+             (advisory: every deterministic row holds)"
+        ),
     }
 }
 
@@ -1017,8 +949,7 @@ fn main() {
         "ablate" => run_ablation(&opts, &sink),
         "bench" => run_bench(&opts),
         "churn" => run_churn(&opts, &sink),
-        "perf-gate" => run_perf_gate(&opts),
-        "churn-gate" => run_churn_gate(&opts),
+        "gate" => run_gate(&opts),
         "check" => run_check(&opts),
         "all" => {
             run_table1(&opts, &sink);

@@ -13,21 +13,21 @@
 //!   first, so the timed replan covers exactly one event's worth of
 //!   churn).
 //!
-//! `speedup = full mean / delta mean` is the headline the perf gate
-//! holds ≥ 5×.
+//! `speedup = full mean / delta mean` is the headline the gate holds
+//! ≥ 5×.
 
 use crate::workload::paper_graph;
 use copmecs_core::OffloadService;
 use mec_graph::Graph;
 use mec_model::SystemParams;
 use mec_obs::TraceSink;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Workload shape of the churn run. Serialized into the report so the
 /// gate can re-run the exact committed spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnSpec {
     /// Crowd bulk-loaded before the timed run; the event mix holds the
     /// tracked count near this level.
@@ -79,7 +79,7 @@ impl ChurnSpec {
 }
 
 /// What one churn run measured — written as `BENCH_churn.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnReport {
     /// The workload that produced these numbers.
     pub spec: ChurnSpec,

@@ -66,43 +66,6 @@ pub fn write_json<T: Serialize>(path: impl AsRef<Path>, data: &T) {
     std::fs::write(path, json).expect("write results file");
 }
 
-/// Writes rows as CSV to `path` (header + one line per row), creating
-/// parent directories. Cells containing commas or quotes are quoted.
-///
-/// # Panics
-///
-/// Panics on I/O failure or ragged rows, like [`render_table`].
-pub fn write_csv(path: impl AsRef<Path>, headers: &[&str], rows: &[Vec<String>]) {
-    for r in rows {
-        assert_eq!(r.len(), headers.len(), "ragged csv row");
-    }
-    let quote = |cell: &str| -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("create results directory");
-    }
-    std::fs::write(path, out).expect("write csv file");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,26 +99,6 @@ mod tests {
     #[should_panic(expected = "ragged table row")]
     fn ragged_rows_panic() {
         let _ = render_table(&["a", "b"], &[vec!["only-one".into()]]);
-    }
-
-    #[test]
-    fn write_csv_quotes_when_needed() {
-        let dir = std::env::temp_dir().join("mec-bench-csv-test");
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
-            &["name", "value"],
-            &[
-                vec!["plain".into(), "1".into()],
-                vec!["with,comma".into(), "say \"hi\"".into()],
-            ],
-        );
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"say \"\"hi\"\"\"");
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

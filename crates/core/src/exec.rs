@@ -129,14 +129,6 @@ impl ExecCtx {
         matches!(self.backend, ExecBackend::Cluster(_))
     }
 
-    /// Short backend label for reports and test matrices.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            ExecBackend::Serial { .. } => "serial",
-            ExecBackend::Cluster(_) => "cluster",
-        }
-    }
-
     /// Splits the context into its backend and sink — the borrow shape
     /// the front-end dispatch needs (mutable arena + shared sink).
     pub(crate) fn backend_and_sink(&mut self) -> (&mut ExecBackend, &Arc<dyn TraceSink>) {
@@ -239,19 +231,13 @@ mod tests {
     fn serial_ctx_defaults() {
         let ctx = ExecCtx::serial();
         assert!(!ctx.is_cluster());
-        assert_eq!(ctx.backend_name(), "serial");
     }
 
     #[test]
     fn cluster_ctx_reports_backend() {
         let cluster = Arc::new(Cluster::new(2).unwrap());
         let ctx = ExecCtx::cluster(cluster);
-        if force_serial() {
-            assert_eq!(ctx.backend_name(), "serial");
-        } else {
-            assert!(ctx.is_cluster());
-            assert_eq!(ctx.backend_name(), "cluster");
-        }
+        assert_eq!(ctx.is_cluster(), !force_serial());
     }
 
     #[test]

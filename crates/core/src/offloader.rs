@@ -212,37 +212,6 @@ impl Offloader {
         self.strategy.name()
     }
 
-    /// Runs the scenario through all three of the paper's strategies
-    /// and returns the reports in `[spectral, max-flow, KL]` order —
-    /// the comparison behind the paper's Figs. 3–8, as one call.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve`](Self::solve); the first failing
-    /// strategy aborts the comparison.
-    pub fn compare_strategies(scenario: &Scenario) -> Result<Vec<OffloadReport>, PipelineError> {
-        [
-            StrategyKind::Spectral,
-            StrategyKind::MaxFlow,
-            StrategyKind::KernighanLin,
-        ]
-        .into_iter()
-        .map(|kind| Offloader::builder().strategy(kind).build().solve(scenario))
-        .collect()
-    }
-
-    /// Convenience wrapper: solves a single-user scenario built from
-    /// `graph` with default system parameters and returns the report.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve`](Self::solve).
-    pub fn solve_single(&self, graph: &mec_graph::Graph) -> Result<OffloadReport, PipelineError> {
-        let scenario = Scenario::new(mec_model::SystemParams::default())
-            .with_user(mec_model::UserWorkload::new("user", graph.clone()));
-        self.solve(&scenario)
-    }
-
     /// The execution context this offloader's configuration implies: a
     /// cluster backend when one was set via
     /// [`OffloaderBuilder::cluster`] (serial otherwise), the builder's
@@ -468,17 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_strategies_returns_all_three() {
-        let s = scenario(1, 8);
-        let reports = Offloader::compare_strategies(&s).unwrap();
-        let names: Vec<_> = reports.iter().map(|r| r.strategy).collect();
-        assert_eq!(names, vec!["spectral", "max-flow-min-cut", "kernighan-lin"]);
-        for r in &reports {
-            assert_eq!(s.validate_plan(&r.plan), Ok(()));
-        }
-    }
-
-    #[test]
     fn summary_renders_all_sections() {
         let s = scenario(2, 4);
         let report = Offloader::new().solve(&s).unwrap();
@@ -493,16 +451,6 @@ mod tests {
         ] {
             assert!(summary.contains(needle), "missing {needle} in summary");
         }
-    }
-
-    #[test]
-    fn solve_single_matches_manual_scenario() {
-        let g = NetgenSpec::new(80, 220).seed(6).generate().unwrap();
-        let report = Offloader::new().solve_single(&g).unwrap();
-        let manual = Offloader::new()
-            .solve(&Scenario::new(SystemParams::default()).with_user(UserWorkload::new("user", g)))
-            .unwrap();
-        assert_eq!(report.plan, manual.plan);
     }
 
     #[test]
