@@ -52,9 +52,9 @@ pub enum ExecBackend {
     /// spectral backends recycle their CSR snapshot, Krylov basis, and
     /// sweep buffers across the whole batch.
     Serial {
-        /// The context-owned cut arena (boxed: the arena is ~400 bytes
-        /// of pooled-buffer headers, and contexts move by value through
-        /// the session builders).
+        /// The context-owned cut arena (boxed: the arena is ~280 bytes
+        /// of buffer headers, and contexts move by value through the
+        /// session builders).
         scratch: Box<CutScratch>,
     },
     /// Users are fanned out over an engine cluster, one stage task per
@@ -136,8 +136,8 @@ impl ExecCtx {
     }
 
     /// Opens the RAII telemetry scope for one pipeline operation:
-    /// enters the span `name`, and on *every* exit — [`finish`]
-    /// ([`ExecScope::finish`]), `?` error propagation, or a panic
+    /// enters the span `name`, and on *every* exit —
+    /// [`finish`](ExecScope::finish), `?` error propagation, or a panic
     /// unwinding through the caller — finishes the span, records the
     /// elapsed time into the histogram `histogram`, and flushes the
     /// sink so buffered (sharded) records become visible. When the

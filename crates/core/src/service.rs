@@ -127,44 +127,39 @@ impl OffloadService {
     }
 
     /// Runs every shard's admissions on `cluster` (the shards share
-    /// the pool; each keeps its own [`ExecCtx`] wrapper).
-    pub fn with_cluster(mut self, cluster: Arc<Cluster>) -> Self {
-        for shard in &mut self.shards {
-            let session = std::mem::replace(
-                &mut shard.session,
-                OffloadSession::new(SystemParams::default()),
-            );
-            shard.session = session.with_cluster(Arc::clone(&cluster));
-        }
-        self
+    /// the pool; each keeps its own [`ExecCtx`](crate::ExecCtx)
+    /// wrapper).
+    pub fn with_cluster(self, cluster: Arc<Cluster>) -> Self {
+        self.map_sessions(|session| session.with_cluster(Arc::clone(&cluster)))
     }
 
     /// Routes service-level telemetry (`service.*` counters, events and
     /// histograms) **and** every shard session's telemetry to `sink`,
     /// the eigensolver records of their cuts included.
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        for shard in &mut self.shards {
-            let session = std::mem::replace(
-                &mut shard.session,
-                OffloadSession::new(SystemParams::default()),
-            );
-            shard.session = session.with_trace_sink(Arc::clone(&sink));
-        }
-        self.sink = sink;
-        self
+    pub fn with_trace_sink(self, sink: Arc<dyn TraceSink>) -> Self {
+        let mut service = self.map_sessions(|session| session.with_trace_sink(Arc::clone(&sink)));
+        service.sink = sink;
+        service
     }
 
     /// Sets every shard session's drift bound (see
     /// [`OffloadSession::with_drift_limit`]); `0.0` makes every replan
     /// of a churned shard a from-scratch rebuild.
-    pub fn with_drift_limit(mut self, limit: f64) -> Self {
-        for shard in &mut self.shards {
-            let session = std::mem::replace(
-                &mut shard.session,
-                OffloadSession::new(SystemParams::default()),
-            );
-            shard.session = session.with_drift_limit(limit);
-        }
+    pub fn with_drift_limit(self, limit: f64) -> Self {
+        self.map_sessions(|session| session.with_drift_limit(limit))
+    }
+
+    /// Passes every shard's session through the by-value session
+    /// builder `f`.
+    fn map_sessions(mut self, mut f: impl FnMut(OffloadSession) -> OffloadSession) -> Self {
+        self.shards = self
+            .shards
+            .into_iter()
+            .map(|Shard { session, dirty }| Shard {
+                session: f(session),
+                dirty,
+            })
+            .collect();
         self
     }
 
@@ -503,6 +498,47 @@ mod tests {
             }
         }
         assert_eq!(service.user_count(), 8);
+    }
+
+    #[test]
+    fn cluster_and_drift_builders_keep_every_report_bit() {
+        use mec_obs::ShardedRecorder;
+
+        // the same joins, leaves and replans on both services
+        let drive = |service: &mut OffloadService| {
+            let mut reports = Vec::new();
+            for i in 0..9u64 {
+                service.join(format!("u{i}"), graph(i + 1)).unwrap();
+            }
+            reports.push(service.replan().unwrap());
+            assert_eq!(service.leave_many(["u1", "u4"]), 2);
+            reports.push(service.replan().unwrap());
+            service.join("u9", graph(10)).unwrap();
+            assert!(service.leave("u7"));
+            reports.push(service.replan().unwrap());
+            reports
+        };
+        let mut serial = OffloadService::new(SystemParams::default(), 3).with_drift_limit(0.0);
+        let rec = Arc::new(ShardedRecorder::new());
+        let mut clustered = OffloadService::new(SystemParams::default(), 3)
+            .with_cluster(Arc::new(Cluster::new(2).unwrap()))
+            .with_drift_limit(0.0)
+            .with_trace_sink(Arc::clone(&rec) as Arc<dyn TraceSink>);
+        let expected = drive(&mut serial);
+        let got = drive(&mut clustered);
+        assert_eq!(expected.len(), got.len());
+        for (a, b) in expected.iter().zip(&got) {
+            assert_eq!(
+                (a.users, a.replanned_shards, a.shards),
+                (b.users, b.replanned_shards, b.shards)
+            );
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+            assert_eq!(a.time.to_bits(), b.time.to_bits());
+        }
+        // a zero drift bound rebuilds every churned shard from scratch
+        assert!(rec.counter_value("session.replans_full") > 0);
+        assert_eq!(rec.counter_value("session.replans_delta"), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The crate also hosts the shared partition vocabulary used by every
 //! cut algorithm in the workspace ([`Bipartition`], [`Side`]) and the
 //! structural helpers the pipeline needs: connected components, induced
-//! sub-graphs, quotient (merge) graphs, and CSR adjacency views.
+//! sub-graphs, quotient (merge) graphs, and CSR adjacency snapshots.
 //!
 //! # Example
 //!
@@ -64,7 +64,7 @@ mod traversal;
 
 pub use builder::{GraphBuilder, ParallelEdgePolicy};
 pub use components::ComponentLabeling;
-pub use csr::{CsrAdjacency, CsrView};
+pub use csr::CsrAdjacency;
 pub use error::GraphError;
 pub use graph::{EdgeRef, Graph, NeighborRef};
 pub use ids::{EdgeId, NodeId};

@@ -24,16 +24,18 @@ impl LabelingOutcome {
     /// hashing or allocating per element.
     pub fn label_count(&self) -> usize {
         let universe = self.labels.iter().map(|&l| l + 1).max().unwrap_or(0);
-        let mut seen = vec![false; universe];
-        let mut count = 0usize;
-        for &l in &self.labels {
-            if !seen[l] {
-                seen[l] = true;
-                count += 1;
-            }
-        }
-        count
+        distinct_labels(&self.labels, &mut vec![false; universe])
     }
+}
+
+/// Counts the distinct values of `labels`, each below `seen.len()`.
+/// `seen` is cleared first, so one buffer serves repeated counts.
+fn distinct_labels(labels: &[usize], seen: &mut [bool]) -> usize {
+    seen.fill(false);
+    labels
+        .iter()
+        .filter(|&&l| !std::mem::replace(&mut seen[l], true))
+        .count()
 }
 
 /// Computes the node visiting order: starting from the max-degree node
@@ -154,11 +156,15 @@ pub fn propagate_labels_traced(
     }
     let mut rounds = 1usize;
     let traced = sink.enabled();
-    let emit_round = |round: usize, updates: usize, alpha: f64, labels: &[usize]| {
-        let distinct = labels
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
+    // every label is below `next_label`, so one flag per label counts
+    // the distinct ones each traced round
+    let mut seen = if traced {
+        vec![false; next_label]
+    } else {
+        Vec::new()
+    };
+    let mut emit_round = |round: usize, updates: usize, alpha: f64, labels: &[usize]| {
+        let distinct = distinct_labels(labels, &mut seen);
         sink.event(
             "labelprop.round",
             &[
@@ -380,6 +386,39 @@ mod tests {
         let g = dumbbell(); // heavy edges weigh exactly 10.0
         let out = propagate_labels(&g, &config_abs(10.0));
         assert_eq!(out.label_count(), 2, "weight == threshold must carry");
+    }
+
+    #[test]
+    fn last_traced_round_reports_the_outcome_label_count() {
+        use mec_obs::{ShardConfig, ShardedRecorder};
+
+        let g = mec_netgen::NetgenSpec::new(120, 360)
+            .seed(7)
+            .generate()
+            .unwrap();
+        for w in [0.0, 5.0, f64::INFINITY] {
+            let rec = ShardedRecorder::with_config(ShardConfig {
+                drain_interval: None,
+                ..ShardConfig::default()
+            });
+            let out = propagate_labels_traced(&g, &config_abs(w), &rec);
+            let events = rec.events();
+            let last = events
+                .iter()
+                .rev()
+                .find(|e| e.name == "labelprop.round")
+                .expect("a traced run emits rounds");
+            let labels = last
+                .fields
+                .iter()
+                .find(|(k, _)| *k == "labels")
+                .map(|&(_, v)| v);
+            assert_eq!(
+                labels,
+                Some(FieldValue::from(out.label_count())),
+                "threshold {w}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! the recurrence in a fresh direction, so a basis that grows to the
 //! operator's dimension finds repeated eigenvalues too. Before that, a
 //! single Krylov sequence sees a repeated eigenvalue once — the reason
-//! the spectral bisectors split disconnected graphs before solving.
+//! the spectral bisector splits disconnected graphs before solving.
 
 use crate::kernels::{axpy, dot, normalize, orthogonalize_against};
 use crate::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
@@ -44,11 +44,6 @@ pub struct LanczosOptions {
     /// nodes, Householder reduction plus implicit QL above. Default
     /// `32`.
     pub dense_cutoff: usize,
-    /// When `true`, a caller-supplied start vector (the `warm` argument
-    /// of [`lanczos_with`] / [`smallest_eigenpairs_with`]) seeds the
-    /// recurrence instead of the pseudo-random one. Default `false`,
-    /// which ignores `warm`.
-    pub warm_start: bool,
 }
 
 impl Default for LanczosOptions {
@@ -58,7 +53,6 @@ impl Default for LanczosOptions {
             tolerance: 1e-10,
             seed: 0x5eed_c0de,
             dense_cutoff: 32,
-            warm_start: false,
         }
     }
 }
@@ -105,11 +99,9 @@ impl LanczosScratch {
     }
 
     /// Starts a recurrence on a dimension-`n` operator: retires the
-    /// previous run's basis into the pool and loads the start vector —
-    /// `warm` when `opts.warm_start` is set and `warm` is a non-zero
-    /// vector of length `n`, the seeded pseudo-random vector otherwise.
-    /// Returns whether `warm` seeded the run.
-    fn begin(&mut self, n: usize, opts: &LanczosOptions, warm: Option<&[f64]>) -> bool {
+    /// previous run's basis into the pool and loads the pseudo-random
+    /// start vector drawn from `opts.seed`.
+    fn begin(&mut self, n: usize, opts: &LanczosOptions) {
         self.pool.append(&mut self.basis);
         self.alphas.clear();
         self.betas.clear();
@@ -119,14 +111,7 @@ impl LanczosScratch {
         self.work.resize(n, 0.0);
         self.next.clear();
         self.next.resize(n, 0.0);
-        if let Some(w0) = warm.filter(|w0| opts.warm_start && w0.len() == n) {
-            self.next.copy_from_slice(w0);
-            if normalize(&mut self.next) > BREAKDOWN_TOL {
-                return true;
-            }
-        }
         random_unit_vector_into(&mut self.next, &mut self.seed);
-        false
     }
 
     /// One three-term step: `A · next` is reduced against the last two
@@ -232,10 +217,8 @@ fn random_unit_vector_into(v: &mut [f64], seed: &mut u64) {
 /// [`LanczosRun`] borrows the arena, and a warm re-run at the same
 /// dimension performs no heap allocations.
 ///
-/// `warm` seeds the recurrence when `opts.warm_start` is set (see
-/// [`LanczosOptions::warm_start`]). Bumps the `lanczos.iterations`
-/// counter by the steps run and `lanczos.restarts` by the breakdown
-/// restarts on `sink`.
+/// Bumps the `lanczos.iterations` counter by the steps run and
+/// `lanczos.restarts` by the breakdown restarts on `sink`.
 ///
 /// # Errors
 ///
@@ -245,7 +228,6 @@ pub fn lanczos_with<'s, A: SymOp>(
     op: &A,
     steps: usize,
     opts: &LanczosOptions,
-    warm: Option<&[f64]>,
     sink: &dyn TraceSink,
     scratch: &'s mut LanczosScratch,
 ) -> Result<LanczosRun<'s>, LinalgError> {
@@ -256,7 +238,7 @@ pub fn lanczos_with<'s, A: SymOp>(
             actual: 0,
         });
     }
-    scratch.begin(n, opts, warm);
+    scratch.begin(n, opts);
     if n > 0 {
         while !scratch.step(op, steps.min(n)) {}
         scratch.record(sink);
@@ -293,18 +275,11 @@ pub fn smallest_eigenpairs<A: SymOp>(
     k: usize,
     opts: &LanczosOptions,
 ) -> Result<Vec<Eigenpair>, LinalgError> {
-    smallest_eigenpairs_with(
-        op,
-        k,
-        opts,
-        None,
-        &mec_obs::NullSink,
-        &mut LanczosScratch::new(),
-    )
+    smallest_eigenpairs_with(op, k, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
 }
 
-/// [`smallest_eigenpairs`] with telemetry, a caller-owned
-/// [`LanczosScratch`] and an optional start vector.
+/// [`smallest_eigenpairs`] with telemetry and a caller-owned
+/// [`LanczosScratch`].
 ///
 /// Each convergence checkpoint emits a `lanczos.burst` event (subspace
 /// dimension, residual estimate, convergence flag) into `sink`, and
@@ -319,8 +294,7 @@ pub fn smallest_eigenpairs<A: SymOp>(
 /// inverse-iteration vectors of the tridiagonal matrix) and accepts
 /// the pairs once every Ritz residual `beta · |s[m-1]|` is within
 /// `opts.tolerance`. Repeated solves stop allocating in the recurrence
-/// once `scratch` is warm. `warm` seeds the recurrence when
-/// `opts.warm_start` is set; a seeded run checks convergence sooner.
+/// once `scratch` is warm.
 ///
 /// # Errors
 ///
@@ -329,7 +303,6 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
     op: &A,
     k: usize,
     opts: &LanczosOptions,
-    warm: Option<&[f64]>,
     sink: &dyn TraceSink,
     scratch: &mut LanczosScratch,
 ) -> Result<Vec<Eigenpair>, LinalgError> {
@@ -362,9 +335,8 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
     }
 
     let cap = opts.max_dim.min(n).max(k);
-    // a seed is already near the target eigenvector, so check sooner
-    let seeded = scratch.begin(n, opts, warm);
-    let mut next_check = if seeded { 2 * k + 8 } else { 4 * k + 20 }.min(cap);
+    scratch.begin(n, opts);
+    let mut next_check = (4 * k + 20).min(cap);
     let mut checkpoints = 0u64;
     loop {
         let spanned = scratch.step(op, cap);
@@ -598,7 +570,7 @@ mod tests {
         });
         let l = path_laplacian(150);
         let mut scratch = LanczosScratch::new();
-        smallest_eigenpairs_with(&l, 2, &iterative(), None, &rec, &mut scratch).unwrap();
+        smallest_eigenpairs_with(&l, 2, &iterative(), &rec, &mut scratch).unwrap();
         rec.flush();
         let dims: Vec<u64> = rec
             .events()
@@ -626,7 +598,6 @@ mod tests {
             &l,
             25,
             &LanczosOptions::default(),
-            None,
             &mec_obs::NullSink,
             &mut scratch,
         )
@@ -659,18 +630,9 @@ mod tests {
         let opts = iterative();
         let plain = smallest_eigenpairs(&l, 2, &opts).unwrap();
         let mut scratch = LanczosScratch::new();
-        // a stale warm vector must be ignored while warm_start is off
-        let stale = vec![1.0; 50];
         for _ in 0..3 {
-            let warm = smallest_eigenpairs_with(
-                &l,
-                2,
-                &opts,
-                Some(&stale),
-                &mec_obs::NullSink,
-                &mut scratch,
-            )
-            .unwrap();
+            let warm =
+                smallest_eigenpairs_with(&l, 2, &opts, &mec_obs::NullSink, &mut scratch).unwrap();
             for (a, b) in plain.iter().zip(&warm) {
                 assert_eq!(a.value.to_bits(), b.value.to_bits());
                 assert_eq!(a.vector, b.vector);
@@ -683,66 +645,12 @@ mod tests {
         let mut scratch = LanczosScratch::new();
         for n in [40usize, 12, 64, 12] {
             let l = path_laplacian(n);
-            let pairs = smallest_eigenpairs_with(
-                &l,
-                2,
-                &iterative(),
-                None,
-                &mec_obs::NullSink,
-                &mut scratch,
-            )
-            .unwrap();
+            let pairs =
+                smallest_eigenpairs_with(&l, 2, &iterative(), &mec_obs::NullSink, &mut scratch)
+                    .unwrap();
             let expected = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
             assert!((pairs[1].value - expected).abs() < 1e-7, "n={n}");
         }
-    }
-
-    #[test]
-    fn warm_start_converges_to_the_same_pairs() {
-        let l = path_laplacian(70);
-        let unseeded = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
-        let warm_opts = LanczosOptions {
-            warm_start: true,
-            ..iterative()
-        };
-        let mut scratch = LanczosScratch::new();
-        let seeded = smallest_eigenpairs_with(
-            &l,
-            2,
-            &warm_opts,
-            Some(&unseeded[1].vector),
-            &mec_obs::NullSink,
-            &mut scratch,
-        )
-        .unwrap();
-        assert!((seeded[1].value - unseeded[1].value).abs() < 1e-7);
-        let dot_abs = dot(&seeded[1].vector, &unseeded[1].vector).abs();
-        assert!((dot_abs - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn warm_start_ignores_mismatched_or_zero_seeds() {
-        let l = path_laplacian(50);
-        let opts = LanczosOptions {
-            warm_start: true,
-            ..iterative()
-        };
-        let plain = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
-        let mut scratch = LanczosScratch::new();
-        // wrong length → random start, bit-identical to the unseeded solve
-        let short = vec![1.0; 7];
-        let a =
-            smallest_eigenpairs_with(&l, 2, &opts, Some(&short), &mec_obs::NullSink, &mut scratch)
-                .unwrap();
-        assert_eq!(a[1].value.to_bits(), plain[1].value.to_bits());
-        assert_eq!(a[1].vector, plain[1].vector);
-        // an all-zero warm vector cannot be normalised → random start
-        let zero = vec![0.0; 50];
-        let b =
-            smallest_eigenpairs_with(&l, 2, &opts, Some(&zero), &mec_obs::NullSink, &mut scratch)
-                .unwrap();
-        assert_eq!(b[1].value.to_bits(), plain[1].value.to_bits());
-        assert_eq!(b[1].vector, plain[1].vector);
     }
 
     #[test]
@@ -756,7 +664,6 @@ mod tests {
             &l,
             5,
             &LanczosOptions::default(),
-            None,
             &mec_obs::NullSink,
             &mut scratch,
         )

@@ -189,10 +189,10 @@ impl SpectralBisector {
                 .collect();
             let l = ParallelLaplacian::from_edges(Arc::clone(cluster), n, &edges, *blocks)
                 .expect("block count is at least 1");
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, sink, &mut scratch.lanczos)?
         } else {
             let l = CsrLaplacian::new(&scratch.csr);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, None, sink, &mut scratch.lanczos)?
+            smallest_eigenpairs_with(&l, 2, &self.lanczos, sink, &mut scratch.lanczos)?
         };
         let Eigenpair {
             value: fiedler_value,
@@ -218,9 +218,9 @@ impl SpectralBisector {
 /// Marks in `reached` the nodes joined to node 0 by positive-weight
 /// edges — a breadth-first sweep over `csr`, with `queue` as the pooled
 /// frontier — and returns how many there are. The Laplacian is
-/// connected exactly when that is every node. Both bisectors run this
-/// before any eigen-solve.
-pub(crate) fn mark_first_component(
+/// connected exactly when that is every node, so this runs before any
+/// eigen-solve.
+fn mark_first_component(
     csr: &CsrAdjacency,
     reached: &mut Vec<bool>,
     queue: &mut Vec<usize>,
@@ -252,8 +252,8 @@ pub(crate) fn mark_first_component(
 }
 
 /// Flips `v` so its first non-zero component is positive: the
-/// canonical sign of a Fiedler vector, which both bisectors split on.
-pub(crate) fn canonicalize_sign(v: &mut [f64]) {
+/// canonical sign of a Fiedler vector, which the split reads.
+fn canonicalize_sign(v: &mut [f64]) {
     if let Some(first) = v.iter().find(|x| x.abs() > 1e-12) {
         if *first < 0.0 {
             for x in v.iter_mut() {
@@ -266,9 +266,8 @@ pub(crate) fn canonicalize_sign(v: &mut [f64]) {
 /// Marks in `local` the [`Side::Local`] nodes of a connected graph by
 /// `rule` on its Fiedler vector `v`. When the rule gives an improper
 /// split (or is [`SplitRule::Median`]), the lower half of the Fiedler
-/// ordering goes local instead, so both sides are non-empty. Both
-/// bisectors split through this routine.
-pub(crate) fn split_sides(
+/// ordering goes local instead, so both sides are non-empty.
+fn split_sides(
     csr: &CsrAdjacency,
     v: &[f64],
     rule: SplitRule,

@@ -40,13 +40,11 @@
 
 mod bisect;
 mod laplacian;
-mod recursive;
 mod scratch;
 pub mod theory;
 
 pub use bisect::{SpectralBisector, SpectralCut, SplitRule};
 pub use laplacian::{CsrLaplacian, GraphLaplacian};
-pub use recursive::{RecursiveBisector, RecursivePartition};
 pub use scratch::CutScratch;
 
 use std::error::Error;

@@ -6,7 +6,6 @@
 //! snapshot, its Krylov basis, and its sweep buffers from a cold heap.
 //! [`CutScratch`] owns all of those; threading one instance through
 //! [`SpectralBisector::bisect_reusing`](crate::SpectralBisector::bisect_reusing)
-//! or [`RecursiveBisector::partition_reusing`](crate::RecursiveBisector::partition_reusing)
 //! makes every cut after the first allocation-free in the eigensolver's
 //! inner loop (pinned by `tests/alloc_budget.rs`).
 
@@ -29,52 +28,17 @@ pub struct CutScratch {
     pub(crate) lanczos: LanczosScratch,
     /// Reusable CSR snapshot of the graph currently being cut.
     pub(crate) csr: CsrAdjacency,
-    /// Reusable compact CSR of the subset currently being cut
-    /// (recursive bisection compacts each [`mec_graph::CsrView`] here
-    /// so the eigensolver iterates on a dense-rowed CSR instead of
-    /// re-filtering parent rows every matrix–vector product).
-    pub(crate) csr_sub: CsrAdjacency,
     /// Sweep / median node orderings; the connectivity check's
     /// breadth-first queue.
     pub(crate) order: Vec<usize>,
     /// Sweep membership flags; the nodes the connectivity check
     /// reached.
     pub(crate) local: Vec<bool>,
-    /// Parent → local index map for CSR views (recursive bisection).
-    pub(crate) to_local: Vec<u32>,
-    /// Pool of node-subset index buffers (recursive bisection).
-    pub(crate) idx_pool: Vec<Vec<u32>>,
-    /// Pool of float buffers (child warm-start vectors).
-    pub(crate) f64_pool: Vec<Vec<f64>>,
 }
 
 impl CutScratch {
     /// An empty arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Checks an index buffer out of the pool.
-    pub(crate) fn checkout_idx(&mut self) -> Vec<u32> {
-        let mut buf = self.idx_pool.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns an index buffer to the pool.
-    pub(crate) fn retire_idx(&mut self, buf: Vec<u32>) {
-        self.idx_pool.push(buf);
-    }
-
-    /// Checks a float buffer out of the pool.
-    pub(crate) fn checkout_f64(&mut self) -> Vec<f64> {
-        let mut buf = self.f64_pool.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a float buffer to the pool.
-    pub(crate) fn retire_f64(&mut self, buf: Vec<f64>) {
-        self.f64_pool.push(buf);
     }
 }

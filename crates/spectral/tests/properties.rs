@@ -1,12 +1,12 @@
 //! Property tests for the spectral stage: split-rule contracts,
 //! Theorem 2 on arbitrary generated graphs, backend parity, the
-//! disconnected inputs both bisectors split before any eigen-solve, and
-//! the split routine both bisectors share.
+//! disconnected inputs the bisector splits before any eigen-solve, and
+//! every split rule on both sides of the dense cutoff.
 
 use mec_graph::{Graph, NodeId, Side};
 use mec_netgen::NetgenSpec;
 use mec_obs::{ShardConfig, ShardedRecorder};
-use mec_spectral::{theory, CutScratch, RecursiveBisector, SpectralBisector, SplitRule};
+use mec_spectral::{theory, CutScratch, SpectralBisector, SplitRule};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = mec_graph::Graph> {
@@ -161,19 +161,9 @@ fn disconnected_bisection_splits_components_without_a_solve() {
 }
 
 #[test]
-fn disconnected_recursive_bisection_peels_a_zero_weight_partition() {
-    for seed in 0..6u64 {
-        let g = disconnected_above_the_dense_cutoff(seed);
-        let p = RecursiveBisector::new().max_depth(1).partition(&g).unwrap();
-        assert_eq!(p.parts, 2, "seed {seed}");
-        assert_eq!(p.cut_weight(&g), 0.0, "seed {seed}");
-    }
-}
-
-#[test]
-fn flat_bisection_and_depth_one_recursion_split_alike_for_every_rule() {
+fn every_split_rule_cuts_properly_on_both_sides_of_the_dense_cutoff() {
     // sizes on both sides of the eigensolver's dense cutoff, so both the
-    // dense path and the Lanczos path feed the shared split routine
+    // dense path and the Lanczos path feed the split routine
     for (nodes, edges) in [(12usize, 30usize), (40, 120), (150, 600), (400, 2000)] {
         for seed in 0..10u64 {
             let g = NetgenSpec::new(nodes, edges)
@@ -188,19 +178,16 @@ fn flat_bisection_and_depth_one_recursion_split_alike_for_every_rule() {
                 SplitRule::Sweep,
                 SplitRule::Median,
             ] {
-                let flat = SpectralBisector::new().split_rule(rule).bisect(&g).unwrap();
-                let rec = RecursiveBisector::new()
-                    .max_depth(1)
-                    .split_rule(rule)
-                    .partition(&g)
-                    .unwrap();
-                for i in 0..g.node_count() {
-                    assert_eq!(
-                        flat.partition.side(NodeId::new(i)) == Side::Local,
-                        rec.part_of[i] == 0,
-                        "({nodes}, {edges}) seed {seed} {rule:?}: node {i}"
-                    );
-                }
+                let cut = SpectralBisector::new().split_rule(rule).bisect(&g).unwrap();
+                assert!(
+                    cut.partition.is_proper(),
+                    "({nodes}, {edges}) seed {seed} {rule:?}: improper cut"
+                );
+                assert_eq!(
+                    cut.cut_weight.to_bits(),
+                    cut.partition.cut_weight(&g).to_bits(),
+                    "({nodes}, {edges}) seed {seed} {rule:?}"
+                );
             }
         }
     }

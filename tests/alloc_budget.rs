@@ -5,13 +5,11 @@
 //!
 //! - a warm [`lanczos_with`] re-run at the same dimension performs
 //!   **zero** heap allocations — the recurrence inner loop lives
-//!   entirely in pooled buffers, which is what makes recursion levels
-//!   ≥ 2 of [`RecursiveBisector::partition_reusing`] allocation-free
-//!   in the eigensolver;
-//! - a warm `partition_reusing` run allocates a small fraction of its
-//!   cold first run;
-//! - toggling `LanczosOptions::warm_start` changes wall-time only, not
-//!   cut quality.
+//!   entirely in pooled buffers, which is what makes every cut after
+//!   the first through one [`CutScratch`] allocation-free in the
+//!   eigensolver;
+//! - a warm [`SpectralBisector::bisect_reusing`] run allocates a small
+//!   fraction of its cold first run.
 //!
 //! The counting allocator is process-global, so every test here
 //! serialises on a mutex — the ones that only allocate too, since they
@@ -21,7 +19,7 @@
 
 use copmecs::linalg::{lanczos_with, CsrMatrix, LanczosOptions, LanczosScratch};
 use copmecs::prelude::*;
-use copmecs::spectral::{CutScratch, RecursiveBisector};
+use copmecs::spectral::{CutScratch, SpectralBisector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -86,7 +84,7 @@ fn warm_lanczos_rerun_is_allocation_free() {
     let opts = LanczosOptions::default();
     let mut scratch = LanczosScratch::new();
     let run = |scratch: &mut LanczosScratch| {
-        let r = lanczos_with(&l, 80, &opts, None, &copmecs::obs::NullSink, scratch).unwrap();
+        let r = lanczos_with(&l, 80, &opts, &copmecs::obs::NullSink, scratch).unwrap();
         assert_eq!(r.alphas.len(), 80);
     };
     // two warm-ups: the first grows the pool, the second grows the
@@ -101,37 +99,38 @@ fn warm_lanczos_rerun_is_allocation_free() {
 }
 
 #[test]
-fn warm_partition_rerun_allocates_a_fraction_of_the_cold_run() {
+fn warm_cut_rerun_allocates_a_fraction_of_the_cold_run() {
     let _guard = measure_lock();
     let g = NetgenSpec::new(300, 900)
         .components(1)
         .seed(23)
         .generate()
         .expect("generable workload");
-    let bisector = RecursiveBisector::new()
-        .max_depth(3)
-        .lanczos_options(LanczosOptions {
-            warm_start: true,
-            ..LanczosOptions::default()
-        });
+    let bisector = SpectralBisector::new();
     let mut scratch = CutScratch::new();
     let cold = alloc_delta(|| {
-        bisector.partition_reusing(&g, &mut scratch).unwrap();
+        bisector
+            .bisect_reusing(&g, &mut scratch, &NullSink)
+            .unwrap();
     });
     // one extra warm-up so every pool reaches its high-water mark
-    bisector.partition_reusing(&g, &mut scratch).unwrap();
+    bisector
+        .bisect_reusing(&g, &mut scratch, &NullSink)
+        .unwrap();
     let warm = (0..3)
         .map(|_| {
             alloc_delta(|| {
-                bisector.partition_reusing(&g, &mut scratch).unwrap();
+                bisector
+                    .bisect_reusing(&g, &mut scratch, &NullSink)
+                    .unwrap();
             })
         })
         .min()
         .unwrap();
     // the recurrence itself is allocation-free once warm (previous
-    // test); what remains on a warm partition run is per-cut result
-    // assembly plus the small tridiagonal checkpoint workspaces, so
-    // the total must sit well below the cold run but not at zero
+    // test); what remains on a warm cut is result assembly plus the
+    // small tridiagonal checkpoint workspaces, so the total must sit
+    // well below the cold run but not at zero
     assert!(
         warm * 4 <= cold * 3,
         "warm run should allocate at most three quarters of the cold run, got {warm} vs {cold}"
@@ -360,32 +359,4 @@ fn warm_delta_replan_allocations_do_not_grow_with_the_crowd() {
         small, large,
         "replan allocations grew with the crowd: {small} at 500 users, {large} at 2000"
     );
-}
-
-#[test]
-fn warm_start_toggle_preserves_cut_quality_across_seeds() {
-    let _guard = measure_lock();
-    for seed in [5u64, 11, 23, 42] {
-        let g = NetgenSpec::new(260, 780)
-            .components(1)
-            .seed(seed)
-            .generate()
-            .expect("generable workload");
-        let cold = RecursiveBisector::new().max_depth(2).partition(&g).unwrap();
-        let mut scratch = CutScratch::new();
-        let warm = RecursiveBisector::new()
-            .max_depth(2)
-            .lanczos_options(LanczosOptions {
-                warm_start: true,
-                ..LanczosOptions::default()
-            })
-            .partition_reusing(&g, &mut scratch)
-            .unwrap();
-        assert_eq!(cold.parts, warm.parts, "seed {seed}");
-        let (cw, ww) = (cold.cut_weight(&g), warm.cut_weight(&g));
-        assert!(
-            (cw - ww).abs() <= 0.05 * cw.max(ww) + 1e-9,
-            "cut quality diverged at seed {seed}: cold {cw} vs warm {ww}"
-        );
-    }
 }
