@@ -51,13 +51,9 @@ fn measure(knob: &str, setting: &str, offloader: &Offloader, scenario: &Scenario
     }
 }
 
-/// Runs every quality ablation and returns the points grouped by knob.
-pub fn run(seed: u64) -> Vec<AblationPoint> {
-    run_traced(seed, &mec_obs::null_sink())
-}
-
-/// Like [`run`] but wires `sink` into every pipeline it builds.
-pub fn run_traced(seed: u64, sink: &Arc<dyn TraceSink>) -> Vec<AblationPoint> {
+/// Runs every quality ablation and returns the points grouped by knob,
+/// wiring `sink` into every pipeline it builds.
+pub fn run(seed: u64, sink: &Arc<dyn TraceSink>) -> Vec<AblationPoint> {
     let scenario = reference_scenario(seed);
     let builder = || Offloader::builder().trace_sink(Arc::clone(sink));
     let mut out = Vec::new();
@@ -148,7 +144,7 @@ mod tests {
 
     #[test]
     fn ablation_covers_all_knobs() {
-        let pts = run(3);
+        let pts = run(3, &mec_obs::null_sink());
         let knobs: std::collections::HashSet<_> = pts.iter().map(|p| p.knob.as_str()).collect();
         for k in [
             "threshold",
@@ -167,7 +163,7 @@ mod tests {
 
     #[test]
     fn no_compression_keeps_all_nodes() {
-        let pts = run(5);
+        let pts = run(5, &mec_obs::null_sink());
         let no_comp = pts
             .iter()
             .find(|p| p.setting.starts_with("no compression"))

@@ -21,11 +21,11 @@
 
 use mec_bench::ablation;
 use mec_bench::churn::{self, ChurnSpec};
-use mec_bench::energy::{self, EnergyPoint};
-use mec_bench::multiuser::{self, MultiUserConfig, MultiUserPoint};
+use mec_bench::energy;
+use mec_bench::multiuser::{self, MultiUserConfig};
 use mec_bench::perfgate::{self, BenchFile, GateStatus};
-use mec_bench::report::{normalize, render_table, write_json};
-use mec_bench::runtime::{self, FrontendSpeedup, RuntimePoint, WorkerUtilization};
+use mec_bench::report::{normalize, pivot_table, render_table, write_file, write_json};
+use mec_bench::runtime;
 use mec_bench::spectral_hotpath::{self, AllocSnapshot, HotpathSpec};
 use mec_bench::{table1, DEFAULT_SEED, PAPER_SIZES, PAPER_USER_SIZES};
 use mec_obs::{MetricsRegistry, ShardedRecorder, TraceSink};
@@ -85,8 +85,14 @@ struct Options {
     chrome_trace_out: Option<String>,
 }
 
-fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+/// Parses the arguments after the program name.
+///
+/// # Errors
+///
+/// The message to print above the usage line: a flag's value is
+/// missing or malformed, or an argument is unknown.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut args = args.into_iter();
     let mut opts = Options {
         command: String::new(),
         quick: false,
@@ -107,76 +113,48 @@ fn parse_args() -> Options {
         match a.as_str() {
             "--quick" => opts.quick = true,
             "--extra" => opts.extra = true,
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--out" => {
-                opts.out = args.next().unwrap_or_else(|| die("--out needs a path"));
-            }
+            "--seed" => opts.seed = flag_value(&mut args).ok_or("--seed needs an integer")?,
+            "--out" => opts.out = flag_value(&mut args).ok_or("--out needs a path")?,
             "--trace-out" => {
-                opts.trace_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--trace-out needs a path")),
-                );
+                opts.trace_out = Some(flag_value(&mut args).ok_or("--trace-out needs a path")?)
             }
             "--workers" => {
-                opts.workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                opts.workers = flag_value(&mut args)
                     .filter(|&w| w > 0)
-                    .unwrap_or_else(|| die("--workers needs a positive integer"));
+                    .ok_or("--workers needs a positive integer")?;
             }
             "--bench-out" => {
-                opts.bench_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--bench-out needs a path")),
-                );
+                opts.bench_out = Some(flag_value(&mut args).ok_or("--bench-out needs a path")?)
             }
             "--metrics-out" => {
-                opts.metrics_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-out needs a path")),
-                );
+                opts.metrics_out = Some(flag_value(&mut args).ok_or("--metrics-out needs a path")?);
             }
             "--baseline" => {
-                opts.baseline = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                );
+                opts.baseline = Some(flag_value(&mut args).ok_or("--baseline needs a path")?)
             }
             "--tolerance" => {
-                opts.tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                opts.tolerance = flag_value(&mut args)
                     .filter(|&t: &f64| t >= 0.0)
-                    .unwrap_or_else(|| die("--tolerance needs a non-negative number"));
+                    .ok_or("--tolerance needs a non-negative number")?;
             }
             "--serve" => {
                 opts.serve = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--serve needs an ADDR:PORT (port 0 = ephemeral)")),
+                    flag_value(&mut args)
+                        .ok_or("--serve needs an ADDR:PORT (port 0 = ephemeral)")?,
                 );
             }
             "--serve-for" => {
-                opts.serve_for = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--serve-for needs a number of seconds")),
-                );
+                opts.serve_for =
+                    Some(flag_value(&mut args).ok_or("--serve-for needs a number of seconds")?);
             }
             "--chrome-trace-out" => {
-                opts.chrome_trace_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--chrome-trace-out needs a path")),
-                );
+                opts.chrome_trace_out =
+                    Some(flag_value(&mut args).ok_or("--chrome-trace-out needs a path")?);
             }
             cmd if opts.command.is_empty() && !cmd.starts_with('-') => {
                 opts.command = cmd.to_string();
             }
-            other => die(&format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
     if opts.command.is_empty() {
@@ -187,7 +165,13 @@ fn parse_args() -> Options {
             "all".to_string()
         };
     }
-    opts
+    Ok(opts)
+}
+
+/// The value after a flag, parsed; `None` when it is missing or does
+/// not parse.
+fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> Option<T> {
+    args.next().and_then(|v| v.parse().ok())
 }
 
 fn die(msg: &str) -> ! {
@@ -219,7 +203,7 @@ fn user_sizes(opts: &Options) -> Vec<usize> {
 
 fn run_table1(opts: &Options, sink: &Arc<dyn TraceSink>) {
     println!("== Table I: graph compression results ==\n");
-    let rows = table1::run_traced(&sizes(opts), opts.seed, sink.as_ref());
+    let rows = table1::run(&sizes(opts), opts.seed, sink.as_ref());
     let table = render_table(
         &[
             "Network",
@@ -247,131 +231,68 @@ fn run_table1(opts: &Options, sink: &Arc<dyn TraceSink>) {
     write_json(format!("{}/table1.json", opts.out), &rows);
 }
 
-fn energy_metric(points: &[EnergyPoint], metric: &str) -> Vec<f64> {
-    points
-        .iter()
-        .map(|p| match metric {
-            "local" => p.local_energy,
-            "tx" => p.tx_energy,
-            _ => p.total_energy,
-        })
-        .collect()
-}
+/// The energy terms Figs. 3–8 plot, as indices into a point's
+/// `[local, tx, total]`.
+const LOCAL: usize = 0;
+const TX: usize = 1;
+const TOTAL: usize = 2;
 
-fn render_energy_figure(points: &[EnergyPoint], metric: &str, title: &str) {
-    println!("== {title} (normalised, lower is better) ==\n");
-    let values = normalize(&energy_metric(points, metric));
-    let sizes: Vec<usize> = {
-        let mut s: Vec<_> = points.iter().map(|p| p.size).collect();
-        s.dedup();
-        s
-    };
-    let strategies: Vec<String> = {
-        let mut seen = Vec::new();
-        for p in points {
-            if !seen.contains(&p.strategy) {
-                seen.push(p.strategy.clone());
-            }
-        }
-        seen
-    };
-    let mut headers = vec!["original graph size"];
-    let strategy_headers: Vec<&str> = strategies.iter().map(String::as_str).collect();
-    headers.extend(strategy_headers);
-    let rows: Vec<Vec<String>> = sizes
-        .iter()
-        .map(|&sz| {
-            let mut row = vec![sz.to_string()];
-            for st in &strategies {
-                let idx = points
-                    .iter()
-                    .position(|p| p.size == sz && &p.strategy == st)
-                    .expect("dense sweep");
-                row.push(format!("{:.2}", values[idx]));
-            }
-            row
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-}
+/// Figs. 3–8 as (command and JSON file stem, energy term, title): the
+/// first three plot the single-user sweep over graph size, the last
+/// three the multi-user sweep over crowd size.
+const FIGURES: [(&str, usize, &str); 6] = [
+    ("fig3", LOCAL, "Fig. 3: local energy consumption"),
+    ("fig4", TX, "Fig. 4: transmission energy consumption"),
+    ("fig5", TOTAL, "Fig. 5: total energy consumption"),
+    ("fig6", LOCAL, "Fig. 6: local energy, multi-user"),
+    ("fig7", TX, "Fig. 7: transmission energy, multi-user"),
+    ("fig8", TOTAL, "Fig. 8: total energy, multi-user"),
+];
 
-fn run_energy(
+/// Prints each of `figs` as a normalised x × strategy table of the
+/// sweep's `points`, read by `cell` as `(x, strategy, [local, tx,
+/// total])`, and writes the points to the figure's JSON file.
+fn render_figures<P: serde::Serialize>(
     opts: &Options,
-    figs: &[(&str, &str, &str)],
-    sink: &Arc<dyn TraceSink>,
-) -> Vec<EnergyPoint> {
-    let points = energy::run_traced(&sizes(opts), opts.seed, sink);
-    for (fig, metric, title) in figs {
-        render_energy_figure(&points, metric, title);
+    figs: &[(&str, usize, &str)],
+    x_header: &str,
+    points: &[P],
+    cell: impl Fn(&P) -> (usize, &str, [f64; 3]),
+) {
+    let cells: Vec<_> = points.iter().map(cell).collect();
+    for &(fig, term, title) in figs {
+        println!("== {title} (normalised, lower is better) ==\n");
+        let values: Vec<f64> = cells.iter().map(|c| c.2[term]).collect();
+        let cells: Vec<_> = cells
+            .iter()
+            .zip(normalize(&values))
+            .map(|(c, v)| (c.0, c.1, v))
+            .collect();
+        println!("{}", pivot_table(x_header, &cells, |v| format!("{v:.2}")));
         write_json(format!("{}/{fig}.json", opts.out), &points);
     }
-    points
 }
 
-fn multi_metric(points: &[MultiUserPoint], metric: &str) -> Vec<f64> {
-    points
-        .iter()
-        .map(|p| match metric {
-            "local" => p.local_energy,
-            "tx" => p.tx_energy,
-            _ => p.total_energy,
-        })
-        .collect()
+fn run_energy(opts: &Options, figs: &[(&str, usize, &str)], sink: &Arc<dyn TraceSink>) {
+    let points = energy::run(&sizes(opts), opts.seed, sink);
+    render_figures(opts, figs, "original graph size", &points, |p| {
+        let energies = [p.local_energy, p.tx_energy, p.total_energy];
+        (p.size, &p.strategy, energies)
+    });
 }
 
-fn render_multi_figure(points: &[MultiUserPoint], metric: &str, title: &str) {
-    println!("== {title} (normalised, lower is better) ==\n");
-    let values = normalize(&multi_metric(points, metric));
-    let users: Vec<usize> = {
-        let mut s: Vec<_> = points.iter().map(|p| p.users).collect();
-        s.dedup();
-        s
-    };
-    let strategies: Vec<String> = {
-        let mut seen = Vec::new();
-        for p in points {
-            if !seen.contains(&p.strategy) {
-                seen.push(p.strategy.clone());
-            }
-        }
-        seen
-    };
-    let mut headers = vec!["user size"];
-    headers.extend(strategies.iter().map(String::as_str));
-    let rows: Vec<Vec<String>> = users
-        .iter()
-        .map(|&u| {
-            let mut row = vec![u.to_string()];
-            for st in &strategies {
-                let idx = points
-                    .iter()
-                    .position(|p| p.users == u && &p.strategy == st)
-                    .expect("dense sweep");
-                row.push(format!("{:.2}", values[idx]));
-            }
-            row
-        })
-        .collect();
-    println!("{}", render_table(&headers, &rows));
-}
-
-fn run_multiuser(
-    opts: &Options,
-    figs: &[(&str, &str, &str)],
-    sink: &Arc<dyn TraceSink>,
-) -> Vec<MultiUserPoint> {
+fn run_multiuser(opts: &Options, figs: &[(&str, usize, &str)], sink: &Arc<dyn TraceSink>) {
     let config = MultiUserConfig {
         graph_nodes: if opts.quick { 200 } else { 1000 },
         pool: if opts.quick { 4 } else { 8 },
         seed: opts.seed,
         ..MultiUserConfig::default()
     };
-    let points = multiuser::run_traced(&user_sizes(opts), &config, sink);
-    for (fig, metric, title) in figs {
-        render_multi_figure(&points, metric, title);
-        write_json(format!("{}/{fig}.json", opts.out), &points);
-    }
-    points
+    let points = multiuser::run(&user_sizes(opts), &config, sink);
+    render_figures(opts, figs, "user size", &points, |p| {
+        let energies = [p.local_energy, p.tx_energy, p.total_energy];
+        (p.users, &p.strategy, energies)
+    });
 }
 
 /// Quick self-check: asserts the headline *shapes* of the paper hold
@@ -387,8 +308,9 @@ fn run_check(opts: &Options) {
         }
     };
 
+    let null = mec_obs::null_sink();
     // Table I shape: compression removes most nodes, more at scale
-    let rows = table1::run(&[250, 1000], opts.seed);
+    let rows = table1::run(&[250, 1000], opts.seed, null.as_ref());
     claim(
         "compression removes over half the nodes",
         rows.iter().all(|r| r.node_reduction > 0.5),
@@ -399,7 +321,7 @@ fn run_check(opts: &Options) {
     );
 
     // Figs 3/5 shape: ours best-or-tied on total energy, energies grow
-    let pts = energy::run(&[250, 500], opts.seed);
+    let pts = energy::run(&[250, 500], opts.seed, &null);
     let total_of = |size: usize, strat: &str| {
         pts.iter()
             .find(|p| p.size == size && p.strategy == strat)
@@ -430,6 +352,7 @@ fn run_check(opts: &Options) {
             seed: opts.seed,
             ..MultiUserConfig::default()
         },
+        &null,
     );
     let mu_of = |users: usize, strat: &str| {
         mu.iter()
@@ -457,7 +380,7 @@ fn run_check(opts: &Options) {
     // Fig 9 shape: dense-serial spectral slowest, engine cuts it back
     // (the dense-eigensolver cost only dominates at scale, so this
     // check uses a mid-size single-component graph)
-    let rt = runtime::run(&[1200], opts.seed, false);
+    let rt = runtime::run(&[1200], opts.seed, false, &null);
     let secs = |variant: &str| {
         rt.iter()
             .find(|p| p.variant == variant)
@@ -540,7 +463,7 @@ fn run_bench(opts: &Options) {
 
 fn run_ablation(opts: &Options, sink: &Arc<dyn TraceSink>) {
     println!("== Ablations: objective E+T per design knob ==\n");
-    let points = ablation::run_traced(opts.seed, sink);
+    let points = ablation::run(opts.seed, sink);
     let mut current_knob = String::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let flush = |knob: &str, rows: &mut Vec<Vec<String>>| {
@@ -636,59 +559,32 @@ fn render_stage_percentiles(registry: &MetricsRegistry) {
 
 fn run_fig9(opts: &Options, sink: &Arc<dyn TraceSink>, registry: &Arc<MetricsRegistry>) {
     println!("== Fig. 9: execution time vs graph size ==\n");
-    let points: Vec<RuntimePoint> = runtime::run_traced(&sizes(opts), opts.seed, opts.extra, sink);
-    let sizes: Vec<usize> = {
-        let mut s: Vec<_> = points.iter().map(|p| p.size).collect();
-        s.dedup();
-        s
-    };
-    let variants: Vec<String> = {
-        let mut seen = Vec::new();
-        for p in &points {
-            if !seen.contains(&p.variant) {
-                seen.push(p.variant.clone());
-            }
-        }
-        seen
-    };
-    let mut headers = vec!["original graph size"];
-    headers.extend(variants.iter().map(String::as_str));
-    let rows: Vec<Vec<String>> = sizes
+    let points = runtime::run(&sizes(opts), opts.seed, opts.extra, sink);
+    let cells: Vec<_> = points
         .iter()
-        .map(|&sz| {
-            let mut row = vec![sz.to_string()];
-            for v in &variants {
-                let p = points
-                    .iter()
-                    .find(|p| p.size == sz && &p.variant == v)
-                    .expect("dense sweep");
-                row.push(format!("{:.3}s", p.seconds));
-            }
-            row
-        })
+        .map(|p| (p.size, p.variant.as_str(), p.seconds))
         .collect();
-    println!("{}", render_table(&headers, &rows));
+    println!(
+        "{}",
+        pivot_table("original graph size", &cells, |s| format!("{s:.3}s"))
+    );
     write_json(format!("{}/fig9.json", opts.out), &points);
 
     println!("== multi-user front-end speedup (cluster vs serial) ==\n");
     let (users, nodes) = if opts.quick { (8, 300) } else { (16, 800) };
-    let mut speedups: Vec<FrontendSpeedup> = Vec::new();
-    let mut per_worker: Vec<WorkerUtilization> = Vec::new();
-    for workers in [1, opts.workers] {
-        if speedups.iter().any(|s| s.workers == workers) {
-            continue;
-        }
-        if workers == opts.workers {
-            // the headline run records per-worker distributions into
-            // the registry; utilization rows come out of that interval
-            let (s, w) =
-                runtime::frontend_speedup_traced(users, nodes, opts.seed, workers, sink, registry);
-            speedups.push(s);
-            per_worker = w;
-        } else {
-            speedups.push(runtime::frontend_speedup(users, nodes, opts.seed, workers));
-        }
+    let mut speedups = Vec::new();
+    if opts.workers != 1 {
+        // the 1-worker reference leg records into a null sink and a
+        // throwaway registry, so the tables below read the headline leg
+        let null = mec_obs::null_sink();
+        let (s, _) = runtime::frontend_speedup(users, nodes, opts.seed, 1, &null, &Arc::default());
+        speedups.push(s);
     }
+    // the headline run records per-worker distributions into the
+    // registry; utilization rows come out of that interval
+    let (s, per_worker) =
+        runtime::frontend_speedup(users, nodes, opts.seed, opts.workers, sink, registry);
+    speedups.push(s);
     let speedup_rows: Vec<Vec<String>> = speedups
         .iter()
         .map(|s| {
@@ -720,42 +616,40 @@ fn run_fig9(opts: &Options, sink: &Arc<dyn TraceSink>, registry: &Arc<MetricsReg
     }
     write_json(format!("{}/fig9_speedup.json", opts.out), &speedups);
 
-    if !per_worker.is_empty() {
-        println!(
-            "\n== per-worker utilization (cluster leg, {} workers) ==\n",
-            per_worker.len()
-        );
-        let rows: Vec<Vec<String>> = per_worker
-            .iter()
-            .map(|w| {
-                vec![
-                    w.worker.to_string(),
-                    w.tasks.to_string(),
-                    format!("{:.3}s", w.busy_seconds),
-                    format!("{:.1}%", 100.0 * w.utilization),
-                    fmt_sample("task_nanos", w.p50_task_nanos),
-                    fmt_sample("task_nanos", w.p99_task_nanos),
-                    fmt_sample("queue_nanos", w.p50_queue_nanos),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "worker",
-                    "tasks",
-                    "busy",
-                    "utilization",
-                    "task p50",
-                    "task p99",
-                    "queue p50",
-                ],
-                &rows,
-            )
-        );
-        write_json(format!("{}/fig9_workers.json", opts.out), &per_worker);
-    }
+    println!(
+        "\n== per-worker utilization (cluster leg, {} workers) ==\n",
+        per_worker.len()
+    );
+    let rows: Vec<Vec<String>> = per_worker
+        .iter()
+        .map(|w| {
+            vec![
+                w.worker.to_string(),
+                w.tasks.to_string(),
+                format!("{:.3}s", w.busy_seconds),
+                format!("{:.1}%", 100.0 * w.utilization),
+                fmt_sample("task_nanos", w.p50_task_nanos),
+                fmt_sample("task_nanos", w.p99_task_nanos),
+                fmt_sample("queue_nanos", w.p50_queue_nanos),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "worker",
+                "tasks",
+                "busy",
+                "utilization",
+                "task p50",
+                "task p99",
+                "queue p50",
+            ],
+            &rows,
+        )
+    );
+    write_json(format!("{}/fig9_workers.json", opts.out), &per_worker);
 
     println!("\n== pipeline stage latency distributions ==\n");
     sink.flush();
@@ -776,7 +670,7 @@ fn run_churn(opts: &Options, sink: &Arc<dyn TraceSink>) {
         "crowd {} across {} shards, {} events ({} full-mode samples), seed {}\n",
         spec.users, spec.shards, spec.events, spec.full_samples, spec.seed
     );
-    let report = churn::run(&spec, Some(Arc::clone(sink)));
+    let report = churn::run(&spec, sink);
     println!(
         "{}",
         render_table(
@@ -886,7 +780,7 @@ fn run_gate(opts: &Options) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
     // One recorder for the whole invocation (per-thread SPSC rings
     // drained by a background aggregator, so worker hot paths never
     // contend on a lock): spans, events, counters and histograms from
@@ -915,36 +809,8 @@ fn main() {
         println!("serving telemetry on http://{}", server.local_addr());
         server
     });
-    let single_user_figs: Vec<(&str, &str, &str)> = vec![
-        ("fig3", "local", "Fig. 3: local energy consumption"),
-        ("fig4", "tx", "Fig. 4: transmission energy consumption"),
-        ("fig5", "total", "Fig. 5: total energy consumption"),
-    ];
-    let multi_user_figs: Vec<(&str, &str, &str)> = vec![
-        ("fig6", "local", "Fig. 6: local energy, multi-user"),
-        ("fig7", "tx", "Fig. 7: transmission energy, multi-user"),
-        ("fig8", "total", "Fig. 8: total energy, multi-user"),
-    ];
     match opts.command.as_str() {
         "table1" => run_table1(&opts, &sink),
-        "fig3" => {
-            run_energy(&opts, &single_user_figs[0..1], &sink);
-        }
-        "fig4" => {
-            run_energy(&opts, &single_user_figs[1..2], &sink);
-        }
-        "fig5" => {
-            run_energy(&opts, &single_user_figs[2..3], &sink);
-        }
-        "fig6" => {
-            run_multiuser(&opts, &multi_user_figs[0..1], &sink);
-        }
-        "fig7" => {
-            run_multiuser(&opts, &multi_user_figs[1..2], &sink);
-        }
-        "fig8" => {
-            run_multiuser(&opts, &multi_user_figs[2..3], &sink);
-        }
         "fig9" => run_fig9(&opts, &sink, &registry),
         "ablate" => run_ablation(&opts, &sink),
         "bench" => run_bench(&opts),
@@ -953,37 +819,26 @@ fn main() {
         "check" => run_check(&opts),
         "all" => {
             run_table1(&opts, &sink);
-            run_energy(&opts, &single_user_figs, &sink);
-            run_multiuser(&opts, &multi_user_figs, &sink);
+            run_energy(&opts, &FIGURES[..3], &sink);
+            run_multiuser(&opts, &FIGURES[3..], &sink);
             run_fig9(&opts, &sink, &registry);
             run_ablation(&opts, &sink);
         }
-        other => die(&format!("unknown command: {other}")),
+        cmd => match FIGURES.iter().position(|f| f.0 == cmd) {
+            Some(i @ 0..3) => run_energy(&opts, &FIGURES[i..=i], &sink),
+            Some(i) => run_multiuser(&opts, &FIGURES[i..=i], &sink),
+            None => die(&format!("unknown command: {cmd}")),
+        },
     }
     if let Some(path) = &opts.trace_out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("trace directory is creatable");
-            }
-        }
-        std::fs::write(path, recorder.to_json_string()).expect("trace file is writable");
+        write_file(path, recorder.to_json_string());
         println!("trace written to {path}");
     }
     if let Some(path) = &opts.chrome_trace_out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("trace directory is creatable");
-            }
-        }
-        std::fs::write(path, recorder.to_chrome_trace_string()).expect("trace file is writable");
+        write_file(path, recorder.to_chrome_trace_string());
         println!("chrome trace written to {path} (load via chrome://tracing or ui.perfetto.dev)");
     }
     if let Some(path) = &opts.metrics_out {
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("metrics directory is creatable");
-            }
-        }
         recorder.flush();
         let snap = registry.snapshot();
         let body = if path.ends_with(".prom") || path.ends_with(".txt") {
@@ -991,7 +846,7 @@ fn main() {
         } else {
             snap.to_json_string()
         };
-        std::fs::write(path, body).expect("metrics file is writable");
+        write_file(path, body);
         println!("metrics written to {path}");
     }
     // Keep the exposition endpoint alive after the command finishes so
@@ -1011,5 +866,115 @@ fn main() {
             }
         }
         server.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn every_value_flag_sets_its_field() {
+        let opts = parse(&[
+            "fig9",
+            "--quick",
+            "--extra",
+            "--seed",
+            "7",
+            "--out",
+            "dir",
+            "--trace-out",
+            "t.json",
+            "--workers",
+            "3",
+            "--bench-out",
+            "b.json",
+            "--metrics-out",
+            "m.prom",
+            "--baseline",
+            "base.json",
+            "--tolerance",
+            "0.5",
+            "--serve",
+            "127.0.0.1:0",
+            "--serve-for",
+            "9",
+            "--chrome-trace-out",
+            "c.json",
+        ])
+        .unwrap();
+        assert_eq!(opts.command, "fig9");
+        assert!(opts.quick && opts.extra);
+        assert_eq!((opts.seed, opts.out.as_str(), opts.workers), (7, "dir", 3));
+        assert_eq!(opts.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(opts.bench_out.as_deref(), Some("b.json"));
+        assert_eq!(opts.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(opts.baseline.as_deref(), Some("base.json"));
+        assert_eq!(opts.tolerance, 0.5);
+        assert_eq!(opts.serve.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(opts.serve_for, Some(9));
+        assert_eq!(opts.chrome_trace_out.as_deref(), Some("c.json"));
+    }
+
+    #[test]
+    fn a_missing_or_malformed_value_names_its_flag() {
+        for (args, msg) in [
+            (&["--seed"][..], "--seed needs an integer"),
+            (&["--seed", "x"], "--seed needs an integer"),
+            (&["--workers", "0"], "--workers needs a positive integer"),
+            (&["--workers", "-2"], "--workers needs a positive integer"),
+            (
+                &["--tolerance", "-0.1"],
+                "--tolerance needs a non-negative number",
+            ),
+            (
+                &["--tolerance", "NaN"],
+                "--tolerance needs a non-negative number",
+            ),
+            (
+                &["--serve-for", "soon"],
+                "--serve-for needs a number of seconds",
+            ),
+            (&["--out"], "--out needs a path"),
+            (&["table1", "--trace-out"], "--trace-out needs a path"),
+            (&["--bench-out"], "--bench-out needs a path"),
+            (&["--metrics-out"], "--metrics-out needs a path"),
+            (&["--baseline"], "--baseline needs a path"),
+            (
+                &["--serve"],
+                "--serve needs an ADDR:PORT (port 0 = ephemeral)",
+            ),
+            (&["--chrome-trace-out"], "--chrome-trace-out needs a path"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(msg), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_and_a_second_command_are_rejected() {
+        assert_eq!(
+            parse(&["--bogus"]).err().as_deref(),
+            Some("unknown argument: --bogus")
+        );
+        assert_eq!(
+            parse(&["table1", "fig3"]).err().as_deref(),
+            Some("unknown argument: fig3")
+        );
+    }
+
+    #[test]
+    fn the_command_defaults_to_bench_with_bench_out_else_all() {
+        assert_eq!(parse(&["--bench-out", "b.json"]).unwrap().command, "bench");
+        assert_eq!(parse(&[]).unwrap().command, "all");
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.seed, defaults.workers), (DEFAULT_SEED, 4));
+        assert_eq!(
+            (defaults.out.as_str(), defaults.tolerance),
+            ("results", 0.25)
+        );
     }
 }

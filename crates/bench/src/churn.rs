@@ -50,13 +50,14 @@ pub struct ChurnSpec {
 impl Default for ChurnSpec {
     fn default() -> Self {
         // 102 400 users leaves headroom so the random mix never dips
-        // the tracked count below the 10⁵ sustained floor
+        // the tracked count below the 10⁵ sustained floor; 1 000
+        // events leave 10 samples above the gated p99
         ChurnSpec {
             users: 102_400,
             shards: 8,
             nodes: 24,
             graph_pool: 64,
-            events: 240,
+            events: 1_000,
             full_samples: 12,
             seed: 70,
         }
@@ -150,16 +151,16 @@ fn apply(service: &mut OffloadService, event: &Event) {
     }
 }
 
-/// Runs the churn benchmark. When `sink` is given, both the service
-/// events (`service.*`) and the shard sessions' telemetry
-/// (`session.replan_nanos`, `greedy.evaluations`, …) flow through it —
-/// this is what the CI smoke inspects over `/metrics`.
+/// Runs the churn benchmark. Both the delta service's events
+/// (`service.*`) and its shard sessions' telemetry
+/// (`session.replan_nanos`, `greedy.evaluations`, …) flow through
+/// `sink` — this is what the CI smoke inspects over `/metrics`.
 ///
 /// # Panics
 ///
 /// Panics if the spec is degenerate (zero users/events) or a join
 /// fails, which seeded generable workloads do not.
-pub fn run(spec: &ChurnSpec, sink: Option<Arc<dyn TraceSink>>) -> ChurnReport {
+pub fn run(spec: &ChurnSpec, sink: &Arc<dyn TraceSink>) -> ChurnReport {
     assert!(spec.users > 0 && spec.events > 0, "degenerate churn spec");
     let mut rng = Rng(spec.seed);
     let pool: Vec<Arc<Graph>> = (0..spec.graph_pool.max(1))
@@ -167,10 +168,8 @@ pub fn run(spec: &ChurnSpec, sink: Option<Arc<dyn TraceSink>>) -> ChurnReport {
         .collect();
     let pick = |rng: &mut Rng| Arc::clone(&pool[rng.below(pool.len() as u64) as usize]);
 
-    let mut delta = OffloadService::new(SystemParams::default(), spec.shards);
-    if let Some(sink) = sink {
-        delta = delta.with_trace_sink(sink);
-    }
+    let mut delta =
+        OffloadService::new(SystemParams::default(), spec.shards).with_trace_sink(Arc::clone(sink));
     let mut full = OffloadService::new(SystemParams::default(), spec.shards).with_drift_limit(0.0);
 
     // bulk load (untimed): the steady-state crowd both services track
@@ -285,7 +284,7 @@ mod tests {
 
     #[test]
     fn churn_run_produces_a_consistent_report() {
-        let r = run(&tiny(), None);
+        let r = run(&tiny(), &mec_obs::null_sink());
         assert!(r.sustained_users > 0 && r.sustained_users <= r.peak_users);
         assert!(r.replan_p50_nanos > 0);
         assert!(r.replan_p99_nanos >= r.replan_p50_nanos);
@@ -296,8 +295,8 @@ mod tests {
 
     #[test]
     fn event_stream_is_deterministic() {
-        let a = run(&tiny(), None);
-        let b = run(&tiny(), None);
+        let a = run(&tiny(), &mec_obs::null_sink());
+        let b = run(&tiny(), &mec_obs::null_sink());
         // latencies differ run to run; the crowd trajectory must not
         assert_eq!(a.sustained_users, b.sustained_users);
         assert_eq!(a.peak_users, b.peak_users);

@@ -35,14 +35,9 @@ pub struct EnergyPoint {
 }
 
 /// Runs the single-user sweep: one user, graphs of the given sizes,
-/// all three strategies.
-pub fn run(sizes: &[usize], seed: u64) -> Vec<EnergyPoint> {
-    run_traced(sizes, seed, &mec_obs::null_sink())
-}
-
-/// Like [`run`] but wires `sink` into every pipeline it builds, so the
-/// trace covers all strategies across the sweep.
-pub fn run_traced(sizes: &[usize], seed: u64, sink: &Arc<dyn TraceSink>) -> Vec<EnergyPoint> {
+/// all three strategies. `sink` is wired into every pipeline it
+/// builds, so the trace covers all strategies across the sweep.
+pub fn run(sizes: &[usize], seed: u64, sink: &Arc<dyn TraceSink>) -> Vec<EnergyPoint> {
     let mut out = Vec::new();
     for (i, &size) in sizes.iter().enumerate() {
         let graph = Arc::new(paper_graph(size, seed + i as u64));
@@ -75,7 +70,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_point_per_strategy_and_size() {
-        let pts = run(&[120, 250], 5);
+        let pts = run(&[120, 250], 5, &mec_obs::null_sink());
         assert_eq!(pts.len(), 6);
         // energies grow with size for every strategy
         for (label, _) in paper_strategies() {
@@ -86,7 +81,7 @@ mod tests {
 
     #[test]
     fn spectral_total_energy_is_never_worst() {
-        let pts = run(&[250], 11);
+        let pts = run(&[250], 11, &mec_obs::null_sink());
         let ours = pts.iter().find(|p| p.strategy == "our algorithm").unwrap();
         let worst = pts
             .iter()

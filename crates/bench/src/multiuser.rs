@@ -58,13 +58,9 @@ impl Default for MultiUserConfig {
     }
 }
 
-/// Runs the multi-user sweep over `user_counts`.
-pub fn run(user_counts: &[usize], config: &MultiUserConfig) -> Vec<MultiUserPoint> {
-    run_traced(user_counts, config, &mec_obs::null_sink())
-}
-
-/// Like [`run`] but wires `sink` into every pipeline it builds.
-pub fn run_traced(
+/// Runs the multi-user sweep over `user_counts`, wiring `sink` into
+/// every pipeline it builds.
+pub fn run(
     user_counts: &[usize],
     config: &MultiUserConfig,
     sink: &Arc<dyn TraceSink>,
@@ -131,7 +127,7 @@ mod tests {
 
     #[test]
     fn energies_grow_with_user_count() {
-        let pts = run(&[2, 8], &tiny());
+        let pts = run(&[2, 8], &tiny(), &mec_obs::null_sink());
         assert_eq!(pts.len(), 6);
         for (label, _) in paper_strategies() {
             let series: Vec<_> = pts.iter().filter(|p| p.strategy == label).collect();
@@ -146,7 +142,7 @@ mod tests {
 
     #[test]
     fn contention_reduces_offloaded_fraction() {
-        let pts = run(&[1, 16], &tiny());
+        let pts = run(&[1, 16], &tiny(), &mec_obs::null_sink());
         let ours: Vec<_> = pts
             .iter()
             .filter(|p| p.strategy == "our algorithm")

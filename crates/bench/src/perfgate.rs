@@ -138,7 +138,7 @@ impl BenchFile {
     pub fn rerun(&self, probe: AllocProbe<'_>) -> Result<Self, PipelineError> {
         Ok(match self {
             BenchFile::Spectral(r) => BenchFile::Spectral(spectral_hotpath::run(&r.spec, probe)?),
-            BenchFile::Churn(r) => BenchFile::Churn(churn::run(&r.spec, None)),
+            BenchFile::Churn(r) => BenchFile::Churn(churn::run(&r.spec, &mec_obs::null_sink())),
         })
     }
 

@@ -1,5 +1,5 @@
-//! Rendering helpers: normalised series, aligned text tables, JSON
-//! dumps.
+//! Rendering helpers: normalised series, aligned and pivoted text
+//! tables, output files.
 
 use serde::Serialize;
 use std::path::Path;
@@ -50,20 +50,69 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes `data` as pretty JSON to `path`, creating parent directories.
+/// Renders `(x, series, value)` cells as one table: a row per x value
+/// under `x_header` and a column per series, both in first-seen order,
+/// each value printed by `format_cell`.
+///
+/// # Panics
+///
+/// Panics if some (x, series) pair has no cell.
+pub fn pivot_table(
+    x_header: &str,
+    cells: &[(usize, &str, f64)],
+    format_cell: impl Fn(f64) -> String,
+) -> String {
+    let mut xs: Vec<usize> = Vec::new();
+    let mut headers = vec![x_header];
+    for &(x, series, _) in cells {
+        if !xs.contains(&x) {
+            xs.push(x);
+        }
+        if !headers[1..].contains(&series) {
+            headers.push(series);
+        }
+    }
+    let rows: Vec<Vec<String>> = xs
+        .iter()
+        .map(|&x| {
+            let values = headers[1..].iter().map(|&series| {
+                let &(_, _, v) = cells
+                    .iter()
+                    .find(|c| c.0 == x && c.1 == series)
+                    .expect("dense sweep");
+                format_cell(v)
+            });
+            std::iter::once(x.to_string()).chain(values).collect()
+        })
+        .collect();
+    render_table(&headers, &rows)
+}
+
+/// Writes `contents` to `path`, creating its parent directories.
 ///
 /// # Panics
 ///
 /// Panics on I/O failure — experiment output locations are always
 /// writable in this repo's workflows, and silent loss of results is
 /// worse than an abort.
-pub fn write_json<T: Serialize>(path: impl AsRef<Path>, data: &T) {
+pub fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) {
     let path = path.as_ref();
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results directory");
     }
-    let json = serde_json::to_string_pretty(data).expect("results serialize");
-    std::fs::write(path, json).expect("write results file");
+    std::fs::write(path, contents).expect("write results file");
+}
+
+/// Writes `data` as pretty JSON to `path` through [`write_file`].
+///
+/// # Panics
+///
+/// As [`write_file`].
+pub fn write_json<T: Serialize>(path: impl AsRef<Path>, data: &T) {
+    write_file(
+        path,
+        serde_json::to_string_pretty(data).expect("results serialize"),
+    );
 }
 
 #[cfg(test)]
@@ -99,6 +148,27 @@ mod tests {
     #[should_panic(expected = "ragged table row")]
     fn ragged_rows_panic() {
         let _ = render_table(&["a", "b"], &[vec!["only-one".into()]]);
+    }
+
+    #[test]
+    fn pivot_keeps_first_seen_order_and_formats_every_cell() {
+        let cells = [
+            (500, "b", 2.0),
+            (500, "a", 1.0),
+            (100, "b", 4.0),
+            (100, "a", 3.0),
+        ];
+        let t = pivot_table("size", &cells, |v| format!("{v:.1}"));
+        let lines: Vec<Vec<&str>> = t.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(lines[0], ["size", "b", "a"]);
+        assert_eq!(lines[2], ["500", "2.0", "1.0"]);
+        assert_eq!(lines[3], ["100", "4.0", "3.0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense sweep")]
+    fn pivot_rejects_a_missing_cell() {
+        let _ = pivot_table("size", &[(1, "a", 1.0), (2, "b", 2.0)], |v| v.to_string());
     }
 
     #[test]

@@ -85,55 +85,8 @@ pub struct FrontendSpeedup {
     pub host_parallelism: usize,
 }
 
-/// Times the serial solve against the cluster-backed solve on a
-/// `users`-user scenario and asserts the two plans stayed
-/// bit-identical while measuring.
-///
-/// Each user gets a distinct *single-component* graph of `nodes`
-/// functions (the Fig. 9 runtime workload): with one component per
-/// graph the component-parallel compressor has nothing to fan out, so
-/// the measurement isolates the per-*user* stage distribution.
-pub fn frontend_speedup(users: usize, nodes: usize, seed: u64, workers: usize) -> FrontendSpeedup {
-    let scenario =
-        Scenario::new(SystemParams::default())
-            .with_users((0..users).map(|i| {
-                UserWorkload::new(format!("u{i}"), runtime_graph(nodes, seed + i as u64))
-            }));
-    let offloader = Offloader::new();
-
-    let start = std::time::Instant::now();
-    let serial = offloader
-        .solve(&scenario)
-        .expect("serial pipeline succeeds");
-    let serial_seconds = start.elapsed().as_secs_f64();
-
-    let cluster = Arc::new(Cluster::new(workers).expect("cluster spawns"));
-    let mut ctx = offloader.exec_ctx().into_cluster(cluster);
-    let start = std::time::Instant::now();
-    let clustered = offloader
-        .solve_with(&mut ctx, &scenario)
-        .expect("cluster pipeline succeeds");
-    let cluster_seconds = start.elapsed().as_secs_f64();
-
-    assert_eq!(
-        serial.plan, clustered.plan,
-        "cluster front-end must stay bit-identical to the serial path"
-    );
-    FrontendSpeedup {
-        users,
-        nodes,
-        workers,
-        serial_seconds,
-        cluster_seconds,
-        speedup: serial_seconds / cluster_seconds,
-        host_parallelism: std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-    }
-}
-
 /// Per-worker utilization row for the cluster leg of a
-/// [`frontend_speedup_traced`] measurement, sourced from the
+/// [`frontend_speedup`] measurement, sourced from the
 /// `worker`-labeled series the engine records into its
 /// [`MetricsRegistry`].
 #[derive(Debug, Clone, Serialize)]
@@ -155,17 +108,24 @@ pub struct WorkerUtilization {
     pub p50_queue_nanos: u64,
 }
 
-/// [`frontend_speedup`] with full telemetry wired through both legs:
-/// the serial and cluster solves record their stage spans and
-/// histograms into `sink`, and the cluster is built with
-/// [`Cluster::with_telemetry`] so per-worker task-latency / queue-wait
-/// distributions land in `registry` and each worker announces itself
-/// to the sink ([`TraceSink::register_worker`] — a sharded recorder
-/// uses this to pin worker threads to dedicated shards). Returns the
-/// speedup record plus one utilization row per worker, computed from
-/// the registry's `worker`-labeled series over the cluster leg's wall
-/// clock.
-pub fn frontend_speedup_traced(
+/// Times the serial solve against the cluster-backed solve on a
+/// `users`-user scenario and asserts the two plans stayed
+/// bit-identical while measuring.
+///
+/// Each user gets a distinct *single-component* graph of `nodes`
+/// functions (the Fig. 9 runtime workload): with one component per
+/// graph the component-parallel compressor has nothing to fan out, so
+/// the measurement isolates the per-*user* stage distribution.
+///
+/// Both legs record their stage spans and histograms into `sink`, and
+/// the cluster is built with [`Cluster::with_telemetry`] so per-worker
+/// task-latency / queue-wait distributions land in `registry` and each
+/// worker announces itself to the sink
+/// ([`TraceSink::register_worker`] — a sharded recorder uses this to
+/// pin worker threads to dedicated shards). Returns the speedup record
+/// plus one utilization row per worker, computed from the registry's
+/// `worker`-labeled series over the cluster leg's wall clock.
+pub fn frontend_speedup(
     users: usize,
     nodes: usize,
     seed: u64,
@@ -283,14 +243,9 @@ fn time_pipeline(offloader: &Offloader, scenario: &Scenario) -> f64 {
     }
 }
 
-/// Runs the timing sweep. `include_extra` adds the `lanczos-serial`
-/// ablation series.
-pub fn run(sizes: &[usize], seed: u64, include_extra: bool) -> Vec<RuntimePoint> {
-    run_traced(sizes, seed, include_extra, &mec_obs::null_sink())
-}
-
-/// Like [`run`] but wires `sink` into every pipeline variant.
-pub fn run_traced(
+/// Runs the timing sweep, wiring `sink` into every pipeline variant.
+/// `include_extra` adds the `lanczos-serial` and `multilevel` series.
+pub fn run(
     sizes: &[usize],
     seed: u64,
     include_extra: bool,
@@ -369,7 +324,7 @@ mod tests {
 
     #[test]
     fn all_variants_report_positive_times() {
-        let pts = run(&[150], 3, true);
+        let pts = run(&[150], 3, true, &mec_obs::null_sink());
         assert_eq!(pts.len(), 6);
         for p in &pts {
             assert!(p.seconds > 0.0, "{} reported zero time", p.variant);
@@ -383,18 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn frontend_speedup_reports_consistent_measurements() {
-        // parity is asserted inside frontend_speedup; here we check the
-        // record itself is sane (timings positive, ratio consistent)
-        let s = frontend_speedup(4, 120, 11, 2);
-        assert_eq!((s.users, s.nodes, s.workers), (4, 120, 2));
-        assert!(s.serial_seconds > 0.0);
-        assert!(s.cluster_seconds > 0.0);
-        assert!((s.speedup - s.serial_seconds / s.cluster_seconds).abs() < 1e-12);
-    }
-
-    #[test]
-    fn traced_speedup_reports_per_worker_utilization() {
+    fn speedup_reports_consistent_timings_and_per_worker_utilization() {
         let recorder = Arc::new(mec_obs::ShardedRecorder::with_config(
             mec_obs::ShardConfig {
                 drain_interval: None,
@@ -403,8 +347,11 @@ mod tests {
         ));
         let registry = recorder.metrics();
         let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as Arc<dyn TraceSink>;
-        let (s, workers) = frontend_speedup_traced(4, 120, 11, 2, &sink, &registry);
+        let (s, workers) = frontend_speedup(4, 120, 11, 2, &sink, &registry);
         assert_eq!((s.users, s.nodes, s.workers), (4, 120, 2));
+        assert!(s.serial_seconds > 0.0);
+        assert!(s.cluster_seconds > 0.0);
+        assert!((s.speedup - s.serial_seconds / s.cluster_seconds).abs() < 1e-12);
         assert_eq!(workers.len(), 2);
         // 4 tasks were fanned out; every one is attributed to a worker
         // (under MEC_FORCE_SERIAL the cluster leg never fans out)

@@ -22,15 +22,10 @@ pub struct Table1Row {
     pub node_reduction: f64,
 }
 
-/// Runs the compression experiment over the given `(nodes, edges)`
-/// sizes with `seed`.
-pub fn run(sizes: &[usize], seed: u64) -> Vec<Table1Row> {
-    run_traced(sizes, seed, &mec_obs::NullSink)
-}
-
-/// Like [`run`] but routes compression telemetry (`labelprop.round`
-/// events, `compress.stats`) through `sink`.
-pub fn run_traced(sizes: &[usize], seed: u64, sink: &dyn TraceSink) -> Vec<Table1Row> {
+/// Runs the compression experiment over the given graph sizes with
+/// `seed`, routing compression telemetry (`labelprop.round` events,
+/// `compress.stats`) through `sink`.
+pub fn run(sizes: &[usize], seed: u64, sink: &dyn TraceSink) -> Vec<Table1Row> {
     let compressor = Compressor::new(CompressionConfig::default());
     sizes
         .iter()
@@ -56,7 +51,7 @@ mod tests {
 
     #[test]
     fn rows_shrink_and_reduction_grows_with_size() {
-        let rows = run(&[250, 1000], 7);
+        let rows = run(&[250, 1000], 7, &mec_obs::NullSink);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.compressed_nodes < r.nodes);
@@ -67,8 +62,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run(&[250], 3);
-        let b = run(&[250], 3);
+        let a = run(&[250], 3, &mec_obs::NullSink);
+        let b = run(&[250], 3, &mec_obs::NullSink);
         assert_eq!(a[0].compressed_nodes, b[0].compressed_nodes);
     }
 }

@@ -7,18 +7,11 @@ use mec_netgen::NetgenSpec;
 /// of the paper's Table I rows (interpolating between them; the five
 /// published sizes reproduce the published edge counts exactly).
 pub fn edges_for(nodes: usize) -> usize {
-    // published (nodes, edges) anchor points
-    const ROWS: [(usize, usize); 5] = [
-        (250, 1214),
-        (500, 2643),
-        (1000, 4912),
-        (2000, 9578),
-        (5000, 40243),
-    ];
-    if nodes <= ROWS[0].0 {
-        return (nodes * ROWS[0].1) / ROWS[0].0;
+    let rows = NetgenSpec::table1_rows();
+    if nodes <= rows[0].0 {
+        return (nodes * rows[0].1) / rows[0].0;
     }
-    for w in ROWS.windows(2) {
+    for w in rows.windows(2) {
         let (n0, e0) = w[0];
         let (n1, e1) = w[1];
         if nodes == n1 {
@@ -31,7 +24,7 @@ pub fn edges_for(nodes: usize) -> usize {
         }
     }
     // extrapolate with the top segment's density
-    let (n1, e1) = ROWS[4];
+    let (n1, e1) = rows[rows.len() - 1];
     (nodes as f64 * e1 as f64 / n1 as f64).round() as usize
 }
 

@@ -12,9 +12,10 @@
 //! full-crowd coupling by letting users contend only within their
 //! shard — the standard shard-local relaxation.
 //!
-//! Every event records a `service.*_nanos` histogram and bumps a
-//! `service.*` counter on the service sink, mirroring the session's
-//! own `session.*` telemetry one level up.
+//! Every event records a `service.*_nanos` histogram on every exit,
+//! failed ones included, and bumps a `service.*` counter on the service
+//! sink for what it changed, mirroring the session's own `session.*`
+//! telemetry one level up.
 
 use crate::exec::duration_sample;
 use crate::greedy::GreedyMode;
@@ -25,8 +26,38 @@ use mec_engine::Cluster;
 use mec_graph::Graph;
 use mec_labelprop::CompressionConfig;
 use mec_model::SystemParams;
-use mec_obs::{span, FieldValue, TraceSink};
+use mec_obs::{FieldValue, SpanId, TraceSink};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// The telemetry epilogue of one service entry point: dropping it — on
+/// every exit, `?` error returns included — closes the span and records
+/// the elapsed time into the entry point's `service.*_nanos` histogram.
+struct ServiceScope<'a> {
+    sink: &'a dyn TraceSink,
+    id: SpanId,
+    histogram: &'static str,
+    start: Instant,
+}
+
+impl<'a> ServiceScope<'a> {
+    fn enter(sink: &'a dyn TraceSink, name: &'static str, histogram: &'static str) -> Self {
+        ServiceScope {
+            id: sink.span_enter(name),
+            sink,
+            histogram,
+            start: Instant::now(),
+        }
+    }
+}
+
+impl Drop for ServiceScope<'_> {
+    fn drop(&mut self) {
+        self.sink.span_exit(self.id);
+        self.sink
+            .histogram_record(self.histogram, duration_sample(self.start.elapsed()));
+    }
+}
 
 /// One session shard.
 struct Shard {
@@ -213,23 +244,20 @@ impl OffloadService {
         graph: Arc<Graph>,
     ) -> Result<(), PipelineError> {
         let name = name.into();
-        let s = span(self.sink.as_ref(), "service.join");
+        let _scope = ServiceScope::enter(self.sink.as_ref(), "service.join", "service.join_nanos");
         let shard = self.route(&name);
-        let result = self.shards[shard].session.join(name, graph);
-        if result.is_ok() {
-            self.shards[shard].dirty = true;
-            self.sink.counter_add("service.joins", 1);
-        }
-        self.sink
-            .histogram_record("service.join_nanos", duration_sample(s.finish()));
-        result
+        self.shards[shard].session.join(name, graph)?;
+        self.shards[shard].dirty = true;
+        self.sink.counter_add("service.joins", 1);
+        Ok(())
     }
 
     /// Admits a batch, fanning it out into one
     /// [`OffloadSession::join_many`] per home shard. Shards join
     /// all-or-nothing individually, but a failure in one shard's batch
-    /// does not roll back shards already admitted; the first error (in
-    /// shard order) is returned.
+    /// does not roll back shards already admitted (`service.joins`
+    /// counts their users); the first error (in shard order) is
+    /// returned.
     ///
     /// # Errors
     ///
@@ -238,32 +266,25 @@ impl OffloadService {
         &mut self,
         users: impl IntoIterator<Item = (String, Arc<Graph>)>,
     ) -> Result<(), PipelineError> {
-        let s = span(self.sink.as_ref(), "service.join_many");
+        let _scope = ServiceScope::enter(
+            self.sink.as_ref(),
+            "service.join_many",
+            "service.join_many_nanos",
+        );
         let mut per_shard: Vec<Vec<(String, Arc<Graph>)>> = vec![Vec::new(); self.shards.len()];
-        let mut joined = 0u64;
         for (name, graph) in users {
             per_shard[self.route(&name)].push((name, graph));
-            joined += 1;
         }
-        let mut result = Ok(());
         for (i, batch) in per_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            match self.shards[i].session.join_many(batch) {
-                Ok(()) => self.shards[i].dirty = true,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
+            let admitted = batch.len() as u64;
+            self.shards[i].session.join_many(batch)?;
+            self.shards[i].dirty = true;
+            self.sink.counter_add("service.joins", admitted);
         }
-        if result.is_ok() {
-            self.sink.counter_add("service.joins", joined);
-        }
-        self.sink
-            .histogram_record("service.join_many_nanos", duration_sample(s.finish()));
-        result
+        Ok(())
     }
 
     /// Re-submits a known user's (possibly changed) workload: their
@@ -280,34 +301,31 @@ impl OffloadService {
         graph: Arc<Graph>,
     ) -> Result<bool, PipelineError> {
         let name = name.into();
-        let s = span(self.sink.as_ref(), "service.resubmit");
+        let _scope = ServiceScope::enter(
+            self.sink.as_ref(),
+            "service.resubmit",
+            "service.resubmit_nanos",
+        );
         let shard = self.route(&name);
         if !self.shards[shard].session.contains(&name) {
-            self.sink
-                .histogram_record("service.resubmit_nanos", duration_sample(s.finish()));
             return Ok(false);
         }
-        let result = self.shards[shard].session.join(name, graph);
-        if result.is_ok() {
-            self.shards[shard].dirty = true;
-            self.sink.counter_add("service.resubmits", 1);
-        }
-        self.sink
-            .histogram_record("service.resubmit_nanos", duration_sample(s.finish()));
-        result.map(|()| true)
+        self.shards[shard].session.join(name, graph)?;
+        self.shards[shard].dirty = true;
+        self.sink.counter_add("service.resubmits", 1);
+        Ok(true)
     }
 
     /// Removes a user from their home shard; `false` when unknown.
     pub fn leave(&mut self, name: &str) -> bool {
-        let s = span(self.sink.as_ref(), "service.leave");
+        let _scope =
+            ServiceScope::enter(self.sink.as_ref(), "service.leave", "service.leave_nanos");
         let shard = self.route(name);
         let left = self.shards[shard].session.leave(name);
         if left {
             self.shards[shard].dirty = true;
             self.sink.counter_add("service.leaves", 1);
         }
-        self.sink
-            .histogram_record("service.leave_nanos", duration_sample(s.finish()));
         left
     }
 
@@ -318,7 +336,11 @@ impl OffloadService {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let s = span(self.sink.as_ref(), "service.leave_many");
+        let _scope = ServiceScope::enter(
+            self.sink.as_ref(),
+            "service.leave_many",
+            "service.leave_many_nanos",
+        );
         let mut per_shard: Vec<Vec<String>> = vec![Vec::new(); self.shards.len()];
         for name in names {
             let name = name.as_ref();
@@ -338,8 +360,6 @@ impl OffloadService {
         if left > 0 {
             self.sink.counter_add("service.leaves", left as u64);
         }
-        self.sink
-            .histogram_record("service.leave_many_nanos", duration_sample(s.finish()));
         left
     }
 
@@ -354,7 +374,8 @@ impl OffloadService {
     /// shard changes: each keeps its last report (or none), and dirty
     /// shards stay dirty.
     pub fn replan(&mut self) -> Result<ServiceReport, PipelineError> {
-        let s = span(self.sink.as_ref(), "service.replan");
+        let _scope =
+            ServiceScope::enter(self.sink.as_ref(), "service.replan", "service.replan_nanos");
         let mut replanned = 0usize;
         for shard in &mut self.shards {
             if shard.dirty || shard.session.report().is_none() {
@@ -393,8 +414,6 @@ impl OffloadService {
                 ],
             );
         }
-        self.sink
-            .histogram_record("service.replan_nanos", duration_sample(s.finish()));
         Ok(report)
     }
 }
@@ -402,7 +421,11 @@ impl OffloadService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{CutError, CutStrategy};
+    use mec_graph::Bipartition;
     use mec_netgen::NetgenSpec;
+    use mec_obs::ShardedRecorder;
+    use mec_spectral::SpectralError;
 
     fn graph(seed: u64) -> Arc<Graph> {
         Arc::new(NetgenSpec::new(60, 160).seed(seed).generate().unwrap())
@@ -487,17 +510,75 @@ mod tests {
             bandwidth: 0.0,
             ..SystemParams::default()
         };
-        let mut service = OffloadService::new(params, 4);
+        let rec = Arc::new(ShardedRecorder::new());
+        let mut service =
+            OffloadService::new(params, 4).with_trace_sink(Arc::clone(&rec) as Arc<dyn TraceSink>);
         for i in 0..8u64 {
             service.join(format!("u{i}"), graph(i + 1)).unwrap();
         }
-        for _ in 0..2 {
+        for attempt in 1..=2 {
             assert!(matches!(service.replan(), Err(PipelineError::Model(_))));
             for i in 0..service.shard_count() {
                 assert!(service.shard_report(i).is_none(), "shard {i} changed");
             }
+            // a failed replan still records its latency sample
+            rec.flush();
+            let snap = rec.metrics().snapshot();
+            let samples = snap.histogram("service.replan_nanos").map(|h| h.count());
+            assert_eq!(samples, Some(attempt));
         }
         assert_eq!(service.user_count(), 8);
+        assert_eq!(rec.counter_value("service.replans"), 0);
+    }
+
+    /// A cut strategy whose every cut fails.
+    struct FailingCut;
+
+    impl CutStrategy for FailingCut {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn cut(&self, _g: &Graph) -> Result<Bipartition, CutError> {
+            Err(CutError::from(SpectralError::EmptyGraph))
+        }
+
+        fn boxed_clone(&self) -> Box<dyn CutStrategy> {
+            Box::new(FailingCut)
+        }
+    }
+
+    #[test]
+    fn a_failed_join_many_counts_the_users_earlier_shards_admitted() {
+        let rec = Arc::new(ShardedRecorder::new());
+        let mut service = OffloadService::new(SystemParams::default(), 3)
+            .with_trace_sink(Arc::clone(&rec) as Arc<dyn TraceSink>);
+        // the last shard in join order cannot cut, so its batch fails
+        // after the earlier shards admitted theirs
+        let last = service.shards.pop().expect("three shards");
+        service.shards.push(Shard {
+            session: last.session.with_strategy(Box::new(FailingCut)),
+            dirty: false,
+        });
+        let batch: Vec<(String, Arc<Graph>)> = (0..12u64)
+            .map(|i| (format!("u{i}"), graph(i + 1)))
+            .collect();
+        let home = |(name, _): &(String, Arc<Graph>)| service.shard_of(name);
+        assert!(batch.iter().any(|u| home(u) == 2) && batch.iter().any(|u| home(u) < 2));
+
+        assert!(matches!(
+            service.join_many(batch),
+            Err(PipelineError::Cut(_))
+        ));
+        assert!(service.user_count() > 0);
+        assert_eq!(
+            rec.counter_value("service.joins"),
+            rec.counter_value("session.joins")
+        );
+        assert_eq!(
+            rec.counter_value("service.joins"),
+            service.user_count() as u64
+        );
     }
 
     #[test]

@@ -43,11 +43,59 @@ pub struct TridiagonalEigen {
 /// ```
 pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, LinalgError> {
     let n = diag.len();
+    // z[i][j]: component i of eigenvector j; start with identity.
+    let mut z = vec![vec![0.0; n]; n];
+    for (i, row) in z.iter_mut().enumerate() {
+        row[i] = 1.0;
+    }
+    let d = implicit_ql(diag, off, |i, s, c| {
+        // accumulate eigenvectors
+        for row in z.iter_mut() {
+            let f = row[i + 1];
+            row[i + 1] = s * row[i] + c * f;
+            row[i] = c * row[i] - s * f;
+        }
+    })?;
+
+    // sort ascending, permute vectors accordingly
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
+    let values: Vec<f64> = order.iter().map(|&j| d[j]).collect();
+    let vectors: Vec<Vec<f64>> = order
+        .iter()
+        .map(|&j| (0..n).map(|i| z[i][j]).collect())
+        .collect();
+    Ok(TridiagonalEigen { values, vectors })
+}
+
+/// Computes only the eigenvalues (ascending) of the symmetric
+/// tridiagonal matrix — the same implicit-QL sweeps as
+/// [`tridiagonal_eigen`] without eigenvector accumulation, so the cost
+/// drops from cubic to quadratic in the dimension. This is what makes
+/// frequent convergence checks affordable in the Lanczos solver.
+///
+/// # Errors
+///
+/// Same as [`tridiagonal_eigen`].
+pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let mut d = implicit_ql(diag, off, |_, _, _| {})?;
+    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
+    Ok(d)
+}
+
+/// The implicit-QL sweeps of `tql2`: returns the eigenvalues of the
+/// tridiagonal matrix in the order the sweeps leave them, and hands
+/// each plane rotation of rows `i` and `i + 1` (sine `s`, cosine `c`)
+/// to `rotate(i, s, c)`. A no-op `rotate` compiles the vector work
+/// away, so the values-only solve pays nothing for it.
+fn implicit_ql(
+    diag: &[f64],
+    off: &[f64],
+    mut rotate: impl FnMut(usize, f64, f64),
+) -> Result<Vec<f64>, LinalgError> {
+    let n = diag.len();
     if n == 0 {
-        return Ok(TridiagonalEigen {
-            values: vec![],
-            vectors: vec![],
-        });
+        return Ok(vec![]);
     }
     if off.len() + 1 != n {
         return Err(LinalgError::DimensionMismatch {
@@ -60,12 +108,6 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
     let mut e = Vec::with_capacity(n);
     e.extend_from_slice(off);
     e.push(0.0);
-
-    // z[i][j]: component i of eigenvector j; start with identity.
-    let mut z = vec![vec![0.0; n]; n];
-    for (i, row) in z.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
 
     const MAX_SWEEPS: usize = 50;
     for l in 0..n {
@@ -98,103 +140,6 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
             let mut c = 1.0;
             let mut p = 0.0;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-                // accumulate eigenvectors
-                for row in z.iter_mut() {
-                    f = row[i + 1];
-                    row[i + 1] = s * row[i] + c * f;
-                    row[i] = c * row[i] - s * f;
-                }
-            }
-            if r == 0.0 && m > l + 1 {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-
-    // sort ascending, permute vectors accordingly
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
-    let values: Vec<f64> = order.iter().map(|&j| d[j]).collect();
-    let vectors: Vec<Vec<f64>> = order
-        .iter()
-        .map(|&j| (0..n).map(|i| z[i][j]).collect())
-        .collect();
-    Ok(TridiagonalEigen { values, vectors })
-}
-
-/// Computes only the eigenvalues (ascending) of the symmetric
-/// tridiagonal matrix — the same implicit-QL sweeps as
-/// [`tridiagonal_eigen`] without eigenvector accumulation, so the cost
-/// drops from cubic to quadratic in the dimension. This is what makes
-/// frequent convergence checks affordable in the Lanczos solver.
-///
-/// # Errors
-///
-/// Same as [`tridiagonal_eigen`].
-pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let n = diag.len();
-    if n == 0 {
-        return Ok(vec![]);
-    }
-    if off.len() + 1 != n {
-        return Err(LinalgError::DimensionMismatch {
-            expected: n - 1,
-            actual: off.len(),
-        });
-    }
-    let mut d = diag.to_vec();
-    let mut e = Vec::with_capacity(n);
-    e.extend_from_slice(off);
-    e.push(0.0);
-
-    const MAX_SWEEPS: usize = 50;
-    for l in 0..n {
-        let mut iter = 0usize;
-        loop {
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > MAX_SWEEPS {
-                return Err(LinalgError::NoConvergence {
-                    iterations: iter,
-                    residual: e[l].abs(),
-                });
-            }
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + r.copysign(g));
-            let mut s = 1.0;
-            let mut c = 1.0;
-            let mut p = 0.0;
-            for i in (l..m).rev() {
                 let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
@@ -211,6 +156,7 @@ pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Result<Vec<f64>, Li
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
+                rotate(i, s, c);
             }
             if r == 0.0 && m > l + 1 {
                 continue;
@@ -220,7 +166,6 @@ pub fn tridiagonal_eigenvalues(diag: &[f64], off: &[f64]) -> Result<Vec<f64>, Li
             e[m] = 0.0;
         }
     }
-    d.sort_by(|a, b| a.partial_cmp(b).expect("eigenvalues are finite"));
     Ok(d)
 }
 
@@ -476,18 +421,39 @@ mod tests {
         assert!((eig.values[2] - 3.0).abs() < 1e-14);
     }
 
+    /// Seeded tridiagonal inputs of every shape the sweeps branch on:
+    /// random entries, a constant matrix, a zero diagonal, and blocks
+    /// split by zero couplings.
+    fn seeded_matrices() -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut state = 0x5eed_u64;
+        let mut unit =
+            || (crate::lanczos::splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        (0..400)
+            .map(|k| {
+                let n = 1 + k % 40;
+                let mut diag: Vec<f64> = (0..n).map(|_| 4.0 * unit()).collect();
+                let mut off: Vec<f64> = (1..n).map(|_| 2.0 * unit()).collect();
+                match k % 4 {
+                    1 => {
+                        diag.fill(2.0);
+                        off.fill(-1.0);
+                    }
+                    2 => diag.fill(0.0),
+                    3 => off.iter_mut().step_by(3).for_each(|e| *e = 0.0),
+                    _ => {}
+                }
+                (diag, off)
+            })
+            .collect()
+    }
+
     #[test]
     fn eigenvalues_only_matches_full_decomposition() {
-        let n = 25;
-        let diag: Vec<f64> = (0..n).map(|i| 2.0 + ((i * 31) % 5) as f64 * 0.3).collect();
-        let off: Vec<f64> = (0..n - 1)
-            .map(|i| -1.0 + ((i * 17) % 3) as f64 * 0.2)
-            .collect();
-        let full = tridiagonal_eigen(&diag, &off).unwrap();
-        let vals = tridiagonal_eigenvalues(&diag, &off).unwrap();
-        assert_eq!(vals.len(), n);
-        for (a, b) in vals.iter().zip(&full.values) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        for (diag, off) in seeded_matrices() {
+            let full = tridiagonal_eigen(&diag, &off).unwrap();
+            let vals = tridiagonal_eigenvalues(&diag, &off).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&vals), bits(&full.values), "n = {}", diag.len());
         }
     }
 
