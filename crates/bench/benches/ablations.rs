@@ -6,7 +6,7 @@ use copmecs_core::{GreedyMode, Offloader};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mec_bench::workload::paper_graph;
 use mec_labelprop::{CompressionConfig, Compressor, ThresholdRule, TraversalPolicy};
-use mec_linalg::{smallest_eigenpairs, LanczosOptions};
+use mec_linalg::{fiedler_pair, LanczosOptions, LanczosScratch};
 use mec_model::{Scenario, SystemParams, UserWorkload};
 use mec_spectral::{GraphLaplacian, SpectralBisector, SplitRule};
 
@@ -108,9 +108,10 @@ fn bench_eigensolver_backends(c: &mut Criterion) {
         ),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &lap, |b, lap| {
+            let mut scratch = LanczosScratch::new();
             b.iter(|| {
-                let pairs = smallest_eigenpairs(lap, 2, &opts).unwrap();
-                std::hint::black_box(pairs[1].value)
+                let pair = fiedler_pair(lap, &opts, &mec_obs::NullSink, &mut scratch).unwrap();
+                std::hint::black_box(pair.value)
             })
         });
     }

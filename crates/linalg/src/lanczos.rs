@@ -1,24 +1,41 @@
-//! Lanczos iteration for extreme eigenpairs of symmetric operators.
+//! Lanczos iteration for the Fiedler pair of graph Laplacians.
 //!
-//! The paper's spectral stage needs the two smallest eigenpairs of each
-//! compressed sub-graph's Laplacian (Theorem 1: the minimum cut is read
-//! off the second-smallest eigenvalue's eigenvector).
-//! [`smallest_eigenpairs_with`] grows one Krylov basis step by step and
-//! reads the Ritz pairs off the small tridiagonal matrix the recurrence
-//! builds; [`lanczos_with`] exposes the bare recurrence. Full
-//! re-orthogonalisation keeps the basis honest, and breakdown restarts
-//! the recurrence in a fresh direction, so a basis that grows to the
-//! operator's dimension finds repeated eigenvalues too. Before that, a
-//! single Krylov sequence sees a repeated eigenvalue once — the reason
-//! the spectral bisector splits disconnected graphs before solving.
+//! The paper's spectral stage needs the Fiedler pair of each
+//! compressed sub-graph's Laplacian (Theorem 1: the minimum cut is
+//! read off the second-smallest eigenvalue's eigenvector).
+//! [`fiedler_pair`] finds it directly: the recurrence runs on the
+//! complement of the constant vector, the Laplacian's known null
+//! vector, so the wanted pair is the smallest one left.
+//! [`lanczos_with`] exposes the bare recurrence.
+//!
+//! The solver grows one Krylov basis step by step and reads the Ritz
+//! pair off the small tridiagonal matrix the recurrence builds. A
+//! convergence checkpoint every 8 steps finds only the smallest Ritz
+//! value, by Sturm bisection in `O(m)` per halving, and its vector by
+//! inverse iteration, so a solve stops within 8 steps of the smallest
+//! sufficient dimension. Full re-orthogonalisation keeps the basis
+//! honest, and breakdown restarts the recurrence in a fresh direction,
+//! so a basis that grows to the whole space finds a repeated
+//! eigenvalue's every direction. Before that, a single Krylov sequence
+//! sees a repeated eigenvalue once — the reason the spectral bisector
+//! splits disconnected graphs, whose null value repeats, before
+//! solving.
 
 use crate::kernels::{axpy, dot, normalize, orthogonalize_against};
-use crate::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
+use crate::tridiag::{inverse_iteration, nth_eigenvalue, TridiagScratch};
 use crate::{jacobi_eigen, DenseMatrix, JacobiOptions, LinalgError, SymOp};
 use mec_obs::{FieldValue, TraceSink};
 
 /// Residual norm below which a new Krylov direction counts as lost.
 const BREAKDOWN_TOL: f64 = 1e-12;
+
+/// Krylov dimension of a solve's first convergence checkpoint.
+const FIRST_CHECK: usize = 24;
+
+/// Steps between two convergence checkpoints: a solve stops fewer
+/// than this many steps past the first dimension whose Ritz residual
+/// meets the tolerance.
+const CHECK_STRIDE: usize = 8;
 
 /// One converged eigenpair.
 #[derive(Debug, Clone)]
@@ -29,17 +46,17 @@ pub struct Eigenpair {
     pub vector: Vec<f64>,
 }
 
-/// Tuning knobs for [`smallest_eigenpairs`] and [`lanczos_with`].
+/// Tuning knobs for [`fiedler_pair`] and [`lanczos_with`].
 #[derive(Debug, Clone)]
 pub struct LanczosOptions {
-    /// Maximum Krylov-subspace dimension (capped at the operator
-    /// dimension). Default `400`.
+    /// Maximum Krylov-subspace dimension (capped at the dimension of
+    /// the space the recurrence runs in). Default `400`.
     pub max_dim: usize,
     /// Ritz-pair residual tolerance. Default `1e-10`.
     pub tolerance: f64,
     /// Seed for the deterministic pseudo-random start vector.
     pub seed: u64,
-    /// Operator dimension at or below which the eigenpairs come from a
+    /// Operator dimension at or below which the pair comes from a
     /// dense solve instead of the recurrence: Jacobi rotations up to 8
     /// nodes, Householder reduction plus implicit QL above. Default
     /// `32`.
@@ -61,12 +78,15 @@ impl Default for LanczosOptions {
 /// recurrence in progress.
 ///
 /// The recurrence needs one length-`n` vector per Krylov step plus two
-/// working vectors; a cold run allocates them all. Threading one
+/// working vectors, and each convergence checkpoint needs the Ritz
+/// pair's length-`m` coordinate vector and the bisection and inverse
+/// iteration workspaces; a cold run allocates them all. Threading one
 /// `LanczosScratch` through repeated [`lanczos_with`] /
-/// [`smallest_eigenpairs_with`] calls recycles every retired basis
-/// vector through an internal pool, so a warm solve at the same (or
-/// smaller) dimension performs **zero** heap allocations in the
-/// recurrence — the property `tests/alloc_budget.rs` pins.
+/// [`fiedler_pair`] calls recycles every retired basis vector through
+/// an internal pool and keeps the checkpoint workspaces, so a warm
+/// solve at the same (or smaller) dimension performs **zero** heap
+/// allocations before it assembles its result — the property
+/// `tests/alloc_budget.rs` pins.
 #[derive(Debug, Default)]
 pub struct LanczosScratch {
     alphas: Vec<f64>,
@@ -81,6 +101,15 @@ pub struct LanczosScratch {
     seed: u64,
     /// Breakdown restarts of the run in progress.
     restarts: u64,
+    /// Whether the run in progress keeps its basis orthogonal to the
+    /// constant vector.
+    deflate: bool,
+    /// The latest checkpoint's smallest Ritz value.
+    value: f64,
+    /// Its Ritz vector's coordinates in the Krylov basis.
+    ritz: Vec<f64>,
+    /// The checkpoints' bisection and inverse-iteration workspaces.
+    tridiag: TridiagScratch,
 }
 
 impl LanczosScratch {
@@ -100,27 +129,36 @@ impl LanczosScratch {
 
     /// Starts a recurrence on a dimension-`n` operator: retires the
     /// previous run's basis into the pool and loads the pseudo-random
-    /// start vector drawn from `opts.seed`.
-    fn begin(&mut self, n: usize, opts: &LanczosOptions) {
+    /// start vector drawn from `opts.seed`, with its mean removed when
+    /// the run is `deflate`d onto the complement of the constant
+    /// vector.
+    fn begin(&mut self, n: usize, opts: &LanczosOptions, deflate: bool) {
         self.pool.append(&mut self.basis);
         self.alphas.clear();
         self.betas.clear();
         self.seed = opts.seed;
         self.restarts = 0;
+        self.deflate = deflate;
         self.work.clear();
         self.work.resize(n, 0.0);
         self.next.clear();
         self.next.resize(n, 0.0);
         random_unit_vector_into(&mut self.next, &mut self.seed);
+        if deflate {
+            remove_mean(&mut self.next);
+            normalize(&mut self.next);
+        }
     }
 
     /// One three-term step: `A · next` is reduced against the last two
     /// basis vectors and `next` joins the basis. Unless the basis now
-    /// holds `cap` vectors, the remainder — re-orthogonalised against
-    /// the whole basis, twice for stability — becomes the next vector;
-    /// on breakdown the recurrence restarts in a fresh random direction
-    /// orthogonal to the basis. Returns `true` when the basis can grow
-    /// no further: it holds `cap` vectors or spans the whole space.
+    /// holds `cap` vectors, the remainder — its mean removed on a
+    /// deflated run, then re-orthogonalised against the whole basis,
+    /// twice for stability — becomes the next vector; on breakdown the
+    /// recurrence restarts in a fresh random direction orthogonal to
+    /// the basis (and, deflated, to the constant vector). Returns
+    /// `true` when the basis can grow no further: it holds `cap`
+    /// vectors or spans the whole space.
     fn step<A: SymOp>(&mut self, op: &A, cap: usize) -> bool {
         op.apply(&self.next, &mut self.work);
         let alpha = dot(&self.next, &self.work);
@@ -135,6 +173,9 @@ impl LanczosScratch {
         if self.basis.len() >= cap {
             return true;
         }
+        if self.deflate {
+            remove_mean(&mut self.work);
+        }
         orthogonalize_against(&mut self.work, &self.basis);
         orthogonalize_against(&mut self.work, &self.basis);
         let beta = normalize(&mut self.work);
@@ -144,6 +185,9 @@ impl LanczosScratch {
         } else {
             // invariant subspace exhausted: restart in a fresh direction
             random_unit_vector_into(&mut self.next, &mut self.seed);
+            if self.deflate {
+                remove_mean(&mut self.next);
+            }
             orthogonalize_against(&mut self.next, &self.basis);
             orthogonalize_against(&mut self.next, &self.basis);
             if normalize(&mut self.next) <= BREAKDOWN_TOL {
@@ -154,6 +198,41 @@ impl LanczosScratch {
         }
         self.work.fill(0.0);
         false
+    }
+
+    /// One convergence checkpoint of a run whose basis can span at
+    /// most `span` dimensions: finds the smallest Ritz value of the
+    /// current tridiagonal matrix by bisection and its coordinate
+    /// vector by inverse iteration, and returns its Ritz residual
+    /// `beta · |s[m-1]|`. Allocation-free once the workspaces have
+    /// grown to the dimension.
+    fn ritz_pair(&mut self, span: usize) -> f64 {
+        let m = self.basis.len();
+        let (alphas, betas) = (&self.alphas[..], &self.betas[..m - 1]);
+        self.value = nth_eigenvalue(alphas, betas, 0, &mut self.tridiag);
+        inverse_iteration(alphas, betas, self.value, &mut self.tridiag, &mut self.ritz);
+        // the genuine next beta when the step prepared one
+        // (betas.len() == m), the last coupling when it stopped at the
+        // cap (betas.len() == m - 1); a basis spanning the whole space
+        // makes the Ritz pair exact
+        let beta_last = if m < span {
+            self.betas.last().copied().unwrap_or(0.0)
+        } else {
+            0.0
+        };
+        beta_last * self.ritz[m - 1].abs()
+    }
+
+    /// The unit Ritz vector of the latest checkpoint, assembled from
+    /// the basis: the one allocation of a warm solve.
+    fn ritz_vector(&self) -> Vec<f64> {
+        // `next` keeps the operator's dimension through the run
+        let mut vector = vec![0.0; self.next.len()];
+        for (b, &s) in self.basis.iter().zip(&self.ritz) {
+            axpy(s, b, &mut vector);
+        }
+        normalize(&mut vector);
+        vector
     }
 
     /// Records the finished run's effort on `sink`: the steps run as
@@ -210,6 +289,14 @@ fn random_unit_vector_into(v: &mut [f64], seed: &mut u64) {
     normalize(v);
 }
 
+/// Projects `v` onto the complement of the constant vector.
+fn remove_mean(v: &mut [f64]) {
+    let mean = v.iter().sum::<f64>() / v.len() as f64;
+    for x in v.iter_mut() {
+        *x -= mean;
+    }
+}
+
 /// Runs the Lanczos recurrence with full re-orthogonalisation for
 /// `steps` iterations (capped at the operator dimension) inside a
 /// caller-owned [`LanczosScratch`], restarting on breakdown so that the
@@ -238,7 +325,7 @@ pub fn lanczos_with<'s, A: SymOp>(
             actual: 0,
         });
     }
-    scratch.begin(n, opts);
+    scratch.begin(n, opts, false);
     if n > 0 {
         while !scratch.step(op, steps.min(n)) {}
         scratch.record(sink);
@@ -246,40 +333,27 @@ pub fn lanczos_with<'s, A: SymOp>(
     Ok(scratch.run())
 }
 
-/// Computes the `k` smallest eigenpairs of `op`, sorted ascending.
+/// The Fiedler pair of a graph Laplacian `op`: its second-smallest
+/// eigenvalue `λ₂` and a unit eigenvector for it.
 ///
-/// Small operators (`dim ≤ opts.dense_cutoff`) are solved exactly by a
-/// dense solver (Jacobi up to 8 nodes, Householder + QL above); larger
-/// ones grow one Lanczos recurrence until the requested Ritz pairs
-/// converge to `opts.tolerance`.
+/// `op` must have the constant vector in its null space, as every
+/// graph Laplacian has, and be connected for the pair to be the
+/// Fiedler pair (on a disconnected Laplacian it is a second null
+/// pair). Operators at or below `opts.dense_cutoff` are solved exactly
+/// by a dense solver (Jacobi up to 8 nodes, Householder + QL above),
+/// whose second pair is returned. Larger ones grow one Lanczos
+/// recurrence on the complement of the constant vector: the start
+/// vector, every new direction and every breakdown restart get their
+/// mean removed, so the basis spans at most `n − 1` dimensions and `λ₂`
+/// is its smallest Ritz value.
 ///
-/// # Errors
-///
-/// - [`LinalgError::TooManyEigenpairs`] if `k > op.dim()`;
-/// - [`LinalgError::NoConvergence`] if the pairs have not converged
-///   when the basis reaches `opts.max_dim` vectors.
-///
-/// # Example
-///
-/// ```
-/// # use mec_linalg::{CsrMatrix, smallest_eigenpairs, LanczosOptions};
-/// // 2-node graph Laplacian with edge weight 3: eigenvalues {0, 6}.
-/// let l = CsrMatrix::laplacian_from_edges(2, &[(0, 1, 3.0)])?;
-/// let pairs = smallest_eigenpairs(&l, 2, &LanczosOptions::default())?;
-/// assert!(pairs[0].value.abs() < 1e-9);
-/// assert!((pairs[1].value - 6.0).abs() < 1e-9);
-/// # Ok::<(), mec_linalg::LinalgError>(())
-/// ```
-pub fn smallest_eigenpairs<A: SymOp>(
-    op: &A,
-    k: usize,
-    opts: &LanczosOptions,
-) -> Result<Vec<Eigenpair>, LinalgError> {
-    smallest_eigenpairs_with(op, k, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
-}
-
-/// [`smallest_eigenpairs`] with telemetry and a caller-owned
-/// [`LanczosScratch`].
+/// The recurrence never recomputes a prefix. The first convergence
+/// checkpoint comes at dimension 24, the next ones every 8 steps; each
+/// finds the smallest Ritz value by Sturm bisection (`O(m)` per
+/// halving) and its vector by inverse iteration (`O(m)`), and accepts
+/// the pair once its Ritz residual `beta · |s[m-1]|` is within
+/// `opts.tolerance`. Only that one vector is assembled, so once
+/// `scratch` is warm a solve allocates its result and nothing else.
 ///
 /// Each convergence checkpoint emits a `lanczos.burst` event (subspace
 /// dimension, residual estimate, convergence flag) into `sink`, and
@@ -288,84 +362,56 @@ pub fn smallest_eigenpairs<A: SymOp>(
 /// `lanczos.dense_solves`, and converged iterative solves bump
 /// `lanczos.solves`. The sink never changes the result.
 ///
-/// One recurrence grows the basis step by step and never recomputes a
-/// prefix. Convergence checkpoints come at geometrically spaced
-/// dimensions; each costs `O(m²)` (eigenvalues-only QL plus `k`
-/// inverse-iteration vectors of the tridiagonal matrix) and accepts
-/// the pairs once every Ritz residual `beta · |s[m-1]|` is within
-/// `opts.tolerance`. Repeated solves stop allocating in the recurrence
-/// once `scratch` is warm.
-///
 /// # Errors
 ///
-/// Same as [`smallest_eigenpairs`].
-pub fn smallest_eigenpairs_with<A: SymOp>(
+/// - [`LinalgError::TooManyEigenpairs`] if `op.dim() < 2`;
+/// - [`LinalgError::NoConvergence`] if the pair has not converged when
+///   the basis reaches `min(opts.max_dim, n − 1)` vectors, or if the
+///   dense solve does not converge.
+///
+/// # Example
+///
+/// ```
+/// # use mec_linalg::{fiedler_pair, CsrMatrix, LanczosOptions, LanczosScratch};
+/// // path 0-1-2 with unit weights: λ₂ = 1, Fiedler vector ∝ (1, 0, -1)
+/// let l = CsrMatrix::laplacian_from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)])?;
+/// let opts = LanczosOptions { dense_cutoff: 0, ..LanczosOptions::default() };
+/// let pair = fiedler_pair(&l, &opts, &mec_obs::NullSink, &mut LanczosScratch::new())?;
+/// assert!((pair.value - 1.0).abs() < 1e-9);
+/// assert!(pair.vector[1].abs() < 1e-9);
+/// # Ok::<(), mec_linalg::LinalgError>(())
+/// ```
+pub fn fiedler_pair<A: SymOp>(
     op: &A,
-    k: usize,
     opts: &LanczosOptions,
     sink: &dyn TraceSink,
     scratch: &mut LanczosScratch,
-) -> Result<Vec<Eigenpair>, LinalgError> {
+) -> Result<Eigenpair, LinalgError> {
     let n = op.dim();
-    if k > n {
+    if n < 2 {
         return Err(LinalgError::TooManyEigenpairs {
-            requested: k,
+            requested: 2,
             dim: n,
         });
     }
-    if k == 0 {
-        return Ok(vec![]);
-    }
     if n <= opts.dense_cutoff {
-        sink.counter_add("lanczos.dense_solves", 1);
-        let dense = DenseMatrix::from_op(op);
-        // Householder + QL for anything non-trivial; Jacobi's sturdier
-        // rotations only for very small systems where its cost is nil.
-        let (vals, vecs) = if n <= 8 {
-            jacobi_eigen(&dense, &JacobiOptions::default())?
-        } else {
-            crate::householder_eigen(&dense)?
-        };
-        return Ok(vals
-            .into_iter()
-            .zip(vecs)
-            .take(k)
-            .map(|(value, vector)| Eigenpair { value, vector })
-            .collect());
+        return dense_fiedler_pair(op, sink);
     }
-
-    let cap = opts.max_dim.min(n).max(k);
-    scratch.begin(n, opts);
-    let mut next_check = (4 * k + 20).min(cap);
+    // the basis can fill the complement of the constant vector
+    let span = n - 1;
+    let cap = opts.max_dim.min(span).max(1);
+    scratch.begin(n, opts, true);
+    let mut next_check = FIRST_CHECK.min(cap);
     let mut checkpoints = 0u64;
     loop {
         let spanned = scratch.step(op, cap);
         let m = scratch.basis.len();
-        if m < k || (m < next_check && !spanned) {
+        if m < next_check && !spanned {
             continue;
         }
         checkpoints += 1;
-        let (alphas, betas) = (&scratch.alphas[..], &scratch.betas[..m - 1]);
-        let vals = tridiagonal_eigenvalues(alphas, betas)?;
-        let mut svecs: Vec<Vec<f64>> = Vec::with_capacity(k);
-        for val in vals.iter().take(k) {
-            let s = tridiagonal_eigenvector(alphas, betas, *val, &svecs)?;
-            svecs.push(s);
-        }
-        // the genuine next beta when the step prepared one
-        // (betas.len() == m), the last coupling when it stopped at the
-        // cap (betas.len() == m - 1); a basis spanning the whole space
-        // makes the Ritz pairs exact
-        let beta_last = if m < n {
-            scratch.betas.last().copied().unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        let residual = svecs
-            .iter()
-            .map(|s| beta_last * s[m - 1].abs())
-            .fold(0.0f64, f64::max);
-        let converged = residual <= opts.tolerance.max(1e-14 * vals[k - 1].abs());
+        let residual = scratch.ritz_pair(span);
+        let converged = residual <= opts.tolerance.max(1e-14 * scratch.value.abs());
         if sink.enabled() {
             sink.event(
                 "lanczos.burst",
@@ -377,10 +423,7 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
             );
         }
         if !converged && !spanned {
-            // grow ~1/3 before the next check: geometric enough to
-            // amortise the O(m²) eigenvalue sweep, fine enough to stop
-            // near the minimal sufficient dimension
-            next_check = (m + (m / 3).max(8)).min(cap);
+            next_check = (m + CHECK_STRIDE).min(cap);
             continue;
         }
         scratch.record(sink);
@@ -392,19 +435,28 @@ pub fn smallest_eigenpairs_with<A: SymOp>(
             });
         }
         sink.counter_add("lanczos.solves", 1);
-        return Ok(vals
-            .iter()
-            .zip(&svecs)
-            .map(|(&value, s)| {
-                let mut vector = vec![0.0; n];
-                for (j, b) in scratch.basis.iter().enumerate() {
-                    axpy(s[j], b, &mut vector);
-                }
-                normalize(&mut vector);
-                Eigenpair { value, vector }
-            })
-            .collect());
+        return Ok(Eigenpair {
+            value: scratch.value,
+            vector: scratch.ritz_vector(),
+        });
     }
+}
+
+/// The second eigenpair of a dense solve of `op`: Householder + QL for
+/// anything non-trivial, Jacobi's sturdier rotations only for very
+/// small systems where its cost is nil.
+fn dense_fiedler_pair<A: SymOp>(op: &A, sink: &dyn TraceSink) -> Result<Eigenpair, LinalgError> {
+    sink.counter_add("lanczos.dense_solves", 1);
+    let dense = DenseMatrix::from_op(op);
+    let (values, mut vectors) = if op.dim() <= 8 {
+        jacobi_eigen(&dense, &JacobiOptions::default())?
+    } else {
+        crate::householder_eigen(&dense)?
+    };
+    Ok(Eigenpair {
+        value: values[1],
+        vector: vectors.swap_remove(1),
+    })
 }
 
 #[cfg(test)]
@@ -439,107 +491,86 @@ mod tests {
         }
     }
 
+    /// [`fiedler_pair`] with a fresh scratch arena and no telemetry.
+    fn fiedler(op: &impl SymOp, opts: &LanczosOptions) -> Result<Eigenpair, LinalgError> {
+        fiedler_pair(op, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
+    }
+
     #[test]
     fn path_graph_fiedler_value_matches_closed_form() {
-        // P_n Laplacian eigenvalues: 2 - 2 cos(pi k / n), k = 0..n-1.
+        // P_n Laplacian eigenvalues: 2 - 2 cos(pi k / n), k = 0..n-1;
+        // under the default cutoff n = 8 takes the dense solve
         for n in [8usize, 33, 80] {
             let l = path_laplacian(n);
-            let pairs = smallest_eigenpairs(&l, 2, &LanczosOptions::default()).unwrap();
-            assert!(pairs[0].value.abs() < 1e-8, "n={n}: lambda1 not 0");
             let expected = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
-            assert!(
-                (pairs[1].value - expected).abs() < 1e-7,
-                "n={n}: got {}, expected {expected}",
-                pairs[1].value
-            );
-            for p in &pairs {
-                assert!(residual(&l, p) < 1e-6, "n={n}: residual too large");
+            for opts in [LanczosOptions::default(), iterative()] {
+                let pair = fiedler(&l, &opts).unwrap();
+                assert!(
+                    (pair.value - expected).abs() < 1e-9 * expected,
+                    "n={n}: got {}, expected {expected}",
+                    pair.value
+                );
+                assert!(residual(&l, &pair) < 1e-8, "n={n}: residual too large");
+                assert!((norm(&pair.vector) - 1.0).abs() < 1e-12);
+                // orthogonal to the constant vector
+                assert!(pair.vector.iter().sum::<f64>().abs() < 1e-10 * (n as f64).sqrt());
             }
         }
     }
 
     #[test]
-    fn cycle_graph_spectrum() {
-        // C_n eigenvalues: 2 - 2 cos(2 pi k / n); lambda2 has multiplicity 2.
+    fn cycle_graph_fiedler_value_is_found_despite_its_multiplicity() {
+        // C_n eigenvalues: 2 - 2 cos(2 pi k / n); lambda2 has
+        // multiplicity 2, which one Krylov sequence sees once
         let n = 40;
         let l = cycle_laplacian(n);
-        let pairs = smallest_eigenpairs(&l, 3, &LanczosOptions::default()).unwrap();
+        let pair = fiedler(&l, &iterative()).unwrap();
         let lam2 = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / n as f64).cos();
-        assert!(pairs[0].value.abs() < 1e-8);
-        assert!((pairs[1].value - lam2).abs() < 1e-7);
-        assert!((pairs[2].value - lam2).abs() < 1e-7);
+        assert!((pair.value - lam2).abs() < 1e-9);
+        assert!(residual(&l, &pair) < 1e-8);
     }
 
     #[test]
-    fn complete_graph_spectrum() {
-        // K_n: eigenvalues 0 and n (multiplicity n-1).
-        let n = 50;
-        let mut edges = vec![];
-        for a in 0..n {
-            for b in (a + 1)..n {
-                edges.push((a, b, 1.0));
-            }
-        }
-        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
-        let pairs = smallest_eigenpairs(&l, 4, &LanczosOptions::default()).unwrap();
-        assert!(pairs[0].value.abs() < 1e-7);
-        for p in &pairs[1..] {
-            assert!((p.value - n as f64).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn disconnected_graph_has_double_zero() {
+    fn disconnected_graph_gives_a_second_null_pair() {
         // two disjoint edges: eigenvalues {0, 0, 2, 2}; the basis runs
-        // to the full dimension, so breakdown restarts find both zeros
+        // to the complement's full dimension, so a breakdown restart
+        // finds the null direction the constant vector leaves
         let l = CsrMatrix::laplacian_from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
-        let pairs = smallest_eigenpairs(&l, 3, &iterative()).unwrap();
-        assert!(pairs[0].value.abs() < 1e-9);
-        assert!(pairs[1].value.abs() < 1e-9);
-        assert!((pairs[2].value - 2.0).abs() < 1e-9);
+        let pair = fiedler(&l, &iterative()).unwrap();
+        assert!(pair.value.abs() < 1e-9);
+        assert!(residual(&l, &pair) < 1e-9);
     }
 
     #[test]
     fn dense_cutoff_path_agrees_with_lanczos_path() {
         let l = path_laplacian(30);
-        let dense_opts = LanczosOptions::default(); // 30 <= 32 → Householder + QL
-        let a = smallest_eigenpairs(&l, 2, &dense_opts).unwrap();
-        let b = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
-        assert!((a[1].value - b[1].value).abs() < 1e-7);
+        // 30 <= 32 → Householder + QL
+        let a = fiedler(&l, &LanczosOptions::default()).unwrap();
+        let b = fiedler(&l, &iterative()).unwrap();
+        assert!((a.value - b.value).abs() < 1e-7);
         // eigenvectors agree up to sign
-        let dot_abs: f64 = a[1]
-            .vector
-            .iter()
-            .zip(&b[1].vector)
-            .map(|(x, y)| x * y)
-            .sum::<f64>()
-            .abs();
+        let dot_abs = dot(&a.vector, &b.vector).abs();
         assert!((dot_abs - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn weighted_two_node_graph() {
         let l = CsrMatrix::laplacian_from_edges(2, &[(0, 1, 3.0)]).unwrap();
-        let pairs = smallest_eigenpairs(&l, 2, &LanczosOptions::default()).unwrap();
-        assert!(pairs[0].value.abs() < 1e-12);
-        assert!((pairs[1].value - 6.0).abs() < 1e-9);
+        for opts in [LanczosOptions::default(), iterative()] {
+            let pair = fiedler(&l, &opts).unwrap();
+            assert!((pair.value - 6.0).abs() < 1e-9);
+        }
     }
 
     #[test]
-    fn requesting_too_many_pairs_errors() {
-        let l = path_laplacian(3);
-        assert!(matches!(
-            smallest_eigenpairs(&l, 4, &LanczosOptions::default()),
-            Err(LinalgError::TooManyEigenpairs { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_pairs_is_empty() {
-        let l = path_laplacian(3);
-        assert!(smallest_eigenpairs(&l, 0, &LanczosOptions::default())
-            .unwrap()
-            .is_empty());
+    fn operators_below_two_nodes_have_no_fiedler_pair() {
+        for n in [0usize, 1] {
+            let l = CsrMatrix::from_triplets(n, &[]).unwrap();
+            assert!(matches!(
+                fiedler(&l, &iterative()),
+                Err(LinalgError::TooManyEigenpairs { requested: 2, dim }) if dim == n
+            ));
+        }
     }
 
     #[test]
@@ -551,10 +582,8 @@ mod tests {
             max_dim: 20,
             ..iterative()
         };
-        match smallest_eigenpairs(&l, 2, &opts) {
-            Err(LinalgError::NoConvergence { iterations, .. }) => {
-                assert!(iterations <= 20, "ran {iterations} steps past the cap");
-            }
+        match fiedler(&l, &opts) {
+            Err(LinalgError::NoConvergence { iterations, .. }) => assert_eq!(iterations, 20),
             other => panic!("expected NoConvergence, got {other:?}"),
         }
     }
@@ -569,8 +598,7 @@ mod tests {
             ..mec_obs::ShardConfig::default()
         });
         let l = path_laplacian(150);
-        let mut scratch = LanczosScratch::new();
-        smallest_eigenpairs_with(&l, 2, &iterative(), &rec, &mut scratch).unwrap();
+        fiedler_pair(&l, &iterative(), &rec, &mut LanczosScratch::new()).unwrap();
         rec.flush();
         let dims: Vec<u64> = rec
             .events()
@@ -616,27 +644,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
-        let l = path_laplacian(50);
-        let a = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
-        let b = smallest_eigenpairs(&l, 2, &iterative()).unwrap();
-        assert_eq!(a[1].value.to_bits(), b[1].value.to_bits());
-        assert_eq!(a[1].vector, b[1].vector);
-    }
-
-    #[test]
     fn scratch_path_is_bit_identical_to_plain_path() {
+        // a fresh arena on the first pass, a warm one after it
         let l = path_laplacian(50);
         let opts = iterative();
-        let plain = smallest_eigenpairs(&l, 2, &opts).unwrap();
+        let plain = fiedler(&l, &opts).unwrap();
         let mut scratch = LanczosScratch::new();
         for _ in 0..3 {
-            let warm =
-                smallest_eigenpairs_with(&l, 2, &opts, &mec_obs::NullSink, &mut scratch).unwrap();
-            for (a, b) in plain.iter().zip(&warm) {
-                assert_eq!(a.value.to_bits(), b.value.to_bits());
-                assert_eq!(a.vector, b.vector);
-            }
+            let warm = fiedler_pair(&l, &opts, &mec_obs::NullSink, &mut scratch).unwrap();
+            assert_eq!(plain.value.to_bits(), warm.value.to_bits());
+            assert_eq!(plain.vector, warm.vector);
         }
     }
 
@@ -645,20 +662,104 @@ mod tests {
         let mut scratch = LanczosScratch::new();
         for n in [40usize, 12, 64, 12] {
             let l = path_laplacian(n);
-            let pairs =
-                smallest_eigenpairs_with(&l, 2, &iterative(), &mec_obs::NullSink, &mut scratch)
-                    .unwrap();
+            let pair = fiedler_pair(&l, &iterative(), &mec_obs::NullSink, &mut scratch).unwrap();
             let expected = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
-            assert!((pairs[1].value - expected).abs() < 1e-7, "n={n}");
+            assert!((pair.value - expected).abs() < 1e-7, "n={n}");
         }
+    }
+
+    /// Laplacian of a ring of `n` nodes plus `n` seeded chords, every
+    /// edge weighted in `[0.5, 1.5)`: connected, and slow enough to
+    /// converge that a solve runs well past its first checkpoint.
+    fn chorded_ring_laplacian(n: usize, seed: u64) -> CsrMatrix {
+        let mut state = seed;
+        let mut weight = || 0.5 + (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, weight())).collect();
+        let mut pick = seed ^ 0x9e37;
+        for _ in 0..n {
+            let a = (splitmix64(&mut pick) % n as u64) as usize;
+            let b = (splitmix64(&mut pick) % n as u64) as usize;
+            if a != b {
+                edges.push((a, b, weight()));
+            }
+        }
+        CsrMatrix::laplacian_from_edges(n, &edges).unwrap()
+    }
+
+    /// The first dimension at which the smallest Ritz pair of a
+    /// deflated run meets the solver's acceptance test, found by a
+    /// full QL decomposition of the tridiagonal matrix after every
+    /// step.
+    fn first_sufficient_dim(op: &CsrMatrix, opts: &LanczosOptions) -> usize {
+        let n = op.dim();
+        let span = n - 1;
+        let cap = opts.max_dim.min(span).max(1);
+        let mut scratch = LanczosScratch::new();
+        scratch.begin(n, opts, true);
+        loop {
+            let spanned = scratch.step(op, cap);
+            let m = scratch.alphas.len();
+            let eig = crate::tridiagonal_eigen(&scratch.alphas, &scratch.betas[..m - 1]).unwrap();
+            let beta = if m < span {
+                *scratch.betas.last().unwrap()
+            } else {
+                0.0
+            };
+            let residual = beta * eig.vectors[0][m - 1].abs();
+            if spanned || residual <= opts.tolerance.max(1e-14 * eig.values[0].abs()) {
+                return m;
+            }
+        }
+    }
+
+    #[test]
+    fn solve_stops_within_one_stride_of_the_first_sufficient_dimension() {
+        let opts = iterative();
+        for seed in [3u64, 8] {
+            let l = chorded_ring_laplacian(300, seed);
+            let want = first_sufficient_dim(&l, &opts);
+            assert!(
+                want > FIRST_CHECK + CHECK_STRIDE,
+                "seed {seed}: {want} steps"
+            );
+            let mut scratch = LanczosScratch::new();
+            fiedler_pair(&l, &opts, &mec_obs::NullSink, &mut scratch).unwrap();
+            let stopped = scratch.alphas.len();
+            assert!(
+                want <= stopped && stopped < want + CHECK_STRIDE,
+                "seed {seed}: sufficient at {want}, stopped at {stopped}"
+            );
+        }
+    }
+
+    #[test]
+    fn deflated_basis_spans_the_complement_in_n_minus_one_steps() {
+        // K_n restricted to the complement of the constant vector is
+        // n·I: every step breaks down and restarts, and the basis stops
+        // at n − 1 vectors with the exact pair
+        let n = 10;
+        let mut edges = vec![];
+        for a in 0..n {
+            for b in (a + 1)..n {
+                edges.push((a, b, 1.0));
+            }
+        }
+        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
+        let rec = mec_obs::ShardedRecorder::with_config(mec_obs::ShardConfig {
+            drain_interval: None,
+            ..mec_obs::ShardConfig::default()
+        });
+        let pair = fiedler_pair(&l, &iterative(), &rec, &mut LanczosScratch::new()).unwrap();
+        rec.flush();
+        assert!((pair.value - n as f64).abs() < 1e-9);
+        assert!(residual(&l, &pair) < 1e-9);
+        assert_eq!(rec.counter_value("lanczos.iterations"), n as u64 - 1);
+        assert_eq!(rec.counter_value("lanczos.restarts"), n as u64 - 2);
     }
 
     #[test]
     fn empty_operator() {
         let l = CsrMatrix::from_triplets(0, &[]).unwrap();
-        assert!(smallest_eigenpairs(&l, 0, &LanczosOptions::default())
-            .unwrap()
-            .is_empty());
         let mut scratch = LanczosScratch::new();
         let run = lanczos_with(
             &l,

@@ -10,9 +10,10 @@
 //!   the serial CSR matrix and the `mec-engine` parallel backend
 //!   implement;
 //! - [`CsrMatrix`] — compressed-sparse-row symmetric matrices;
-//! - [`smallest_eigenpairs`] — the Fiedler-pair solver: one Lanczos
-//!   recurrence with full re-orthogonalisation and geometric
-//!   convergence checkpoints, or a dense solve for small operators;
+//! - [`fiedler_pair`] — the Fiedler-pair solver: one Lanczos
+//!   recurrence with full re-orthogonalisation on the complement of
+//!   the constant vector, checked every 8 steps by Sturm bisection on
+//!   its tridiagonal matrix, or a dense solve for small operators;
 //! - [`tridiagonal_eigen`] — implicit-QL eigensolver for symmetric
 //!   tridiagonal matrices;
 //! - [`jacobi_eigen`] — a dense Jacobi reference solver used for
@@ -28,7 +29,7 @@
 //! # Example: Fiedler pair of a path graph
 //!
 //! ```
-//! use mec_linalg::{CsrMatrix, smallest_eigenpairs, LanczosOptions};
+//! use mec_linalg::{fiedler_pair, CsrMatrix, LanczosOptions, LanczosScratch};
 //!
 //! # fn main() -> Result<(), mec_linalg::LinalgError> {
 //! // Laplacian of the path 0-1-2 (unit weights).
@@ -40,9 +41,10 @@
 //!         (2, 1, -1.0), (2, 2, 1.0),
 //!     ],
 //! )?;
-//! let pairs = smallest_eigenpairs(&l, 2, &LanczosOptions::default())?;
-//! assert!(pairs[0].value.abs() < 1e-8);          // lambda_1 = 0
-//! assert!((pairs[1].value - 1.0).abs() < 1e-8);  // lambda_2 = 1 for P_3
+//! let opts = LanczosOptions::default();
+//! let pair = fiedler_pair(&l, &opts, &mec_obs::NullSink, &mut LanczosScratch::new())?;
+//! assert!((pair.value - 1.0).abs() < 1e-8);  // lambda_2 = 1 for P_3
+//! assert!(pair.vector[1].abs() < 1e-8);      // the middle node sits on the cut
 //! # Ok(())
 //! # }
 //! ```
@@ -66,12 +68,11 @@ pub use dense::{jacobi_eigen, DenseMatrix, JacobiOptions};
 pub use error::LinalgError;
 pub use householder::{householder_eigen, householder_tridiagonalize, HouseholderReduction};
 pub use lanczos::{
-    lanczos_with, smallest_eigenpairs, smallest_eigenpairs_with, Eigenpair, LanczosOptions,
-    LanczosRun, LanczosScratch,
+    fiedler_pair, lanczos_with, Eigenpair, LanczosOptions, LanczosRun, LanczosScratch,
 };
 pub use power::{largest_eigenpair, PowerOptions};
 pub use sparse::CsrMatrix;
-pub use tridiag::{tridiagonal_eigen, tridiagonal_eigenvalues, tridiagonal_eigenvector};
+pub use tridiag::tridiagonal_eigen;
 
 /// A real symmetric linear operator: everything the iterative solvers
 /// need to know about a matrix.

@@ -2,8 +2,8 @@
 //!
 //! The paper's formula (11) brackets every cut of a sub-graph between
 //! the extreme Laplacian eigenvalues; the small end comes from
-//! [`smallest_eigenpairs`](crate::smallest_eigenpairs), this module
-//! supplies the large end.
+//! [`fiedler_pair`](crate::fiedler_pair), this module supplies the
+//! large end.
 
 use crate::kernels::{axpy, dot, norm, normalize};
 use crate::{Eigenpair, LinalgError, SymOp};

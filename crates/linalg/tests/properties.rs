@@ -3,10 +3,16 @@
 //! spectra must satisfy their structural guarantees.
 
 use mec_linalg::{
-    jacobi_eigen, smallest_eigenpairs, tridiagonal_eigen, CsrMatrix, DenseMatrix, JacobiOptions,
-    LanczosOptions, SymOp,
+    fiedler_pair, jacobi_eigen, tridiagonal_eigen, CsrMatrix, DenseMatrix, Eigenpair,
+    JacobiOptions, LanczosOptions, LanczosScratch, SymOp,
 };
 use proptest::prelude::*;
+
+/// The Fiedler pair of `l`, with a fresh scratch arena and no telemetry.
+fn fiedler(l: &CsrMatrix, opts: &LanczosOptions) -> Eigenpair {
+    fiedler_pair(l, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
+        .expect("a connected Laplacian has a Fiedler pair")
+}
 
 /// Random symmetric dense matrix of dimension 2..12.
 fn arb_symmetric() -> impl Strategy<Value = DenseMatrix> {
@@ -72,13 +78,11 @@ proptest! {
     fn laplacian_lambda1_is_zero_and_lambda2_nonnegative((n, edges) in arb_graph_edges()) {
         let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
         prop_assert!(l.is_symmetric());
-        let pairs = smallest_eigenpairs(&l, 2, &LanczosOptions::default()).unwrap();
-        prop_assert!(pairs[0].value.abs() < 1e-7, "lambda1 = {}", pairs[0].value);
-        prop_assert!(pairs[1].value > -1e-9, "lambda2 = {}", pairs[1].value);
+        let pair = fiedler(&l, &LanczosOptions::default());
         // connected backbone graph: lambda2 strictly positive
-        prop_assert!(pairs[1].value > 1e-9);
+        prop_assert!(pair.value > 1e-9, "lambda2 = {}", pair.value);
         // Fiedler vector is orthogonal to the constant vector
-        let s: f64 = pairs[1].vector.iter().sum();
+        let s: f64 = pair.vector.iter().sum();
         prop_assert!(s.abs() < 1e-5, "Fiedler not balanced: {s}");
     }
 
@@ -88,10 +92,9 @@ proptest! {
         let dense = DenseMatrix::from_op(&l);
         let (jvals, _) = jacobi_eigen(&dense, &JacobiOptions::default()).unwrap();
         let iter_opts = LanczosOptions { dense_cutoff: 0, ..LanczosOptions::default() };
-        let pairs = smallest_eigenpairs(&l, 2, &iter_opts).unwrap();
-        prop_assert!((pairs[0].value - jvals[0]).abs() < 1e-6);
-        prop_assert!((pairs[1].value - jvals[1]).abs() < 1e-6,
-            "lanczos {} vs jacobi {}", pairs[1].value, jvals[1]);
+        let pair = fiedler(&l, &iter_opts);
+        prop_assert!((pair.value - jvals[1]).abs() < 1e-6,
+            "lanczos {} vs jacobi {}", pair.value, jvals[1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError};
 use mec_engine::{Cluster, ParallelLaplacian};
 use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
-use mec_linalg::{kernels, smallest_eigenpairs_with, Eigenpair, LanczosOptions};
+use mec_linalg::{fiedler_pair, kernels, Eigenpair, LanczosOptions};
 use mec_obs::{FieldValue, NullSink, TraceSink};
 use std::sync::Arc;
 
@@ -137,10 +137,12 @@ impl SpectralBisector {
     /// weight). The sink never changes the cut.
     ///
     /// Connectivity is tested on the CSR snapshot before the
-    /// eigen-solve, so the eigensolver only ever sees a connected
-    /// Laplacian. There, one Krylov sequence finds `λ₂`; on a
-    /// disconnected one it would see the repeated zero eigenvalue only
-    /// once and could report a positive `λ₂` with a non-zero cut.
+    /// eigen-solve, so the eigensolver ([`fiedler_pair`], on the CSR
+    /// or the cluster operator) only ever sees a connected Laplacian.
+    /// There the constant vector spans the null space, and the
+    /// recurrence on its complement finds `λ₂` as its smallest Ritz
+    /// value; on a disconnected one it would find a second zero
+    /// eigenvalue instead.
     ///
     /// # Errors
     ///
@@ -182,22 +184,21 @@ impl SpectralBisector {
             .cluster
             .as_ref()
             .filter(|_| n > self.lanczos.dense_cutoff);
-        let mut pairs = if let Some((cluster, blocks)) = cluster {
+        let Eigenpair {
+            value: fiedler_value,
+            vector: mut fiedler_vector,
+        } = if let Some((cluster, blocks)) = cluster {
             let edges: Vec<(usize, usize, f64)> = g
                 .edges()
                 .map(|e| (e.source.index(), e.target.index(), e.weight))
                 .collect();
             let l = ParallelLaplacian::from_edges(Arc::clone(cluster), n, &edges, *blocks)
                 .expect("block count is at least 1");
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, sink, &mut scratch.lanczos)?
+            fiedler_pair(&l, &self.lanczos, sink, &mut scratch.lanczos)?
         } else {
             let l = CsrLaplacian::new(&scratch.csr);
-            smallest_eigenpairs_with(&l, 2, &self.lanczos, sink, &mut scratch.lanczos)?
+            fiedler_pair(&l, &self.lanczos, sink, &mut scratch.lanczos)?
         };
-        let Eigenpair {
-            value: fiedler_value,
-            vector: mut fiedler_vector,
-        } = pairs.swap_remove(1);
         canonicalize_sign(&mut fiedler_vector);
         let CutScratch {
             csr, order, local, ..

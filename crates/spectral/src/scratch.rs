@@ -24,7 +24,8 @@ use mec_linalg::LanczosScratch;
 /// backend gives each stage task a private arena.
 #[derive(Debug, Default)]
 pub struct CutScratch {
-    /// Krylov-recurrence buffer pool (basis vectors, work vectors).
+    /// Krylov-recurrence buffer pool (basis vectors, work vectors) and
+    /// the eigensolver's convergence-checkpoint workspaces.
     pub(crate) lanczos: LanczosScratch,
     /// Reusable CSR snapshot of the graph currently being cut.
     pub(crate) csr: CsrAdjacency,

@@ -9,7 +9,9 @@
 //!   the first through one [`CutScratch`] allocation-free in the
 //!   eigensolver;
 //! - a warm [`SpectralBisector::bisect_reusing`] run allocates a small
-//!   fraction of its cold first run.
+//!   fraction of its cold first run, and on a connected graph above the
+//!   dense cutoff only its result: the Fiedler vector and the
+//!   partition.
 //!
 //! The counting allocator is process-global, so every test here
 //! serialises on a mutex — the ones that only allocate too, since they
@@ -358,5 +360,44 @@ fn warm_delta_replan_allocations_do_not_grow_with_the_crowd() {
     assert_eq!(
         small, large,
         "replan allocations grew with the crowd: {small} at 500 users, {large} at 2000"
+    );
+}
+
+/// A warm Fiedler cut of a connected graph above the dense cutoff
+/// (300 nodes against 32) allocates only its result: the convergence
+/// checkpoints reuse the arena's bisection and inverse-iteration
+/// workspaces, and the solve assembles the one Ritz vector the cut
+/// reads.
+#[test]
+fn warm_fiedler_cut_allocates_only_its_result() {
+    let _guard = measure_lock();
+    let g = NetgenSpec::new(300, 900)
+        .components(1)
+        .seed(23)
+        .generate()
+        .expect("generable workload");
+    let bisector = SpectralBisector::new();
+    let mut scratch = CutScratch::new();
+    for _ in 0..2 {
+        bisector
+            .bisect_reusing(&g, &mut scratch, &NullSink)
+            .unwrap();
+    }
+    let warm = (0..3)
+        .map(|_| {
+            alloc_delta(|| {
+                bisector
+                    .bisect_reusing(&g, &mut scratch, &NullSink)
+                    .unwrap();
+            })
+        })
+        .min()
+        .unwrap();
+    // measured: 2 — the Fiedler vector and the partition the cut
+    // returns (92 when every checkpoint allocated its workspaces and
+    // the solve built both Ritz vectors)
+    assert!(
+        warm <= 2,
+        "warm Fiedler cut allocated {warm} times, more than its result"
     );
 }
