@@ -8,7 +8,7 @@ use mec_bench::workload::paper_graph;
 use mec_labelprop::{CompressionConfig, Compressor, ThresholdRule, TraversalPolicy};
 use mec_linalg::{fiedler_pair, LanczosOptions, LanczosScratch};
 use mec_model::{Scenario, SystemParams, UserWorkload};
-use mec_spectral::{GraphLaplacian, SpectralBisector, SplitRule};
+use mec_spectral::{SpectralBisector, SplitRule};
 
 fn bench_threshold_rules(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/threshold_rule");
@@ -90,7 +90,7 @@ fn bench_eigensolver_backends(c: &mut Criterion) {
         .seed(mec_bench::DEFAULT_SEED)
         .generate()
         .unwrap();
-    let lap = GraphLaplacian::new(&g);
+    let lap = mec_graph::CsrAdjacency::build(&g);
     for (label, opts) in [
         (
             "lanczos",

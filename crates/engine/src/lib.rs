@@ -7,9 +7,10 @@
 //! contrast needs a data-parallel engine, not a cloud: this crate
 //! provides a persistent worker pool ([`Cluster`]) that runs *stages*
 //! of independent tasks, and [`ParallelLaplacian`] — a
-//! [`SymOp`](mec_linalg::SymOp) whose matrix-vector products are
-//! sharded across the cluster exactly the way the paper shards its
-//! matrix multiplications.
+//! [`SymOp`](mec_linalg::SymOp) that shards the rows of a
+//! [`mec_graph::CsrAdjacency`] snapshot across the cluster, exactly the
+//! way the paper shards its matrix multiplications, and gives the same
+//! bits as the snapshot's own serial product.
 //!
 //! Everything is deterministic: stage results are reassembled in task
 //! order regardless of worker scheduling.

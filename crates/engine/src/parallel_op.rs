@@ -1,59 +1,33 @@
 //! The cluster-backed Laplacian operator.
 //!
 //! This is the piece that substitutes the paper's "matrix
-//! multiplications on Spark" (§IV, Fig. 9): the CSR rows of a graph
-//! Laplacian are sharded into row blocks, and every `y = L x` product
+//! multiplications on Spark" (§IV, Fig. 9): the rows of a graph's CSR
+//! snapshot are sharded into row blocks, and every `y = L x` product
 //! runs one task per block on the [`Cluster`].
 
 use crate::apply_scratch::{self, ApplyScratch};
 use crate::{Cluster, EngineError};
+use mec_graph::CsrAdjacency;
 use mec_linalg::SymOp;
 use std::sync::{Arc, Mutex};
-
-/// One contiguous block of Laplacian rows in CSR form.
-#[derive(Debug)]
-struct RowBlock {
-    /// First row this block covers.
-    start: usize,
-    /// Per-row offsets into `columns` / `weights`, block-local
-    /// (`offsets[0] == 0`).
-    offsets: Vec<usize>,
-    columns: Vec<u32>,
-    weights: Vec<f64>,
-    /// Weighted degree of each row (the Laplacian diagonal).
-    degrees: Vec<f64>,
-}
-
-impl RowBlock {
-    fn apply(&self, x: &[f64], out: &mut Vec<f64>) {
-        let rows = self.offsets.len() - 1;
-        out.clear();
-        out.resize(rows, 0.0);
-        mec_linalg::kernels::csr_laplacian_matvec_deg(
-            &self.offsets,
-            &self.columns,
-            &self.weights,
-            &self.degrees,
-            x,
-            self.start,
-            out,
-        );
-    }
-}
 
 /// A graph-Laplacian [`SymOp`] whose matrix-vector products are
 /// distributed over a [`Cluster`].
 ///
-/// Built from the adjacency edge list of an undirected weighted graph;
-/// rows are split into `blocks` shards. Each `apply` broadcasts `x` to
-/// the workers (one `Arc` clone per task), runs one task per shard and
-/// reassembles `y` in shard order — the same stage structure Spark
-/// would use for a block-partitioned `L·x`.
+/// Holds one shared copy of a [`CsrAdjacency`] snapshot, whose rows
+/// are split into contiguous blocks. Each `apply` broadcasts `x` to the
+/// workers (one `Arc` clone per task), runs one task per block and
+/// reassembles `y` in block order — the same stage structure Spark
+/// would use for a block-partitioned `L·x`. Every block runs the
+/// snapshot's own kernel on its own rows, so the product has the same
+/// bits as the serial `CsrAdjacency::apply`.
 #[derive(Debug, Clone)]
 pub struct ParallelLaplacian {
     cluster: Arc<Cluster>,
-    blocks: Arc<Vec<RowBlock>>,
-    dim: usize,
+    csr: Arc<CsrAdjacency>,
+    /// Rows per block (the last block may hold fewer).
+    rows_per: usize,
+    blocks: usize,
     /// Recycled broadcast / gather buffers (see [`apply_scratch`]);
     /// shared by clones, which keeps repeated products allocation-free
     /// no matter which handle runs them.
@@ -61,84 +35,35 @@ pub struct ParallelLaplacian {
 }
 
 impl ParallelLaplacian {
-    /// Builds the operator for a graph with `n` nodes and the given
-    /// undirected weighted `edges`, sharded into `blocks` row blocks.
+    /// Builds the operator for the Laplacian of `csr`, sharded into
+    /// `blocks` row blocks of `⌈n / blocks⌉` rows (fewer blocks when
+    /// the rows run out; one empty block for an empty graph).
     ///
     /// # Errors
     ///
     /// [`EngineError::NoPartitions`] when `blocks == 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an edge endpoint is `≥ n` or an edge weight is not
-    /// finite (these are programmer errors — graphs validated by
-    /// `mec-graph` cannot trigger them).
-    pub fn from_edges(
+    pub fn from_csr(
         cluster: Arc<Cluster>,
-        n: usize,
-        edges: &[(usize, usize, f64)],
+        csr: &CsrAdjacency,
         blocks: usize,
     ) -> Result<Self, EngineError> {
         if blocks == 0 {
             return Err(EngineError::NoPartitions);
         }
-        // adjacency in CSR
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for &(a, b, w) in edges {
-            assert!(a < n && b < n, "edge endpoint out of range");
-            assert!(w.is_finite(), "edge weight must be finite");
-            adj[a].push((u32::try_from(b).expect("node id fits u32"), w));
-            adj[b].push((u32::try_from(a).expect("node id fits u32"), w));
-        }
-        let b = blocks.min(n.max(1));
-        let rows_per = n.div_ceil(b.max(1)).max(1);
-        let mut shards = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + rows_per).min(n);
-            let mut offsets = vec![0usize];
-            let mut columns = Vec::new();
-            let mut weights = Vec::new();
-            let mut degrees = Vec::new();
-            for row in adj[start..end].iter() {
-                let mut deg = 0.0;
-                for &(c, w) in row {
-                    columns.push(c);
-                    weights.push(w);
-                    deg += w;
-                }
-                degrees.push(deg);
-                offsets.push(columns.len());
-            }
-            shards.push(RowBlock {
-                start,
-                offsets,
-                columns,
-                weights,
-                degrees,
-            });
-            start = end;
-        }
-        if shards.is_empty() {
-            shards.push(RowBlock {
-                start: 0,
-                offsets: vec![0],
-                columns: vec![],
-                weights: vec![],
-                degrees: vec![],
-            });
-        }
+        let n = csr.node_count();
+        let rows_per = n.div_ceil(blocks.min(n.max(1))).max(1);
         Ok(ParallelLaplacian {
             cluster,
-            blocks: Arc::new(shards),
-            dim: n,
+            csr: Arc::new(csr.clone()),
+            rows_per,
+            blocks: n.div_ceil(rows_per).max(1),
             scratch: ApplyScratch::shared(),
         })
     }
 
     /// Number of row blocks (= tasks per matrix-vector product).
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.blocks
     }
 
     /// The cluster this operator runs on.
@@ -149,22 +74,36 @@ impl ParallelLaplacian {
 
 impl SymOp for ParallelLaplacian {
     fn dim(&self) -> usize {
-        self.dim
+        self.csr.node_count()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.dim, "x length mismatch");
-        assert_eq!(y.len(), self.dim, "y length mismatch");
+        let n = self.dim();
+        assert_eq!(x.len(), n, "x length mismatch");
+        assert_eq!(y.len(), n, "y length mismatch");
         // broadcast: one shared (pooled) copy of x for the whole
         // stage; each task also carries its pooled output buffer
-        let (xs, inputs) = apply_scratch::checkout(&self.scratch, x, self.blocks.len());
-        let blocks = Arc::clone(&self.blocks);
+        let (xs, inputs) = apply_scratch::checkout(&self.scratch, x, self.blocks);
+        let csr = Arc::clone(&self.csr);
+        let rows_per = self.rows_per;
         let xs_stage = Arc::clone(&xs);
         let pieces = self
             .cluster
             .run_stage(inputs, move |_, (bi, mut out)| {
-                blocks[bi].apply(&xs_stage, &mut out);
-                (blocks[bi].start, out)
+                let start = bi * rows_per;
+                let end = (start + rows_per).min(n);
+                let (offsets, columns, weights) = csr.as_parts();
+                out.clear();
+                out.resize(end - start, 0.0);
+                mec_linalg::kernels::csr_laplacian_matvec(
+                    &offsets[start..=end],
+                    columns,
+                    weights,
+                    &xs_stage,
+                    start,
+                    &mut out,
+                );
+                (start, out)
             })
             .expect("laplacian stage does not panic");
         apply_scratch::retire(&self.scratch, xs, pieces, y);
@@ -174,10 +113,20 @@ impl SymOp for ParallelLaplacian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mec_linalg::{fiedler_pair, CsrMatrix, LanczosOptions, LanczosScratch};
+    use mec_graph::{Graph, GraphBuilder};
+    use mec_linalg::{fiedler_pair, LanczosOptions, LanczosScratch};
 
     fn cluster() -> Arc<Cluster> {
         Arc::new(Cluster::new(4).unwrap())
+    }
+
+    fn graph(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
+        let mut b = GraphBuilder::new();
+        let ids: Vec<_> = (0..n).map(|_| b.add_node(1.0)).collect();
+        for &(u, v, w) in edges {
+            b.add_edge(ids[u], ids[v], w).unwrap();
+        }
+        b.build()
     }
 
     fn ring_edges(n: usize) -> Vec<(usize, usize, f64)> {
@@ -186,37 +135,51 @@ mod tests {
             .collect()
     }
 
+    fn ring(n: usize) -> CsrAdjacency {
+        CsrAdjacency::build(&graph(n, &ring_edges(n)))
+    }
+
     #[test]
     fn rejects_zero_blocks() {
         assert_eq!(
-            ParallelLaplacian::from_edges(cluster(), 4, &ring_edges(4), 0).unwrap_err(),
+            ParallelLaplacian::from_csr(cluster(), &ring(4), 0).unwrap_err(),
             EngineError::NoPartitions
         );
     }
 
     #[test]
-    fn matches_serial_laplacian() {
-        let n = 57;
-        let edges = ring_edges(n);
-        let serial = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
-        let par = ParallelLaplacian::from_edges(cluster(), n, &edges, 5).unwrap();
-        assert_eq!(par.dim(), n);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 - 8.0).collect();
-        let mut ys = vec![0.0; n];
-        let mut yp = vec![0.0; n];
-        serial.apply(&x, &mut ys);
-        par.apply(&x, &mut yp);
-        for (a, b) in ys.iter().zip(&yp) {
-            assert!((a - b).abs() < 1e-12, "serial {a} vs parallel {b}");
+    fn products_match_the_serial_snapshot_bit_for_bit() {
+        // a weighted ring with chords; a graph whose isolated nodes
+        // leave blocks of empty rows; the empty graph
+        let mut chords = ring_edges(57);
+        chords.extend([(0, 28, 2.5), (10, 40, 0.75), (5, 50, 1.25)]);
+        let isolated = [(0, 1, 2.0), (1, 5, 0.25), (5, 0, 3.0), (20, 22, 1.5)];
+        let c = cluster();
+        for g in [graph(57, &chords), graph(23, &isolated), graph(0, &[])] {
+            let csr = CsrAdjacency::build(&g);
+            let n = csr.dim();
+            let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 / 3.0 - 2.7).collect();
+            let mut serial = vec![0.0; n];
+            csr.apply(&x, &mut serial);
+            // one to nine blocks, then more blocks than rows
+            for blocks in (1..=9).chain([n + 1, 4 * n + 3]) {
+                let par = ParallelLaplacian::from_csr(Arc::clone(&c), &csr, blocks).unwrap();
+                assert_eq!(par.dim(), n);
+                assert!(par.block_count() <= blocks.min(n.max(1)));
+                let mut y = vec![f64::NAN; n];
+                par.apply(&x, &mut y);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&y), bits(&serial), "{n} nodes, {blocks} blocks");
+            }
         }
     }
 
     #[test]
     fn block_count_respects_request() {
-        let par = ParallelLaplacian::from_edges(cluster(), 100, &ring_edges(100), 8).unwrap();
+        let par = ParallelLaplacian::from_csr(cluster(), &ring(100), 8).unwrap();
         assert_eq!(par.block_count(), 8);
         // more blocks than rows clamps
-        let par2 = ParallelLaplacian::from_edges(cluster(), 3, &ring_edges(3), 10).unwrap();
+        let par2 = ParallelLaplacian::from_csr(cluster(), &ring(3), 10).unwrap();
         assert!(par2.block_count() <= 3);
     }
 
@@ -224,7 +187,8 @@ mod tests {
     fn eigensolver_runs_on_parallel_backend() {
         let n = 64;
         let edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
-        let par = ParallelLaplacian::from_edges(cluster(), n, &edges, 6).unwrap();
+        let csr = CsrAdjacency::build(&graph(n, &edges));
+        let par = ParallelLaplacian::from_csr(cluster(), &csr, 6).unwrap();
         let opts = LanczosOptions {
             dense_cutoff: 0,
             ..LanczosOptions::default()
@@ -236,17 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_operator() {
-        let par = ParallelLaplacian::from_edges(cluster(), 0, &[], 3).unwrap();
-        assert_eq!(par.dim(), 0);
-        let mut y: Vec<f64> = vec![];
-        par.apply(&[], &mut y);
-    }
-
-    #[test]
     fn stage_metrics_grow_with_applications() {
         let c = cluster();
-        let par = ParallelLaplacian::from_edges(Arc::clone(&c), 20, &ring_edges(20), 4).unwrap();
+        let par = ParallelLaplacian::from_csr(Arc::clone(&c), &ring(20), 4).unwrap();
         let stages = || {
             c.registry()
                 .snapshot()

@@ -1,15 +1,19 @@
-//! Compressed-sparse-row adjacency snapshot.
+//! Compressed-sparse-row adjacency snapshot: the graph Laplacian every
+//! eigen-solve multiplies by.
 //!
 //! The spectral stage multiplies Laplacians against vectors thousands of
 //! times; a CSR layout gives the eigensolver cache-friendly neighbour
 //! scans without chasing per-node `Vec`s.
 
 use crate::Graph;
+use mec_linalg::SymOp;
 
-/// Immutable CSR snapshot of a graph's weighted adjacency.
+/// Immutable CSR snapshot of a graph's weighted adjacency, and the
+/// graph Laplacian `L = D − A` as a [`SymOp`].
 ///
-/// Row `i` lists `(neighbor, weight)` pairs for node `i`; each
-/// undirected edge appears in both endpoint rows.
+/// Row `i` lists `(neighbor, weight)` pairs for node `i`, in the order
+/// of the graph's edges; each undirected edge appears in both endpoint
+/// rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrAdjacency {
     offsets: Vec<usize>,
@@ -65,6 +69,24 @@ impl CsrAdjacency {
         self.offsets.len() - 1
     }
 
+    /// Raw CSR parts `(offsets, columns, weights)`, e.g. for shipping
+    /// rows to a parallel backend.
+    pub fn as_parts(&self) -> (&[usize], &[u32], &[f64]) {
+        (&self.offsets, &self.columns, &self.weights)
+    }
+}
+
+impl Default for CsrAdjacency {
+    fn default() -> Self {
+        Self::empty()
+    }
+}
+
+impl SymOp for CsrAdjacency {
+    fn dim(&self) -> usize {
+        self.node_count()
+    }
+
     /// Multiplies the graph **Laplacian** `L = D − A` against `x`,
     /// writing into `y` (`y = L x`). This is the kernel the paper's
     /// spectral stage spends its time in.
@@ -72,7 +94,7 @@ impl CsrAdjacency {
     /// # Panics
     ///
     /// Panics if `x` or `y` length differs from the node count.
-    pub fn laplacian_mul(&self, x: &[f64], y: &mut [f64]) {
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
         let n = self.node_count();
         assert_eq!(x.len(), n, "x length mismatch");
         assert_eq!(y.len(), n, "y length mismatch");
@@ -84,18 +106,6 @@ impl CsrAdjacency {
             0,
             y,
         );
-    }
-
-    /// Raw CSR parts `(offsets, columns, weights)`, e.g. for shipping
-    /// rows to a parallel backend.
-    pub fn as_parts(&self) -> (&[usize], &[u32], &[f64]) {
-        (&self.offsets, &self.columns, &self.weights)
-    }
-}
-
-impl Default for CsrAdjacency {
-    fn default() -> Self {
-        Self::empty()
     }
 }
 
@@ -132,14 +142,21 @@ mod tests {
     }
 
     #[test]
-    fn laplacian_mul_annihilates_constants() {
-        let g = triangle();
-        let csr = CsrAdjacency::build(&g);
-        let x = [5.0; 3];
-        let mut y = [1.0; 3];
-        csr.laplacian_mul(&x, &mut y);
-        for v in y {
-            assert!(v.abs() < 1e-12, "L * 1 must be 0, got {v}");
+    fn laplacian_annihilates_constants() {
+        // a weighted path and the triangle
+        let mut b = GraphBuilder::new();
+        let n: Vec<_> = (0..5).map(|_| b.add_node(1.0)).collect();
+        for k in 1..5 {
+            b.add_edge(n[k - 1], n[k], k as f64).unwrap();
+        }
+        for g in [b.build(), triangle()] {
+            let csr = CsrAdjacency::build(&g);
+            let x = vec![5.0; g.node_count()];
+            let mut y = vec![1.0; g.node_count()];
+            csr.apply(&x, &mut y);
+            for v in y {
+                assert!(v.abs() < 1e-12, "L * 1 must be 0, got {v}");
+            }
         }
     }
 
@@ -150,7 +167,7 @@ mod tests {
         let csr = CsrAdjacency::build(&g);
         let x = [1.0, -1.0, 2.0];
         let mut y = [0.0; 3];
-        csr.laplacian_mul(&x, &mut y);
+        csr.apply(&x, &mut y);
         let quad: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         let direct: f64 = g
             .edges()
@@ -163,9 +180,9 @@ mod tests {
     fn empty_graph_csr() {
         let g = GraphBuilder::new().build();
         let csr = CsrAdjacency::build(&g);
-        assert_eq!(csr.node_count(), 0);
+        assert_eq!((csr.node_count(), csr.dim()), (0, 0));
         assert!(csr.as_parts().1.is_empty());
-        csr.laplacian_mul(&[], &mut []);
+        csr.apply(&[], &mut []);
     }
 
     #[test]
@@ -174,7 +191,7 @@ mod tests {
         let g = triangle();
         let csr = CsrAdjacency::build(&g);
         let mut y = [0.0; 3];
-        csr.laplacian_mul(&[1.0], &mut y);
+        csr.apply(&[1.0], &mut y);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! The crate also hosts the shared partition vocabulary used by every
 //! cut algorithm in the workspace ([`Bipartition`], [`Side`]) and the
 //! structural helpers the pipeline needs: connected components, induced
-//! sub-graphs, quotient (merge) graphs, and CSR adjacency snapshots.
+//! sub-graphs, quotient (merge) graphs, and CSR adjacency snapshots
+//! ([`CsrAdjacency`], which is also the graph Laplacian operator every
+//! eigen-solve multiplies by).
 //!
 //! # Example
 //!

@@ -5,6 +5,7 @@ use mec_graph::{
     Bipartition, ComponentLabeling, CsrAdjacency, GraphBuilder, NodeGrouping, NodeId,
     QuotientGraph, Side, Subgraph,
 };
+use mec_linalg::SymOp;
 use proptest::prelude::*;
 
 /// A random graph spec: node weights plus a set of candidate edges.
@@ -112,7 +113,7 @@ proptest! {
         let n = g.node_count();
         let x: Vec<f64> = (0..n).map(|i| xs[i % xs.len()]).collect();
         let mut y = vec![0.0; n];
-        csr.laplacian_mul(&x, &mut y);
+        csr.apply(&x, &mut y);
         let quad: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         prop_assert!(quad >= -1e-9, "Laplacian quadratic form must be non-negative, got {quad}");
     }

@@ -138,23 +138,13 @@ impl SymOp for DenseMatrix {
     }
 }
 
-/// Tuning for [`jacobi_eigen`].
-#[derive(Debug, Clone)]
-pub struct JacobiOptions {
-    /// Stop once the largest off-diagonal entry falls below this.
-    pub tolerance: f64,
-    /// Hard cap on full sweeps.
-    pub max_sweeps: usize,
-}
+/// Off-diagonal magnitude below which [`jacobi_eigen`] skips a
+/// rotation, and (scaled by the largest entry and the dimension) below
+/// which it stops.
+const JACOBI_TOLERANCE: f64 = 1e-12;
 
-impl Default for JacobiOptions {
-    fn default() -> Self {
-        JacobiOptions {
-            tolerance: 1e-12,
-            max_sweeps: 100,
-        }
-    }
-}
+/// Hard cap on [`jacobi_eigen`]'s full sweeps.
+const MAX_SWEEPS: usize = 100;
 
 /// Full eigendecomposition of a symmetric matrix by cyclic Jacobi
 /// rotations.
@@ -166,22 +156,19 @@ impl Default for JacobiOptions {
 ///
 /// - [`LinalgError::DimensionMismatch`] if `m` is not symmetric within
 ///   `1e-9`;
-/// - [`LinalgError::NoConvergence`] if `max_sweeps` is exhausted.
+/// - [`LinalgError::NoConvergence`] after 100 sweeps.
 ///
 /// # Example
 ///
 /// ```
-/// # use mec_linalg::{DenseMatrix, jacobi_eigen, JacobiOptions};
+/// # use mec_linalg::{DenseMatrix, jacobi_eigen};
 /// let m = DenseMatrix::from_rows(2, vec![2.0, -1.0, -1.0, 2.0])?;
-/// let (vals, _) = jacobi_eigen(&m, &JacobiOptions::default())?;
+/// let (vals, _) = jacobi_eigen(&m)?;
 /// assert!((vals[0] - 1.0).abs() < 1e-10);
 /// assert!((vals[1] - 3.0).abs() < 1e-10);
 /// # Ok::<(), mec_linalg::LinalgError>(())
 /// ```
-pub fn jacobi_eigen(
-    m: &DenseMatrix,
-    opts: &JacobiOptions,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), LinalgError> {
+pub fn jacobi_eigen(m: &DenseMatrix) -> Result<(Vec<f64>, Vec<Vec<f64>>), LinalgError> {
     let n = m.dim();
     if !m.is_symmetric(1e-9) {
         return Err(LinalgError::DimensionMismatch {
@@ -197,10 +184,10 @@ pub fn jacobi_eigen(
     let scale = (0..n)
         .flat_map(|r| (0..n).map(move |c| (r, c)))
         .fold(1.0f64, |s, (r, c)| s.max(m.get(r, c).abs()));
-    let threshold = opts.tolerance * scale * (n as f64).max(1.0);
+    let threshold = JACOBI_TOLERANCE * scale * (n as f64).max(1.0);
     while a.off_diagonal_norm() > threshold {
         sweeps += 1;
-        if sweeps > opts.max_sweeps {
+        if sweeps > MAX_SWEEPS {
             return Err(LinalgError::NoConvergence {
                 iterations: sweeps,
                 residual: a.off_diagonal_norm(),
@@ -209,7 +196,7 @@ pub fn jacobi_eigen(
         for p in 0..n {
             for q in (p + 1)..n {
                 let apq = a.get(p, q);
-                if apq.abs() <= opts.tolerance {
+                if apq.abs() <= JACOBI_TOLERANCE {
                     continue;
                 }
                 let app = a.get(p, p);
@@ -303,7 +290,7 @@ mod tests {
     #[test]
     fn jacobi_on_known_spectrum() {
         let m = DenseMatrix::from_rows(2, vec![2.0, -1.0, -1.0, 2.0]).unwrap();
-        let (vals, vecs) = jacobi_eigen(&m, &JacobiOptions::default()).unwrap();
+        let (vals, vecs) = jacobi_eigen(&m).unwrap();
         assert!((vals[0] - 1.0).abs() < 1e-10);
         assert!((vals[1] - 3.0).abs() < 1e-10);
         // residual check
@@ -326,7 +313,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (vals, vecs) = jacobi_eigen(&m, &JacobiOptions::default()).unwrap();
+        let (vals, vecs) = jacobi_eigen(&m).unwrap();
         for w in vals.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);
         }
@@ -341,24 +328,24 @@ mod tests {
     #[test]
     fn jacobi_rejects_asymmetric_input() {
         let m = DenseMatrix::from_rows(2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert!(jacobi_eigen(&m, &JacobiOptions::default()).is_err());
+        assert!(jacobi_eigen(&m).is_err());
     }
 
     #[test]
     fn jacobi_trace_is_preserved() {
         let m =
             DenseMatrix::from_rows(3, vec![5.0, 2.0, 1.0, 2.0, 4.0, 0.5, 1.0, 0.5, 3.0]).unwrap();
-        let (vals, _) = jacobi_eigen(&m, &JacobiOptions::default()).unwrap();
+        let (vals, _) = jacobi_eigen(&m).unwrap();
         let trace = 5.0 + 4.0 + 3.0;
         assert!((vals.iter().sum::<f64>() - trace).abs() < 1e-9);
     }
 
     #[test]
     fn jacobi_empty_and_single() {
-        let (v0, _) = jacobi_eigen(&DenseMatrix::zeros(0), &JacobiOptions::default()).unwrap();
+        let (v0, _) = jacobi_eigen(&DenseMatrix::zeros(0)).unwrap();
         assert!(v0.is_empty());
         let m = DenseMatrix::from_rows(1, vec![7.0]).unwrap();
-        let (v1, e1) = jacobi_eigen(&m, &JacobiOptions::default()).unwrap();
+        let (v1, e1) = jacobi_eigen(&m).unwrap();
         assert_eq!(v1, vec![7.0]);
         assert_eq!(e1, vec![vec![1.0]]);
     }

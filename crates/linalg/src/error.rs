@@ -13,13 +13,6 @@ pub enum LinalgError {
         /// Dimension that was supplied.
         actual: usize,
     },
-    /// A triplet refers to a row/column outside the matrix.
-    IndexOutOfBounds {
-        /// Offending index.
-        index: usize,
-        /// Matrix dimension.
-        dim: usize,
-    },
     /// A non-finite entry was supplied.
     NonFiniteEntry(f64),
     /// An iterative solver failed to converge.
@@ -43,9 +36,6 @@ impl fmt::Display for LinalgError {
         match self {
             LinalgError::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            LinalgError::IndexOutOfBounds { index, dim } => {
-                write!(f, "index {index} out of bounds for dimension {dim}")
             }
             LinalgError::NonFiniteEntry(v) => write!(f, "non-finite entry {v}"),
             LinalgError::NoConvergence {

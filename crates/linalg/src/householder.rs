@@ -163,8 +163,8 @@ pub fn householder_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, Vec<Vec<f64>>), L
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jacobi_eigen;
     use crate::kernels::{dot, norm};
-    use crate::{jacobi_eigen, JacobiOptions};
 
     fn arrow_matrix(n: usize) -> DenseMatrix {
         // arrowhead: heavy diagonal + first row/col couplings
@@ -226,7 +226,7 @@ mod tests {
     fn matches_jacobi_spectrum() {
         let a = arrow_matrix(12);
         let (hv, hvec) = householder_eigen(&a).unwrap();
-        let (jv, _) = jacobi_eigen(&a, &JacobiOptions::default()).unwrap();
+        let (jv, _) = jacobi_eigen(&a).unwrap();
         for (x, y) in hv.iter().zip(&jv) {
             assert!((x - y).abs() < 1e-8, "householder {x} vs jacobi {y}");
         }

@@ -1,13 +1,14 @@
-//! Structure-of-arrays numeric kernels shared by every CSR operator.
+//! Structure-of-arrays numeric kernels shared by every operator.
 //!
 //! This module is the single home of the inner loops the profiler
-//! actually sees: the CSR (Laplacian) matrix-vector product, the dense
+//! actually sees: the CSR Laplacian matrix-vector product, the dense
 //! dot/axpy/normalize trio under the Lanczos recurrence, and the
-//! sweep-cut boundary accumulation. Callers in `mec-graph`,
-//! `mec-spectral` and `mec-engine` hold their data in SoA form already
-//! (parallel `offsets` / `columns` / `weights` arrays); the kernels
-//! take those slices directly so there is exactly one implementation of
-//! each loop in the workspace.
+//! sweep-cut boundary accumulation. The one CSR snapshot,
+//! `mec_graph::CsrAdjacency`, holds its data in SoA form already
+//! (parallel `offsets` / `columns` / `weights` arrays), and
+//! `mec-spectral` and `mec-engine` read it through the same slices; the
+//! kernels take those slices directly so there is exactly one
+//! implementation of each loop in the workspace.
 //!
 //! ## 4-lane bodies and the sequential-reference contract
 //!
@@ -18,8 +19,8 @@
 //! which `tests/kernel_parity.rs` keeps as the reference, two parity
 //! classes apply:
 //!
-//! - **bit-exact**: the CSR matvec kernels block four *rows* per
-//!   iteration but keep each row's own accumulation strictly
+//! - **bit-exact**: the CSR Laplacian kernel blocks four *rows* per
+//!   iteration but keeps each row's own accumulation strictly
 //!   sequential, and `axpy`/`scale` stay elementwise — these promise
 //!   bit-identical output (covered by exact-equality proptests);
 //! - **1-ulp-scaled**: `dot`/`norm` and the sweep boundary fold use
@@ -35,8 +36,8 @@
 /// unrolled loops keep the adder busy instead of waiting on one chain.
 pub const LANES: usize = 4;
 
-/// Column-index types a CSR kernel can walk (`u32` adjacency snapshots,
-/// `usize` general matrices).
+/// Column-index types a CSR kernel can walk (`u32` in the adjacency
+/// snapshot).
 pub trait ColIndex: Copy {
     /// Widens the stored column index to a `usize` offset into `x`.
     fn index(self) -> usize;
@@ -46,13 +47,6 @@ impl ColIndex for u32 {
     #[inline(always)]
     fn index(self) -> usize {
         self as usize
-    }
-}
-
-impl ColIndex for usize {
-    #[inline(always)]
-    fn index(self) -> usize {
-        self
     }
 }
 
@@ -166,74 +160,17 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// CSR kernels
+// CSR Laplacian kernel
 // ---------------------------------------------------------------------------
 
-/// Plain CSR matrix-vector product: `y[r] = Σ values·x[col]` for each
-/// of the `offsets.len() - 1` rows. Columns index the full-length `x`;
-/// `y` is row-block local. Bit-exact: the loop interleaves four rows
-/// but keeps every row's accumulation sequential.
-///
-/// # Panics
-///
-/// Panics if `y` has fewer rows than `offsets` describes.
-pub fn csr_matvec<C: ColIndex>(
-    offsets: &[usize],
-    columns: &[C],
-    values: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let rows = offsets.len() - 1;
-    assert!(y.len() >= rows, "y length mismatch");
-    let blocks = rows - rows % LANES;
-    let mut r = 0;
-    while r < blocks {
-        let o = [offsets[r], offsets[r + 1], offsets[r + 2], offsets[r + 3]];
-        let end = offsets[r + 4];
-        let lens = [o[1] - o[0], o[2] - o[1], o[3] - o[2], end - o[3]];
-        let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        // lock-step across four rows: independent chains, each row
-        // still accumulates in its own sequential order
-        for k in 0..m {
-            a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
-            a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
-            a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
-            a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
-        }
-        for k in m..lens[0] {
-            a0 += values[o[0] + k] * x[columns[o[0] + k].index()];
-        }
-        for k in m..lens[1] {
-            a1 += values[o[1] + k] * x[columns[o[1] + k].index()];
-        }
-        for k in m..lens[2] {
-            a2 += values[o[2] + k] * x[columns[o[2] + k].index()];
-        }
-        for k in m..lens[3] {
-            a3 += values[o[3] + k] * x[columns[o[3] + k].index()];
-        }
-        y[r] = a0;
-        y[r + 1] = a1;
-        y[r + 2] = a2;
-        y[r + 3] = a3;
-        r += LANES;
-    }
-    for r in blocks..rows {
-        let mut acc = 0.0;
-        for k in offsets[r]..offsets[r + 1] {
-            acc += values[k] * x[columns[k].index()];
-        }
-        y[r] = acc;
-    }
-}
-
 /// Graph-Laplacian matvec `y[r] = deg_r · x[x_base + r] − Σ w·x[col]`
-/// with the weighted degree accumulated in-loop (the adjacency-snapshot
-/// form). `x_base` offsets the diagonal term for row blocks whose rows
-/// start partway into `x`; columns always index the full-length `x`.
-/// Bit-exact, like [`csr_matvec`].
+/// with the weighted degree accumulated in-loop, for each of the
+/// `offsets.len() - 1` rows. A row block passes its slice of the full
+/// snapshot's `offsets` (which index the full `columns` / `weights`)
+/// and its first row as `x_base`; columns always index the full-length
+/// `x`, and `y` is row-block local. Bit-exact: the loop interleaves
+/// four rows but keeps every row's accumulation sequential, so a row
+/// gives the same bits in any block.
 ///
 /// # Panics
 ///
@@ -298,32 +235,6 @@ pub fn csr_laplacian_matvec<C: ColIndex>(
             deg += weights[k];
         }
         y[r] = deg * x[x_base + r] - acc;
-    }
-}
-
-/// Graph-Laplacian matvec with **precomputed** weighted degrees
-/// (`y[r] = degrees[r] · x[x_base + r] − Σ w·x[col]`), the row-block
-/// form used by the parallel engine. Bit-exact, like [`csr_matvec`].
-///
-/// # Panics
-///
-/// Panics if `degrees` or `y` has fewer rows than `offsets` describes.
-pub fn csr_laplacian_matvec_deg<C: ColIndex>(
-    offsets: &[usize],
-    columns: &[C],
-    weights: &[f64],
-    degrees: &[f64],
-    x: &[f64],
-    x_base: usize,
-    y: &mut [f64],
-) {
-    let rows = offsets.len() - 1;
-    assert!(degrees.len() >= rows, "degrees length mismatch");
-    assert!(y.len() >= rows, "y length mismatch");
-    // the adjacency part is a plain matvec; fold in the diagonal after
-    csr_matvec(offsets, columns, weights, x, y);
-    for r in 0..rows {
-        y[r] = degrees[r] * x[x_base + r] - y[r];
     }
 }
 
@@ -432,17 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_small() {
-        // [[1,2],[2,-1]] * [3,4] = [11, 2]
-        let offsets = [0usize, 2, 4];
-        let columns = [0u32, 1, 0, 1];
-        let values = [1.0, 2.0, 2.0, -1.0];
-        let mut y = [0.0; 2];
-        csr_matvec(&offsets, &columns, &values, &[3.0, 4.0], &mut y);
-        assert_eq!(y, [11.0, 2.0]);
-    }
-
-    #[test]
     fn laplacian_annihilates_constants() {
         // triangle, unit weights
         let offsets = [0usize, 2, 4, 6];
@@ -452,21 +352,6 @@ mod tests {
         csr_laplacian_matvec(&offsets, &columns, &weights, &[5.0; 3], 0, &mut y);
         for v in y {
             assert!(v.abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn precomputed_degrees_match_inloop() {
-        let offsets = [0usize, 2, 4, 6];
-        let columns = [1usize, 2, 0, 2, 0, 1];
-        let weights = [1.0, 3.0, 1.0, 2.0, 3.0, 2.0];
-        let degrees = [4.0, 3.0, 5.0];
-        let x = [0.5, -1.5, 2.0];
-        let (mut a, mut b) = ([0.0; 3], [0.0; 3]);
-        csr_laplacian_matvec(&offsets, &columns, &weights, &x, 0, &mut a);
-        csr_laplacian_matvec_deg(&offsets, &columns, &weights, &degrees, &x, 0, &mut b);
-        for (p, q) in a.iter().zip(&b) {
-            assert_eq!(p.to_bits(), q.to_bits());
         }
     }
 

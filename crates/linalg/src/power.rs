@@ -6,28 +6,17 @@
 //! large end.
 
 use crate::kernels::{axpy, dot, norm, normalize};
+use crate::lanczos::random_unit_vector_into;
 use crate::{Eigenpair, LinalgError, SymOp};
 
-/// Tuning for [`largest_eigenpair`].
-#[derive(Debug, Clone)]
-pub struct PowerOptions {
-    /// Residual tolerance `‖Av − λv‖ ≤ tolerance · |λ|`. Default `1e-9`.
-    pub tolerance: f64,
-    /// Iteration cap. Default `5000`.
-    pub max_iterations: usize,
-    /// Seed for the deterministic start vector.
-    pub seed: u64,
-}
+/// Residual tolerance `‖Av − λv‖ ≤ TOLERANCE · |λ|`.
+const TOLERANCE: f64 = 1e-9;
 
-impl Default for PowerOptions {
-    fn default() -> Self {
-        PowerOptions {
-            tolerance: 1e-9,
-            max_iterations: 5000,
-            seed: 0x9077_e21a,
-        }
-    }
-}
+/// Iteration cap.
+const MAX_ITERATIONS: usize = 5000;
+
+/// Seed of the deterministic start vector.
+const START_SEED: u64 = 0x9077_e21a;
 
 /// Computes the eigenpair with the largest *absolute* eigenvalue by
 /// power iteration. For positive semi-definite operators (graph
@@ -36,11 +25,10 @@ impl Default for PowerOptions {
 /// # Errors
 ///
 /// - [`LinalgError::TooManyEigenpairs`] for an empty operator;
-/// - [`LinalgError::NoConvergence`] if the iteration cap is reached
-///   (e.g. when the two largest eigenvalues coincide exactly, where
-///   any vector in their span is still returned if it satisfies the
-///   residual test).
-pub fn largest_eigenpair<A: SymOp>(op: &A, opts: &PowerOptions) -> Result<Eigenpair, LinalgError> {
+/// - [`LinalgError::NoConvergence`] after 5 000 iterations (e.g. when
+///   the two largest eigenvalues coincide exactly, where any vector in
+///   their span is still returned if it satisfies the residual test).
+pub fn largest_eigenpair<A: SymOp>(op: &A) -> Result<Eigenpair, LinalgError> {
     let n = op.dim();
     if n == 0 {
         return Err(LinalgError::TooManyEigenpairs {
@@ -49,46 +37,32 @@ pub fn largest_eigenpair<A: SymOp>(op: &A, opts: &PowerOptions) -> Result<Eigenp
         });
     }
     // deterministic pseudo-random start (SplitMix64)
-    let mut state = opts.seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut v: Vec<f64> = (0..n)
-        .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-        .collect();
-    normalize(&mut v);
+    let mut state = START_SEED;
+    let mut v = vec![0.0; n];
+    random_unit_vector_into(&mut v, &mut state);
     let mut av = vec![0.0; n];
     let mut lambda = 0.0;
-    for it in 0..opts.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         op.apply(&v, &mut av);
         lambda = dot(&v, &av);
         // residual ‖Av − λv‖
         let mut r = av.clone();
         axpy(-lambda, &v, &mut r);
-        if norm(&r) <= opts.tolerance * lambda.abs().max(1e-30) {
+        if norm(&r) <= TOLERANCE * lambda.abs().max(1e-30) {
             return Ok(Eigenpair {
                 value: lambda,
                 vector: v,
             });
         }
-        let len = normalize(&mut av);
-        if len == 0.0 {
+        if normalize(&mut av) == 0.0 {
             // operator annihilated the vector: restart elsewhere
-            v = (0..n)
-                .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-                .collect();
-            normalize(&mut v);
+            random_unit_vector_into(&mut v, &mut state);
             continue;
         }
         std::mem::swap(&mut v, &mut av);
-        let _ = it;
     }
     Err(LinalgError::NoConvergence {
-        iterations: opts.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual: lambda,
     })
 }
@@ -96,13 +70,13 @@ pub fn largest_eigenpair<A: SymOp>(op: &A, opts: &PowerOptions) -> Result<Eigenp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrMatrix;
+    use crate::testing::EdgeLaplacian;
 
     #[test]
     fn finds_dominant_eigenvalue_of_k2() {
         // K_2 Laplacian with weight 3: spectrum {0, 6}
-        let l = CsrMatrix::laplacian_from_edges(2, &[(0, 1, 3.0)]).unwrap();
-        let pair = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
+        let l = EdgeLaplacian::new(2, &[(0, 1, 3.0)]);
+        let pair = largest_eigenpair(&l).unwrap();
         assert!((pair.value - 6.0).abs() < 1e-7);
     }
 
@@ -115,8 +89,8 @@ mod tests {
                 edges.push((a, b, 1.0));
             }
         }
-        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
-        let pair = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
+        let l = EdgeLaplacian::new(n, &edges);
+        let pair = largest_eigenpair(&l).unwrap();
         assert!((pair.value - n as f64).abs() < 1e-6);
     }
 
@@ -125,8 +99,8 @@ mod tests {
         // P_n: lambda_max = 2 - 2 cos((n-1) pi / n)
         let n = 16;
         let edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
-        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
-        let pair = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
+        let l = EdgeLaplacian::new(n, &edges);
+        let pair = largest_eigenpair(&l).unwrap();
         let expected = 2.0 - 2.0 * ((n - 1) as f64 * std::f64::consts::PI / n as f64).cos();
         assert!((pair.value - expected).abs() < 1e-6);
     }
@@ -134,8 +108,8 @@ mod tests {
     #[test]
     fn residual_is_small() {
         let edges: Vec<_> = (0..29).map(|i| (i, i + 1, 1.0 + (i % 3) as f64)).collect();
-        let l = CsrMatrix::laplacian_from_edges(30, &edges).unwrap();
-        let pair = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
+        let l = EdgeLaplacian::new(30, &edges);
+        let pair = largest_eigenpair(&l).unwrap();
         let mut av = vec![0.0; 30];
         l.apply(&pair.vector, &mut av);
         axpy(-pair.value, &pair.vector, &mut av);
@@ -144,9 +118,9 @@ mod tests {
 
     #[test]
     fn empty_operator_is_rejected() {
-        let l = CsrMatrix::from_triplets(0, &[]).unwrap();
+        let l = EdgeLaplacian::new(0, &[]);
         assert!(matches!(
-            largest_eigenpair(&l, &PowerOptions::default()),
+            largest_eigenpair(&l),
             Err(LinalgError::TooManyEigenpairs { .. })
         ));
     }
@@ -154,9 +128,9 @@ mod tests {
     #[test]
     fn deterministic() {
         let edges: Vec<_> = (0..9).map(|i| (i, i + 1, 1.0)).collect();
-        let l = CsrMatrix::laplacian_from_edges(10, &edges).unwrap();
-        let a = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
-        let b = largest_eigenpair(&l, &PowerOptions::default()).unwrap();
+        let l = EdgeLaplacian::new(10, &edges);
+        let a = largest_eigenpair(&l).unwrap();
+        let b = largest_eigenpair(&l).unwrap();
         assert_eq!(a.value.to_bits(), b.value.to_bits());
     }
 }

@@ -63,32 +63,6 @@ mod reference {
         }
     }
 
-    pub fn csr_matvec<C: ColIndex>(
-        offsets: &[usize],
-        columns: &[C],
-        values: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        let rows = offsets.len() - 1;
-        assert!(y.len() >= rows, "y length mismatch");
-        for r in 0..rows {
-            y[r] = row_dot(
-                &columns[offsets[r]..offsets[r + 1]],
-                &values[offsets[r]..offsets[r + 1]],
-                x,
-            );
-        }
-    }
-
-    fn row_dot<C: ColIndex>(columns: &[C], values: &[f64], x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (c, v) in columns.iter().zip(values) {
-            acc += v * x[c.index()];
-        }
-        acc
-    }
-
     fn row_lap<C: ColIndex>(columns: &[C], weights: &[f64], x: &[f64]) -> (f64, f64) {
         let mut acc = 0.0;
         let mut deg = 0.0;
@@ -116,24 +90,6 @@ mod reference {
                 x,
             );
             y[r] = deg * x[x_base + r] - acc;
-        }
-    }
-
-    pub fn csr_laplacian_matvec_deg<C: ColIndex>(
-        offsets: &[usize],
-        columns: &[C],
-        weights: &[f64],
-        degrees: &[f64],
-        x: &[f64],
-        x_base: usize,
-        y: &mut [f64],
-    ) {
-        let rows = offsets.len() - 1;
-        assert!(degrees.len() >= rows, "degrees length mismatch");
-        assert!(y.len() >= rows, "y length mismatch");
-        csr_matvec(offsets, columns, weights, x, y);
-        for r in 0..rows {
-            y[r] = degrees[r] * x[x_base + r] - y[r];
         }
     }
 
@@ -228,17 +184,6 @@ proptest! {
     // -- bit-exact class ---------------------------------------------------
 
     #[test]
-    fn csr_matvec_is_bit_exact_across_modes(case in arb_csr()) {
-        let rows = case.offsets.len() - 1;
-        let (a, b) = both_modes!(|| {
-            let mut y = vec![0.0; rows];
-            kernels::csr_matvec(&case.offsets, &case.columns, &case.values, &case.x, &mut y);
-            y
-        });
-        prop_assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
     fn csr_laplacian_matvec_is_bit_exact_across_modes(case in arb_csr()) {
         // the diagonal term reads x[x_base + r], so x must cover the
         // row range too: extend it when the matrix is tall
@@ -249,24 +194,6 @@ proptest! {
             let mut y = vec![0.0; rows];
             kernels::csr_laplacian_matvec(
                 &case.offsets, &case.columns, &case.values, &x, 0, &mut y,
-            );
-            y
-        });
-        prop_assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn csr_laplacian_matvec_deg_is_bit_exact_across_modes(case in arb_csr()) {
-        let rows = case.offsets.len() - 1;
-        let mut x = case.x.clone();
-        x.resize(x.len().max(rows), 1.0);
-        let degrees: Vec<f64> = (0..rows)
-            .map(|r| case.values[case.offsets[r]..case.offsets[r + 1]].iter().sum())
-            .collect();
-        let (a, b) = both_modes!(|| {
-            let mut y = vec![0.0; rows];
-            kernels::csr_laplacian_matvec_deg(
-                &case.offsets, &case.columns, &case.values, &degrees, &x, 0, &mut y,
             );
             y
         });

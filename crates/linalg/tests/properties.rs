@@ -2,14 +2,26 @@
 //! Jacobi reference on arbitrary symmetric matrices, and Laplacian
 //! spectra must satisfy their structural guarantees.
 
+use mec_graph::{CsrAdjacency, GraphBuilder};
 use mec_linalg::{
-    fiedler_pair, jacobi_eigen, tridiagonal_eigen, CsrMatrix, DenseMatrix, Eigenpair,
-    JacobiOptions, LanczosOptions, LanczosScratch, SymOp,
+    fiedler_pair, jacobi_eigen, tridiagonal_eigen, DenseMatrix, Eigenpair, LanczosOptions,
+    LanczosScratch, SymOp,
 };
 use proptest::prelude::*;
 
+/// The Laplacian of an edge list over `n` nodes, as the pipeline's CSR
+/// snapshot.
+fn laplacian(n: usize, edges: &[(usize, usize, f64)]) -> CsrAdjacency {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<_> = (0..n).map(|_| b.add_node(1.0)).collect();
+    for &(u, v, w) in edges {
+        b.add_edge(ids[u], ids[v], w).unwrap();
+    }
+    CsrAdjacency::build(&b.build())
+}
+
 /// The Fiedler pair of `l`, with a fresh scratch arena and no telemetry.
-fn fiedler(l: &CsrMatrix, opts: &LanczosOptions) -> Eigenpair {
+fn fiedler(l: &CsrAdjacency, opts: &LanczosOptions) -> Eigenpair {
     fiedler_pair(l, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
         .expect("a connected Laplacian has a Fiedler pair")
 }
@@ -63,7 +75,7 @@ proptest! {
     #[test]
     fn jacobi_reproduces_trace_and_residuals(m in arb_symmetric()) {
         let n = m.dim();
-        let (vals, vecs) = jacobi_eigen(&m, &JacobiOptions::default()).unwrap();
+        let (vals, vecs) = jacobi_eigen(&m).unwrap();
         let trace: f64 = (0..n).map(|i| m.get(i, i)).sum();
         prop_assert!((vals.iter().sum::<f64>() - trace).abs() < 1e-7 * (1.0 + trace.abs()));
         for (lam, v) in vals.iter().zip(&vecs) {
@@ -76,8 +88,8 @@ proptest! {
 
     #[test]
     fn laplacian_lambda1_is_zero_and_lambda2_nonnegative((n, edges) in arb_graph_edges()) {
-        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
-        prop_assert!(l.is_symmetric());
+        let l = laplacian(n, &edges);
+        prop_assert!(DenseMatrix::from_op(&l).is_symmetric(0.0));
         let pair = fiedler(&l, &LanczosOptions::default());
         // connected backbone graph: lambda2 strictly positive
         prop_assert!(pair.value > 1e-9, "lambda2 = {}", pair.value);
@@ -88,9 +100,9 @@ proptest! {
 
     #[test]
     fn lanczos_agrees_with_jacobi_on_dense((n, edges) in arb_graph_edges()) {
-        let l = CsrMatrix::laplacian_from_edges(n, &edges).unwrap();
+        let l = laplacian(n, &edges);
         let dense = DenseMatrix::from_op(&l);
-        let (jvals, _) = jacobi_eigen(&dense, &JacobiOptions::default()).unwrap();
+        let (jvals, _) = jacobi_eigen(&dense).unwrap();
         let iter_opts = LanczosOptions { dense_cutoff: 0, ..LanczosOptions::default() };
         let pair = fiedler(&l, &iter_opts);
         prop_assert!((pair.value - jvals[1]).abs() < 1e-6,
@@ -111,7 +123,7 @@ proptest! {
                 dense.set(i + 1, i, off[i]);
             }
         }
-        let (jvals, _) = jacobi_eigen(&dense, &JacobiOptions::default()).unwrap();
+        let (jvals, _) = jacobi_eigen(&dense).unwrap();
         for (a, b) in t.values.iter().zip(&jvals) {
             prop_assert!((a - b).abs() < 1e-8, "tql2 {a} vs jacobi {b}");
         }

@@ -1,6 +1,5 @@
 //! Fiedler-vector bipartitioning.
 
-use crate::laplacian::CsrLaplacian;
 use crate::{CutScratch, SpectralError};
 use mec_engine::{Cluster, ParallelLaplacian};
 use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
@@ -89,9 +88,10 @@ impl SpectralBisector {
     /// Fig. 9. Only graphs above the eigensolver's dense cutoff
     /// ([`LanczosOptions::dense_cutoff`]) go to the cluster: at or
     /// below it no product is iterated, so the serial operator builds
-    /// the dense matrix. The two operators produce bit-identical
-    /// products (same row contents, same accumulation order), so the
-    /// choice changes wall-time only, never the cut.
+    /// the dense matrix. The cluster operator applies row blocks of the
+    /// same [`CsrAdjacency`] snapshot with the same kernel, so its
+    /// products are bit-identical to the serial ones and the choice
+    /// changes wall-time only, never the cut.
     pub fn with_cluster(mut self, cluster: Arc<Cluster>, blocks: usize) -> Self {
         self.cluster = Some((cluster, blocks.max(1)));
         self
@@ -177,9 +177,9 @@ impl SpectralBisector {
         }
         // At or below the dense cutoff the eigensolver densifies the
         // operator instead of iterating it, so only larger graphs can
-        // amortise the cluster's stage round-trips; the two operators
-        // produce bit-identical products, so this is purely a
-        // wall-time decision.
+        // amortise the cluster's stage round-trips; the cluster applies
+        // the snapshot's own rows with its own kernel, so this is
+        // purely a wall-time decision.
         let cluster = self
             .cluster
             .as_ref()
@@ -188,16 +188,11 @@ impl SpectralBisector {
             value: fiedler_value,
             vector: mut fiedler_vector,
         } = if let Some((cluster, blocks)) = cluster {
-            let edges: Vec<(usize, usize, f64)> = g
-                .edges()
-                .map(|e| (e.source.index(), e.target.index(), e.weight))
-                .collect();
-            let l = ParallelLaplacian::from_edges(Arc::clone(cluster), n, &edges, *blocks)
+            let l = ParallelLaplacian::from_csr(Arc::clone(cluster), &scratch.csr, *blocks)
                 .expect("block count is at least 1");
             fiedler_pair(&l, &self.lanczos, sink, &mut scratch.lanczos)?
         } else {
-            let l = CsrLaplacian::new(&scratch.csr);
-            fiedler_pair(&l, &self.lanczos, sink, &mut scratch.lanczos)?
+            fiedler_pair(&scratch.csr, &self.lanczos, sink, &mut scratch.lanczos)?
         };
         canonicalize_sign(&mut fiedler_vector);
         let CutScratch {

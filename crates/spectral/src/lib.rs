@@ -6,10 +6,11 @@
 //! graph Laplacian `L = D − A` belonging to the second-smallest
 //! eigenvalue (the *Fiedler pair*). This crate implements that step:
 //!
-//! - [`GraphLaplacian`] — a serial [`SymOp`](mec_linalg::SymOp) view of
-//!   a graph's Laplacian;
-//! - [`SpectralBisector`] — computes the Fiedler pair (serially, or on
-//!   a [`mec_engine::Cluster`] the way the paper uses Spark) and splits
+//! - [`SpectralBisector`] — snapshots a graph's Laplacian as a
+//!   [`mec_graph::CsrAdjacency`] (the one [`SymOp`](mec_linalg::SymOp)
+//!   every eigen-solve multiplies by), computes its Fiedler pair
+//!   (serially, or with row blocks of the snapshot on a
+//!   [`mec_engine::Cluster`] the way the paper uses Spark) and splits
 //!   the node set by [`SplitRule`];
 //! - [`theory`] — executable forms of the paper's Theorem 2 identity,
 //!   used by tests and documentation.
@@ -39,12 +40,10 @@
 #![warn(missing_docs)]
 
 mod bisect;
-mod laplacian;
 mod scratch;
 pub mod theory;
 
 pub use bisect::{SpectralBisector, SpectralCut, SplitRule};
-pub use laplacian::{CsrLaplacian, GraphLaplacian};
 pub use scratch::CutScratch;
 
 use std::error::Error;

@@ -12,9 +12,8 @@
 //! both sides of the Theorem 2 identity so tests — and downstream users
 //! — can check them on any graph.
 
-use crate::GraphLaplacian;
-use mec_graph::{Bipartition, Graph, Side};
-use mec_linalg::{largest_eigenpair, PowerOptions, SymOp};
+use mec_graph::{Bipartition, CsrAdjacency, Graph, Side};
+use mec_linalg::{largest_eigenpair, SymOp};
 
 /// Builds the paper's indicator vector: `d1` on [`Side::Local`] nodes,
 /// `d2` on [`Side::Remote`] nodes.
@@ -38,7 +37,7 @@ pub fn indicator_vector(g: &Graph, cut: &Bipartition, d1: f64, d2: f64) -> Vec<f
 ///
 /// Panics if `q.len() != g.node_count()`.
 pub fn quadratic_form(g: &Graph, q: &[f64]) -> f64 {
-    let l = GraphLaplacian::new(g);
+    let l = CsrAdjacency::build(g);
     let mut y = vec![0.0; q.len()];
     l.apply(q, &mut y);
     q.iter().zip(&y).map(|(a, b)| a * b).sum()
@@ -74,9 +73,8 @@ pub fn cut_via_laplacian(g: &Graph, cut: &Bipartition, d1: f64, d2: f64) -> f64 
 /// Panics if `g` is empty or the power iteration fails to converge
 /// (practically impossible on finite Laplacians).
 pub fn cut_bracket(g: &Graph) -> (f64, f64) {
-    let l = GraphLaplacian::new(g);
-    let top = largest_eigenpair(&l, &PowerOptions::default())
-        .expect("Laplacian power iteration converges");
+    let top =
+        largest_eigenpair(&CsrAdjacency::build(g)).expect("Laplacian power iteration converges");
     (0.0, top.value)
 }
 

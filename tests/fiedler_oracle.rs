@@ -13,11 +13,10 @@
 //!   whose quotients have 20–40 nodes; the ones above the cutoff of 32
 //!   take the iterative solve.
 
-use copmecs::graph::Graph;
+use copmecs::graph::CsrAdjacency;
 use copmecs::labelprop::{CompressionConfig, Compressor};
 use copmecs::linalg::{
-    fiedler_pair, householder_eigen, CsrMatrix, DenseMatrix, Eigenpair, LanczosOptions,
-    LanczosScratch, SymOp,
+    fiedler_pair, householder_eigen, DenseMatrix, Eigenpair, LanczosOptions, LanczosScratch, SymOp,
 };
 use copmecs::netgen::NetgenSpec;
 use copmecs::obs::NullSink;
@@ -29,7 +28,7 @@ fn quotient_laplacians(
     edges: usize,
     components: Option<usize>,
     seeds: &[u64],
-) -> Vec<CsrMatrix> {
+) -> Vec<CsrAdjacency> {
     let compressor = Compressor::new(CompressionConfig::default());
     let mut out = Vec::new();
     for &seed in seeds {
@@ -39,22 +38,14 @@ fn quotient_laplacians(
         }
         let g = spec.generate().expect("generable workload");
         for comp in compressor.compress(&g).components {
-            out.push(laplacian(comp.quotient.graph()));
+            out.push(CsrAdjacency::build(comp.quotient.graph()));
         }
     }
     out
 }
 
-fn laplacian(g: &Graph) -> CsrMatrix {
-    let triples: Vec<(usize, usize, f64)> = g
-        .edges()
-        .map(|e| (e.source.index(), e.target.index(), e.weight))
-        .collect();
-    CsrMatrix::laplacian_from_edges(g.node_count(), &triples).expect("valid laplacian")
-}
-
 /// `‖L v − λ v‖` of `pair`.
-fn residual(l: &CsrMatrix, pair: &Eigenpair) -> f64 {
+fn residual(l: &CsrAdjacency, pair: &Eigenpair) -> f64 {
     let mut y = vec![0.0; l.dim()];
     l.apply(&pair.vector, &mut y);
     y.iter()
@@ -67,7 +58,7 @@ fn residual(l: &CsrMatrix, pair: &Eigenpair) -> f64 {
 /// Checks the iterative Fiedler pair of every Laplacian above the
 /// dense cutoff against the dense solve, and returns how many it
 /// checked.
-fn check_against_dense(laplacians: &[CsrMatrix]) -> usize {
+fn check_against_dense(laplacians: &[CsrAdjacency]) -> usize {
     let opts = LanczosOptions::default();
     let mut scratch = LanczosScratch::new();
     let mut checked = 0;
@@ -94,9 +85,9 @@ fn check_against_dense(laplacians: &[CsrMatrix]) -> usize {
         // tolerance; the true residual adds rounding to it
         let r = residual(l, &pair);
         assert!(
-            r <= 2.0 * opts.tolerance,
+            r <= 2.0 * LanczosOptions::TOLERANCE,
             "{n} nodes: ‖Lv − λv‖ = {r} against a tolerance of {}",
-            opts.tolerance
+            LanczosOptions::TOLERANCE
         );
         checked += 1;
     }
@@ -109,7 +100,7 @@ fn solve_shaped_quotients_match_the_dense_fiedler_pair() {
     let laplacians = quotient_laplacians(2_000, 9_578, Some(2), &[1, 2]);
     // a component can compress to a handful of nodes, which the dense
     // path cuts; the rest are the large quotients the solve is for
-    let large: Vec<CsrMatrix> = laplacians.into_iter().filter(|l| l.dim() > 32).collect();
+    let large: Vec<CsrAdjacency> = laplacians.into_iter().filter(|l| l.dim() > 32).collect();
     assert!(large.iter().all(|l| l.dim() > 200), "quotients too small");
     assert_eq!(check_against_dense(&large), large.len());
     assert!(large.len() >= 4, "only {} large quotients", large.len());
