@@ -167,7 +167,7 @@ impl GraphBuilder {
     }
 }
 
-fn validate_weight(weight: f64) -> Result<(), GraphError> {
+pub(crate) fn validate_weight(weight: f64) -> Result<(), GraphError> {
     if !weight.is_finite() {
         Err(GraphError::NonFiniteWeight(weight))
     } else if weight < 0.0 {

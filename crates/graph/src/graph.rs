@@ -1,5 +1,6 @@
 //! The weighted undirected function data-flow graph.
 
+use crate::builder::validate_weight;
 use crate::{EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -59,42 +60,74 @@ pub(crate) struct EdgeData {
 /// *Edges* carry the amount of data exchanged between the two functions.
 ///
 /// Graphs are constructed through [`GraphBuilder`](crate::GraphBuilder),
-/// which validates weights and edge endpoints; once built, the structure
-/// is immutable except for node weights and offloadability flags.
+/// which validates weights and edge endpoints, or deserialized under
+/// the same rules; once built, the structure is immutable except for
+/// node weights and offloadability flags.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "GraphRepr", into = "GraphRepr")]
+#[serde(try_from = "GraphRepr", into = "GraphRepr")]
 pub struct Graph {
     node_weights: Vec<f64>,
     offloadable: Vec<bool>,
     edges: Vec<EdgeData>,
-    adjacency: Vec<Vec<NeighborRef>>,
+    /// Node `n`'s adjacency is `neighbors[offsets[n]..offsets[n + 1]]`,
+    /// in edge-insertion order.
+    offsets: Vec<usize>,
+    neighbors: Vec<NeighborRef>,
 }
 
 impl Graph {
+    /// Assembles a graph from parts that already obey the builder's
+    /// rules (in-range endpoints, no self-loop, no repeated pair, valid
+    /// weights), filling the flat adjacency in one counting pass.
     pub(crate) fn from_parts(
         node_weights: Vec<f64>,
         offloadable: Vec<bool>,
         edges: Vec<EdgeData>,
     ) -> Self {
         debug_assert_eq!(node_weights.len(), offloadable.len());
-        let mut adjacency = vec![Vec::new(); node_weights.len()];
-        for (i, e) in edges.iter().enumerate() {
-            let id = EdgeId::new(i);
-            adjacency[e.a.index()].push(NeighborRef {
-                node: e.b,
-                edge: id,
-            });
-            adjacency[e.b.index()].push(NeighborRef {
-                node: e.a,
-                edge: id,
-            });
+        let n = node_weights.len();
+        // offsets[v + 1] counts v's incident edges, then (prefix sums)
+        // ends v's run of entries
+        let mut offsets = vec![0usize; n + 1];
+        for e in &edges {
+            offsets[e.a.index() + 1] += 1;
+            offsets[e.b.index() + 1] += 1;
         }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // fill in edge order, with offsets[v] as v's cursor: each list
+        // then holds its edges in insertion order, and every cursor
+        // ends where the next run starts
+        let placeholder = NeighborRef {
+            node: NodeId::default(),
+            edge: EdgeId::default(),
+        };
+        let mut neighbors = vec![placeholder; 2 * edges.len()];
+        for (i, e) in edges.iter().enumerate() {
+            let edge = EdgeId::new(i);
+            neighbors[offsets[e.a.index()]] = NeighborRef { node: e.b, edge };
+            offsets[e.a.index()] += 1;
+            neighbors[offsets[e.b.index()]] = NeighborRef { node: e.a, edge };
+            offsets[e.b.index()] += 1;
+        }
+        // each cursor now sits at its run's end: shift them back to
+        // starts
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         Graph {
             node_weights,
             offloadable,
             edges,
-            adjacency,
+            offsets,
+            neighbors,
         }
+    }
+
+    /// Node `n`'s adjacency entries, in edge-insertion order.
+    #[inline]
+    fn adjacency(&self, n: NodeId) -> &[NeighborRef] {
+        &self.neighbors[self.offsets[n.index()]..self.offsets[n.index() + 1]]
     }
 
     /// Number of nodes (functions).
@@ -201,7 +234,7 @@ impl Graph {
     ///
     /// Panics if `n` is out of bounds.
     pub fn neighbors(&self, n: NodeId) -> impl ExactSizeIterator<Item = NeighborRef> + '_ {
-        self.adjacency[n.index()].iter().copied()
+        self.adjacency(n).iter().copied()
     }
 
     /// Number of edges incident to `n`.
@@ -211,7 +244,7 @@ impl Graph {
     /// Panics if `n` is out of bounds.
     #[inline]
     pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency[n.index()].len()
+        self.offsets[n.index() + 1] - self.offsets[n.index()]
     }
 
     /// Sum of weights of the edges incident to `n` (the node's
@@ -222,7 +255,7 @@ impl Graph {
     ///
     /// Panics if `n` is out of bounds.
     pub fn weighted_degree(&self, n: NodeId) -> f64 {
-        self.adjacency[n.index()]
+        self.adjacency(n)
             .iter()
             .map(|nb| self.edge_weight(nb.edge))
             .sum()
@@ -252,7 +285,7 @@ impl Graph {
         } else {
             (b, a)
         };
-        self.adjacency[probe.index()]
+        self.adjacency(probe)
             .iter()
             .find(|nb| nb.node == goal)
             .map(|nb| nb.edge)
@@ -264,9 +297,8 @@ impl Graph {
     pub fn max_degree_node(&self) -> Option<NodeId> {
         (0..self.node_count())
             .max_by(|&a, &b| {
-                self.adjacency[a]
-                    .len()
-                    .cmp(&self.adjacency[b].len())
+                self.degree(NodeId::new(a))
+                    .cmp(&self.degree(NodeId::new(b)))
                     .then(b.cmp(&a))
             })
             .map(NodeId::new)
@@ -284,35 +316,72 @@ impl Graph {
 
     /// Validates internal invariants; used by tests and debug builds.
     ///
-    /// Returns a description of the first violated invariant, if any.
+    /// Returns a description of the first violated invariant, if any:
+    /// a rule the builder enforces (equal node arrays, finite
+    /// non-negative weights, in-range endpoints, no self-loop, no
+    /// repeated node pair) or an adjacency entry that disagrees with
+    /// the edge list.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.node_weights.len() != self.offloadable.len() {
-            return Err("node weight / offloadable length mismatch".into());
-        }
-        if self.adjacency.len() != self.node_weights.len() {
+        check_parts(&self.node_weights, &self.offloadable, &self.edges)?;
+        if self.offsets.len() != self.node_count() + 1
+            || self.offsets[self.node_count()] != self.neighbors.len()
+            || self.neighbors.len() != 2 * self.edge_count()
+        {
             return Err("adjacency length mismatch".into());
         }
+        // the reference order: both endpoints of each edge, edges in
+        // insertion order
         let mut seen = vec![0usize; self.node_count()];
         for (i, e) in self.edges.iter().enumerate() {
-            if e.a.index() >= self.node_count() || e.b.index() >= self.node_count() {
-                return Err(format!("edge {i} has out-of-range endpoint"));
-            }
-            if e.a == e.b {
-                return Err(format!("edge {i} is a self-loop"));
-            }
-            if !e.weight.is_finite() || e.weight < 0.0 {
-                return Err(format!("edge {i} has invalid weight {}", e.weight));
-            }
-            seen[e.a.index()] += 1;
-            seen[e.b.index()] += 1;
-        }
-        for (n, adj) in self.adjacency.iter().enumerate() {
-            if adj.len() != seen[n] {
-                return Err(format!("adjacency list of node {n} is inconsistent"));
+            let edge = EdgeId::new(i);
+            for (at, other) in [(e.a, e.b), (e.b, e.a)] {
+                let slot = self.offsets[at.index()] + seen[at.index()];
+                let expected = NeighborRef { node: other, edge };
+                if slot >= self.offsets[at.index() + 1] || self.neighbors[slot] != expected {
+                    return Err(format!(
+                        "adjacency list of node {} is inconsistent",
+                        at.index()
+                    ));
+                }
+                seen[at.index()] += 1;
             }
         }
         Ok(())
     }
+}
+
+/// The builder's rules over a graph's raw parts: node arrays of equal
+/// length, finite non-negative node and edge weights, in-range
+/// endpoints, no self-loop and no repeated node pair. Returns a
+/// description of the first violation.
+fn check_parts(
+    node_weights: &[f64],
+    offloadable: &[bool],
+    edges: &[EdgeData],
+) -> Result<(), String> {
+    if node_weights.len() != offloadable.len() {
+        return Err("node weight / offloadable length mismatch".into());
+    }
+    for (n, &w) in node_weights.iter().enumerate() {
+        validate_weight(w).map_err(|err| format!("node {n}: {err}"))?;
+    }
+    let n = node_weights.len();
+    let mut pairs = Vec::with_capacity(edges.len());
+    for (i, e) in edges.iter().enumerate() {
+        if e.a.index() >= n || e.b.index() >= n {
+            return Err(format!("edge {i} has out-of-range endpoint"));
+        }
+        if e.a == e.b {
+            return Err(format!("edge {i} is a self-loop"));
+        }
+        validate_weight(e.weight).map_err(|err| format!("edge {i}: {err}"))?;
+        pairs.push((e.a.min(e.b), e.a.max(e.b)));
+    }
+    pairs.sort_unstable();
+    if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+        return Err(format!("edge {}-{} is repeated", w[0].0, w[0].1));
+    }
+    Ok(())
 }
 
 /// Serialisable mirror of [`Graph`] — node arrays plus the edge list.
@@ -323,9 +392,16 @@ struct GraphRepr {
     edges: Vec<EdgeData>,
 }
 
-impl From<GraphRepr> for Graph {
-    fn from(r: GraphRepr) -> Self {
-        Graph::from_parts(r.node_weights, r.offloadable, r.edges)
+/// Deserialization holds the parts to the builder's rules, so every
+/// `Graph` value is valid: the sub-graph constructors copy a parent's
+/// edges without the builder's edge map, which finds no repeated pair
+/// in a valid parent.
+impl TryFrom<GraphRepr> for Graph {
+    type Error = String;
+
+    fn try_from(r: GraphRepr) -> Result<Self, String> {
+        check_parts(&r.node_weights, &r.offloadable, &r.edges)?;
+        Ok(Graph::from_parts(r.node_weights, r.offloadable, r.edges))
     }
 }
 
@@ -461,6 +537,60 @@ mod tests {
         let back: crate::Graph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
         assert_eq!(back.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn deserialization_rejects_what_the_builder_rejects() {
+        // each input breaks one builder rule; the first is well formed
+        let valid = r#"{"node_weights":[1.0,2.0,3.0],"offloadable":[true,true,false],"edges":[{"a":0,"b":1,"weight":1.5},{"a":2,"b":1,"weight":2.0}]}"#;
+        let back: crate::Graph = serde_json::from_str(valid).unwrap();
+        assert_eq!(back.check_invariants(), Ok(()));
+        let malformed = [
+            (
+                "negative node weight",
+                r#"{"node_weights":[1.0,-2.0],"offloadable":[true,true],"edges":[]}"#,
+            ),
+            (
+                "self-loop",
+                r#"{"node_weights":[1.0,2.0],"offloadable":[true,true],"edges":[{"a":1,"b":1,"weight":1.0}]}"#,
+            ),
+            (
+                "repeated pair",
+                r#"{"node_weights":[1.0,2.0],"offloadable":[true,true],"edges":[{"a":0,"b":1,"weight":1.0},{"a":1,"b":0,"weight":3.0}]}"#,
+            ),
+            (
+                "node arrays of different lengths",
+                r#"{"node_weights":[1.0,2.0,3.0],"offloadable":[true,true],"edges":[]}"#,
+            ),
+            (
+                "out-of-range endpoint",
+                r#"{"node_weights":[1.0,2.0],"offloadable":[true,true],"edges":[{"a":0,"b":2,"weight":1.0}]}"#,
+            ),
+            (
+                "negative edge weight",
+                r#"{"node_weights":[1.0,2.0],"offloadable":[true,true],"edges":[{"a":0,"b":1,"weight":-1.0}]}"#,
+            ),
+        ];
+        for (case, json) in malformed {
+            assert!(
+                serde_json::from_str::<crate::Graph>(json).is_err(),
+                "{case} deserialized"
+            );
+        }
+    }
+
+    #[test]
+    fn invariants_cover_node_weights_and_repeated_pairs() {
+        use super::{EdgeData, Graph};
+        let edge = |a: usize, b: usize| EdgeData {
+            a: NodeId::new(a),
+            b: NodeId::new(b),
+            weight: 1.0,
+        };
+        let negative = Graph::from_parts(vec![1.0, -2.0], vec![true; 2], vec![edge(0, 1)]);
+        assert!(negative.check_invariants().is_err());
+        let repeated = Graph::from_parts(vec![1.0; 3], vec![true; 3], vec![edge(0, 1), edge(1, 0)]);
+        assert!(repeated.check_invariants().is_err());
     }
 
     #[test]

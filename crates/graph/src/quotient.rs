@@ -26,7 +26,7 @@ impl NodeGrouping {
     ///
     /// # Panics
     ///
-    /// Panics if `raw` is empty group ids overflow `u32`.
+    /// Panics if group ids overflow `u32`.
     pub fn from_raw(raw: &[usize]) -> Self {
         let mut remap = std::collections::HashMap::new();
         let mut group_of = Vec::with_capacity(raw.len());

@@ -4,7 +4,9 @@
 //! graph (paper Algorithm 1, `componentSplit`); [`Subgraph`] carries the
 //! extracted graph together with the mapping back into the parent.
 
-use crate::{Graph, GraphBuilder, NodeId};
+use crate::builder::validate_weight;
+use crate::graph::EdgeData;
+use crate::{ComponentLabeling, EdgeRef, Graph, GraphBuilder, NodeId};
 
 /// Sentinel marking "not in the subset" in dense parent → local maps.
 const OUTSIDE: u32 = u32::MAX;
@@ -33,7 +35,7 @@ impl Subgraph {
     /// Panics if any entry of `nodes` is out of bounds for `parent`.
     pub fn induced(parent: &Graph, nodes: &[NodeId]) -> Self {
         // dense parent → local map: O(1) lookups with no hashing in the
-        // edge scan, the hot part of component splitting
+        // edge scan
         let mut to_local = vec![OUTSIDE; parent.node_count()];
         let mut to_parent = Vec::with_capacity(nodes.len());
         let mut b = GraphBuilder::with_capacity(nodes.len(), nodes.len());
@@ -60,45 +62,78 @@ impl Subgraph {
         }
     }
 
-    /// Splits `parent` into one sub-graph per connected component,
-    /// ordered by component id.
+    /// Splits the sub-graph of `parent` induced on the nodes `keep`
+    /// accepts into one sub-graph per connected component, with ids
+    /// mapped to `parent`, without building that sub-graph first; a
+    /// `keep` that accepts every node splits `parent` itself.
     ///
-    /// Single-pass: every parent edge is dispatched to its component's
-    /// builder directly (edges never straddle components), so the whole
-    /// split costs `O(V + E)` instead of one full edge scan per
-    /// component. Nodes and edges land in the same order a per-component
-    /// [`Subgraph::induced`] call would produce.
-    pub fn split_components(parent: &Graph) -> Vec<Subgraph> {
-        let labeling = crate::ComponentLabeling::compute(parent);
+    /// Pieces are ordered by component id
+    /// ([`ComponentLabeling::compute_where`] numbers components by
+    /// their smallest node id); each lists its members in ascending
+    /// parent order and its edges in parent edge order, as
+    /// [`Subgraph::induced`] on its members would. `parent` is valid,
+    /// so its edges are distinct and are copied into their pieces with
+    /// no map to merge them; only the per-node and per-edge weight and
+    /// self-loop checks stay. Two passes over the edges count and copy
+    /// them (edges never straddle components), so the split costs
+    /// `O(V + E)` and one exact allocation per piece and array.
+    pub fn split_components_where(parent: &Graph, keep: impl Fn(NodeId) -> bool) -> Vec<Subgraph> {
+        let labeling = ComponentLabeling::compute_where(parent, keep);
         let members = labeling.members();
-        let mut to_local = vec![OUTSIDE; parent.node_count()];
-        let mut builders = Vec::with_capacity(members.len());
+        // local id of each kept node: its rank among its component's
+        // members (left-out nodes are never looked up)
+        let mut to_local = vec![0usize; parent.node_count()];
         for mem in &members {
-            let mut b = GraphBuilder::with_capacity(mem.len(), mem.len());
-            for &p in mem {
-                let local = b
-                    .try_add_node(parent.node_weight(p), parent.is_offloadable(p))
-                    .expect("parent graph holds validated weights");
-                to_local[p.index()] = u32::try_from(local.index()).expect("node index exceeds u32");
+            for (local, p) in mem.iter().enumerate() {
+                to_local[p.index()] = local;
             }
-            builders.push(b);
         }
+        // an edge stays when both endpoints do, and then joins their
+        // common component
+        let component = |e: &EdgeRef| {
+            labeling
+                .component_of(e.source)
+                .filter(|_| labeling.component_of(e.target).is_some())
+        };
+        let mut edge_counts = vec![0usize; members.len()];
         for e in parent.edges() {
-            let c = labeling.component_of(e.source);
-            builders[c]
-                .add_edge(
-                    NodeId::new(to_local[e.source.index()] as usize),
-                    NodeId::new(to_local[e.target.index()] as usize),
-                    e.weight,
-                )
-                .expect("parent edges are validated and distinct");
+            if let Some(c) = component(&e) {
+                edge_counts[c] += 1;
+            }
         }
-        builders
+        let mut edges: Vec<Vec<EdgeData>> =
+            edge_counts.into_iter().map(Vec::with_capacity).collect();
+        for e in parent.edges() {
+            if let Some(c) = component(&e) {
+                assert!(e.source != e.target, "parent graph holds no self-loop");
+                validate_weight(e.weight).expect("parent graph holds validated weights");
+                edges[c].push(EdgeData {
+                    a: NodeId::new(to_local[e.source.index()]),
+                    b: NodeId::new(to_local[e.target.index()]),
+                    weight: e.weight,
+                });
+            }
+        }
+        members
             .into_iter()
-            .zip(members)
-            .map(|(b, mem)| Subgraph {
-                graph: b.build(),
-                to_parent: mem,
+            .zip(edges)
+            .map(|(to_parent, edges)| {
+                let weights = to_parent
+                    .iter()
+                    .map(|&p| {
+                        let weight = parent.node_weight(p);
+                        validate_weight(weight).expect("parent graph holds validated weights");
+                        weight
+                    })
+                    .collect();
+                let offloadable = to_parent
+                    .iter()
+                    .map(|&p| parent.is_offloadable(p))
+                    .collect();
+                Subgraph {
+                    graph: Graph::from_parts(weights, offloadable, edges),
+                    to_parent,
+                }
             })
             .collect()
     }
@@ -147,7 +182,6 @@ impl Subgraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
 
     fn sample() -> Graph {
         // component 0: 0-1-2 path; component 1: 3-4 edge
@@ -195,7 +229,7 @@ mod tests {
     #[test]
     fn split_components_covers_everything() {
         let g = sample();
-        let parts = Subgraph::split_components(&g);
+        let parts = Subgraph::split_components_where(&g, |_| true);
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].node_count(), 3);
         assert_eq!(parts[1].node_count(), 2);

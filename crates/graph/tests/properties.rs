@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn component_split_preserves_totals(g in arb_graph()) {
-        let parts = Subgraph::split_components(&g);
+        let parts = Subgraph::split_components_where(&g, |_| true);
         let nodes: usize = parts.iter().map(Subgraph::node_count).sum();
         let edges: usize = parts.iter().map(|p| p.graph().edge_count()).sum();
         let node_w: f64 = parts.iter().map(|p| p.graph().total_node_weight()).sum();
@@ -65,6 +65,31 @@ proptest! {
         for p in &parts {
             prop_assert!(p.graph().is_connected());
         }
+    }
+
+    #[test]
+    fn split_of_a_subset_is_its_induced_components(g in arb_graph(), mask in proptest::collection::vec(any::<bool>(), 40)) {
+        let keep = |n: NodeId| mask[n.index() % mask.len()];
+        let kept: Vec<NodeId> = g.node_ids().filter(|&n| keep(n)).collect();
+        let pieces = Subgraph::split_components_where(&g, keep);
+        let mut covered = Vec::new();
+        for piece in &pieces {
+            // members ascending; each piece is what its members induce,
+            // and connected
+            let ids = piece.parent_ids();
+            prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(piece.graph(), Subgraph::induced(&g, ids).graph());
+            prop_assert!(piece.graph().is_connected());
+            covered.extend_from_slice(ids);
+        }
+        // pieces come in order of their smallest member and partition
+        // the kept nodes, and no kept edge joins two of them
+        let firsts: Vec<NodeId> = pieces.iter().map(|p| p.parent_of(NodeId::new(0))).collect();
+        prop_assert!(firsts.windows(2).all(|w| w[0] < w[1]));
+        covered.sort();
+        prop_assert_eq!(&covered, &kept);
+        let edges: usize = pieces.iter().map(|p| p.graph().edge_count()).sum();
+        prop_assert_eq!(edges, Subgraph::induced(&g, &kept).graph().edge_count());
     }
 
     #[test]

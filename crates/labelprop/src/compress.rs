@@ -102,28 +102,20 @@ impl Compressor {
     pub fn compress_traced(&self, g: &Graph, sink: &dyn TraceSink) -> CompressionOutcome {
         // line 1: remove unoffloadable functions
         let pinned: Vec<NodeId> = g.node_ids().filter(|&n| !g.is_offloadable(n)).collect();
-        let offloadable: Vec<NodeId> = g.node_ids().filter(|&n| g.is_offloadable(n)).collect();
-        let off_sub = Subgraph::induced(g, &offloadable);
 
         // lines 2–4: split at component boundaries. Components of the
         // *offloadable* graph — pinned-node removal may split an app
-        // component further, which only helps parallelism.
-        let pieces = Subgraph::split_components(off_sub.graph());
+        // component further, which only helps parallelism. Each piece
+        // is built once, straight from `g`, and is the component's
+        // sub-graph.
+        let pieces = Subgraph::split_components_where(g, |n| g.is_offloadable(n));
 
         // lines 5–16: per-component propagation + merge
         let config = &self.config;
-        let process = |piece: &Subgraph| -> CompressedComponent {
-            let labeling = propagate_labels_traced(piece.graph(), config, sink);
-            let grouping = merge_grouping(piece.graph(), &labeling.labels);
-            let quotient = QuotientGraph::contract(piece.graph(), grouping);
-            // remap the piece's nodes to the original graph through the
-            // offloadable sub-graph
-            let parents: Vec<NodeId> = piece
-                .parent_ids()
-                .iter()
-                .map(|&mid| off_sub.parent_of(mid))
-                .collect();
-            let subgraph = Subgraph::induced(g, &parents);
+        let process = |subgraph: Subgraph| -> CompressedComponent {
+            let labeling = propagate_labels_traced(subgraph.graph(), config, sink);
+            let grouping = merge_grouping(subgraph.graph(), &labeling.labels);
+            let quotient = QuotientGraph::contract(subgraph.graph(), grouping);
             CompressedComponent {
                 subgraph,
                 quotient,
@@ -131,25 +123,34 @@ impl Compressor {
             }
         };
         let components: Vec<CompressedComponent> = if config.parallel && pieces.len() > 1 {
+            let process = &process;
             std::thread::scope(|scope| {
                 // the collect is load-bearing: it spawns every worker
                 // before the first join, which is the whole point
                 #[allow(clippy::needless_collect)]
-                let handles: Vec<_> = pieces.iter().map(|p| scope.spawn(|| process(p))).collect();
+                let handles: Vec<_> = pieces
+                    .into_iter()
+                    .map(|p| scope.spawn(move || process(p)))
+                    .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("compression worker panicked"))
                     .collect()
             })
         } else {
-            pieces.iter().map(process).collect()
+            pieces.into_iter().map(process).collect()
         };
 
         let stats = CompressionStats {
             original_nodes: g.node_count(),
             original_edges: g.edge_count(),
-            offloadable_nodes: off_sub.node_count(),
-            offloadable_edges: off_sub.graph().edge_count(),
+            // edges never straddle components, so the pieces hold the
+            // whole offloadable graph
+            offloadable_nodes: components.iter().map(|c| c.subgraph.node_count()).sum(),
+            offloadable_edges: components
+                .iter()
+                .map(|c| c.subgraph.graph().edge_count())
+                .sum(),
             compressed_nodes: components
                 .iter()
                 .map(|c| c.quotient.graph().node_count())

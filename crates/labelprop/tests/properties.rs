@@ -2,9 +2,37 @@
 //! outcome must preserve weights, respect component boundaries, and
 //! merge only what the label rule allows.
 
+use mec_graph::{Graph, QuotientGraph, Subgraph};
 use mec_labelprop::{propagate_labels, CompressionConfig, Compressor, ThresholdRule};
 use mec_netgen::NetgenSpec;
 use proptest::prelude::*;
+
+/// Everything a graph holds, weights as bits: node weights, flags,
+/// edges (endpoints and weight) and each node's neighbour order.
+type Layout = (
+    Vec<u64>,
+    Vec<bool>,
+    Vec<(usize, usize, u64)>,
+    Vec<Vec<(usize, usize)>>,
+);
+
+fn layout(g: &Graph) -> Layout {
+    let ids = || g.node_ids();
+    (
+        ids().map(|n| g.node_weight(n).to_bits()).collect(),
+        ids().map(|n| g.is_offloadable(n)).collect(),
+        g.edges()
+            .map(|e| (e.source.index(), e.target.index(), e.weight.to_bits()))
+            .collect(),
+        ids()
+            .map(|n| {
+                g.neighbors(n)
+                    .map(|nb| (nb.node.index(), nb.edge.index()))
+                    .collect()
+            })
+            .collect(),
+    )
+}
 
 fn arb_spec() -> impl Strategy<Value = mec_graph::Graph> {
     (30usize..120, 1usize..4, 0.0f64..0.5, 0u64..1000).prop_map(|(nodes, comps, pin_frac, seed)| {
@@ -89,6 +117,27 @@ proptest! {
         // pinned + component nodes = all nodes
         let comp_nodes: usize = outcome.components.iter().map(|c| c.subgraph.node_count()).sum();
         prop_assert_eq!(comp_nodes + outcome.pinned.len(), g.node_count());
+    }
+
+    #[test]
+    fn components_are_induced_subgraphs_and_their_contractions(g in arb_spec()) {
+        for parallel in [false, true] {
+            let config = CompressionConfig::default().parallel(parallel);
+            let outcome = Compressor::new(config).compress(&g);
+            for comp in &outcome.components {
+                let sub = comp.subgraph.graph();
+                let induced = Subgraph::induced(&g, comp.subgraph.parent_ids());
+                prop_assert_eq!(induced.parent_ids(), comp.subgraph.parent_ids());
+                prop_assert_eq!(layout(induced.graph()), layout(sub));
+                let contracted = QuotientGraph::contract(sub, comp.quotient.grouping().clone());
+                prop_assert_eq!(contracted.grouping(), comp.quotient.grouping());
+                prop_assert_eq!(layout(contracted.graph()), layout(comp.quotient.graph()));
+                prop_assert_eq!(
+                    contracted.absorbed_weight().to_bits(),
+                    comp.quotient.absorbed_weight().to_bits()
+                );
+            }
+        }
     }
 
     #[test]

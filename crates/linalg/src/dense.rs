@@ -97,6 +97,18 @@ impl DenseMatrix {
         self.data[r * self.dim + c] = v;
     }
 
+    /// The row-major entries.
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The row-major entries, mutably.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Maximum absolute off-diagonal entry.
     pub fn off_diagonal_norm(&self) -> f64 {
         let mut m = 0.0f64;

@@ -8,7 +8,7 @@
 //! dense path of the spectral pipeline uses when the sub-graph is too
 //! big for Jacobi to be pleasant but sparsity is not worth exploiting.
 
-use crate::tridiag::tridiagonal_eigen;
+use crate::tridiag::{ql_sweeps, QlSweeps};
 use crate::{DenseMatrix, LinalgError};
 
 /// Result of a Householder reduction: the tridiagonal entries and the
@@ -25,6 +25,16 @@ pub struct HouseholderReduction {
 
 /// Reduces the symmetric matrix `a` to tridiagonal form.
 ///
+/// Step `k` reflects with a vector `v` whose entries up to `k` are
+/// zero, so each step reads and writes only from `k + 1` on: the
+/// product `m v` and the accumulation into `Q` run over columns
+/// `k + 1..`, and the rank-2 update over the trailing block plus the
+/// sub-diagonal entry `m[k+1][k]` it finishes (on the leading
+/// `(k+1)²` block its deltas are all ±0, and the rest of rows and
+/// columns `..=k` is never read again). Every entry the result reads
+/// gets the same operations in the same order as a sweep over the
+/// whole matrix.
+///
 /// # Errors
 ///
 /// [`LinalgError::DimensionMismatch`] if `a` is not symmetric within
@@ -37,86 +47,113 @@ pub fn householder_tridiagonalize(a: &DenseMatrix) -> Result<HouseholderReductio
             actual: n,
         });
     }
-    // working copy
-    let mut m = a.clone();
+    // row-major working copy: entry (i, j) is m[i * n + j]
+    let mut work = a.clone();
+    let m = work.as_mut_slice();
     let mut q = DenseMatrix::identity(n);
-    let mut diag = vec![0.0; n];
-    let mut off = vec![0.0; n.saturating_sub(1)];
+    let qs = q.as_mut_slice();
+    // the reflector v, and w: first p = beta · m v, then
+    // w = p − (beta/2)(pᵀv) v, both reused across steps
+    let mut v = vec![0.0; n];
+    let mut w = vec![0.0; n];
 
     for k in 0..n.saturating_sub(2) {
         // build the Householder vector annihilating column k below k+1
         let mut x_norm2 = 0.0;
         for i in (k + 1)..n {
-            x_norm2 += m.get(i, k) * m.get(i, k);
+            let x = m[i * n + k];
+            x_norm2 += x * x;
         }
-        let x0 = m.get(k + 1, k);
+        let x0 = m[(k + 1) * n + k];
         let alpha = -x_norm2.sqrt() * if x0 >= 0.0 { 1.0 } else { -1.0 };
         let v0 = x0 - alpha;
-        let mut v = vec![0.0; n];
+        // v[..k] is still zero from earlier steps; v[k] held the last
+        // step's leading entry
+        v[k] = 0.0;
         v[k + 1] = v0;
         for i in (k + 2)..n {
-            v[i] = m.get(i, k);
+            v[i] = m[i * n + k];
         }
         let v_norm2 = v0 * v0 + x_norm2 - x0 * x0;
         if v_norm2 <= f64::EPSILON * (1.0 + x_norm2) {
             continue; // column already tridiagonal
         }
         let beta = 2.0 / v_norm2;
+        let vt = &v[k + 1..];
 
         // m ← H m H with H = I − beta v vᵀ, exploiting symmetry:
         // p = beta · m v;  w = p − (beta/2)(pᵀv) v;
         // m ← m − v wᵀ − w vᵀ
-        let mut p = vec![0.0; n];
-        for i in 0..n {
+        for i in k..n {
             let mut acc = 0.0;
-            for (j, vj) in v.iter().enumerate() {
+            for (mij, vj) in m[i * n + k + 1..(i + 1) * n].iter().zip(vt) {
                 if *vj != 0.0 {
-                    acc += m.get(i, j) * vj;
+                    acc += mij * vj;
                 }
             }
-            p[i] = beta * acc;
+            w[i] = beta * acc;
         }
-        let pv: f64 = p.iter().zip(&v).map(|(a, b)| a * b).sum();
-        let mut w = p;
-        for (wi, vi) in w.iter_mut().zip(&v) {
-            *wi -= 0.5 * beta * pv * vi;
+        let pv: f64 = w[k + 1..].iter().zip(vt).map(|(a, b)| a * b).sum();
+        for i in k..n {
+            w[i] -= 0.5 * beta * pv * v[i];
         }
-        for i in 0..n {
-            for j in 0..n {
-                let delta = v[i] * w[j] + w[i] * v[j];
+        for i in (k + 1)..n {
+            let (vi, wi) = (v[i], w[i]);
+            let row = &mut m[i * n + k + 1..(i + 1) * n];
+            for ((mij, vj), wj) in row.iter_mut().zip(vt).zip(&w[k + 1..]) {
+                let delta = vi * wj + wi * vj;
                 if delta != 0.0 {
-                    m.set(i, j, m.get(i, j) - delta);
+                    *mij -= delta;
                 }
             }
+        }
+        let delta = v[k + 1] * w[k] + w[k + 1] * v[k];
+        if delta != 0.0 {
+            m[(k + 1) * n + k] -= delta;
         }
         // accumulate Q ← Q H
-        for i in 0..n {
+        for row in qs.chunks_exact_mut(n) {
+            let tail = &mut row[k + 1..];
             let mut acc = 0.0;
-            for (j, vj) in v.iter().enumerate() {
+            for (qij, vj) in tail.iter().zip(vt) {
                 if *vj != 0.0 {
-                    acc += q.get(i, j) * vj;
+                    acc += qij * vj;
                 }
             }
             let s = beta * acc;
-            for (j, vj) in v.iter().enumerate() {
+            for (qij, vj) in tail.iter_mut().zip(vt) {
                 if *vj != 0.0 {
-                    q.set(i, j, q.get(i, j) - s * vj);
+                    *qij -= s * vj;
                 }
             }
         }
     }
 
-    for i in 0..n {
-        diag[i] = m.get(i, i);
-        if i + 1 < n {
-            off[i] = m.get(i + 1, i);
-        }
-    }
+    let diagonal = (0..n).map(|i| m[i * n + i]).collect();
+    let off_diagonal = (1..n).map(|i| m[i * n + i - 1]).collect();
     Ok(HouseholderReduction {
-        diagonal: diag,
-        off_diagonal: off,
+        diagonal,
+        off_diagonal,
         q,
     })
+}
+
+/// Householder reduction of `a`, then the implicit-QL sweeps of its
+/// tridiagonal form: every eigenvalue, with the eigenvectors still in
+/// `T`'s basis.
+fn reduce_and_sweep(a: &DenseMatrix) -> Result<(HouseholderReduction, QlSweeps), LinalgError> {
+    let red = householder_tridiagonalize(a)?;
+    let sweeps = ql_sweeps(&red.diagonal, &red.off_diagonal)?;
+    Ok((red, sweeps))
+}
+
+/// An eigenvector of `A` from its coordinates `t` in `T`'s basis:
+/// `Q · t`, one row sum at a time.
+fn back_transform(q: &DenseMatrix, t: &[f64]) -> Vec<f64> {
+    q.as_slice()
+        .chunks_exact(t.len())
+        .map(|row| row.iter().zip(t).map(|(a, b)| a * b).sum())
+        .collect()
 }
 
 /// Full eigendecomposition of a dense symmetric matrix via Householder
@@ -145,19 +182,24 @@ pub fn householder_eigen(a: &DenseMatrix) -> Result<(Vec<f64>, Vec<Vec<f64>>), L
     if n == 0 {
         return Ok((vec![], vec![]));
     }
-    let red = householder_tridiagonalize(a)?;
-    let t = tridiagonal_eigen(&red.diagonal, &red.off_diagonal)?;
-    // eigenvectors of A: Q · (eigenvectors of T)
-    let vectors: Vec<Vec<f64>> = t
-        .vectors
-        .iter()
-        .map(|tv| {
-            (0..n)
-                .map(|i| (0..n).map(|j| red.q.get(i, j) * tv[j]).sum())
-                .collect()
-        })
+    let (red, sweeps) = reduce_and_sweep(a)?;
+    let vectors = (0..n)
+        .map(|k| back_transform(&red.q, sweeps.vector(k)))
         .collect();
-    Ok((t.values, vectors))
+    Ok((sweeps.values, vectors))
+}
+
+/// The `k`-th smallest eigenpair of `a` (counted from 0), by the same
+/// reduction and sweeps as [`householder_eigen`] but back-transforming
+/// only the wanted vector: bit-identical to `householder_eigen`'s
+/// `k`-th value and vector.
+///
+/// # Panics
+///
+/// Panics if `k >= a.dim()`.
+pub(crate) fn householder_pair(a: &DenseMatrix, k: usize) -> Result<(f64, Vec<f64>), LinalgError> {
+    let (red, sweeps) = reduce_and_sweep(a)?;
+    Ok((sweeps.values[k], back_transform(&red.q, sweeps.vector(k))))
 }
 
 #[cfg(test)]

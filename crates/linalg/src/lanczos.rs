@@ -379,20 +379,19 @@ pub fn fiedler_pair<A: SymOp>(
 }
 
 /// The second eigenpair of a dense solve of `op`: Householder + QL for
-/// anything non-trivial, Jacobi's sturdier rotations only for very
-/// small systems where its cost is nil.
+/// anything non-trivial, back-transforming only the returned vector,
+/// and Jacobi's sturdier rotations only for very small systems where
+/// its cost is nil.
 fn dense_fiedler_pair<A: SymOp>(op: &A, sink: &dyn TraceSink) -> Result<Eigenpair, LinalgError> {
     sink.counter_add("lanczos.dense_solves", 1);
     let dense = DenseMatrix::from_op(op);
-    let (values, mut vectors) = if op.dim() <= 8 {
-        jacobi_eigen(&dense)?
+    let (value, vector) = if op.dim() <= 8 {
+        let (values, mut vectors) = jacobi_eigen(&dense)?;
+        (values[1], vectors.swap_remove(1))
     } else {
-        crate::householder_eigen(&dense)?
+        crate::householder::householder_pair(&dense, 1)?
     };
-    Ok(Eigenpair {
-        value: values[1],
-        vector: vectors.swap_remove(1),
-    })
+    Ok(Eigenpair { value, vector })
 }
 
 #[cfg(test)]

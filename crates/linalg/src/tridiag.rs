@@ -6,7 +6,8 @@
 //!
 //! - [`tridiagonal_eigen`] — the classic `tql2` implicit QL with
 //!   shifts: every eigenvalue and eigenvector, `O(m³)`. The dense
-//!   Householder solver runs it on the full reduction.
+//!   Householder solver runs its sweeps on the full reduction and
+//!   copies out only the eigenvectors it returns.
 //! - [`nth_eigenvalue`] — Sturm-sequence bisection for one eigenvalue
 //!   by its rank, `O(m)` per halving of its bracket: what a Lanczos
 //!   convergence checkpoint needs.
@@ -50,6 +51,42 @@ pub struct TridiagonalEigen {
 /// # Ok::<(), mec_linalg::LinalgError>(())
 /// ```
 pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, LinalgError> {
+    let sweeps = ql_sweeps(diag, off)?;
+    let vectors = (0..diag.len()).map(|k| sweeps.vector(k).to_vec()).collect();
+    Ok(TridiagonalEigen {
+        values: sweeps.values,
+        vectors,
+    })
+}
+
+/// What the implicit-QL sweeps leave: every eigenvalue, and every
+/// eigenvector in one flat buffer from which callers copy only the
+/// ones they want.
+pub(crate) struct QlSweeps {
+    /// Eigenvalues in ascending order.
+    pub(crate) values: Vec<f64>,
+    /// `order[k]` is the column of `z` holding the `k`-th eigenvector.
+    order: Vec<usize>,
+    /// The accumulated rotations, one contiguous run of `n` entries
+    /// per column: `z[j * n + i]` is component `i` of column `j`.
+    z: Vec<f64>,
+}
+
+impl QlSweeps {
+    /// The unit eigenvector of `values[k]`, in the basis `T` was given
+    /// in.
+    pub(crate) fn vector(&self, k: usize) -> &[f64] {
+        let n = self.order.len();
+        let j = self.order[k];
+        &self.z[j * n..(j + 1) * n]
+    }
+}
+
+/// The `tql2` implicit QL with shifts behind [`tridiagonal_eigen`]:
+/// the same sweeps and rotations, with the eigenvectors left in one
+/// flat buffer, column by column, so a rotation of columns `i` and
+/// `i + 1` runs over two contiguous slices.
+pub(crate) fn ql_sweeps(diag: &[f64], off: &[f64]) -> Result<QlSweeps, LinalgError> {
     let n = diag.len();
     if n > 0 && off.len() + 1 != n {
         return Err(LinalgError::DimensionMismatch {
@@ -57,10 +94,10 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
             actual: off.len(),
         });
     }
-    // z[i][j]: component i of eigenvector j; start with identity.
-    let mut z = vec![vec![0.0; n]; n];
-    for (i, row) in z.iter_mut().enumerate() {
-        row[i] = 1.0;
+    // column j of z is eigenvector j; start with the identity
+    let mut z = vec![0.0; n * n];
+    for j in 0..n {
+        z[j * n + j] = 1.0;
     }
     let mut d = diag.to_vec();
     // e is shifted: e[i] couples i-1 and i in the classic formulation.
@@ -115,11 +152,14 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // accumulate eigenvectors
-                for row in z.iter_mut() {
-                    let f = row[i + 1];
-                    row[i + 1] = s * row[i] + c * f;
-                    row[i] = c * row[i] - s * f;
+                // accumulate eigenvectors: rotate columns i and i + 1
+                let (left, right) = z.split_at_mut((i + 1) * n);
+                let zi = &mut left[i * n..];
+                let zi1 = &mut right[..n];
+                for (a, b) in zi.iter_mut().zip(zi1.iter_mut()) {
+                    let f = *b;
+                    *b = s * *a + c * f;
+                    *a = c * *a - s * f;
                 }
             }
             if r == 0.0 && m > l + 1 {
@@ -136,15 +176,11 @@ pub fn tridiagonal_eigen(diag: &[f64], off: &[f64]) -> Result<TridiagonalEigen, 
     // dense solves of a crowd and raises its peak resident memory
     drop(e);
 
-    // sort ascending, permute vectors accordingly
+    // sort ascending; the vectors follow through `order`
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("eigenvalues are finite"));
     let values: Vec<f64> = order.iter().map(|&j| d[j]).collect();
-    let vectors: Vec<Vec<f64>> = order
-        .iter()
-        .map(|&j| (0..n).map(|i| z[i][j]).collect())
-        .collect();
-    Ok(TridiagonalEigen { values, vectors })
+    Ok(QlSweeps { values, order, z })
 }
 
 /// Reusable workspaces of [`nth_eigenvalue`] and

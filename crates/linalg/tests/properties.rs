@@ -4,8 +4,8 @@
 
 use mec_graph::{CsrAdjacency, GraphBuilder};
 use mec_linalg::{
-    fiedler_pair, jacobi_eigen, tridiagonal_eigen, DenseMatrix, Eigenpair, LanczosOptions,
-    LanczosScratch, SymOp,
+    fiedler_pair, householder_eigen, jacobi_eigen, tridiagonal_eigen, DenseMatrix, Eigenpair,
+    LanczosOptions, LanczosScratch, SymOp,
 };
 use proptest::prelude::*;
 
@@ -24,6 +24,64 @@ fn laplacian(n: usize, edges: &[(usize, usize, f64)]) -> CsrAdjacency {
 fn fiedler(l: &CsrAdjacency, opts: &LanczosOptions) -> Eigenpair {
     fiedler_pair(l, opts, &mec_obs::NullSink, &mut LanczosScratch::new())
         .expect("a connected Laplacian has a Fiedler pair")
+}
+
+/// SplitMix64: the seeded draws of the deterministic tests below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A connected Laplacian of `n` nodes drawn from `seed`: a random
+/// spanning tree plus about `n` chords, weights spread over three
+/// decades like a compressed quotient's.
+fn seeded_connected_laplacian(n: usize, seed: u64) -> CsrAdjacency {
+    let mut state = seed;
+    let weight =
+        |state: &mut u64| 0.1 * 1000f64.powf((splitmix(state) >> 11) as f64 / (1u64 << 53) as f64);
+    let mut edges = Vec::new();
+    for i in 1..n {
+        let parent = (splitmix(&mut state) % i as u64) as usize;
+        edges.push((parent, i, weight(&mut state)));
+    }
+    for _ in 0..n {
+        let a = (splitmix(&mut state) % n as u64) as usize;
+        let b = (splitmix(&mut state) % n as u64) as usize;
+        if a != b {
+            edges.push((a, b, weight(&mut state)));
+        }
+    }
+    laplacian(n, &edges)
+}
+
+/// Above Jacobi's 8 nodes and up to the default cutoff, `fiedler_pair`
+/// solves densely and back-transforms only the vector it returns; that
+/// pair is bit for bit the second one of the full Householder
+/// decomposition.
+#[test]
+fn dense_fiedler_pair_is_the_second_householder_pair_bit_for_bit() {
+    let opts = LanczosOptions::default();
+    for seed in 0..240u64 {
+        let n = 9 + (seed as usize % 24);
+        assert!(n <= opts.dense_cutoff);
+        let l = seeded_connected_laplacian(n, seed);
+        let pair = fiedler(&l, &opts);
+        let (values, vectors) = householder_eigen(&DenseMatrix::from_op(&l)).unwrap();
+        assert_eq!(
+            pair.value.to_bits(),
+            values[1].to_bits(),
+            "n = {n}, seed {seed}"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&pair.vector),
+            bits(&vectors[1]),
+            "n = {n}, seed {seed}"
+        );
+    }
 }
 
 /// Random symmetric dense matrix of dimension 2..12.

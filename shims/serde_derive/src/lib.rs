@@ -11,7 +11,9 @@
 //! - enums with unit variants (serialised as the variant-name string)
 //!   and single-payload variants (externally tagged:
 //!   `{"Variant": value}`);
-//! - the `#[serde(from = "T", into = "T")]` container attributes.
+//! - the `#[serde(try_from = "T", into = "T")]` container attributes
+//!   (`try_from`'s error becomes the deserialization error through its
+//!   `Display`).
 //!
 //! Generics are intentionally unsupported and rejected with a clear
 //! panic, as no derived type in the workspace is generic.
@@ -57,7 +59,7 @@ struct Item {
     name: String,
     kind: Kind,
     transparent: bool,
-    from_ty: Option<String>,
+    try_from_ty: Option<String>,
     into_ty: Option<String>,
 }
 
@@ -67,7 +69,7 @@ struct Item {
 struct SerdeAttrs {
     default: bool,
     transparent: bool,
-    from_ty: Option<String>,
+    try_from_ty: Option<String>,
     into_ty: Option<String>,
 }
 
@@ -110,7 +112,7 @@ fn parse_serde_args(stream: TokenStream, attrs: &mut SerdeAttrs) {
                     let lit = toks[i + 2].to_string();
                     let ty = lit.trim_matches('"').to_string();
                     match name.as_str() {
-                        "from" => attrs.from_ty = Some(ty),
+                        "try_from" => attrs.try_from_ty = Some(ty),
                         "into" => attrs.into_ty = Some(ty),
                         other => panic!("unsupported serde attribute `{other} = ...`"),
                     }
@@ -200,7 +202,7 @@ fn parse_item(input: TokenStream) -> Item {
         name,
         kind,
         transparent: container_attrs.transparent,
-        from_ty: container_attrs.from_ty,
+        try_from_ty: container_attrs.try_from_ty,
         into_ty: container_attrs.into_ty,
     }
 }
@@ -380,10 +382,10 @@ fn generate_serialize(item: &Item) -> String {
 
 fn generate_deserialize(item: &Item) -> String {
     let name = &item.name;
-    let body = if let Some(from_ty) = &item.from_ty {
+    let body = if let Some(try_from_ty) = &item.try_from_ty {
         format!(
-            "let repr: {from_ty} = ::serde::Deserialize::from_value(v)?;\n\
-             Ok(::core::convert::From::from(repr))"
+            "let repr: {try_from_ty} = ::serde::Deserialize::from_value(v)?;\n\
+             ::core::convert::TryFrom::try_from(repr).map_err(::serde::Error::custom)"
         )
     } else {
         match &item.kind {

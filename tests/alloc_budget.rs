@@ -401,3 +401,30 @@ fn warm_fiedler_cut_allocates_only_its_result() {
         "warm Fiedler cut allocated {warm} times, more than its result"
     );
 }
+
+/// Compressing a Table I Network3 graph (1000 functions, 4912 edges)
+/// builds each component's graph once, straight from the application
+/// graph, into a flat adjacency: a few allocations per component
+/// rather than one or more per node, and no intermediate offloadable
+/// graph or per-component re-induction.
+#[test]
+fn compression_allocations_stay_pinned() {
+    let _guard = measure_lock();
+    let g = NetgenSpec::paper_network(1000, 4912)
+        .generate()
+        .expect("generable workload");
+    // serial, as the benchmark runs it: worker threads would add their
+    // own start-up allocations
+    let compressor = Compressor::new(CompressionConfig::default().parallel(false));
+    let allocations = (0..3)
+        .map(|_| alloc_delta(|| drop(compressor.compress(&g))))
+        .min()
+        .unwrap();
+    // measured: 369 over its 10 components; one more graph build per
+    // component, such as re-inducing it from the application graph,
+    // adds over a hundred
+    assert!(
+        allocations <= 440,
+        "compressing Network3 allocated {allocations} times, more than its 369 and headroom"
+    );
+}
