@@ -108,10 +108,14 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 /// Projects against [`LANES`] basis vectors per pass (classical
 /// Gram–Schmidt within the block, with one fused subtraction sweep),
 /// then one modified Gram–Schmidt step per leftover vector. The
-/// callers in the Lanczos recurrence always orthogonalize twice, which
-/// is the classic "twice is enough" regime where the blocked form is
-/// stable. The block form reads `x` once per four basis vectors
-/// instead of four times, which is where the win comes from.
+/// Lanczos recurrence runs one pass per new direction and repeats it
+/// only when the pass left less than 1/√2 of the norm it started from
+/// (the Daniel–Gragg–Kaufman–Stewart test, Math. Comp. 30(136), 1976):
+/// a pass that keeps that much leaves `x` orthogonal to rounding, and
+/// after a cancelling one the repeat is the classic "twice is enough"
+/// regime where the blocked form is stable. The block form reads `x`
+/// once per four basis vectors instead of four times, which is where
+/// the win comes from.
 ///
 /// # Panics
 ///

@@ -13,14 +13,17 @@
 //! value, by Sturm bisection in `O(m)` per halving, and its vector by
 //! inverse iteration, so a solve stops within 8 steps of the smallest
 //! sufficient dimension. Full re-orthogonalisation keeps the basis
-//! honest, and breakdown restarts the recurrence in a fresh direction,
-//! so a basis that grows to the whole space finds a repeated
-//! eigenvalue's every direction. Before that, a single Krylov sequence
-//! sees a repeated eigenvalue once — the reason the spectral bisector
-//! splits disconnected graphs, whose null value repeats, before
-//! solving.
+//! honest: each new direction takes one Gram–Schmidt pass against the
+//! whole basis, and a second only when the first cancels, by the
+//! Daniel–Gragg–Kaufman–Stewart test (DGKS, Math. Comp. 30(136),
+//! 1976, the rule ARPACK applies). Breakdown restarts the recurrence
+//! in a fresh direction, so a basis that grows to the whole space
+//! finds a repeated eigenvalue's every direction. Before that, a
+//! single Krylov sequence sees a repeated eigenvalue once — the
+//! reason the spectral bisector splits disconnected graphs, whose null
+//! value repeats, before solving.
 
-use crate::kernels::{axpy, dot, normalize, orthogonalize_against};
+use crate::kernels::{axpy, dot, norm, normalize, orthogonalize_against};
 use crate::tridiag::{inverse_iteration, nth_eigenvalue, TridiagScratch};
 use crate::{jacobi_eigen, DenseMatrix, LinalgError, SymOp};
 use mec_obs::{FieldValue, TraceSink};
@@ -38,6 +41,12 @@ const CHECK_STRIDE: usize = 8;
 
 /// Seed of the deterministic pseudo-random start vector.
 const START_SEED: u64 = 0x5eed_c0de;
+
+/// Share of its norm a vector must keep through one Gram–Schmidt pass
+/// for the pass to suffice: 1/√2, the Daniel–Gragg–Kaufman–Stewart
+/// test. Below it the pass cancelled, rounding may have left the
+/// remainder leaning on the basis, and the pass is repeated.
+const DGKS: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// One converged eigenpair.
 #[derive(Debug, Clone)]
@@ -102,6 +111,8 @@ pub struct LanczosScratch {
     seed: u64,
     /// Breakdown restarts of the run in progress.
     restarts: u64,
+    /// Repeated re-orthogonalisation passes of the run in progress.
+    second_passes: u64,
     /// The latest checkpoint's smallest Ritz value.
     value: f64,
     /// Its Ritz vector's coordinates in the Krylov basis.
@@ -135,6 +146,7 @@ impl LanczosScratch {
         self.betas.clear();
         self.seed = START_SEED;
         self.restarts = 0;
+        self.second_passes = 0;
         self.work.clear();
         self.work.resize(n, 0.0);
         self.next.clear();
@@ -147,10 +159,11 @@ impl LanczosScratch {
     /// One three-term step: `A · next` is reduced against the last two
     /// basis vectors and `next` joins the basis. Unless the basis now
     /// holds `cap` vectors, the remainder — its mean removed, then
-    /// re-orthogonalised against the whole basis, twice for stability
-    /// — becomes the next vector; on breakdown the recurrence restarts
-    /// in a fresh random direction orthogonal to the basis and to the
-    /// constant vector. Returns `true` when the basis can grow no
+    /// re-orthogonalised against the whole basis by `reorthogonalize`
+    /// (one pass unless it cancels) — becomes the next vector; on
+    /// breakdown the recurrence restarts in a fresh random direction,
+    /// re-orthogonalised the same way, orthogonal to the basis and to
+    /// the constant vector. Returns `true` when the basis can grow no
     /// further: it holds `cap` vectors or spans the whole space.
     fn step<A: SymOp>(&mut self, op: &A, cap: usize) -> bool {
         op.apply(&self.next, &mut self.work);
@@ -167,8 +180,7 @@ impl LanczosScratch {
             return true;
         }
         remove_mean(&mut self.work);
-        orthogonalize_against(&mut self.work, &self.basis);
-        orthogonalize_against(&mut self.work, &self.basis);
+        self.second_passes += u64::from(reorthogonalize(&mut self.work, &self.basis));
         let beta = normalize(&mut self.work);
         if beta > BREAKDOWN_TOL {
             self.betas.push(beta);
@@ -177,8 +189,7 @@ impl LanczosScratch {
             // invariant subspace exhausted: restart in a fresh direction
             random_unit_vector_into(&mut self.next, &mut self.seed);
             remove_mean(&mut self.next);
-            orthogonalize_against(&mut self.next, &self.basis);
-            orthogonalize_against(&mut self.next, &self.basis);
+            self.second_passes += u64::from(reorthogonalize(&mut self.next, &self.basis));
             if normalize(&mut self.next) <= BREAKDOWN_TOL {
                 return true; // the whole space is spanned
             }
@@ -225,14 +236,19 @@ impl LanczosScratch {
     }
 
     /// Records the finished run's effort on `sink`: the steps run as
-    /// the `lanczos.iterations` counter and histogram sample, and the
-    /// breakdown restarts, if any, as `lanczos.restarts`.
+    /// the `lanczos.iterations` counter and histogram sample, the
+    /// breakdown restarts, if any, as `lanczos.restarts`, and the
+    /// repeated re-orthogonalisation passes, if any, as
+    /// `lanczos.second_passes`.
     fn record(&self, sink: &dyn TraceSink) {
         let steps = self.alphas.len() as u64;
         sink.counter_add("lanczos.iterations", steps);
         sink.histogram_record("lanczos.iterations", steps);
         if self.restarts > 0 {
             sink.counter_add("lanczos.restarts", self.restarts);
+        }
+        if self.second_passes > 0 {
+            sink.counter_add("lanczos.second_passes", self.second_passes);
         }
     }
 }
@@ -253,6 +269,21 @@ pub(crate) fn random_unit_vector_into(v: &mut [f64], seed: &mut u64) {
         *x = (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
     }
     normalize(v);
+}
+
+/// Removes from `v` its components along the orthonormal `basis`: one
+/// Gram–Schmidt pass, repeated only when it kept less than `DGKS` of
+/// the norm `v` started with; after a cancelling pass, a second one
+/// restores orthogonality ("twice is enough"). Returns whether the
+/// pass was repeated.
+fn reorthogonalize(v: &mut [f64], basis: &[Vec<f64>]) -> bool {
+    let before = norm(v);
+    orthogonalize_against(v, basis);
+    if norm(v) >= DGKS * before {
+        return false;
+    }
+    orthogonalize_against(v, basis);
+    true
 }
 
 /// Projects `v` onto the complement of the constant vector.
@@ -555,25 +586,87 @@ mod tests {
 
     #[test]
     fn lanczos_basis_is_orthonormal() {
-        // 25 steps of the recurrence, capped at 25 basis vectors
-        let l = path_laplacian(60);
-        let mut scratch = LanczosScratch::new();
-        scratch.begin(l.dim());
-        while !scratch.step(&l, 25) {}
-        assert_eq!(scratch.alphas.len(), 25);
-        assert_eq!(scratch.betas.len(), 24);
-        for (i, a) in scratch.basis.iter().enumerate() {
+        // 25 steps capped at 25 basis vectors, and full-length runs to
+        // the whole complement of the constant vector (299 steps),
+        // where no convergence test stops the recurrence and any loss
+        // of orthogonality the re-orthogonalisation lets through
+        // accumulates
+        let cases = [
+            ("path", path_laplacian(60), 25),
+            ("ring 3", chorded_ring_laplacian(300, 3), 299),
+            ("ring 8", chorded_ring_laplacian(300, 8), 299),
+        ];
+        for (name, l, cap) in cases {
+            let mut scratch = LanczosScratch::new();
+            scratch.begin(l.dim());
+            while !scratch.step(&l, cap) {}
+            assert_eq!(scratch.alphas.len(), cap, "{name}");
+            assert_eq!(scratch.betas.len(), cap - 1, "{name}");
+            let mut worst_gram = 0.0f64;
             // every vector lies on the complement of the constant one
-            let sum: f64 = a.iter().sum();
-            assert!(sum.abs() < 1e-10, "basis {i} sums to {sum}");
-            for (j, b) in scratch.basis.iter().enumerate() {
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (dot(a, b) - expected).abs() < 1e-8,
-                    "basis {i},{j} not orthonormal"
-                );
+            let mut worst_sum = 0.0f64;
+            for (i, a) in scratch.basis.iter().enumerate() {
+                worst_sum = worst_sum.max(a.iter().sum::<f64>().abs());
+                for (j, b) in scratch.basis.iter().enumerate().skip(i) {
+                    let expected = if i == j { 1.0 } else { 0.0 };
+                    worst_gram = worst_gram.max((dot(a, b) - expected).abs());
+                }
             }
+            assert!(
+                worst_gram <= 1e-13,
+                "{name}: max |VᵀV − I| = {worst_gram:e}"
+            );
+            assert!(worst_sum <= 1e-13, "{name}: max |Σ v| = {worst_sum:e}");
         }
+    }
+
+    /// `k` orthonormal vectors of length `n`, built from seeded random
+    /// vectors.
+    fn orthonormal_basis(n: usize, k: usize, seed: &mut u64) -> Vec<Vec<f64>> {
+        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let mut v = vec![0.0; n];
+            random_unit_vector_into(&mut v, seed);
+            orthogonalize_against(&mut v, &basis);
+            orthogonalize_against(&mut v, &basis);
+            normalize(&mut v);
+            basis.push(v);
+        }
+        basis
+    }
+
+    #[test]
+    fn reorthogonalize_repeats_the_pass_only_when_it_cancels() {
+        let (n, k) = (40, 6);
+        let mut seed = 17;
+        let basis = orthonormal_basis(n, k + 1, &mut seed);
+        // the last vector stands outside the basis the helper sees
+        let (basis, outside) = basis.split_at(k);
+        let outside = &outside[0];
+        let inside = {
+            let mut v = vec![0.0; n];
+            for (i, b) in basis.iter().enumerate() {
+                axpy(1.0 + i as f64, b, &mut v);
+            }
+            normalize(&mut v);
+            v
+        };
+        // 99 % of the norm inside the span: one pass keeps ~14 % of it
+        let mut v: Vec<f64> = inside
+            .iter()
+            .zip(outside)
+            .map(|(a, b)| 0.99 * a + (1.0f64 - 0.99 * 0.99).sqrt() * b)
+            .collect();
+        let input_norm = norm(&v);
+        assert!(reorthogonalize(&mut v, basis), "a cancelling pass repeats");
+        for (i, b) in basis.iter().enumerate() {
+            let leak = dot(&v, b).abs();
+            assert!(leak <= 1e-14 * input_norm, "basis {i}: leak {leak:e}");
+        }
+        // a vector already orthogonal keeps its norm through one pass
+        let mut w = outside.clone();
+        assert!(!reorthogonalize(&mut w, basis), "a clean pass stays single");
+        assert!((norm(&w) - 1.0).abs() < 1e-14);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   snapshot on a cluster;
 //! - [`fiedler_pair`] — the Fiedler-pair solver: one Lanczos
 //!   recurrence with full re-orthogonalisation on the complement of
-//!   the constant vector, checked every 8 steps by Sturm bisection on
-//!   its tridiagonal matrix, or a dense solve for small operators;
+//!   the constant vector (one Gram–Schmidt pass per step, repeated
+//!   only when it cancels, by the Daniel–Gragg–Kaufman–Stewart test),
+//!   checked every 8 steps by Sturm bisection on its tridiagonal
+//!   matrix, or a dense solve for small operators;
 //! - [`tridiagonal_eigen`] — implicit-QL eigensolver for symmetric
 //!   tridiagonal matrices;
 //! - [`jacobi_eigen`] — a dense Jacobi reference solver used for
