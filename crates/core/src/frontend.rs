@@ -9,25 +9,26 @@
 //! what the serial loop would have produced.
 
 use crate::exec::{duration_sample, ExecBackend, ExecCtx};
+use crate::parts::PartTemplate;
 use crate::strategy::CutStrategy;
 use crate::PipelineError;
 use mec_engine::{Cluster, StageError};
-use mec_graph::{Bipartition, Graph};
-use mec_labelprop::{CompressionOutcome, Compressor};
+use mec_graph::Graph;
+use mec_labelprop::{CompressionStats, Compressor};
 use mec_obs::{span, TraceSink};
 use mec_spectral::CutScratch;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One user's prepared front-end: everything
-/// [`PartSystem::add_user`](crate::PartSystem::add_user) needs, plus
-/// the wall-clock time spent producing it.
+/// One graph's prepared front-end: the part template every user of the
+/// graph shares in the part system, the compression statistics, and
+/// the wall-clock time spent producing them.
 #[derive(Debug, Clone)]
 pub(crate) struct FrontEnd {
-    /// The compression outcome (components, stats, pinned nodes).
-    pub outcome: CompressionOutcome,
-    /// One cut per compressed component, in component order.
-    pub cuts: Vec<Bipartition>,
+    /// Table I's compression statistics.
+    pub stats: CompressionStats,
+    /// The parts and components the cuts leave, built once here.
+    pub template: Arc<PartTemplate>,
     /// Time spent compressing this user's graph.
     pub compression: Duration,
     /// Time spent cutting this user's compressed components.
@@ -92,8 +93,8 @@ pub(crate) fn prepare_user_reusing(
     sink.histogram_record("stage.cutting_nanos", duration_sample(cutting));
 
     Ok(FrontEnd {
-        outcome,
-        cuts,
+        stats: outcome.stats,
+        template: Arc::new(PartTemplate::build(graph, &outcome, &cuts)),
         compression,
         cutting,
     })

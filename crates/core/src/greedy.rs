@@ -26,17 +26,27 @@
 //! fewer evaluations, same kind of local optimum.
 //!
 //! A [`Ledger`] carries each user's objective terms from one run to the
-//! next, so a warm start folds them instead of walking every part. The
-//! lazy rescan prices exactly only the users with a part on the server:
-//! under the shared-capacity policies every out-move of an all-local
-//! user obeys one crowd-wide linear bound ([`OutBound`]), which rules
-//! almost all of them out without pricing — usually a whole user at
-//! once, through the bound's value remembered from the last walk of
-//! their parts ([`OutCache`]). The bound skips only candidates whose
-//! gain cannot exceed `EPS`, so the heap — and with it every applied
-//! move — is the same as under an exact rescan.
+//! next, with their crowd-wide sums ([`Totals`]) and the set of users
+//! with a part on the server, so a warm start never walks the crowd:
+//! the local-work sum runs with every churn event and move, the remote
+//! work and transmission are folded over the users with a part on the
+//! server, and a full slot-order refold follows every cold run and
+//! every `crowd`-th warm one.
+//!
+//! The lazy rescan prices exactly only the users with a part on the
+//! server. Under the shared-capacity policies every out-move of an
+//! all-local user obeys one crowd-wide linear bound ([`OutBound`]), and
+//! each out-move's gain falls with the bound's crowd-wide price `D`. So
+//! the users last walked at the same `D` are ruled out together by two
+//! maxima (a [`WalkGroup`]), and a rescan walks only the users whose
+//! bound is unknown — the churned and the moved. When a group fails,
+//! the rescan holds every all-local user to their own remembered bound
+//! ([`OutCache`]) and rebuilds the groups. The bound skips only
+//! candidates whose gain cannot exceed `EPS`, so the heap — and with it
+//! every applied move — is the same as under an exact rescan. FIFO has
+//! no such bound: every rescan prices every user.
 
-use crate::parts::PartSystem;
+use crate::parts::{Part, PartSystem, UserRecords};
 use mec_graph::Side;
 use mec_model::{AllocationPolicy, SystemParams};
 use mec_obs::{FieldValue, TraceSink};
@@ -66,7 +76,7 @@ pub struct GreedyOutcome {
     pub evaluations: usize,
 }
 
-const EPS: f64 = 1e-9;
+pub(crate) const EPS: f64 = 1e-9;
 
 /// How far below `EPS`, relative to `max(1, E + T)`, the out-move bound
 /// must place a candidate before the rescan skips it. Rounding in
@@ -78,15 +88,23 @@ const BOUND_MARGIN: f64 = 1e-9;
 /// can grow it to the size of the crowd.
 const HEAP_KEEP: usize = 1 << 12;
 
-/// What a move relocates.
+/// What a move relocates. Parts and components are numbered within
+/// their user's application, so `(user, index)` orders them as one
+/// index over every user's records in slot order would. Indices are
+/// `u32` so a heap entry stays three words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Target {
-    /// One part.
-    Single(usize),
-    /// Both parts of a component.
-    Pair(usize),
+    /// One part: `(user, part)`.
+    Single(u32, u32),
+    /// Both parts of a component: `(user, component)`.
+    Pair(u32, u32),
     /// Every part of a user.
-    User(usize),
+    User(u32),
+}
+
+/// A user slot, part or component index as a move stores it.
+fn ix(i: usize) -> u32 {
+    u32::try_from(i).expect("user slots and app indices fit u32")
 }
 
 /// A local-search candidate.
@@ -96,33 +114,35 @@ enum Move {
     Home(Target),
     /// Relocate the target onto the server.
     Out(Target),
-    /// Swap which half of a split component is the local one.
-    Swap(usize),
+    /// Swap which half of a split component, `(user, component)`, is
+    /// the local one.
+    Swap(u32, u32),
 }
 
-/// The parts a relocation moves, named without materialising them.
+/// The parts of one user a relocation moves, named without
+/// materialising them.
 #[derive(Debug, Clone, Copy)]
 enum Batch {
     /// One part.
     One(usize),
     /// Both halves of a split component.
     Two(usize, usize),
-    /// Every part of the user currently on the given side.
-    User(usize, Side),
+    /// Every part currently on the given side.
+    All(Side),
 }
 
 impl Batch {
     /// Calls `f` on each part, in ascending order.
-    fn for_each(self, ps: &PartSystem, mut f: impl FnMut(usize)) {
+    fn for_each(self, sides: &[Side], mut f: impl FnMut(usize)) {
         match self {
             Batch::One(i) => f(i),
             Batch::Two(a, b) => {
                 f(a);
                 f(b);
             }
-            Batch::User(u, from) => {
-                for i in ps.parts_of_user(u) {
-                    if ps.side(i) == from {
+            Batch::All(from) => {
+                for (i, &side) in sides.iter().enumerate() {
+                    if side == from {
                         f(i);
                     }
                 }
@@ -130,24 +150,25 @@ impl Batch {
         }
     }
 
-    fn contains(self, ps: &PartSystem, p: usize) -> bool {
+    fn contains(self, sides: &[Side], p: usize) -> bool {
         match self {
             Batch::One(i) => p == i,
             Batch::Two(a, b) => p == a || p == b,
-            Batch::User(u, from) => ps.parts()[p].user == u && ps.side(p) == from,
+            Batch::All(from) => sides[p] == from,
         }
     }
 
     /// Total work, summed in part order.
-    fn work(self, ps: &PartSystem) -> f64 {
-        let work = |i: usize| ps.parts()[i].work;
+    fn work(self, parts: &[Part], sides: &[Side]) -> f64 {
+        let work = |i: usize| parts[i].work;
         match self {
             Batch::One(i) => std::iter::once(work(i)).sum(),
             Batch::Two(a, b) => [work(a), work(b)].into_iter().sum(),
-            Batch::User(u, from) => ps
-                .parts_of_user(u)
-                .filter(|&i| ps.side(i) == from)
-                .map(work)
+            Batch::All(from) => parts
+                .iter()
+                .zip(sides)
+                .filter(|&(_, &side)| side == from)
+                .map(|(p, _)| p.work)
                 .sum(),
         }
     }
@@ -165,10 +186,9 @@ pub(crate) struct UserTerms {
 }
 
 impl UserTerms {
-    /// Derives user `u`'s terms from their parts. A user's parts and
-    /// components are contiguous and ascending, so these are the same
-    /// additions, in the same order, as one walk over the whole part
-    /// system — folding derived terms is bit-identical to that walk.
+    /// Derives user `u`'s terms from their parts, in part and component
+    /// order — the same additions, in the same order, as one walk over
+    /// the user's records.
     pub(crate) fn of(ps: &PartSystem, u: usize, control_overhead: f64) -> Self {
         let (local, remote) = ps.work_split_of_user(u);
         UserTerms {
@@ -179,18 +199,44 @@ impl UserTerms {
     }
 }
 
+/// The crowd-wide sums every price is taken from: sums of the users'
+/// [`UserTerms`] and the count of users whose remote work exceeds
+/// `EPS`.
+///
+/// Between runs, `rw`, `tv` and `offloaders` are folded over the users
+/// with a part on the server, in slot order. Every other user's remote
+/// work and transmission are exactly zero, so those are the bits of a
+/// fold over the whole crowd. `lw` runs: churn and moves add to it, and
+/// only a [`refold`](Ledger::refold) sums it afresh.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Totals {
+    /// Work executed on the device, pinned functions included.
+    pub(crate) lw: f64,
+    /// Work executed on the server.
+    pub(crate) rw: f64,
+    /// Data crossing the cut, control overhead included.
+    pub(crate) tv: f64,
+    /// Users with remote work above `EPS`: the sharers the greedy
+    /// prices.
+    pub(crate) offloaders: usize,
+}
+
 /// What a rescan knows about one user without walking their parts: how
 /// many are on the server and, while that is none, a bound on every
 /// out-move's gain remembered from the last walk.
 ///
 /// With `D = A − (k+1)/C` (see [`OutBound`]), each out-move gains
-/// `g(D) = w·D − τ·B` before the surcharge, so between walks
-/// `g(D) ≤ best + work_max·|D − at|` for every move, where `best` is the
-/// largest `g(at)`. Any relocation of the user's parts clears the bound.
+/// `g(D) = w·D − τ·B` before the surcharge, which falls as `D` falls.
+/// So between walks `g(D) ≤ best` while `D ≤ at`, and
+/// `g(D) ≤ best + work_max·(D − at)` above it, where `best` is the
+/// largest `g(at)`. Any relocation of the user's parts clears the
+/// bound.
 #[derive(Debug, Clone, Copy)]
 struct OutCache {
     /// Parts on the server.
     remote_parts: u32,
+    /// Whether the user counts in the [`WalkGroup`] at `at`.
+    grouped: bool,
     /// Largest `w·D − τ·B` over the out-moves at `D = at`.
     best: f64,
     /// Largest and smallest work an out-move ships.
@@ -204,8 +250,9 @@ impl OutCache {
     /// Counts user `u`'s remote parts; the bound starts unknown.
     fn of(ps: &PartSystem, u: usize) -> Self {
         let remote_parts = ps
-            .parts_of_user(u)
-            .filter(|&i| ps.side(i) == Side::Remote)
+            .sides_of(u)
+            .iter()
+            .filter(|&&side| side == Side::Remote)
             .count();
         OutCache {
             remote_parts: u32::try_from(remote_parts).expect("part count fits u32"),
@@ -215,6 +262,7 @@ impl OutCache {
 
     const UNKNOWN: OutCache = OutCache {
         remote_parts: 0,
+        grouped: false,
         best: f64::NEG_INFINITY,
         work_max: 0.0,
         work_min: f64::INFINITY,
@@ -222,18 +270,120 @@ impl OutCache {
     };
 }
 
+/// The most `w·d − τ·B` any out-move can reach at `d`, for moves whose
+/// largest value at `at` was `best` and whose work is at most
+/// `work_max`; NaN when `at` is.
+fn reach(best: f64, work_max: f64, at: f64, d: f64) -> f64 {
+    if at >= d {
+        best
+    } else {
+        best + work_max * (d - at)
+    }
+}
+
+/// The all-local users last walked at one `D = at` whose bound rules
+/// them out as a whole: the largest `best` and `work_max` among them
+/// bound every member's out-moves at once. Members that since moved or
+/// churned are only uncounted, so the maxima may overstate the rest —
+/// which costs a rebuild, never a missed candidate.
+#[derive(Debug, Clone, Copy)]
+struct WalkGroup {
+    at: f64,
+    best: f64,
+    work_max: f64,
+    members: usize,
+}
+
+/// A set of user slots with `O(1)` insertion and removal, iterated in
+/// no particular order.
+#[derive(Debug, Default)]
+struct SlotSet {
+    members: Vec<usize>,
+    /// Per slot: its index in `members`, or `usize::MAX` when absent.
+    index: Vec<usize>,
+}
+
+impl SlotSet {
+    /// Opens a slot, absent.
+    fn push_slot(&mut self) {
+        self.index.push(usize::MAX);
+    }
+
+    fn insert(&mut self, u: usize) {
+        if self.index[u] == usize::MAX {
+            self.index[u] = self.members.len();
+            self.members.push(u);
+        }
+    }
+
+    fn remove(&mut self, u: usize) {
+        let k = std::mem::replace(&mut self.index[u], usize::MAX);
+        if k != usize::MAX {
+            self.members.swap_remove(k);
+            if let Some(&moved) = self.members.get(k) {
+                self.index[moved] = k;
+            }
+        }
+    }
+
+    /// Puts the members in ascending order.
+    fn sort(&mut self) {
+        self.members.sort_unstable();
+        for (k, &u) in self.members.iter().enumerate() {
+            self.index[u] = k;
+        }
+    }
+
+    /// Drops slot `u`, shifting later slots down: `O(members)`.
+    fn remove_slot(&mut self, u: usize) {
+        self.remove(u);
+        self.index.remove(u);
+        for m in &mut self.members {
+            if *m > u {
+                *m -= 1;
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn contains(&self, u: usize) -> bool {
+        self.index[u] != usize::MAX
+    }
+}
+
 /// The greedy's bookkeeping kept between runs over one part system:
 /// every user's [`UserTerms`] and [`OutCache`] for the sides the last
-/// run left, plus the buffers a run works in. Slot `u` is part-system
-/// user `u`; callers keep the two aligned through
+/// run left, their crowd-wide [`Totals`], who has a part on the server,
+/// the rescan's walk groups, and the buffers a run works in. Slot `u`
+/// is part-system user `u`; callers keep the two aligned through
 /// [`remove_user`](Self::remove_user) and [`add_user`](Self::add_user).
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     terms: Vec<UserTerms>,
     outs: Vec<OutCache>,
-    /// Remote work per user, kept current during a run (to track the
-    /// offloader count).
+    /// Remote work per user: `terms[u].remote` between runs, kept
+    /// current by a run's moves (to track the offloader count).
     rw_user: Vec<f64>,
+    /// Sums over `terms`: `lw` refolded in slot order by
+    /// [`refold`](Self::refold) and running since, the rest folded over
+    /// the sharers at the start and end of every run.
+    totals: Totals,
+    /// Runs since the last refold.
+    runs_since_refold: usize,
+    /// The users with a part on the server.
+    remote: SlotSet,
+    /// Walk groups, one per walk point; valid only while
+    /// `groups_valid`.
+    groups: Vec<WalkGroup>,
+    /// Whether every all-local user is either grouped or listed in
+    /// `loose`.
+    groups_valid: bool,
+    /// All-local users no group covers: unknown bounds, and bounds that
+    /// do not rule the user out. May repeat, and may name users who
+    /// since went remote.
+    loose: Vec<usize>,
+    /// Scratch: the loose users a rescan visits.
+    visiting: Vec<usize>,
     /// Users a run relocated parts of: unsorted and repeating while it
     /// runs, ascending and distinct after.
     moved: Vec<usize>,
@@ -242,23 +392,135 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// A ledger with every user of `ps` derived.
+    /// A ledger with every user of `ps` derived and the totals folded.
     pub(crate) fn new(ps: &PartSystem, params: &SystemParams) -> Self {
-        let users = 0..ps.user_count();
-        Ledger {
-            terms: users
-                .clone()
-                .map(|u| UserTerms::of(ps, u, params.control_overhead))
-                .collect(),
-            outs: users.map(|u| OutCache::of(ps, u)).collect(),
-            ..Ledger::default()
+        let mut ledger = Ledger::default();
+        for u in 0..ps.user_count() {
+            let terms = UserTerms::of(ps, u, params.control_overhead);
+            let out = OutCache::of(ps, u);
+            ledger.terms.push(terms);
+            ledger.rw_user.push(terms.remote);
+            ledger.remote.push_slot();
+            if out.remote_parts > 0 {
+                ledger.remote.insert(u);
+            }
+            ledger.outs.push(out);
+        }
+        ledger.refold();
+        ledger
+    }
+
+    /// Re-derives user `u` from their parts, moving the local-work
+    /// total by the difference.
+    fn derive(&mut self, ps: &PartSystem, u: usize, control_overhead: f64) {
+        let terms = UserTerms::of(ps, u, control_overhead);
+        self.totals.lw += terms.local - self.terms[u].local;
+        self.terms[u] = terms;
+        self.rw_user[u] = terms.remote;
+        let remote_parts = OutCache::of(ps, u).remote_parts;
+        self.reset_out(u, remote_parts);
+    }
+
+    /// Refolds every total from the per-user terms, in slot order.
+    fn refold(&mut self) {
+        let mut lw = 0.0;
+        for (t, rw) in self.terms.iter().zip(&mut self.rw_user) {
+            lw += t.local;
+            *rw = t.remote;
+        }
+        self.totals.lw = lw;
+        self.fold_sharers();
+        self.runs_since_refold = 0;
+    }
+
+    /// Folds the remote work, transmission and offloader count over the
+    /// users with a part on the server, in slot order: `O(k log k)` for
+    /// `k` such users.
+    fn fold_sharers(&mut self) {
+        self.remote.sort();
+        let (mut rw, mut tv) = (0.0, 0.0);
+        for &u in &self.remote.members {
+            rw += self.terms[u].remote;
+            tv += self.terms[u].tx;
+        }
+        self.totals.rw = rw;
+        self.totals.tv = tv;
+        self.totals.offloaders = self
+            .remote
+            .members
+            .iter()
+            .filter(|&&u| self.rw_user[u] > EPS)
+            .count();
+    }
+
+    /// Marks user `u`'s bound unknown after their sides changed, now
+    /// with `remote_parts` on the server.
+    fn reset_out(&mut self, u: usize, remote_parts: u32) {
+        self.ungroup(u);
+        self.outs[u] = OutCache {
+            remote_parts,
+            ..OutCache::UNKNOWN
+        };
+        if remote_parts == 0 {
+            self.remote.remove(u);
+            self.loose.push(u);
+        } else {
+            self.remote.insert(u);
         }
     }
 
-    /// Re-derives user `u` from their parts.
-    fn derive(&mut self, ps: &PartSystem, u: usize, control_overhead: f64) {
-        self.terms[u] = UserTerms::of(ps, u, control_overhead);
-        self.outs[u] = OutCache::of(ps, u);
+    /// Counts user `u` in the group of their walk point.
+    fn group(&mut self, u: usize) {
+        let out = &mut self.outs[u];
+        debug_assert!(!out.grouped, "user {u} is grouped twice");
+        out.grouped = true;
+        let (at, best, work_max) = (out.at, out.best, out.work_max);
+        match self
+            .groups
+            .iter_mut()
+            .find(|g| g.at.to_bits() == at.to_bits())
+        {
+            Some(g) => {
+                g.best = g.best.max(best);
+                g.work_max = g.work_max.max(work_max);
+                g.members += 1;
+            }
+            None => self.groups.push(WalkGroup {
+                at,
+                best,
+                work_max,
+                members: 1,
+            }),
+        }
+    }
+
+    /// Uncounts user `u` from their group, if they are in one.
+    fn ungroup(&mut self, u: usize) {
+        let out = &mut self.outs[u];
+        if !std::mem::take(&mut out.grouped) {
+            return;
+        }
+        let at = out.at.to_bits();
+        let k = self
+            .groups
+            .iter()
+            .position(|g| g.at.to_bits() == at)
+            .expect("a grouped user's walk point has a group");
+        self.groups[k].members -= 1;
+        if self.groups[k].members == 0 {
+            self.groups.swap_remove(k);
+        }
+    }
+
+    /// Drops every group: the next bounded rescan holds each all-local
+    /// user to their own bound and regroups them.
+    fn forget_walks(&mut self) {
+        self.groups.clear();
+        self.loose.clear();
+        for out in &mut self.outs {
+            out.grouped = false;
+        }
+        self.groups_valid = false;
     }
 
     /// Per-user terms, in part-system user order.
@@ -266,15 +528,48 @@ impl Ledger {
         &self.terms
     }
 
+    /// The crowd-wide sums.
+    pub(crate) fn totals(&self) -> Totals {
+        self.totals
+    }
+
+    /// Writes the users with positive remote work into `out`, in slot
+    /// order: `O(sharers)`.
+    pub(crate) fn sharers(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(
+            self.remote
+                .members
+                .iter()
+                .copied()
+                .filter(|&u| self.terms[u].remote > 0.0),
+        );
+        out.sort_unstable();
+    }
+
     /// Users whose sides the last run changed, ascending.
     pub(crate) fn moved(&self) -> &[usize] {
         &self.moved
     }
 
-    /// Drops slot `u`, shifting later users down.
+    /// Drops slot `u`, taking their terms out of the totals and
+    /// shifting later users down.
     pub(crate) fn remove_user(&mut self, u: usize) {
-        self.terms.remove(u);
+        self.ungroup(u);
+        let gone = self.terms.remove(u);
+        self.totals.lw -= gone.local;
+        self.rw_user.remove(u);
         self.outs.remove(u);
+        self.remote.remove_slot(u);
+        self.loose.retain_mut(|v| {
+            if *v == u {
+                return false;
+            }
+            if *v > u {
+                *v -= 1;
+            }
+            true
+        });
     }
 
     /// Opens a slot for a user appended to the part system. The slot
@@ -282,21 +577,17 @@ impl Ledger {
     pub(crate) fn add_user(&mut self) {
         self.terms.push(UserTerms::default());
         self.outs.push(OutCache::UNKNOWN);
+        self.rw_user.push(0.0);
+        self.remote.push_slot();
     }
 }
 
-/// Incrementally-maintained objective state of one run, kept in step
-/// with the run's [`Ledger`].
+/// Incrementally-maintained objective state of one run: the ledger's
+/// totals, kept in step with its per-user records and written back when
+/// the run ends.
 struct ObjectiveState<'a> {
     params: SystemParams,
-    /// Total local work (including pinned), all users.
-    lw: f64,
-    /// Total remote work, all users.
-    rw: f64,
-    /// Total transmission volume incl. control overhead, all users.
-    tv: f64,
-    /// Users with positive remote work.
-    offloaders: usize,
+    totals: Totals,
     ledger: &'a mut Ledger,
 }
 
@@ -310,7 +601,7 @@ struct ObjectiveState<'a> {
 /// per unit of data, `RW` the remote work and `C` the capacity. Only
 /// `w` and `τ` are per candidate.
 struct OutBound {
-    /// `A − (k+1)/C`.
+    /// `D = A − (k+1)/C`.
     per_work: f64,
     /// `B`.
     per_tx: f64,
@@ -320,30 +611,30 @@ struct OutBound {
     skip_below: f64,
 }
 
+impl OutBound {
+    /// Whether out-moves that reached at most `best` at `D = at`, each
+    /// shipping at most `work_max` and adding a sharer, all stay below
+    /// `EPS` now.
+    fn rules_out(&self, best: f64, work_max: f64, at: f64) -> bool {
+        reach(best, work_max, at, self.per_work) - self.surcharge < self.skip_below
+    }
+}
+
 impl<'a> ObjectiveState<'a> {
-    /// Folds the ledger's per-user terms, in user order, into the
-    /// totals, and restarts the ledger's per-run buffers.
-    fn fold(ledger: &'a mut Ledger, params: &SystemParams) -> Self {
-        ledger.rw_user.clear();
+    /// Opens a run on the ledger's totals and restarts its per-run
+    /// buffers.
+    fn open(ledger: &'a mut Ledger, params: &SystemParams) -> Self {
         ledger.moved.clear();
-        let mut lw = 0.0;
-        let mut rw = 0.0;
-        let mut tv = 0.0;
-        for t in &ledger.terms {
-            lw += t.local;
-            rw += t.remote;
-            tv += t.tx;
-            ledger.rw_user.push(t.remote);
-        }
-        let offloaders = ledger.rw_user.iter().filter(|&&r| r > EPS).count();
         ObjectiveState {
             params: *params,
-            lw,
-            rw,
-            tv,
-            offloaders,
+            totals: ledger.totals,
             ledger,
         }
+    }
+
+    /// Writes the run's totals back to the ledger.
+    fn close(self) {
+        self.ledger.totals = self.totals;
     }
 
     /// Server time `Σ (t_s + wt)` for a remote-work profile.
@@ -407,7 +698,8 @@ impl<'a> ObjectiveState<'a> {
 
     /// Current objective.
     fn objective(&self) -> f64 {
-        self.objective_for(self.lw, self.rw, self.tv, self.offloaders, None)
+        let t = &self.totals;
+        self.objective_for(t.lw, t.rw, t.tv, t.offloaders, None)
     }
 
     /// The [`OutBound`] for the current state; `None` under FIFO, where
@@ -420,48 +712,52 @@ impl<'a> ObjectiveState<'a> {
         let cap = p.server_capacity;
         let per_local = (1.0 + p.local_power) / p.local_capacity;
         Some(OutBound {
-            per_work: per_local - (self.offloaders + 1) as f64 / cap,
+            per_work: per_local - (self.totals.offloaders + 1) as f64 / cap,
             per_tx: (1.0 + p.tx_power) / p.bandwidth,
-            surcharge: self.rw / cap,
+            surcharge: self.totals.rw / cap,
             skip_below: EPS - BOUND_MARGIN * self.objective().max(1.0),
         })
     }
 
     /// Per-part pinned transmission term.
-    fn pin_term(&self, ps: &PartSystem, i: usize) -> f64 {
-        let p = &ps.parts()[i];
+    fn pin_term(&self, p: &Part) -> f64 {
         p.pinned_cut + p.pinned_crossings as f64 * self.params.control_overhead
     }
 
-    /// Transmission-volume change if every part in `batch` (all
-    /// currently on the opposite side) moves to `to`.
-    fn batch_tx_delta(&self, ps: &PartSystem, batch: Batch, to: Side) -> f64 {
+    /// Transmission-volume change if every part of `user` in `batch`
+    /// (all currently on the opposite side) moves to `to`.
+    fn batch_tx_delta(&self, user: UserRecords, batch: Batch, to: Side) -> f64 {
         let oh = self.params.control_overhead;
+        let UserRecords {
+            parts,
+            components: comps,
+            sides,
+        } = user;
         let mut delta = 0.0;
         // pinned edges cross exactly when the part is remote
-        batch.for_each(ps, |i| match to {
-            Side::Local => delta -= self.pin_term(ps, i),
-            Side::Remote => delta += self.pin_term(ps, i),
+        batch.for_each(sides, |i| match to {
+            Side::Local => delta -= self.pin_term(&parts[i]),
+            Side::Remote => delta += self.pin_term(&parts[i]),
         });
         // sibling cross edges: recompute the crossing indicator for
         // every touched component once (a batch's parts come in
         // ascending order, so siblings are adjacent)
         let mut last_comp = usize::MAX;
-        batch.for_each(ps, |i| {
-            let c = ps.parts()[i].component;
+        batch.for_each(sides, |i| {
+            let c = parts[i].component;
             if c == last_comp {
                 return;
             }
             last_comp = c;
-            let comp = &ps.components()[c];
+            let comp = &comps[c];
             let Some(p2) = comp.part2 else { return };
             let p1 = comp.part1;
-            let before = ps.side(p1) != ps.side(p2);
+            let before = sides[p1] != sides[p2];
             let side_after = |p: usize| {
-                if batch.contains(ps, p) {
+                if batch.contains(sides, p) {
                     to
                 } else {
-                    ps.side(p)
+                    sides[p]
                 }
             };
             let after = side_after(p1) != side_after(p2);
@@ -476,33 +772,36 @@ impl<'a> ObjectiveState<'a> {
     /// Objective change if `batch` (parts of user `u`, all currently
     /// on the opposite side) relocates to `to`. Negative = improvement.
     fn batch_delta(&self, ps: &PartSystem, u: usize, batch: Batch, to: Side) -> f64 {
-        let w = batch.work(ps);
+        let user = ps.user(u);
+        let w = batch.work(user.parts, user.sides);
+        let t = &self.totals;
         let user_rw = self.ledger.rw_user[u];
         let (lw2, rw2, user_rw2) = match to {
-            Side::Local => (self.lw + w, self.rw - w, user_rw - w),
-            Side::Remote => (self.lw - w, self.rw + w, user_rw + w),
+            Side::Local => (t.lw + w, t.rw - w, user_rw - w),
+            Side::Remote => (t.lw - w, t.rw + w, user_rw + w),
         };
-        let tv2 = self.tv + self.batch_tx_delta(ps, batch, to);
+        let tv2 = t.tv + self.batch_tx_delta(user, batch, to);
         let offloaders2 = match (user_rw > EPS, user_rw2 > EPS) {
-            (true, false) => self.offloaders - 1,
-            (false, true) => self.offloaders + 1,
-            _ => self.offloaders,
+            (true, false) => t.offloaders - 1,
+            (false, true) => t.offloaders + 1,
+            _ => t.offloaders,
         };
         self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective()
     }
 
     /// Commits a batch relocation; returns how many parts moved.
     fn apply_batch(&mut self, ps: &mut PartSystem, u: usize, batch: Batch, to: Side) -> usize {
-        let w = batch.work(ps);
-        self.tv += self.batch_tx_delta(ps, batch, to);
+        let user = ps.user(u);
+        let w = batch.work(user.parts, user.sides);
+        self.totals.tv += self.batch_tx_delta(user, batch, to);
         match to {
             Side::Local => {
-                self.lw += w;
-                self.rw -= w;
+                self.totals.lw += w;
+                self.totals.rw -= w;
             }
             Side::Remote => {
-                self.lw -= w;
-                self.rw += w;
+                self.totals.lw -= w;
+                self.totals.rw += w;
             }
         }
         let user_rw = &mut self.ledger.rw_user[u];
@@ -512,34 +811,34 @@ impl<'a> ObjectiveState<'a> {
             Side::Remote => w,
         };
         match (before > EPS, *user_rw > EPS) {
-            (true, false) => self.offloaders -= 1,
-            (false, true) => self.offloaders += 1,
+            (true, false) => self.totals.offloaders -= 1,
+            (false, true) => self.totals.offloaders += 1,
             _ => {}
         }
         let mut n = 0u32;
-        batch.for_each(ps, |_| n += 1);
+        batch.for_each(ps.sides_of(u), |_| n += 1);
         match batch {
-            Batch::One(i) => ps.set_side(i, to),
+            Batch::One(i) => ps.set_side(u, i, to),
             Batch::Two(a, b) => {
-                ps.set_side(a, to);
-                ps.set_side(b, to);
+                ps.set_side(u, a, to);
+                ps.set_side(u, b, to);
             }
-            Batch::User(u, from) => {
-                for i in ps.parts_of_user(u) {
-                    if ps.side(i) == from {
-                        ps.set_side(i, to);
+            Batch::All(from) => {
+                for i in 0..ps.parts_of(u).len() {
+                    if ps.side(u, i) == from {
+                        ps.set_side(u, i, to);
                     }
                 }
             }
         }
-        let out = &mut self.ledger.outs[u];
-        *out = OutCache {
-            remote_parts: match to {
-                Side::Local => out.remote_parts - n,
-                Side::Remote => out.remote_parts + n,
+        let remote_parts = self.ledger.outs[u].remote_parts;
+        self.ledger.reset_out(
+            u,
+            match to {
+                Side::Local => remote_parts - n,
+                Side::Remote => remote_parts + n,
             },
-            ..OutCache::UNKNOWN
-        };
+        );
         self.ledger.moved.push(u);
         n as usize
     }
@@ -551,27 +850,31 @@ impl<'a> ObjectiveState<'a> {
         let (target, to) = match mv {
             Move::Home(t) => (t, Side::Local),
             Move::Out(t) => (t, Side::Remote),
-            Move::Swap(_) => unreachable!("swaps are priced separately"),
+            Move::Swap(..) => unreachable!("swaps are priced separately"),
         };
         let from = to.flipped();
         match target {
-            Target::Single(i) => {
-                (ps.side(i) == from).then(|| (ps.parts()[i].user, Batch::One(i), to))
+            Target::Single(u, i) => {
+                let (u, i) = (u as usize, i as usize);
+                (ps.side(u, i) == from).then_some((u, Batch::One(i), to))
             }
-            Target::Pair(c) => {
-                let comp = &ps.components()[c];
+            Target::Pair(u, c) => {
+                let u = u as usize;
+                let user = ps.user(u);
+                let comp = &user.components[c as usize];
                 let p2 = comp.part2?;
                 let p1 = comp.part1;
-                (ps.side(p1) == from && ps.side(p2) == from).then_some((
-                    comp.user,
+                (user.sides[p1] == from && user.sides[p2] == from).then_some((
+                    u,
                     Batch::Two(p1, p2),
                     to,
                 ))
             }
             Target::User(u) => {
-                let movable = ps.parts_of_user(u).filter(|&i| ps.side(i) == from).count();
+                let u = u as usize;
+                let movable = ps.sides_of(u).iter().filter(|&&s| s == from).count();
                 // fewer than two: single moves cover this
-                (movable >= 2).then_some((u, Batch::User(u, from), to))
+                (movable >= 2).then_some((u, Batch::All(from), to))
             }
         }
     }
@@ -579,7 +882,9 @@ impl<'a> ObjectiveState<'a> {
     /// Gain (= −Δobjective) of a candidate, `None` when invalid.
     fn gain_of(&self, ps: &PartSystem, mv: Move) -> Option<f64> {
         match mv {
-            Move::Swap(c) => self.swap_delta(ps, c).map(|(_, _, d)| -d),
+            Move::Swap(u, c) => self
+                .swap_delta(ps, u as usize, c as usize)
+                .map(|(_, _, d)| -d),
             _ => {
                 let (u, batch, to) = self.resolve(ps, mv)?;
                 Some(-self.batch_delta(ps, u, batch, to))
@@ -590,10 +895,11 @@ impl<'a> ObjectiveState<'a> {
     /// Commits a candidate; returns how many parts moved.
     fn apply_move(&mut self, ps: &mut PartSystem, mv: Move) -> usize {
         match mv {
-            Move::Swap(c) => {
-                let (to_remote, to_local, _) =
-                    self.swap_delta(ps, c).expect("swap validated before apply");
-                let u = ps.parts()[to_remote].user;
+            Move::Swap(u, c) => {
+                let (u, c) = (u as usize, c as usize);
+                let (to_remote, to_local, _) = self
+                    .swap_delta(ps, u, c)
+                    .expect("swap validated before apply");
                 self.apply_batch(ps, u, Batch::One(to_local), Side::Local)
                     + self.apply_batch(ps, u, Batch::One(to_remote), Side::Remote)
             }
@@ -604,31 +910,37 @@ impl<'a> ObjectiveState<'a> {
         }
     }
 
-    /// Objective change if split component `c` swaps which half is
-    /// local. Returns `(to_remote, to_local, delta)`; `None` unless the
-    /// component currently has exactly one local and one remote half.
-    fn swap_delta(&self, ps: &PartSystem, c: usize) -> Option<(usize, usize, f64)> {
-        let comp = &ps.components()[c];
+    /// Objective change if user `u`'s split component `c` swaps which
+    /// half is local. Returns `(to_remote, to_local, delta)`; `None`
+    /// unless the component currently has exactly one local and one
+    /// remote half.
+    fn swap_delta(&self, ps: &PartSystem, u: usize, c: usize) -> Option<(usize, usize, f64)> {
+        let UserRecords {
+            parts,
+            components,
+            sides,
+        } = ps.user(u);
+        let comp = &components[c];
         let p2 = comp.part2?;
         let p1 = comp.part1;
-        let (to_remote, to_local) = match (ps.side(p1), ps.side(p2)) {
+        let (to_remote, to_local) = match (sides[p1], sides[p2]) {
             (Side::Local, Side::Remote) => (p1, p2),
             (Side::Remote, Side::Local) => (p2, p1),
             _ => return None,
         };
-        let (wl, wr) = (ps.parts()[to_remote].work, ps.parts()[to_local].work);
-        let u = comp.user;
+        let (wl, wr) = (parts[to_remote].work, parts[to_local].work);
+        let t = &self.totals;
         // newly-remote half starts paying its pinned coupling, the
         // newly-local one stops; the cross edges keep crossing.
-        let tv2 = self.tv + self.pin_term(ps, to_remote) - self.pin_term(ps, to_local);
-        let lw2 = self.lw - wl + wr;
-        let rw2 = self.rw + wl - wr;
+        let tv2 = t.tv + self.pin_term(&parts[to_remote]) - self.pin_term(&parts[to_local]);
+        let lw2 = t.lw - wl + wr;
+        let rw2 = t.rw + wl - wr;
         let user_rw = self.ledger.rw_user[u];
         let user_rw2 = user_rw + wl - wr;
         let offloaders2 = match (user_rw > EPS, user_rw2 > EPS) {
-            (true, false) => self.offloaders - 1,
-            (false, true) => self.offloaders + 1,
-            _ => self.offloaders,
+            (true, false) => t.offloaders - 1,
+            (false, true) => t.offloaders + 1,
+            _ => t.offloaders,
         };
         let delta =
             self.objective_for(lw2, rw2, tv2, offloaders2, Some((u, user_rw2))) - self.objective();
@@ -640,6 +952,33 @@ impl<'a> ObjectiveState<'a> {
     fn assert_unprofitable(&self, ps: &PartSystem, mv: Move) {
         if let Some(g) = self.gain_of(ps, mv) {
             assert!(g <= EPS, "bound skipped {mv:?} with gain {g}");
+        }
+    }
+
+    /// What a rescan that trusts the groups relies on: the remote set
+    /// and part counts are current, every all-local user is grouped or
+    /// loose, and no grouped user has a profitable out-move.
+    #[cfg(test)]
+    fn assert_groups_hold(&self, ps: &PartSystem) {
+        let oh = self.params.control_overhead;
+        for u in 0..ps.user_count() {
+            let out = self.ledger.outs[u];
+            let remote_parts = ps
+                .sides_of(u)
+                .iter()
+                .filter(|&&s| s == Side::Remote)
+                .count();
+            assert_eq!(out.remote_parts as usize, remote_parts, "user {u}");
+            assert_eq!(self.ledger.remote.contains(u), remote_parts > 0, "user {u}");
+            if remote_parts > 0 {
+                continue;
+            }
+            if out.grouped {
+                assert_eq!(self.ledger.rw_user[u].to_bits(), 0.0f64.to_bits());
+                for_each_out_move(ps, u, oh, |mv, _, _| self.assert_unprofitable(ps, mv));
+            } else {
+                assert!(self.ledger.loose.contains(&u), "user {u} is not covered");
+            }
         }
     }
 
@@ -672,16 +1011,30 @@ impl Ord for Gain {
     }
 }
 
-/// Every candidate of the system, for the exhaustive driver.
+/// Every candidate of the system, for the exhaustive driver, in the
+/// order of one index over every user's records.
 fn all_moves(ps: &PartSystem) -> Vec<Move> {
-    let singles = (0..ps.parts().len()).map(Target::Single);
-    let pairs = (0..ps.components().len()).map(Target::Pair);
-    let users = (0..ps.user_count()).map(Target::User);
-    let targets: Vec<Target> = singles.chain(pairs).chain(users).collect();
-    let mut moves: Vec<Move> = Vec::with_capacity(2 * targets.len() + ps.components().len());
+    let users = 0..ps.user_count();
+    let per_component = |u: usize| (0..ps.components_of(u).len()).map(move |c| (u, c));
+    let singles = users
+        .clone()
+        .flat_map(|u| (0..ps.parts_of(u).len()).map(move |i| Target::Single(ix(u), ix(i))));
+    let pairs = users
+        .clone()
+        .flat_map(per_component)
+        .map(|(u, c)| Target::Pair(ix(u), ix(c)));
+    let targets: Vec<Target> = singles
+        .chain(pairs)
+        .chain(users.clone().map(|u| Target::User(ix(u))))
+        .collect();
+    let mut moves: Vec<Move> = Vec::with_capacity(3 * targets.len());
     moves.extend(targets.iter().map(|&t| Move::Home(t)));
     moves.extend(targets.iter().map(|&t| Move::Out(t)));
-    moves.extend((0..ps.components().len()).map(Move::Swap));
+    moves.extend(
+        users
+            .flat_map(per_component)
+            .map(|(u, c)| Move::Swap(ix(u), ix(c))),
+    );
     moves
 }
 
@@ -691,19 +1044,19 @@ fn all_moves(ps: &PartSystem) -> Vec<Move> {
 /// the candidate set of [`all_moves`].
 fn for_each_move_of_user(ps: &PartSystem, u: usize, mut f: impl FnMut(Move)) {
     let mut last_comp = usize::MAX;
-    for i in ps.parts_of_user(u) {
-        f(Move::Home(Target::Single(i)));
-        f(Move::Out(Target::Single(i)));
-        let c = ps.parts()[i].component;
+    for (i, p) in ps.parts_of(u).iter().enumerate() {
+        f(Move::Home(Target::Single(ix(u), ix(i))));
+        f(Move::Out(Target::Single(ix(u), ix(i))));
+        let c = p.component;
         if c != last_comp {
             last_comp = c;
-            f(Move::Home(Target::Pair(c)));
-            f(Move::Out(Target::Pair(c)));
-            f(Move::Swap(c));
+            f(Move::Home(Target::Pair(ix(u), ix(c))));
+            f(Move::Out(Target::Pair(ix(u), ix(c))));
+            f(Move::Swap(ix(u), ix(c)));
         }
     }
-    f(Move::Home(Target::User(u)));
-    f(Move::Out(Target::User(u)));
+    f(Move::Home(Target::User(ix(u))));
+    f(Move::Out(Target::User(ix(u))));
 }
 
 /// Calls `f(move, work, tx)` on every valid candidate of user `u`, whose
@@ -715,42 +1068,43 @@ fn for_each_out_move(
     control_overhead: f64,
     mut f: impl FnMut(Move, f64, f64),
 ) {
-    let pin = |i: usize| {
-        let p = &ps.parts()[i];
-        p.pinned_cut + p.pinned_crossings as f64 * control_overhead
-    };
-    let parts = ps.parts_of_user(u);
+    let UserRecords {
+        parts,
+        components: comps,
+        sides,
+    } = ps.user(u);
+    let pin = |p: &Part| p.pinned_cut + p.pinned_crossings as f64 * control_overhead;
     let mut last_comp = usize::MAX;
     let mut all_pins = 0.0;
-    for i in parts.clone() {
-        let c = ps.parts()[i].component;
-        let comp = &ps.components()[c];
-        all_pins += pin(i);
+    for (i, p) in parts.iter().enumerate() {
+        let c = p.component;
+        let comp = &comps[c];
+        all_pins += pin(p);
         // a split half leaving alone starts crossing to its sibling
         let cross = comp.part2.map_or(0.0, |_| {
             comp.cross_weight + comp.cross_count as f64 * control_overhead
         });
         f(
-            Move::Out(Target::Single(i)),
-            ps.parts()[i].work,
-            pin(i) + cross,
+            Move::Out(Target::Single(ix(u), ix(i))),
+            p.work,
+            pin(p) + cross,
         );
         if c != last_comp {
             last_comp = c;
             if let Some(p2) = comp.part2 {
                 let p1 = comp.part1;
                 f(
-                    Move::Out(Target::Pair(c)),
-                    Batch::Two(p1, p2).work(ps),
-                    pin(p1) + pin(p2),
+                    Move::Out(Target::Pair(ix(u), ix(c))),
+                    Batch::Two(p1, p2).work(parts, sides),
+                    pin(&parts[p1]) + pin(&parts[p2]),
                 );
             }
         }
     }
     if parts.len() >= 2 {
         f(
-            Move::Out(Target::User(u)),
-            Batch::User(u, Side::Local).work(ps),
+            Move::Out(Target::User(ix(u))),
+            Batch::All(Side::Local).work(parts, sides),
             all_pins,
         );
     }
@@ -775,39 +1129,92 @@ fn exact_rescan() -> bool {
 }
 
 /// One convergence rescan: fills the heap with every candidate whose
-/// gain exceeds `EPS`. Users with a part on the server are priced
-/// exactly. The out-moves of all-local users are held to the
-/// [`OutBound`] first — as a whole through their [`OutCache`] while it
-/// still rules them out, else move by move, refreshing the cache — and
-/// only those it cannot rule out are priced. Returns `true` when the
-/// bound ruled out the whole all-local class.
-fn rescan(state: &mut ObjectiveState, ps: &PartSystem, evaluations: &mut usize) -> bool {
+/// gain exceeds `EPS`, and returns whether the bound ruled out the
+/// whole all-local class, with how many users it priced or held to
+/// their own bound.
+///
+/// Users with a part on the server are priced exactly. While every
+/// [`WalkGroup`] rules its members out, the all-local users visited one
+/// by one are only the loose ones ([`visit`]); when a group fails, every
+/// all-local user is visited and the groups are rebuilt. Under FIFO
+/// every user is priced.
+fn rescan(state: &mut ObjectiveState, ps: &PartSystem, evaluations: &mut usize) -> (bool, usize) {
     let bound = if exact_rescan() {
         None
     } else {
         state.out_bound()
     };
-    let oh = state.params.control_overhead;
-    let mut certified = bound.is_some();
-    for u in 0..ps.user_count() {
-        let out = state.ledger.outs[u];
-        let Some(b) = bound.as_ref().filter(|_| out.remote_parts == 0) else {
+    let Some(b) = bound else {
+        state.ledger.forget_walks();
+        for u in 0..ps.user_count() {
             for_each_move_of_user(ps, u, |mv| state.offer(ps, mv, evaluations));
-            continue;
-        };
-        // the bound assumes a move adds a sharer, exactly when the
-        // pricing would
-        let rw_u = state.ledger.rw_user[u];
-        let adds_sharer = |work: f64| rw_u <= EPS && rw_u + work > EPS;
-        let drift = (b.per_work - out.at).abs();
-        if adds_sharer(out.work_min) && out.best + out.work_max * drift - b.surcharge < b.skip_below
-        {
-            #[cfg(test)]
-            for_each_out_move(ps, u, oh, |mv, _, _| state.assert_unprofitable(ps, mv));
-            continue;
         }
+        return (false, ps.user_count());
+    };
+    let mut visits = state.ledger.remote.members.len();
+    for k in 0..visits {
+        let u = state.ledger.remote.members[k];
+        for_each_move_of_user(ps, u, |mv| state.offer(ps, mv, evaluations));
+    }
+    let mut certified = true;
+    let groups_hold = state.ledger.groups_valid
+        && state
+            .ledger
+            .groups
+            .iter()
+            .all(|g| b.rules_out(g.best, g.work_max, g.at));
+    if groups_hold {
+        #[cfg(test)]
+        state.assert_groups_hold(ps);
+        let ledger = &mut *state.ledger;
+        std::mem::swap(&mut ledger.loose, &mut ledger.visiting);
+        ledger.visiting.sort_unstable();
+        ledger.visiting.dedup();
+        for k in 0..state.ledger.visiting.len() {
+            let u = state.ledger.visiting[k];
+            if state.ledger.outs[u].remote_parts == 0 {
+                visits += 1;
+                certified &= visit(state, ps, u, &b, evaluations);
+            }
+        }
+        state.ledger.visiting.clear();
+    } else {
+        state.ledger.forget_walks();
+        for u in 0..ps.user_count() {
+            if state.ledger.outs[u].remote_parts == 0 {
+                visits += 1;
+                certified &= visit(state, ps, u, &b, evaluations);
+            }
+        }
+        state.ledger.groups_valid = true;
+    }
+    (certified, visits)
+}
+
+/// Holds all-local, ungrouped user `u` to the bound: as a whole through
+/// their [`OutCache`] while it still rules them out, else move by move,
+/// pricing only the moves it cannot rule out and refreshing the cache.
+/// A user it rules out joins their walk point's group; any other stays
+/// loose. Returns `false` when a move was priced.
+fn visit(
+    state: &mut ObjectiveState,
+    ps: &PartSystem,
+    u: usize,
+    b: &OutBound,
+    evaluations: &mut usize,
+) -> bool {
+    let oh = state.params.control_overhead;
+    let out = state.ledger.outs[u];
+    // the bound assumes a move adds a sharer, exactly when the pricing
+    // would
+    let rw_u = state.ledger.rw_user[u];
+    let adds_sharer = |work: f64| rw_u <= EPS && rw_u + work > EPS;
+    let mut certified = true;
+    if adds_sharer(out.work_min) && b.rules_out(out.best, out.work_max, out.at) {
+        #[cfg(test)]
+        for_each_out_move(ps, u, oh, |mv, _, _| state.assert_unprofitable(ps, mv));
+    } else {
         let mut fresh = OutCache {
-            remote_parts: 0,
             at: b.per_work,
             ..OutCache::UNKNOWN
         };
@@ -825,6 +1232,15 @@ fn rescan(state: &mut ObjectiveState, ps: &PartSystem, evaluations: &mut usize) 
             state.offer(ps, mv, evaluations);
         });
         state.ledger.outs[u] = fresh;
+    }
+    // ruled out as a whole, and the bound's zero remote work is exact:
+    // the group's maxima bound the user until their sides change
+    if certified && rw_u.to_bits() == 0.0f64.to_bits() {
+        let out = state.ledger.outs[u];
+        debug_assert!(adds_sharer(out.work_min) && b.rules_out(out.best, out.work_max, out.at));
+        state.ledger.group(u);
+    } else {
+        state.ledger.loose.push(u);
     }
     certified
 }
@@ -907,13 +1323,17 @@ fn drain_heap(
 ///
 /// After convergence, the all-local plan is checked as a final guard:
 /// the returned assignment is never worse than not offloading at all.
+/// The ledger's [`Totals`] are refolded after every cold run and once
+/// every `crowd` runs, so the running local-work sum's drift from a
+/// slot-order fold stays bounded, at an amortised `O(1)` per run.
 ///
 /// Telemetry: bumps the `greedy.evaluated` / `greedy.accepted`
-/// counters and `greedy.rescan_certified` or `greedy.rescan_exact` once
-/// per rescan, records the per-run `greedy.evaluations` /
-/// `greedy.moves` histograms, and (when the sink is enabled) emits a
-/// `greedy.step` event after every applied move — the objective
-/// trajectory — plus a final `greedy.done` summary.
+/// counters, `greedy.rescan_certified` or `greedy.rescan_exact` once
+/// per rescan and `greedy.rescan_visits` by the users each rescan
+/// priced or held to their own bound, records the per-run
+/// `greedy.evaluations` / `greedy.moves` histograms, and (when the sink
+/// is enabled) emits a `greedy.step` event after every applied move —
+/// the objective trajectory — plus a final `greedy.done` summary.
 pub(crate) fn run_greedy(
     ps: &mut PartSystem,
     ledger: &mut Ledger,
@@ -927,14 +1347,15 @@ pub(crate) fn run_greedy(
     for &u in dirty.unwrap_or_default() {
         ledger.derive(ps, u, oh);
     }
+    ledger.fold_sharers();
     let traced = sink.enabled();
-    let mut state = ObjectiveState::fold(ledger, params);
+    let mut state = ObjectiveState::open(ledger, params);
     let initial = state.objective();
     let mut moves = 0usize;
     let mut evaluations = 0usize;
     // strict cap against pathological float drift; never reached in
     // practice (each applied move improves the objective by > EPS)
-    let move_cap = 20 * (ps.parts().len() + ps.user_count() + 4);
+    let move_cap = 20 * (ps.part_count() + ps.user_count() + 4);
 
     // Warm phase: settle the churned users' own candidates first, so
     // the rescan phase below usually confirms convergence in one pass
@@ -993,7 +1414,7 @@ pub(crate) fn run_greedy(
             // still improves.
             while moves < move_cap {
                 state.ledger.heap.clear();
-                let certified = rescan(&mut state, ps, &mut evaluations);
+                let (certified, visits) = rescan(&mut state, ps, &mut evaluations);
                 sink.counter_add(
                     if certified {
                         "greedy.rescan_certified"
@@ -1002,6 +1423,7 @@ pub(crate) fn run_greedy(
                     },
                     1,
                 );
+                sink.counter_add("greedy.rescan_visits", visits as u64);
                 if state.ledger.heap.is_empty() {
                     break;
                 }
@@ -1022,17 +1444,18 @@ pub(crate) fn run_greedy(
     }
 
     // final guard: never do worse than not offloading at all
-    let total_work = state.lw + state.rw;
-    let all_local = state.objective_for(total_work, 0.0, 0.0, 0, None);
+    let t = state.totals;
+    let all_local = state.objective_for(t.lw + t.rw, 0.0, 0.0, 0, None);
     if all_local + EPS < state.objective() {
-        for u in 0..ps.user_count() {
-            if ps.parts_of_user(u).any(|i| ps.side(i) == Side::Remote) {
-                moves += state.apply_batch(ps, u, Batch::User(u, Side::Remote), Side::Local);
-            }
+        let mut remote = state.ledger.remote.members.clone();
+        remote.sort_unstable();
+        for u in remote {
+            moves += state.apply_batch(ps, u, Batch::All(Side::Remote), Side::Local);
         }
     }
 
     let final_objective = state.objective();
+    state.close();
     sink.counter_add("greedy.evaluated", evaluations as u64);
     sink.counter_add("greedy.accepted", moves as u64);
     // per-run distributions: the delta-vs-full work reduction shows up
@@ -1052,14 +1475,26 @@ pub(crate) fn run_greedy(
     }
 
     // bring the ledger up to date: re-derive (not patch) the moved
-    // users, so repeated warm runs cannot drift from a cold fold
+    // users' terms and fold the sharers' sums afresh; the local work
+    // keeps the run's sum
     ledger.moved.sort_unstable();
     ledger.moved.dedup();
-    for &u in &ledger.moved {
-        ledger.terms[u] = UserTerms::of(ps, u, oh);
+    for k in 0..ledger.moved.len() {
+        let u = ledger.moved[k];
+        let terms = UserTerms::of(ps, u, oh);
+        ledger.terms[u] = terms;
+        ledger.rw_user[u] = terms.remote;
+    }
+    ledger.fold_sharers();
+    if mode == GreedyMode::Exhaustive {
+        ledger.forget_walks();
     }
     ledger.heap.clear();
     ledger.heap.shrink_to(HEAP_KEEP);
+    ledger.runs_since_refold += 1;
+    if dirty.is_none() || ledger.runs_since_refold >= ps.user_count() {
+        ledger.refold();
+    }
 
     GreedyOutcome {
         moves,
@@ -1108,7 +1543,7 @@ mod tests {
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
         let mut ledger = Ledger::new(&ps, &p);
-        let state = ObjectiveState::fold(&mut ledger, &p);
+        let state = ObjectiveState::open(&mut ledger, &p);
         let scenario = Scenario::new(p).with_user(UserWorkload::new("u", g));
         let eval = scenario.evaluate(&ps.plan()).unwrap();
         assert!(
@@ -1120,7 +1555,7 @@ mod tests {
         // and after greedy runs
         run_greedy_cold(&mut ps, &p, GreedyMode::Lazy);
         let mut ledger = Ledger::new(&ps, &p);
-        let state2 = ObjectiveState::fold(&mut ledger, &p);
+        let state2 = ObjectiveState::open(&mut ledger, &p);
         let eval2 = scenario.evaluate(&ps.plan()).unwrap();
         assert!((state2.objective() - eval2.totals.objective()).abs() < 1e-9);
     }
@@ -1131,13 +1566,12 @@ mod tests {
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
         let mut ledger = Ledger::new(&ps, &p);
-        let mut state = ObjectiveState::fold(&mut ledger, &p);
-        for i in 0..ps.parts().len() {
-            let to = ps.side(i).flipped();
-            let u = ps.parts()[i].user;
+        let mut state = ObjectiveState::open(&mut ledger, &p);
+        for i in 0..ps.parts_of(0).len() {
+            let to = ps.side(0, i).flipped();
             let before = state.objective();
-            let predicted = state.batch_delta(&ps, u, Batch::One(i), to);
-            state.apply_batch(&mut ps, u, Batch::One(i), to);
+            let predicted = state.batch_delta(&ps, 0, Batch::One(i), to);
+            state.apply_batch(&mut ps, 0, Batch::One(i), to);
             let after = state.objective();
             assert!(
                 (after - before - predicted).abs() < 1e-9,
@@ -1153,15 +1587,14 @@ mod tests {
         let mut ps = build_ps(std::slice::from_ref(&g));
         let p = params();
         let mut ledger = Ledger::new(&ps, &p);
-        let mut state = ObjectiveState::fold(&mut ledger, &p);
-        for c in 0..ps.components().len() {
-            let Some((to_remote, to_local, predicted)) = state.swap_delta(&ps, c) else {
+        let mut state = ObjectiveState::open(&mut ledger, &p);
+        for c in 0..ps.components_of(0).len() {
+            let Some((to_remote, to_local, predicted)) = state.swap_delta(&ps, 0, c) else {
                 continue;
             };
             let before = state.objective();
-            let u = ps.parts()[to_remote].user;
-            state.apply_batch(&mut ps, u, Batch::One(to_local), Side::Local);
-            state.apply_batch(&mut ps, u, Batch::One(to_remote), Side::Remote);
+            state.apply_batch(&mut ps, 0, Batch::One(to_local), Side::Local);
+            state.apply_batch(&mut ps, 0, Batch::One(to_remote), Side::Remote);
             assert!(
                 (state.objective() - before - predicted).abs() < 1e-9,
                 "component {c}"
@@ -1206,7 +1639,7 @@ mod tests {
         let p = params();
         run_greedy_cold(&mut ps, &p, GreedyMode::Exhaustive);
         let mut ledger = Ledger::new(&ps, &p);
-        let state = ObjectiveState::fold(&mut ledger, &p);
+        let state = ObjectiveState::open(&mut ledger, &p);
         for mv in all_moves(&ps) {
             if let Some(g) = state.gain_of(&ps, mv) {
                 assert!(g <= 1e-6, "{mv:?} still improves after convergence");
@@ -1261,13 +1694,15 @@ mod tests {
         run_greedy_cold(&mut ps_few, &p, GreedyMode::Lazy);
         run_greedy_cold(&mut ps_many, &p, GreedyMode::Lazy);
         let remote_frac = |ps: &PartSystem| {
-            let total: f64 = ps.parts().iter().map(|q| q.work).sum();
-            let remote: f64 = ps
-                .parts()
-                .iter()
-                .filter(|q| q.side == Side::Remote)
-                .map(|q| q.work)
-                .sum();
+            let (mut total, mut remote) = (0.0, 0.0);
+            for u in 0..ps.user_count() {
+                for (q, &side) in ps.parts_of(u).iter().zip(ps.sides_of(u)) {
+                    total += q.work;
+                    if side == Side::Remote {
+                        remote += q.work;
+                    }
+                }
+            }
             remote / total
         };
         assert!(
@@ -1285,7 +1720,7 @@ mod tests {
             .collect();
         let mut ps = build_ps(&graphs);
         let mut ledger = Ledger::new(&ps, &p);
-        let state = ObjectiveState::fold(&mut ledger, &p);
+        let state = ObjectiveState::open(&mut ledger, &p);
         let scenario = Scenario::new(p).with_users(
             graphs
                 .iter()
@@ -1302,11 +1737,10 @@ mod tests {
         // delta prediction under FIFO, both directions
         let mut state = state;
         for to in [Side::Local, Side::Remote] {
-            let i = 0usize;
-            if ps.side(i) == to {
+            let (u, i) = (0usize, 0usize);
+            if ps.side(u, i) == to {
                 continue;
             }
-            let u = ps.parts()[i].user;
             let before = state.objective();
             let predicted = state.batch_delta(&ps, u, Batch::One(i), to);
             state.apply_batch(&mut ps, u, Batch::One(i), to);
@@ -1430,7 +1864,7 @@ mod tests {
         p.tx_power = 1000.0;
         let mut ps = build_ps(std::slice::from_ref(&g));
         let out = run_greedy_cold(&mut ps, &p, GreedyMode::Lazy);
-        assert!(ps.parts().iter().all(|q| q.side == Side::Local));
+        assert!(ps.sides_of(0).iter().all(|&s| s == Side::Local));
         assert!(out.final_objective <= out.initial_objective);
     }
 
@@ -1446,7 +1880,7 @@ mod tests {
         let mut ps = build_ps(std::slice::from_ref(&g));
         run_greedy_cold(&mut ps, &params(), GreedyMode::Lazy);
         assert!(
-            ps.parts().iter().all(|q| q.side == Side::Remote),
+            ps.sides_of(0).iter().all(|&s| s == Side::Remote),
             "heavy loose work should offload entirely"
         );
     }

@@ -284,11 +284,11 @@ impl Offloader {
         let mut timings = StageTimings::default();
         let mut parts = PartSystem::new();
         let mut compression_stats = Vec::with_capacity(scenario.user_count());
-        for (user, fe) in scenario.users().iter().zip(&prepared) {
+        for fe in &prepared {
             timings.compression += fe.compression;
             timings.cutting += fe.cutting;
-            compression_stats.push(fe.outcome.stats);
-            parts.add_user(user.graph(), &fe.outcome, &fe.cuts);
+            compression_stats.push(fe.stats);
+            parts.add_template(Arc::clone(&fe.template));
         }
 
         let s = span(sink, "stage.greedy");

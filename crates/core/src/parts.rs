@@ -6,40 +6,43 @@
 //! two halves of that component's cut. The greedy stage assigns each
 //! part to the device or the server; this module holds the bookkeeping
 //! that makes a part move priceable in `O(1)`.
+//!
+//! What the cut stage fixed is the same for every user of one graph, so
+//! it lives in an immutable [`PartTemplate`], built once per prepared
+//! front-end and shared. A user is one small record: their template
+//! and their parts' current sides. Parts and components are numbered
+//! within the user's application, so no record names another user's
+//! and a departure rebases nothing.
 
 use mec_graph::{Bipartition, Graph, NodeId, Side};
 use mec_labelprop::CompressionOutcome;
-use std::ops::Range;
+use std::sync::Arc;
 
-/// One movable part: a set of functions of one user that the cut stage
-/// decided must stay together.
+/// One movable part: a set of functions of one application that the
+/// cut stage decided must stay together.
 #[derive(Debug, Clone)]
 pub struct Part {
-    /// Owning user (scenario index).
-    pub user: usize,
-    /// Component record this part belongs to.
+    /// The component this part belongs to, numbered within the
+    /// application.
     pub component: usize,
-    /// Nodes of the user's original graph in this part.
+    /// Nodes of the application's graph in this part.
     pub nodes: Vec<NodeId>,
     /// Total computation weight of the part.
     pub work: f64,
-    /// Communication weight to the user's pinned (always-local) nodes.
+    /// Communication weight to the application's pinned (always-local)
+    /// nodes.
     pub pinned_cut: f64,
     /// Number of edges to pinned nodes.
     pub pinned_crossings: usize,
-    /// Current assignment. Algorithm 2 starts every part remote.
-    pub side: Side,
 }
 
 /// One connected component after compression: its one or two parts and
 /// the communication between them.
 #[derive(Debug, Clone)]
 pub struct ComponentRec {
-    /// Owning user.
-    pub user: usize,
-    /// First part index.
+    /// First part, numbered within the application.
     pub part1: usize,
-    /// Second part index (absent when the cut was trivial).
+    /// Second part (absent when the cut was trivial).
     pub part2: Option<usize>,
     /// Communication weight between the two parts (0 when single).
     pub cross_weight: f64,
@@ -47,150 +50,198 @@ pub struct ComponentRec {
     pub cross_count: usize,
 }
 
+/// One application's parts and components, numbered from zero, and the
+/// sides the initial split gives them: everything about a user's parts
+/// that depends on their graph alone.
+#[derive(Debug)]
+pub(crate) struct PartTemplate {
+    parts: Vec<Part>,
+    /// In component order; a component's parts are adjacent and
+    /// ascending, so every part's component is at least its
+    /// predecessor's.
+    components: Vec<ComponentRec>,
+    initial: Vec<Side>,
+    /// Total pinned (always-local) computation weight.
+    pinned_work: f64,
+    /// Node count of the graph (to emit plans).
+    node_count: usize,
+}
+
+impl PartTemplate {
+    /// Builds the template of `graph` from its compression outcome and
+    /// one quotient-graph cut per compressed component (in the same
+    /// order as `compression.components`).
+    ///
+    /// Every part starts on [`Side::Remote`], matching Algorithm 2's
+    /// initial `V_2`; then each split component puts the half more
+    /// tightly coupled to the pinned functions on the device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quotient_cuts` does not align with the compression's
+    /// component list.
+    pub(crate) fn build(
+        graph: &Graph,
+        compression: &CompressionOutcome,
+        quotient_cuts: &[Bipartition],
+    ) -> Self {
+        assert_eq!(
+            quotient_cuts.len(),
+            compression.components.len(),
+            "one quotient cut per compressed component"
+        );
+        let mut parts: Vec<Part> = Vec::new();
+        let mut components: Vec<ComponentRec> = Vec::new();
+
+        // map: original node -> part index (offloadable nodes only)
+        const NO_PART: usize = usize::MAX;
+        let mut part_of = vec![NO_PART; graph.node_count()];
+
+        for (comp, qcut) in compression.components.iter().zip(quotient_cuts) {
+            let full = comp.quotient.expand(qcut);
+            // split subgraph-local nodes by side, then map to original ids
+            let mut side_nodes: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
+            for local in comp.subgraph.graph().node_ids() {
+                let bucket = match full.side(local) {
+                    Side::Local => 0,
+                    Side::Remote => 1,
+                };
+                side_nodes[bucket].push(comp.subgraph.parent_of(local));
+            }
+            let comp_idx = components.len();
+            let mut part_ids = [None; 2];
+            for (slot, nodes) in side_nodes
+                .into_iter()
+                .filter(|ns| !ns.is_empty())
+                .enumerate()
+            {
+                let work = nodes.iter().map(|&n| graph.node_weight(n)).sum();
+                let part_idx = parts.len();
+                for &n in &nodes {
+                    part_of[n.index()] = part_idx;
+                }
+                parts.push(Part {
+                    component: comp_idx,
+                    nodes,
+                    work,
+                    pinned_cut: 0.0,
+                    pinned_crossings: 0,
+                });
+                part_ids[slot] = Some(part_idx);
+            }
+            components.push(ComponentRec {
+                part1: part_ids[0].expect("a component has at least one part"),
+                part2: part_ids[1],
+                cross_weight: 0.0,
+                cross_count: 0,
+            });
+        }
+
+        // classify every edge of the original graph
+        for e in graph.edges() {
+            let pa = part_of[e.source.index()];
+            let pb = part_of[e.target.index()];
+            match (pa, pb) {
+                (NO_PART, NO_PART) => {} // pinned-pinned: always free
+                (NO_PART, p) | (p, NO_PART) => {
+                    parts[p].pinned_cut += e.weight;
+                    parts[p].pinned_crossings += 1;
+                }
+                (p, q) if p == q => {} // internal to a part
+                (p, q) => {
+                    debug_assert_eq!(
+                        parts[p].component, parts[q].component,
+                        "cross-part edges only exist between siblings"
+                    );
+                    let c = parts[p].component;
+                    components[c].cross_weight += e.weight;
+                    components[c].cross_count += 1;
+                }
+            }
+        }
+
+        // initial placement (paper §III-B): the cut splits each
+        // component so that "one part executes locally, and another
+        // part executes remotely". The device side is the half more
+        // tightly coupled to the pinned functions (ties: the lighter
+        // half, then the lower index). Single-part components start
+        // remote — Algorithm 2's greedy brings them home if that pays.
+        let mut initial = vec![Side::Remote; parts.len()];
+        for comp in &components {
+            let Some(p2) = comp.part2 else { continue };
+            let p1 = comp.part1;
+            let (a, b) = (&parts[p1], &parts[p2]);
+            let local = match a
+                .pinned_cut
+                .partial_cmp(&b.pinned_cut)
+                .expect("weights are finite")
+            {
+                std::cmp::Ordering::Greater => p1,
+                std::cmp::Ordering::Less => p2,
+                std::cmp::Ordering::Equal => {
+                    if a.work <= b.work {
+                        p1
+                    } else {
+                        p2
+                    }
+                }
+            };
+            initial[local] = Side::Local;
+        }
+
+        PartTemplate {
+            parts,
+            components,
+            initial,
+            pinned_work: compression
+                .pinned
+                .iter()
+                .map(|&n| graph.node_weight(n))
+                .sum(),
+            node_count: graph.node_count(),
+        }
+    }
+}
+
+/// One user's records, borrowed together for a run of lookups: their
+/// application's parts and components and their own sides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UserRecords<'a> {
+    pub(crate) parts: &'a [Part],
+    pub(crate) components: &'a [ComponentRec],
+    pub(crate) sides: &'a [Side],
+}
+
+/// One user: their application's shared template and their parts'
+/// current sides.
+#[derive(Debug, Clone)]
+struct UserParts {
+    template: Arc<PartTemplate>,
+    sides: Box<[Side]>,
+}
+
+impl UserParts {
+    /// A user of `template` at its initial split.
+    fn new(template: Arc<PartTemplate>) -> Self {
+        let sides = Box::from(template.initial.as_slice());
+        UserParts { template, sides }
+    }
+}
+
 /// All parts of all users, with the coupling structure needed to price
 /// moves incrementally.
 ///
-/// Records are grouped by user in user order: user `u`'s parts are one
-/// contiguous range, and so are their components. Every component has
-/// at least one part, so the part ranges alone locate both.
+/// Users are slots in arrival order. Each slot holds only its user's
+/// sides and their application's parts and components, which every
+/// user of one prepared graph shares. Parts and components are numbered
+/// within their user's application (`(user, part)` and
+/// `(user, component)`), so removing a user shifts the later slots down
+/// without touching any index they hold.
 #[derive(Debug, Clone, Default)]
 pub struct PartSystem {
-    parts: Vec<Part>,
-    components: Vec<ComponentRec>,
-    /// Per user: total pinned (always-local) computation weight.
-    pinned_work: Vec<f64>,
-    /// Per user: node count of the original graph (to emit plans).
-    node_counts: Vec<usize>,
-    /// Per user: one past their last part; their parts start where the
-    /// previous user's end.
-    part_ends: Vec<usize>,
-}
-
-/// Builds one user's parts and components onto the ends of `parts` and
-/// `components`, numbered as if those vectors began at part `p0` and
-/// component `c0` of the whole system; returns the user's pinned work.
-///
-/// Every part starts on [`Side::Remote`], then each split component
-/// puts one half on the device (see [`PartSystem::add_user`]).
-fn build_user(
-    parts: &mut Vec<Part>,
-    components: &mut Vec<ComponentRec>,
-    (user, p0, c0): (usize, usize, usize),
-    graph: &Graph,
-    compression: &CompressionOutcome,
-    quotient_cuts: &[Bipartition],
-) -> f64 {
-    assert_eq!(
-        quotient_cuts.len(),
-        compression.components.len(),
-        "one quotient cut per compressed component"
-    );
-    let first_comp = components.len();
-
-    // map: original node -> part index (offloadable nodes only)
-    const NO_PART: usize = usize::MAX;
-    let mut part_of = vec![NO_PART; graph.node_count()];
-
-    for (comp, qcut) in compression.components.iter().zip(quotient_cuts) {
-        let full = comp.quotient.expand(qcut);
-        // split subgraph-local nodes by side, then map to original ids
-        let mut side_nodes: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
-        for local in comp.subgraph.graph().node_ids() {
-            let bucket = match full.side(local) {
-                Side::Local => 0,
-                Side::Remote => 1,
-            };
-            side_nodes[bucket].push(comp.subgraph.parent_of(local));
-        }
-        let comp_idx = c0 + components.len();
-        let mut part_ids = [None; 2];
-        for (slot, nodes) in side_nodes
-            .into_iter()
-            .filter(|ns| !ns.is_empty())
-            .enumerate()
-        {
-            let work = nodes.iter().map(|&n| graph.node_weight(n)).sum();
-            let part_idx = p0 + parts.len();
-            for &n in &nodes {
-                part_of[n.index()] = part_idx;
-            }
-            parts.push(Part {
-                user,
-                component: comp_idx,
-                nodes,
-                work,
-                pinned_cut: 0.0,
-                pinned_crossings: 0,
-                side: Side::Remote,
-            });
-            part_ids[slot] = Some(part_idx);
-        }
-        components.push(ComponentRec {
-            user,
-            part1: part_ids[0].expect("a component has at least one part"),
-            part2: part_ids[1],
-            cross_weight: 0.0,
-            cross_count: 0,
-        });
-    }
-
-    // classify every edge of the original graph
-    for e in graph.edges() {
-        let pa = part_of[e.source.index()];
-        let pb = part_of[e.target.index()];
-        match (pa, pb) {
-            (NO_PART, NO_PART) => {} // pinned-pinned: always free
-            (NO_PART, p) | (p, NO_PART) => {
-                parts[p - p0].pinned_cut += e.weight;
-                parts[p - p0].pinned_crossings += 1;
-            }
-            (p, q) if p == q => {} // internal to a part
-            (p, q) => {
-                debug_assert_eq!(
-                    parts[p - p0].component,
-                    parts[q - p0].component,
-                    "cross-part edges only exist between siblings"
-                );
-                let c = parts[p - p0].component - c0;
-                components[c].cross_weight += e.weight;
-                components[c].cross_count += 1;
-            }
-        }
-    }
-
-    // initial placement (paper §III-B): the cut splits each
-    // component so that "one part executes locally, and another
-    // part executes remotely". The device side is the half more
-    // tightly coupled to the pinned functions (ties: the lighter
-    // half, then the lower index). Single-part components start
-    // remote — Algorithm 2's greedy brings them home if that pays.
-    for comp in &components[first_comp..] {
-        let Some(p2) = comp.part2 else { continue };
-        let (p1, p2) = (comp.part1 - p0, p2 - p0);
-        let (a, b) = (&parts[p1], &parts[p2]);
-        let local = match a
-            .pinned_cut
-            .partial_cmp(&b.pinned_cut)
-            .expect("weights are finite")
-        {
-            std::cmp::Ordering::Greater => p1,
-            std::cmp::Ordering::Less => p2,
-            std::cmp::Ordering::Equal => {
-                if a.work <= b.work {
-                    p1
-                } else {
-                    p2
-                }
-            }
-        };
-        parts[local].side = Side::Local;
-    }
-
-    compression
-        .pinned
-        .iter()
-        .map(|&n| graph.node_weight(n))
-        .sum()
+    users: Vec<UserParts>,
+    /// Parts over all users.
+    part_count: usize,
 }
 
 impl PartSystem {
@@ -201,7 +252,8 @@ impl PartSystem {
 
     /// Registers one user: their original graph, its compression
     /// outcome, and one quotient-graph cut per compressed component
-    /// (in the same order as `compression.components`).
+    /// (in the same order as `compression.components`). Returns the
+    /// user's slot.
     ///
     /// Every part starts on [`Side::Remote`], matching Algorithm 2's
     /// initial `V_2`; then each split component puts the half more
@@ -217,35 +269,16 @@ impl PartSystem {
         compression: &CompressionOutcome,
         quotient_cuts: &[Bipartition],
     ) -> usize {
-        let user = self.user_count();
-        let pinned = build_user(
-            &mut self.parts,
-            &mut self.components,
-            (user, 0, 0),
-            graph,
-            compression,
-            quotient_cuts,
-        );
-        self.pinned_work.push(pinned);
-        self.node_counts.push(graph.node_count());
-        self.part_ends.push(self.parts.len());
-        user
+        let template = PartTemplate::build(graph, compression, quotient_cuts);
+        self.add_template(Arc::new(template))
     }
 
-    /// The range of user `u`'s component records: empty, at the next
-    /// user's first component, when `u` has no parts.
-    fn components_of_user(&self, u: usize) -> Range<usize> {
-        let parts = self.parts_of_user(u);
-        let lo = self
-            .parts
-            .get(parts.start)
-            .map_or(self.components.len(), |p| p.component);
-        let hi = if parts.is_empty() {
-            lo
-        } else {
-            self.parts[parts.end - 1].component + 1
-        };
-        lo..hi
+    /// Registers one user of a prepared template at its initial split;
+    /// returns the user's slot.
+    pub(crate) fn add_template(&mut self, template: Arc<PartTemplate>) -> usize {
+        self.part_count += template.parts.len();
+        self.users.push(UserParts::new(template));
+        self.users.len() - 1
     }
 
     /// Removes user `u`, preserving the order of all other users: user
@@ -253,51 +286,23 @@ impl PartSystem {
     /// users are untouched, so a converged placement stays converged
     /// wherever the departure did not change prices.
     ///
-    /// Cost is `O(parts + components + users)` after `u` — draining the
-    /// user's two record ranges and rebasing the later records' indices
-    /// — with no per-node work, which is what makes session-level churn
-    /// cheap: the per-node classification of
-    /// [`add_user`](Self::add_user) runs only for arriving users.
+    /// Cost is one shift of the later users' slots, a template handle
+    /// and a sides handle each; no index is rewritten and no per-node
+    /// work is done.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of bounds.
     pub fn remove_user(&mut self, u: usize) {
         assert!(u < self.user_count(), "user {u} out of bounds");
-        let parts = self.parts_of_user(u);
-        let comps = self.components_of_user(u);
-        let (p_n, c_n) = (parts.len(), comps.len());
-        debug_assert!(self.components[comps.clone()].iter().all(|c| c.user == u));
-        self.parts.drain(parts.clone());
-        self.components.drain(comps.clone());
-        for p in &mut self.parts[parts.start..] {
-            p.user -= 1;
-            p.component -= c_n;
-        }
-        for c in &mut self.components[comps.start..] {
-            c.user -= 1;
-            c.part1 -= p_n;
-            if let Some(p2) = &mut c.part2 {
-                *p2 -= p_n;
-            }
-        }
-        self.pinned_work.remove(u);
-        self.node_counts.remove(u);
-        self.part_ends.remove(u);
-        for end in &mut self.part_ends[u..] {
-            *end -= p_n;
-        }
+        let gone = self.users.remove(u);
+        self.part_count -= gone.sides.len();
     }
 
     /// Replaces user `u`'s workload in place (the same slot), keeping
     /// every other user's records and part sides untouched — the
     /// incremental form of a same-name re-join. The new workload gets
     /// the usual initial placement of [`add_user`](Self::add_user).
-    ///
-    /// The new records are spliced over the old ones; later users'
-    /// records are rebased only when the part or component count
-    /// changed, so re-submitting an app of the same shape touches
-    /// nothing but the user's own records.
     ///
     /// # Panics
     ///
@@ -311,56 +316,62 @@ impl PartSystem {
         quotient_cuts: &[Bipartition],
     ) {
         assert!(u < self.user_count(), "user {u} out of bounds");
-        let old_parts = self.parts_of_user(u);
-        let old_comps = self.components_of_user(u);
-        let mut parts = Vec::new();
-        let mut comps = Vec::new();
-        self.pinned_work[u] = build_user(
-            &mut parts,
-            &mut comps,
-            (u, old_parts.start, old_comps.start),
-            graph,
-            compression,
-            quotient_cuts,
-        );
-        self.node_counts[u] = graph.node_count();
-        let dp = parts.len() as isize - old_parts.len() as isize;
-        let dc = comps.len() as isize - old_comps.len() as isize;
-        let parts_end = old_parts.start + parts.len();
-        let comps_end = old_comps.start + comps.len();
-        self.parts.splice(old_parts, parts);
-        self.components.splice(old_comps, comps);
-        if dc != 0 {
-            for p in &mut self.parts[parts_end..] {
-                p.component = p.component.wrapping_add_signed(dc);
-            }
-        }
-        if dp != 0 {
-            for c in &mut self.components[comps_end..] {
-                c.part1 = c.part1.wrapping_add_signed(dp);
-                if let Some(p2) = &mut c.part2 {
-                    *p2 = p2.wrapping_add_signed(dp);
-                }
-            }
-            for end in &mut self.part_ends[u..] {
-                *end = end.wrapping_add_signed(dp);
-            }
-        }
+        let template = PartTemplate::build(graph, compression, quotient_cuts);
+        self.replace_template(u, Arc::new(template));
+    }
+
+    /// Re-seats user `u` on a prepared template at its initial split.
+    pub(crate) fn replace_template(&mut self, u: usize, template: Arc<PartTemplate>) {
+        let user = &mut self.users[u];
+        self.part_count = self.part_count - user.sides.len() + template.parts.len();
+        *user = UserParts::new(template);
     }
 
     /// Number of users registered.
     pub fn user_count(&self) -> usize {
-        self.pinned_work.len()
+        self.users.len()
     }
 
-    /// All parts.
-    pub fn parts(&self) -> &[Part] {
-        &self.parts
+    /// Number of parts over all users.
+    pub fn part_count(&self) -> usize {
+        self.part_count
     }
 
-    /// All component records.
-    pub fn components(&self) -> &[ComponentRec] {
-        &self.components
+    /// User `u`'s parts, components and sides at once.
+    pub(crate) fn user(&self, u: usize) -> UserRecords<'_> {
+        let UserParts { template, sides } = &self.users[u];
+        UserRecords {
+            parts: &template.parts,
+            components: &template.components,
+            sides,
+        }
+    }
+
+    /// User `u`'s parts, numbered within their application.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn parts_of(&self, u: usize) -> &[Part] {
+        &self.users[u].template.parts
+    }
+
+    /// User `u`'s component records, in component order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn components_of(&self, u: usize) -> &[ComponentRec] {
+        &self.users[u].template.components
+    }
+
+    /// The current sides of user `u`'s parts, in part order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of bounds.
+    pub fn sides_of(&self, u: usize) -> &[Side] {
+        &self.users[u].sides
     }
 
     /// Pinned computation weight of `user`.
@@ -369,47 +380,36 @@ impl PartSystem {
     ///
     /// Panics if `user` is out of bounds.
     pub fn pinned_work(&self, user: usize) -> f64 {
-        self.pinned_work[user]
+        self.users[user].template.pinned_work
     }
 
-    /// Current side of part `i`.
+    /// Current side of user `u`'s part `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of bounds.
-    pub fn side(&self, i: usize) -> Side {
-        self.parts[i].side
+    /// Panics if `u` or `i` is out of bounds.
+    pub fn side(&self, u: usize, i: usize) -> Side {
+        self.users[u].sides[i]
     }
 
-    /// Reassigns part `i`.
+    /// Reassigns user `u`'s part `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of bounds.
-    pub fn set_side(&mut self, i: usize, side: Side) {
-        self.parts[i].side = side;
+    /// Panics if `u` or `i` is out of bounds.
+    pub fn set_side(&mut self, u: usize, i: usize, side: Side) {
+        self.users[u].sides[i] = side;
     }
 
-    /// Indices of all parts belonging to `user`: one contiguous range.
+    /// The sibling of user `u`'s part `i`, if its component was split
+    /// in two.
     ///
     /// # Panics
     ///
-    /// Panics if `user` is out of bounds.
-    pub fn parts_of_user(&self, user: usize) -> Range<usize> {
-        let start = match user {
-            0 => 0,
-            u => self.part_ends[u - 1],
-        };
-        start..self.part_ends[user]
-    }
-
-    /// The sibling of part `i`, if its component was split in two.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn sibling(&self, i: usize) -> Option<usize> {
-        let c = &self.components[self.parts[i].component];
+    /// Panics if `u` or `i` is out of bounds.
+    pub fn sibling(&self, u: usize, i: usize) -> Option<usize> {
+        let t = &self.users[u].template;
+        let c = &t.components[t.parts[i].component];
         if c.part1 == i {
             c.part2
         } else {
@@ -422,25 +422,17 @@ impl PartSystem {
     /// greedy loop keeps its own incremental copy and cross-checks
     /// against this in tests.
     pub fn tx_volume_of_user(&self, user: usize, control_overhead: f64) -> f64 {
-        let parts = self.parts_of_user(user);
+        let UserParts { template, sides } = &self.users[user];
         let mut volume = 0.0;
-        // a user's parts ascend, so each component is one run of them
-        let mut last = usize::MAX;
-        for i in parts.clone() {
-            let c = self.parts[i].component;
-            if c == last {
-                continue;
-            }
-            last = c;
-            let comp = &self.components[c];
+        for comp in &template.components {
             if let Some(p2) = comp.part2 {
-                if self.parts[comp.part1].side != self.parts[p2].side {
+                if sides[comp.part1] != sides[p2] {
                     volume += comp.cross_weight + comp.cross_count as f64 * control_overhead;
                 }
             }
         }
-        for p in &self.parts[parts] {
-            if p.side == Side::Remote {
+        for (p, &side) in template.parts.iter().zip(sides.iter()) {
+            if side == Side::Remote {
                 volume += p.pinned_cut + p.pinned_crossings as f64 * control_overhead;
             }
         }
@@ -449,10 +441,11 @@ impl PartSystem {
 
     /// The user's local / remote computation work under current sides.
     pub fn work_split_of_user(&self, user: usize) -> (f64, f64) {
-        let mut local = self.pinned_work[user];
+        let UserParts { template, sides } = &self.users[user];
+        let mut local = template.pinned_work;
         let mut remote = 0.0;
-        for p in &self.parts[self.parts_of_user(user)] {
-            match p.side {
+        for (p, &side) in template.parts.iter().zip(sides.iter()) {
+            match side {
                 Side::Local => local += p.work,
                 Side::Remote => remote += p.work,
             }
@@ -468,7 +461,8 @@ impl PartSystem {
     ///
     /// Panics if `u` is out of bounds.
     pub fn write_user_plan(&self, u: usize, plan: &mut Bipartition) {
-        let n = self.node_counts[u];
+        let UserParts { template, sides } = &self.users[u];
+        let n = template.node_count;
         if plan.len() == n {
             for i in 0..n {
                 plan.assign(NodeId::new(i), Side::Local);
@@ -476,8 +470,8 @@ impl PartSystem {
         } else {
             *plan = Bipartition::uniform(n, Side::Local);
         }
-        for p in &self.parts[self.parts_of_user(u)] {
-            if p.side == Side::Remote {
+        for (p, &side) in template.parts.iter().zip(sides.iter()) {
+            if side == Side::Remote {
                 for &node in &p.nodes {
                     plan.assign(node, Side::Remote);
                 }
@@ -542,10 +536,11 @@ mod tests {
     fn parts_partition_the_offloadable_nodes() {
         let (g, ps) = build_system();
         assert_eq!(ps.user_count(), 1);
-        assert_eq!(ps.parts().len(), 2);
-        let total_nodes: usize = ps.parts().iter().map(|p| p.nodes.len()).sum();
+        assert_eq!(ps.parts_of(0).len(), 2);
+        assert_eq!(ps.part_count(), 2);
+        let total_nodes: usize = ps.parts_of(0).iter().map(|p| p.nodes.len()).sum();
         assert_eq!(total_nodes, 6);
-        let total_work: f64 = ps.parts().iter().map(|p| p.work).sum();
+        let total_work: f64 = ps.parts_of(0).iter().map(|p| p.work).sum();
         assert_eq!(total_work, 21.0);
         assert_eq!(ps.pinned_work(0), 50.0);
         let _ = g;
@@ -554,7 +549,7 @@ mod tests {
     #[test]
     fn component_coupling_is_the_bridge() {
         let (_, ps) = build_system();
-        let c = &ps.components()[0];
+        let c = &ps.components_of(0)[0];
         assert!((c.cross_weight - 1.0).abs() < 1e-12);
         assert_eq!(c.cross_count, 1);
         assert!(c.part2.is_some());
@@ -565,14 +560,14 @@ mod tests {
         let (_, ps) = build_system();
         // the part containing node 0 has the pinned edge (weight 3)
         let p_with_pin = ps
-            .parts()
+            .parts_of(0)
             .iter()
             .find(|p| p.nodes.contains(&NodeId::new(0)))
             .unwrap();
         assert!((p_with_pin.pinned_cut - 3.0).abs() < 1e-12);
         assert_eq!(p_with_pin.pinned_crossings, 1);
         let other = ps
-            .parts()
+            .parts_of(0)
             .iter()
             .find(|p| !p.nodes.contains(&NodeId::new(0)))
             .unwrap();
@@ -586,20 +581,16 @@ mod tests {
         // the sibling half starts Remote (paper §III-B: one part local,
         // one part remote).
         let pin_part = ps
-            .parts()
+            .parts_of(0)
             .iter()
-            .find(|p| p.nodes.contains(&NodeId::new(0)))
+            .position(|p| p.nodes.contains(&NodeId::new(0)))
             .unwrap();
-        assert_eq!(pin_part.side, Side::Local);
-        let other = ps
-            .parts()
-            .iter()
-            .find(|p| !p.nodes.contains(&NodeId::new(0)))
-            .unwrap();
-        assert_eq!(other.side, Side::Remote);
+        assert_eq!(ps.side(0, pin_part), Side::Local);
+        let other = ps.sibling(0, pin_part).unwrap();
+        assert_eq!(ps.side(0, other), Side::Remote);
         let (local, remote) = ps.work_split_of_user(0);
-        assert_eq!(local, 50.0 + pin_part.work);
-        assert_eq!(remote, other.work);
+        assert_eq!(local, 50.0 + ps.parts_of(0)[pin_part].work);
+        assert_eq!(remote, ps.parts_of(0)[other].work);
     }
 
     #[test]
@@ -610,17 +601,17 @@ mod tests {
         // local-local and free
         assert!((ps.tx_volume_of_user(0, oh) - 3.0).abs() < 1e-12);
         let pin_part = ps
-            .parts()
+            .parts_of(0)
             .iter()
             .position(|p| p.nodes.contains(&NodeId::new(0)))
             .unwrap();
         // push the pin half remote too: only the pinned edge crosses
-        ps.set_side(pin_part, Side::Remote);
+        ps.set_side(0, pin_part, Side::Remote);
         assert!((ps.tx_volume_of_user(0, oh) - 5.0).abs() < 1e-12);
         // everything local: nothing crosses
-        let other = ps.sibling(pin_part).unwrap();
-        ps.set_side(pin_part, Side::Local);
-        ps.set_side(other, Side::Local);
+        let other = ps.sibling(0, pin_part).unwrap();
+        ps.set_side(0, pin_part, Side::Local);
+        ps.set_side(0, other, Side::Local);
         assert_eq!(ps.tx_volume_of_user(0, oh), 0.0);
     }
 
@@ -632,8 +623,8 @@ mod tests {
         // initial split: exactly one triangle (3 nodes) is remote
         assert_eq!(plans[0].count_on(Side::Remote), 3);
         assert_eq!(plans[0].side(NodeId::new(6)), Side::Local);
-        for i in 0..ps.parts().len() {
-            ps.set_side(i, Side::Remote);
+        for i in 0..ps.parts_of(0).len() {
+            ps.set_side(0, i, Side::Remote);
         }
         let plans2 = ps.plan();
         assert_eq!(plans2[0].count_on(Side::Remote), 6);
@@ -644,8 +635,8 @@ mod tests {
     #[test]
     fn sibling_lookup_is_symmetric() {
         let (_, ps) = build_system();
-        let s0 = ps.sibling(0).unwrap();
-        assert_eq!(ps.sibling(s0), Some(0));
+        let s0 = ps.sibling(0, 0).unwrap();
+        assert_eq!(ps.sibling(0, s0), Some(0));
     }
 
     /// A distinct multi-component workload per seed, plus its quotient
@@ -711,6 +702,13 @@ mod tests {
         (ps.plan(), splits, tx, pinned)
     }
 
+    /// Components over all users.
+    fn component_count(ps: &PartSystem) -> usize {
+        (0..ps.user_count())
+            .map(|u| ps.components_of(u).len())
+            .sum()
+    }
+
     #[test]
     fn remove_user_matches_fresh_rebuild() {
         for victim in 0..4 {
@@ -723,16 +721,11 @@ mod tests {
                 }
             }
             assert_eq!(ps.user_count(), 3);
-            assert_eq!(ps.parts().len(), fresh.parts().len());
-            assert_eq!(ps.components().len(), fresh.components().len());
+            assert_eq!(ps.part_count(), fresh.part_count());
+            assert_eq!(component_count(&ps), component_count(&fresh));
             assert_eq!(observe(&ps), observe(&fresh), "victim {victim}");
             // internal indices stay self-consistent
-            for (i, p) in ps.parts().iter().enumerate() {
-                assert!(ps.parts_of_user(p.user).contains(&i));
-                let c = &ps.components()[p.component];
-                assert!(c.part1 == i || c.part2 == Some(i));
-                assert_eq!(c.user, p.user);
-            }
+            assert_aligned(&ps);
         }
     }
 
@@ -740,23 +733,29 @@ mod tests {
     fn remove_user_keeps_survivor_sides() {
         let (_, mut ps) = build_from(&[3, 5, 8]);
         // scramble sides as a converged placement would
-        for i in 0..ps.parts().len() {
-            if i % 2 == 0 {
-                let s = ps.side(i).flipped();
-                ps.set_side(i, s);
+        let mut k = 0;
+        for u in 0..ps.user_count() {
+            for i in 0..ps.parts_of(u).len() {
+                if k % 2 == 0 {
+                    let s = ps.side(u, i).flipped();
+                    ps.set_side(u, i, s);
+                }
+                k += 1;
             }
         }
-        let before: Vec<(usize, Vec<Side>)> = (0..3)
-            .map(|u| (u, ps.parts_of_user(u).map(|i| ps.side(i)).collect()))
-            .collect();
+        let before: Vec<(usize, Vec<Side>)> =
+            (0..3).map(|u| (u, ps.sides_of(u).to_vec())).collect();
         ps.remove_user(1);
         for (u, sides) in before {
             if u == 1 {
                 continue;
             }
             let nu = if u > 1 { u - 1 } else { u };
-            let now: Vec<Side> = ps.parts_of_user(nu).map(|i| ps.side(i)).collect();
-            assert_eq!(now, sides, "user {u} sides survived the removal");
+            assert_eq!(
+                ps.sides_of(nu),
+                sides,
+                "user {u} sides survived the removal"
+            );
         }
     }
 
@@ -770,6 +769,22 @@ mod tests {
         fresh.add_user(&g, &o, &c);
         fresh.add_user(&fixtures[2].0, &fixtures[2].1, &fixtures[2].2);
         assert_eq!(observe(&ps), observe(&fresh));
+    }
+
+    #[test]
+    fn users_of_one_template_keep_their_own_sides() {
+        let (g, o, c) = user_fixture(3);
+        let template = Arc::new(PartTemplate::build(&g, &o, &c));
+        let mut ps = PartSystem::new();
+        ps.add_template(Arc::clone(&template));
+        ps.add_template(Arc::clone(&template));
+        let flipped = ps.side(1, 0).flipped();
+        ps.set_side(1, 0, flipped);
+        assert_eq!(ps.side(0, 0), flipped.flipped());
+        assert_eq!(Arc::strong_count(&template), 3);
+        ps.remove_user(0);
+        assert_eq!(ps.side(0, 0), flipped);
+        assert_eq!(Arc::strong_count(&template), 2);
     }
 
     type Fixture = (Graph, CompressionOutcome, Vec<Bipartition>);
@@ -819,34 +834,39 @@ mod tests {
         (g, outcome, cuts)
     }
 
-    /// Every index a record holds points back at it: each user's range
-    /// starts where the previous one ended, its parts and components
-    /// name the user, and each component's parts name the component.
+    /// Every index a record holds points back at it: each user's parts
+    /// name a component that names them, each component's parts name
+    /// it, components are ordered by their first part, every part has
+    /// a side, and the part count covers every user's parts.
     fn assert_aligned(ps: &PartSystem) {
-        let mut next = 0;
+        let mut total = 0;
         for u in 0..ps.user_count() {
-            let range = ps.parts_of_user(u);
-            assert_eq!(range.start, next, "user {u} range is not contiguous");
-            next = range.end;
-            for i in range {
-                let p = &ps.parts()[i];
-                assert_eq!(p.user, u, "part {i}");
-                let c = &ps.components()[p.component];
-                assert_eq!(c.user, u, "component of part {i}");
-                assert!(c.part1 == i || c.part2 == Some(i), "part {i}");
+            let (parts, comps) = (ps.parts_of(u), ps.components_of(u));
+            assert_eq!(ps.sides_of(u).len(), parts.len(), "user {u} sides");
+            total += parts.len();
+            let mut last_comp = 0;
+            for (i, p) in parts.iter().enumerate() {
+                assert!(
+                    p.component >= last_comp,
+                    "user {u} part {i}: components ascend"
+                );
+                last_comp = p.component;
+                let c = &comps[p.component];
+                assert!(c.part1 == i || c.part2 == Some(i), "user {u} part {i}");
+            }
+            for (k, c) in comps.iter().enumerate() {
+                assert_eq!(parts[c.part1].component, k, "user {u} component {k} part1");
+                if let Some(p2) = c.part2 {
+                    assert_eq!(parts[p2].component, k, "user {u} component {k} part2");
+                    assert!(p2 > c.part1);
+                }
             }
         }
-        assert_eq!(next, ps.parts().len(), "ranges must cover every part");
-        let mut last_user = 0;
-        for (k, c) in ps.components().iter().enumerate() {
-            assert!(c.user >= last_user, "components are grouped by user");
-            last_user = c.user;
-            assert_eq!(ps.parts()[c.part1].component, k, "component {k} part1");
-            if let Some(p2) = c.part2 {
-                assert_eq!(ps.parts()[p2].component, k, "component {k} part2");
-                assert!(p2 > c.part1);
-            }
-        }
+        assert_eq!(
+            total,
+            ps.part_count(),
+            "the part count must cover every part"
+        );
     }
 
     #[test]
@@ -869,7 +889,7 @@ mod tests {
                 let f = shaped_fixture(comps, split, seed);
                 let mut one = PartSystem::new();
                 one.add_user(&f.0, &f.1, &f.2);
-                let sides = one.parts().iter().map(|p| p.side).collect();
+                let sides = one.sides_of(0).to_vec();
                 (f, sides)
             })
             .collect();
@@ -902,22 +922,26 @@ mod tests {
                 let u = below(model.len());
                 let f = below(fixtures.len());
                 let ((g, o, c), sides) = &fixtures[f];
-                let before = (ps.parts().len(), ps.components().len());
+                let before = (ps.part_count(), component_count(&ps));
                 ps.replace_user(u, g, o, c);
-                if (ps.parts().len(), ps.components().len()) == before {
+                if (ps.part_count(), component_count(&ps)) == before {
                     same_shape += 1;
                 } else {
                     new_shape += 1;
                 }
                 model[u] = (f, sides.clone());
             }
-            // move a random part, as a converged placement would
-            if !ps.parts().is_empty() {
-                let i = below(ps.parts().len());
-                let side = ps.side(i).flipped();
-                ps.set_side(i, side);
-                let u = ps.parts()[i].user;
-                let k = i - ps.parts_of_user(u).start;
+            // move a random part, as a converged placement would: the
+            // k-th of all parts, counted in user order
+            if ps.part_count() > 0 {
+                let mut k = below(ps.part_count());
+                let mut u = 0;
+                while k >= ps.parts_of(u).len() {
+                    k -= ps.parts_of(u).len();
+                    u += 1;
+                }
+                let side = ps.side(u, k).flipped();
+                ps.set_side(u, k, side);
                 model[u].1[k] = side;
             }
             assert_aligned(&ps);
@@ -925,11 +949,12 @@ mod tests {
             for (f, sides) in &model {
                 let ((g, o, c), _) = &fixtures[*f];
                 let u = fresh.add_user(g, o, c);
-                for (i, &side) in fresh.parts_of_user(u).zip(sides) {
-                    fresh.set_side(i, side);
+                for (i, &side) in sides.iter().enumerate() {
+                    fresh.set_side(u, i, side);
                 }
             }
             assert_eq!(ps.user_count(), model.len());
+            assert_eq!(ps.part_count(), fresh.part_count(), "step {step}");
             assert_eq!(observe(&ps), observe(&fresh), "step {step}");
         }
         assert!(same_shape > 100 && new_shape > 100 && removed > 100);
@@ -938,9 +963,15 @@ mod tests {
     #[test]
     fn write_user_plan_overwrites_a_stale_buffer() {
         let (_, mut ps) = build_from(&[3, 5, 8]);
-        for i in (0..ps.parts().len()).step_by(3) {
-            let s = ps.side(i).flipped();
-            ps.set_side(i, s);
+        let mut k = 0;
+        for u in 0..ps.user_count() {
+            for i in 0..ps.parts_of(u).len() {
+                if k % 3 == 0 {
+                    let s = ps.side(u, i).flipped();
+                    ps.set_side(u, i, s);
+                }
+                k += 1;
+            }
         }
         for (u, want) in ps.plan().iter().enumerate() {
             // a buffer holding another placement of the same user
@@ -953,7 +984,7 @@ mod tests {
     #[test]
     fn work_split_matches_plan_weights() {
         let (g, mut ps) = build_system();
-        ps.set_side(1, Side::Local);
+        ps.set_side(0, 1, Side::Local);
         let (local, remote) = ps.work_split_of_user(0);
         let plan = &ps.plan()[0];
         assert!((plan.node_weight_on(&g, Side::Local) - local).abs() < 1e-12);

@@ -1,8 +1,11 @@
 //! Sharded streaming service: one edge site, many sessions.
 //!
-//! A single [`OffloadSession`] replan still folds its whole crowd's
-//! per-user terms and bounds every user's out-moves, so a cell tracking
-//! 10⁵–10⁶ users wants the crowd split. [`OffloadService`] hashes users
+//! A single [`OffloadSession`] replan under the shared-capacity
+//! policies walks only its sharers and its churned and moved users, but
+//! a departure still shifts every later user's report entry, FIFO still
+//! prices every move against the whole queue, and the coupled objective
+//! grows with the sharers, so a cell tracking 10⁵–10⁶ users wants the
+//! crowd split. [`OffloadService`] hashes users
 //! across `K` session shards, each with its own [`ExecCtx`]; a churn
 //! event dirties exactly one shard, and
 //! [`replan`](OffloadService::replan) re-solves **only the dirty

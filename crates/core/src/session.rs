@@ -8,13 +8,23 @@
 //! work. Each distinct graph is compressed and cut **once**: present
 //! users of the same `Arc<Graph>` share one front-end. A churn event
 //! finds its user through a name index and re-seats only that user's
-//! parts. The converged part placement and its priced report persist
-//! across replans: the next [`replan`](OffloadSession::replan)
-//! warm-starts the greedy search from the previous equilibrium, and
-//! only the churned and moved users' report entries are re-derived.
-//! When accumulated churn exceeds a configurable drift bound (a bound
-//! of `0.0` trips on any churn), the session rebuilds the placement and
-//! the report from scratch.
+//! slot. The converged part placement, the greedy's ledger of per-user
+//! terms and crowd sums, and the priced report persist across replans:
+//! the next [`replan`](OffloadSession::replan) warm-starts the greedy
+//! search from the previous equilibrium, and only the churned and moved
+//! users' report entries are re-derived.
+//!
+//! Under the shared-capacity policies a warm replan costs `O(churn +
+//! sharers)`: it walks the users with work on the server, the churned
+//! ones and the ones the greedy moves, not the crowd. What stays
+//! `O(crowd)`: FIFO, which prices every move against the whole queue; a
+//! departure, which shifts every later user's slot and report entry
+//! (the report's per-user `Vec::remove`s); and the rare rescan that must
+//! hold every all-local user to their own bound. The crowd sums run
+//! between slot-order refolds, one after every full replan and one
+//! every `crowd` warm replans. When accumulated churn exceeds a
+//! configurable drift bound (a bound of `0.0` trips on any churn), the
+//! session rebuilds the placement and the report from scratch.
 
 use crate::exec::{duration_sample, ExecCtx};
 use crate::frontend::{prepare_users, FrontEnd};
@@ -72,7 +82,7 @@ enum SlotChange {
 /// The placement and priced report carried across replans.
 ///
 /// Invariant: part-system and ledger user slot `i` is
-/// `OffloadSession::users[i]` at all times — joins append or replace in
+/// `OffloadSession::users[i]` at all times — joins append or re-seat in
 /// place, leaves remove order-preservingly — so delta plans and
 /// evaluations come out in the same user order a rebuild produces. The
 /// report stays the last replan's until the next one replays `pending`
@@ -125,23 +135,16 @@ impl Persisted {
         self.settle(params);
     }
 
-    /// Formula (2) and the totals: every user's own terms are current,
-    /// so one fold over the ledger gives the crowd sums and the
-    /// offloaders whose server shares depend on them.
+    /// Formula (2) and the totals: the ledger keeps the crowd's local
+    /// and transmission sums and who has work on the server, so only
+    /// the offloaders, whose server shares depend on one another, are
+    /// walked.
     fn settle(&mut self, params: &SystemParams) {
-        let mut local = 0.0;
-        let mut tx = 0.0;
-        self.offloaders.clear();
-        for (u, t) in self.ledger.terms().iter().enumerate() {
-            local += t.local;
-            tx += t.tx;
-            if t.remote > 0.0 {
-                self.offloaders.push(u);
-            }
-        }
+        self.ledger.sharers(&mut self.offloaders);
         let evaluation = &mut self.report.evaluation;
         let server = share_server(params, &mut evaluation.per_user, &self.offloaders);
-        evaluation.totals = CostSummary::from_sums(params, local, tx, server);
+        let totals = self.ledger.totals();
+        evaluation.totals = CostSummary::from_sums(params, totals.lw, totals.tv, server);
     }
 }
 
@@ -476,14 +479,14 @@ impl OffloadSession {
         }
         self.frontends
             .insert(graph_key(&user.graph), Arc::downgrade(&user.frontend));
-        let stats = user.frontend.outcome.stats;
+        let stats = user.frontend.stats;
         match self.names.get(&name) {
             Some(&arrival) => {
                 let i = slot_at(&self.users, arrival);
                 user.arrival = arrival;
                 if let Some(st) = self.state.as_mut() {
                     st.ps
-                        .replace_user(i, &user.graph, &user.frontend.outcome, &user.frontend.cuts);
+                        .replace_template(i, Arc::clone(&user.frontend.template));
                     st.dirty.push(i);
                     st.pending.push(SlotChange::Replaced(i, stats));
                 }
@@ -495,9 +498,7 @@ impl OffloadSession {
                 self.next_arrival += 1;
                 self.names.insert(name, user.arrival);
                 if let Some(st) = self.state.as_mut() {
-                    let i =
-                        st.ps
-                            .add_user(&user.graph, &user.frontend.outcome, &user.frontend.cuts);
+                    let i = st.ps.add_template(Arc::clone(&user.frontend.template));
                     st.ledger.add_user();
                     st.dirty.push(i);
                     st.pending.push(SlotChange::Appended(stats));
@@ -527,7 +528,9 @@ impl OffloadSession {
 
     /// Removes the user at slot `i` (already gone from the name index),
     /// shifting later slots down and keeping the persisted placement
-    /// (and its dirty set) aligned.
+    /// (and its dirty set) aligned. No part-system record names a slot;
+    /// the ledger renumbers only its lists of sharers and unbounded
+    /// users.
     fn remove_at(&mut self, i: usize) {
         let gone = self.users.remove(i);
         self.release(gone);
@@ -622,10 +625,18 @@ impl OffloadSession {
     ///
     /// The report persists between calls: a warm replan re-settles the
     /// churned users, re-derives only their and the greedy's moved
-    /// users' plans and costs, and takes the totals from the ledger of
-    /// per-user terms — its cost scales with churn, not the crowd.
-    /// The first replan, and any after more than `drift_limit × crowd`
-    /// churn events, rebuild placement and report from scratch.
+    /// users' plans and costs, and takes the totals from the ledger's
+    /// running crowd sums and its users with work on the server. Under
+    /// `EqualShare` and `ProportionalToLoad` its cost scales with churn
+    /// and the sharers, not the crowd. FIFO prices every move against
+    /// the whole queue, and the replan after a departure still shifts
+    /// every later user's report entry, so those stay linear in the
+    /// crowd. The sums are refolded in slot order after every full
+    /// replan and once every `crowd` warm ones, so between refolds a
+    /// warm report's local sum can differ from a rebuild's in its last
+    /// bits. The first replan, and any after more than
+    /// `drift_limit × crowd` churn events, rebuild placement and report
+    /// from scratch.
     ///
     /// The report's `timings.compression` / `timings.cutting` are the
     /// front-end time each present user's admission spent, summed over
@@ -666,7 +677,7 @@ impl OffloadSession {
         sink.counter_add("session.replans_full", 1);
         let mut ps = PartSystem::new();
         for u in &self.users {
-            ps.add_user(&u.graph, &u.frontend.outcome, &u.frontend.cuts);
+            ps.add_template(Arc::clone(&u.frontend.template));
         }
         let s = span(sink, "stage.greedy");
         let mut ledger = Ledger::new(&ps, &self.params);
@@ -689,11 +700,7 @@ impl OffloadSession {
                     .collect(),
                 totals: CostSummary::default(),
             },
-            compression: self
-                .users
-                .iter()
-                .map(|u| u.frontend.outcome.stats)
-                .collect(),
+            compression: self.users.iter().map(|u| u.frontend.stats).collect(),
             greedy,
             timings: StageTimings {
                 greedy: greedy_time,
@@ -1061,11 +1068,7 @@ mod tests {
                 assert_close(&format!("user {u} {what}"), x, y);
             }
         }
-        let stats: Vec<_> = session
-            .users
-            .iter()
-            .map(|u| u.frontend.outcome.stats)
-            .collect();
+        let stats: Vec<_> = session.users.iter().map(|u| u.frontend.stats).collect();
         assert_eq!(report.compression, stats);
         let charged = || session.users.iter().filter(|u| u.charged);
         let compression = charged().map(|u| u.frontend.compression).sum();
@@ -1150,6 +1153,112 @@ mod tests {
             }
         }
         assert!(certified > 0, "the bound never settled a rescan");
+    }
+
+    /// `got` equals `want` within 1e-12 of `want`'s magnitude.
+    fn assert_near(what: &str, got: f64, want: f64) {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs(),
+            "{what}: running {got} vs refold {want}"
+        );
+    }
+
+    /// Drives 10⁴ seeded single-event replans over a crowd of about
+    /// `crowd` users and, every 500 events, holds the ledger's per-user
+    /// terms to a fresh derivation and its running totals, and the
+    /// report's local and transmission sums, to a slot-order refold of
+    /// those terms, within 1e-12 relative.
+    fn running_totals_track_a_slot_order_refold(
+        allocation: mec_model::AllocationPolicy,
+        crowd: usize,
+    ) {
+        use crate::greedy::{UserTerms, EPS};
+
+        let pool: Vec<Arc<Graph>> = (0..16).map(|i| app(700 + i)).collect();
+        let params = SystemParams {
+            server_capacity: 40.0,
+            allocation,
+            ..SystemParams::default()
+        };
+        let mut session = OffloadSession::new(params);
+        let mut present: Vec<String> = (0..crowd).map(|i| format!("u{i}")).collect();
+        session
+            .join_many(
+                present
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (n.clone(), Arc::clone(&pool[i % pool.len()]))),
+            )
+            .unwrap();
+        session.replan().unwrap();
+        let mut rng = Rng(97);
+        let mut next = present.len();
+        let mut sharers = 0;
+        for event in 1..=10_000 {
+            let roll = rng.below(10);
+            let g = Arc::clone(&pool[rng.below(pool.len() as u64) as usize]);
+            if present.len() < crowd - 10 || (roll < 4 && present.len() < crowd + 10) {
+                let name = format!("u{next}");
+                next += 1;
+                session.join(name.clone(), g).unwrap();
+                present.push(name);
+            } else if roll < 7 {
+                let victim = present.swap_remove(rng.below(present.len() as u64) as usize);
+                assert!(session.leave(&victim));
+            } else {
+                let who = &present[rng.below(present.len() as u64) as usize];
+                session.join(who.clone(), g).unwrap();
+            }
+            session.replan().unwrap();
+            if event % 500 != 0 {
+                continue;
+            }
+            let st = session.state.as_ref().expect("replanned");
+            let mut want = UserTerms::default();
+            for (u, t) in st.ledger.terms().iter().enumerate() {
+                let fresh = UserTerms::of(&st.ps, u, params.control_overhead);
+                let what = format!("{allocation:?} event {event} user {u}");
+                assert_eq!(t.local.to_bits(), fresh.local.to_bits(), "{what}");
+                assert_eq!(t.remote.to_bits(), fresh.remote.to_bits(), "{what}");
+                assert_eq!(t.tx.to_bits(), fresh.tx.to_bits(), "{what}");
+                want.local += t.local;
+                want.remote += t.remote;
+                want.tx += t.tx;
+            }
+            let got = st.ledger.totals();
+            let what = |term: &str| format!("{allocation:?} event {event}: {term}");
+            assert_near(&what("local work"), got.lw, want.local);
+            assert_near(&what("remote work"), got.rw, want.remote);
+            assert_near(&what("tx volume"), got.tv, want.tx);
+            let offloaders = st.ledger.terms().iter().filter(|t| t.remote > EPS);
+            assert_eq!(got.offloaders, offloaders.count(), "{}", what("sharers"));
+            let totals = &st.report.evaluation.totals;
+            let local_time = want.local / params.local_capacity;
+            assert_near(&what("local time"), totals.local_time, local_time);
+            assert_near(&what("tx time"), totals.tx_time, want.tx / params.bandwidth);
+            sharers += got.offloaders;
+        }
+        assert!(sharers > 0, "{allocation:?}: nobody offloaded");
+    }
+
+    #[test]
+    fn running_totals_track_a_refold_under_equal_share() {
+        running_totals_track_a_slot_order_refold(mec_model::AllocationPolicy::EqualShare, 300);
+    }
+
+    #[test]
+    fn running_totals_track_a_refold_under_proportional_share() {
+        running_totals_track_a_slot_order_refold(
+            mec_model::AllocationPolicy::ProportionalToLoad,
+            300,
+        );
+    }
+
+    /// FIFO prices every candidate against the whole queue, `O(crowd)`
+    /// each and `O(crowd²)` per rescan, so its leg runs a smaller crowd.
+    #[test]
+    fn running_totals_track_a_refold_under_fifo() {
+        running_totals_track_a_slot_order_refold(mec_model::AllocationPolicy::Fifo, 80);
     }
 
     /// Distinct graphs among the present users.

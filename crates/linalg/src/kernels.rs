@@ -36,20 +36,6 @@
 /// unrolled loops keep the adder busy instead of waiting on one chain.
 pub const LANES: usize = 4;
 
-/// Column-index types a CSR kernel can walk (`u32` in the adjacency
-/// snapshot).
-pub trait ColIndex: Copy {
-    /// Widens the stored column index to a `usize` offset into `x`.
-    fn index(self) -> usize;
-}
-
-impl ColIndex for u32 {
-    #[inline(always)]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
 // ---------------------------------------------------------------------------
 // dense vector kernels
 // ---------------------------------------------------------------------------
@@ -179,9 +165,9 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `y` has fewer rows than `offsets` describes.
-pub fn csr_laplacian_matvec<C: ColIndex>(
+pub fn csr_laplacian_matvec(
     offsets: &[usize],
-    columns: &[C],
+    columns: &[u32],
     weights: &[f64],
     x: &[f64],
     x_base: usize,
@@ -201,29 +187,29 @@ pub fn csr_laplacian_matvec<C: ColIndex>(
         for k in 0..m {
             let (w0, w1) = (weights[o[0] + k], weights[o[1] + k]);
             let (w2, w3) = (weights[o[2] + k], weights[o[3] + k]);
-            a0 += w0 * x[columns[o[0] + k].index()];
+            a0 += w0 * x[columns[o[0] + k] as usize];
             d0 += w0;
-            a1 += w1 * x[columns[o[1] + k].index()];
+            a1 += w1 * x[columns[o[1] + k] as usize];
             d1 += w1;
-            a2 += w2 * x[columns[o[2] + k].index()];
+            a2 += w2 * x[columns[o[2] + k] as usize];
             d2 += w2;
-            a3 += w3 * x[columns[o[3] + k].index()];
+            a3 += w3 * x[columns[o[3] + k] as usize];
             d3 += w3;
         }
         for k in m..lens[0] {
-            a0 += weights[o[0] + k] * x[columns[o[0] + k].index()];
+            a0 += weights[o[0] + k] * x[columns[o[0] + k] as usize];
             d0 += weights[o[0] + k];
         }
         for k in m..lens[1] {
-            a1 += weights[o[1] + k] * x[columns[o[1] + k].index()];
+            a1 += weights[o[1] + k] * x[columns[o[1] + k] as usize];
             d1 += weights[o[1] + k];
         }
         for k in m..lens[2] {
-            a2 += weights[o[2] + k] * x[columns[o[2] + k].index()];
+            a2 += weights[o[2] + k] * x[columns[o[2] + k] as usize];
             d2 += weights[o[2] + k];
         }
         for k in m..lens[3] {
-            a3 += weights[o[3] + k] * x[columns[o[3] + k].index()];
+            a3 += weights[o[3] + k] * x[columns[o[3] + k] as usize];
             d3 += weights[o[3] + k];
         }
         y[r] = d0 * x[x_base + r] - a0;
@@ -235,7 +221,7 @@ pub fn csr_laplacian_matvec<C: ColIndex>(
     for r in blocks..rows {
         let (mut acc, mut deg) = (0.0, 0.0);
         for k in offsets[r]..offsets[r + 1] {
-            acc += weights[k] * x[columns[k].index()];
+            acc += weights[k] * x[columns[k] as usize];
             deg += weights[k];
         }
         y[r] = deg * x[x_base + r] - acc;
@@ -256,34 +242,29 @@ pub fn csr_laplacian_matvec<C: ColIndex>(
 /// added to `cut` once, which reassociates the fold (1-ulp-scaled
 /// parity class).
 #[inline]
-pub fn sweep_boundary_update<C: ColIndex>(
-    cut: f64,
-    columns: &[C],
-    weights: &[f64],
-    local: &[bool],
-) -> f64 {
+pub fn sweep_boundary_update(cut: f64, columns: &[u32], weights: &[f64], local: &[bool]) -> f64 {
     let n = columns.len();
     let chunks = n - n % LANES;
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut k = 0;
     while k < chunks {
         // branchless sign select keeps the four chains independent
-        let s0 = if local[columns[k].index()] {
+        let s0 = if local[columns[k] as usize] {
             -weights[k]
         } else {
             weights[k]
         };
-        let s1 = if local[columns[k + 1].index()] {
+        let s1 = if local[columns[k + 1] as usize] {
             -weights[k + 1]
         } else {
             weights[k + 1]
         };
-        let s2 = if local[columns[k + 2].index()] {
+        let s2 = if local[columns[k + 2] as usize] {
             -weights[k + 2]
         } else {
             weights[k + 2]
         };
-        let s3 = if local[columns[k + 3].index()] {
+        let s3 = if local[columns[k + 3] as usize] {
             -weights[k + 3]
         } else {
             weights[k + 3]
@@ -296,7 +277,7 @@ pub fn sweep_boundary_update<C: ColIndex>(
     }
     for i in chunks..n {
         let w = weights[i];
-        a0 += if local[columns[i].index()] { -w } else { w };
+        a0 += if local[columns[i] as usize] { -w } else { w };
     }
     cut + ((a0 + a1) + (a2 + a3))
 }

@@ -20,8 +20,6 @@ use proptest::prelude::*;
 /// accumulator per reduction, folded in index order, and one modified
 /// Gram–Schmidt step per basis vector.
 mod reference {
-    use mec_linalg::kernels::ColIndex;
-
     pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len(), "dot: length mismatch");
         let mut acc = 0.0;
@@ -63,19 +61,19 @@ mod reference {
         }
     }
 
-    fn row_lap<C: ColIndex>(columns: &[C], weights: &[f64], x: &[f64]) -> (f64, f64) {
+    fn row_lap(columns: &[u32], weights: &[f64], x: &[f64]) -> (f64, f64) {
         let mut acc = 0.0;
         let mut deg = 0.0;
         for (c, w) in columns.iter().zip(weights) {
-            acc += w * x[c.index()];
+            acc += w * x[*c as usize];
             deg += w;
         }
         (acc, deg)
     }
 
-    pub fn csr_laplacian_matvec<C: ColIndex>(
+    pub fn csr_laplacian_matvec(
         offsets: &[usize],
-        columns: &[C],
+        columns: &[u32],
         weights: &[f64],
         x: &[f64],
         x_base: usize,
@@ -93,14 +91,14 @@ mod reference {
         }
     }
 
-    pub fn sweep_boundary_update<C: ColIndex>(
+    pub fn sweep_boundary_update(
         mut cut: f64,
-        columns: &[C],
+        columns: &[u32],
         weights: &[f64],
         local: &[bool],
     ) -> f64 {
         for (c, w) in columns.iter().zip(weights) {
-            if local[c.index()] {
+            if local[*c as usize] {
                 cut -= w;
             } else {
                 cut += w;

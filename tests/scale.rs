@@ -4,7 +4,7 @@
 
 use copmecs::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[test]
 #[ignore = "scale test: ~20 s, run explicitly"]
@@ -191,4 +191,108 @@ fn session_churn_at_scale() {
         delta_time.as_secs_f64() < 20.0,
         "60 churn events with their replans took {delta_time:?} at 10^4 users"
     );
+}
+
+/// One session of `users` users of 24-function apps drawn from `pool`,
+/// replanned once, and the stream of churn events it sees: joins,
+/// departures and resubmits, seeded by `seed`.
+struct ChurnedSession {
+    session: copmecs::core::OffloadSession,
+    rng: Rng,
+    present: Vec<String>,
+    next: usize,
+    /// Latency of every timed replan.
+    latencies: Vec<Duration>,
+}
+
+impl ChurnedSession {
+    fn new(users: usize, allocation: AllocationPolicy, pool: &[Arc<Graph>], seed: u64) -> Self {
+        let params = SystemParams {
+            allocation,
+            ..SystemParams::default()
+        };
+        let mut rng = Rng(seed);
+        let present: Vec<String> = (0..users).map(|i| format!("u{i}")).collect();
+        let crowd: Vec<(String, Arc<Graph>)> = present
+            .iter()
+            .map(|name| (name.clone(), Arc::clone(&pool[rng.below(pool.len())])))
+            .collect();
+        let mut session = copmecs::core::OffloadSession::new(params);
+        session.join_many(crowd).unwrap();
+        session.replan().unwrap();
+        ChurnedSession {
+            session,
+            rng,
+            present,
+            next: users,
+            latencies: Vec::new(),
+        }
+    }
+
+    /// Applies one event and times the replan that includes it.
+    fn step(&mut self, pool: &[Arc<Graph>]) {
+        let roll = self.rng.below(10);
+        let g = Arc::clone(&pool[self.rng.below(pool.len())]);
+        if roll < 3 {
+            let name = format!("u{}", self.next);
+            self.next += 1;
+            self.session.join(name.clone(), g).unwrap();
+            self.present.push(name);
+        } else if roll < 6 {
+            let victim = self.present.swap_remove(self.rng.below(self.present.len()));
+            assert!(self.session.leave(&victim));
+        } else {
+            let who = &self.present[self.rng.below(self.present.len())];
+            self.session.join(who.clone(), g).unwrap();
+        }
+        let t0 = Instant::now();
+        self.session.replan().unwrap();
+        self.latencies.push(t0.elapsed());
+    }
+
+    /// The median and 99th percentile of the timed replans.
+    fn percentiles(&mut self) -> (Duration, Duration) {
+        let n = self.latencies.len();
+        self.latencies.sort_unstable();
+        (self.latencies[n / 2], self.latencies[n * 99 / 100])
+    }
+}
+
+/// A single-event replan's median does not grow with the session's
+/// crowd: from 10³ to 6.4·10⁴ users it grows less than 2×, under both
+/// shared-capacity policies. Each size runs 400 single-event replans in
+/// one session of 24-function apps from a 64-graph pool, the two
+/// sessions taking turns in blocks of 50, so a busy host slows both
+/// alike while each block runs on its own session's cache. What remains
+/// grows with the sharers, each priced at every rescan. The 99th
+/// percentile may still grow: a departure shifts every later user's
+/// report entry, and one that frees a sharer's place may send a rescan
+/// over the whole crowd.
+#[test]
+#[ignore = "scale test: ~20 s, run explicitly"]
+fn single_event_replan_median_does_not_grow_with_the_crowd() {
+    let pool: Vec<Arc<Graph>> = (0..64)
+        .map(|i| Arc::new(NetgenSpec::new(24, 116).seed(71 + i).generate().unwrap()))
+        .collect();
+    for allocation in [
+        AllocationPolicy::EqualShare,
+        AllocationPolicy::ProportionalToLoad,
+    ] {
+        let mut small = ChurnedSession::new(1_000, allocation, &pool, 70);
+        let mut large = ChurnedSession::new(64_000, allocation, &pool, 70);
+        for _ in 0..8 {
+            for _ in 0..50 {
+                small.step(&pool);
+            }
+            for _ in 0..50 {
+                large.step(&pool);
+            }
+        }
+        let ((small, small_p99), (large, large_p99)) = (small.percentiles(), large.percentiles());
+        eprintln!("{allocation:?}: p50 {small:?} -> {large:?}, p99 {small_p99:?} -> {large_p99:?}");
+        assert!(
+            large < 2 * small,
+            "{allocation:?}: replan p50 grew from {small:?} at 10^3 users to {large:?} at 6.4*10^4"
+        );
+    }
 }

@@ -96,3 +96,78 @@ fn replan_reflects_contention_after_mass_join() {
         "crowding must not increase per-user offloading ({per_user_remote} vs {alone_remote})"
     );
 }
+
+/// The users a warm replan's rescans visit right after one departure,
+/// and the sharers it leaves, in a session of `users` users of one
+/// eight-app pool: the least over three departures, after two more.
+/// A departure that frees a sharer's place can lift some all-local
+/// user's bound above its walk group's, and that replan's rescan then
+/// visits the whole crowd to find who takes the place (the third
+/// departure here does); the least of the three is a departure that
+/// frees no place.
+fn rescan_visits_after_leave(users: usize, params: SystemParams) -> (u64, usize) {
+    let pool: Vec<_> = (0..8u64)
+        .map(|i| {
+            Arc::new(
+                NetgenSpec::new(16, 40)
+                    .seed(300 + i)
+                    .generate()
+                    .expect("generable workload"),
+            )
+        })
+        .collect();
+    let sink = Arc::new(ShardedRecorder::new());
+    let mut session =
+        OffloadSession::new(params).with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    session
+        .join_many((0..users).map(|i| (format!("u{i}"), Arc::clone(&pool[i % 8]))))
+        .unwrap();
+    session.replan().unwrap();
+    let mut next = 0usize;
+    let mut leave_and_replan = |session: &mut OffloadSession| {
+        assert!(session.leave(&format!("u{next}")));
+        next += 1;
+        let before = sink.counter_value("greedy.rescan_visits");
+        let report = session.replan().unwrap();
+        let sharers = report
+            .evaluation
+            .per_user
+            .iter()
+            .filter(|c| c.remote_work > 0.0)
+            .count();
+        (sink.counter_value("greedy.rescan_visits") - before, sharers)
+    };
+    leave_and_replan(&mut session);
+    leave_and_replan(&mut session);
+    (0..3)
+        .map(|_| leave_and_replan(&mut session))
+        .min()
+        .unwrap()
+}
+
+/// A warm replan pays for churn and the sharers, not for the crowd:
+/// after one departure its rescans visit as many users at 4 000 users
+/// as at 500, under both shared-capacity policies. The server capacity,
+/// 250, is one of eight shards' share of the default 2 000, and holds
+/// the sharer count at the same value at both sizes.
+#[test]
+fn warm_rescan_visits_do_not_grow_with_the_crowd() {
+    for allocation in [
+        AllocationPolicy::EqualShare,
+        AllocationPolicy::ProportionalToLoad,
+    ] {
+        let params = SystemParams {
+            server_capacity: 250.0,
+            allocation,
+            ..SystemParams::default()
+        };
+        let small = rescan_visits_after_leave(500, params);
+        let large = rescan_visits_after_leave(4_000, params);
+        assert_eq!(small.1, large.1, "{allocation:?}: the sharer counts differ");
+        assert_eq!(
+            small.0, large.0,
+            "{allocation:?}: rescan visits grew with the crowd: {} at 500 users, {} at 4000",
+            small.0, large.0
+        );
+    }
+}
